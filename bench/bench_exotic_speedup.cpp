@@ -19,7 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/Target.h"
+#include "registry/Harness.h"
 #include "sim/Sim370.h"
 #include "sim/Sim8086.h"
 #include "sim/SimVax.h"
@@ -92,15 +92,15 @@ void printSpeedupTable() {
     Runner Run;
   };
   TargetInfo Targets[3] = {
-      {makeI8086Target(),
+      {registry::corpusTarget(registry::MachineKind::I8086),
        [](const std::vector<std::string> &A, const interp::Memory &M) {
          return sim::run8086(A, M, {}, 10000000);
        }},
-      {makeVaxTarget(),
+      {registry::corpusTarget(registry::MachineKind::Vax),
        [](const std::vector<std::string> &A, const interp::Memory &M) {
          return sim::runVax(A, M, {}, 10000000);
        }},
-      {makeIbm370Target(),
+      {registry::corpusTarget(registry::MachineKind::Ibm370),
        [](const std::vector<std::string> &A, const interp::Memory &M) {
          return sim::run370(A, M, {}, 10000000);
        }},
@@ -171,7 +171,7 @@ void printSpeedupTable() {
 }
 
 void BM_Sim8086ExoticIndex(benchmark::State &State) {
-  auto T = makeI8086Target();
+  auto T = registry::corpusTarget(registry::MachineKind::I8086);
   Program P;
   P.Ops.push_back(opFor(OpKind::StrIndex, State.range(0)));
   CodeGenResult R = T->generate(P);

@@ -6,9 +6,9 @@
 //
 // The deployable-registry path, measured end to end: a binding registry
 // is built from the recorded derivation corpus, its entries are compiled
-// into live instruction bindings on each bare target (hand bootstrap
-// tables cleared), and the shared demo program is executed both ways —
-// registry bindings vs. decomposition-only — on the matching simulator.
+// into live instruction bindings on each bare target, and the shared
+// demo program is executed both ways — registry bindings vs.
+// decomposition-only — on the matching simulator.
 //
 // The table shows, per machine, the §1 cost deltas the registry's exotic
 // emissions buy (instruction dispatches, byte operations, code size) and
@@ -31,20 +31,8 @@ using namespace extra::registry;
 
 namespace {
 
-const Registry &recordedRegistry() {
-  static Registry R = [] {
-    RegistryBuilder B;
-    auto Added = B.addRecordedCases();
-    if (!Added)
-      std::fprintf(stderr, "registry build failed: %s\n",
-                   Added.fault().Message.c_str());
-    return B.registry();
-  }();
-  return R;
-}
-
 void printE2ETable() {
-  const Registry &Reg = recordedRegistry();
+  const Registry &Reg = recordedCorpus();
   std::printf("==== registry bindings vs. decomposition: demo program, "
               "executed ====\n\n");
   std::printf("  registry: %zu entries from the recorded corpus\n\n",
@@ -98,14 +86,13 @@ BENCHMARK(BM_RegistryBuildRecorded)->Unit(benchmark::kMillisecond);
 
 void BM_BindingCompile(benchmark::State &State,
                        MachineKind MK) {
-  const Registry &Reg = recordedRegistry();
+  const Registry &Reg = recordedCorpus();
   uint64_t Loaded = 0;
   for (auto _ : State) {
     std::unique_ptr<codegen::Target> T =
         MK == MachineKind::I8086  ? codegen::makeI8086Target()
         : MK == MachineKind::Vax  ? codegen::makeVaxTarget()
                                   : codegen::makeIbm370Target();
-    T->clearBindings();
     Loaded = loadRegistryBindings(Reg, machineName(MK), *T);
     benchmark::DoNotOptimize(T);
   }
@@ -116,7 +103,7 @@ BENCHMARK_CAPTURE(BM_BindingCompile, vax, MachineKind::Vax);
 BENCHMARK_CAPTURE(BM_BindingCompile, ibm370, MachineKind::Ibm370);
 
 void BM_DifferentialE2E(benchmark::State &State, MachineKind MK) {
-  const Registry &Reg = recordedRegistry();
+  const Registry &Reg = recordedCorpus();
   codegen::Program P = demoProgram();
   interp::Memory M = demoMemory();
   DifferentialReport Last;

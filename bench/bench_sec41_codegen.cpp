@@ -6,7 +6,8 @@
 //
 // §4.1 closes with the hand-translated 8086 code for the augmented scasb
 // bound to the index operator. This binary prints the paper's listing,
-// the listing our code generator emits from the same binding, and runs
+// the listing our code generator emits from the binding it lowers from
+// the recorded scasb derivation, and runs
 // the generated code on the 8086 simulator against the reference
 // interpretation of the Rigel index description.
 //
@@ -14,9 +15,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/Target.h"
 #include "descriptions/Descriptions.h"
 #include "interp/Interp.h"
+#include "registry/Harness.h"
 #include "sim/Sim8086.h"
 
 #include "BenchSupport.h"
@@ -45,7 +46,7 @@ l2:             ; final result stored in di
 )";
 
 CodeGenResult generateIndex() {
-  auto T = makeI8086Target();
+  auto T = registry::corpusTarget(registry::MachineKind::I8086);
   Program P;
   P.Ops.push_back(strIndex("result", Value::symbol("string"),
                            Value::symbol("length"), Value::symbol("char")));
@@ -88,7 +89,7 @@ void printListings() {
 }
 
 void BM_GenerateIndex(benchmark::State &State) {
-  auto T = makeI8086Target();
+  auto T = registry::corpusTarget(registry::MachineKind::I8086);
   Program P;
   P.Ops.push_back(strIndex("result", Value::symbol("string"),
                            Value::symbol("length"), Value::symbol("char")));

@@ -7,16 +7,16 @@
 // Replays the paper's flagship example end to end: proving the Intel 8086
 // scasb instruction implements the Rigel index operator. Prints the
 // intermediate forms corresponding to Figures 2-5, the binding, and the
-// constraint set, then shows the real 8086 code the binding produces.
+// constraint set, then shows the real 8086 code the binding lowers to.
 //
 // Build and run:   ./build/examples/analyze_scasb
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Derivations.h"
-#include "codegen/Target.h"
 #include "descriptions/Descriptions.h"
 #include "isdl/Printer.h"
+#include "registry/Harness.h"
 #include "sim/Sim8086.h"
 
 #include <cstdio>
@@ -79,9 +79,9 @@ int main() {
               R.Binding.str().c_str());
   std::printf("constraints:\n%s\n", R.Constraints.str().c_str());
 
-  // And the §4.1 payoff: real 8086 code for `index`, run on the
-  // simulator.
-  auto Target = codegen::makeI8086Target();
+  // And the §4.1 payoff: real 8086 code for `index`, lowered from the
+  // recorded derivation and run on the simulator.
+  auto Target = registry::corpusTarget(registry::MachineKind::I8086);
   codegen::Program P;
   P.Ops.push_back(codegen::strIndex("result",
                                     codegen::Value::symbol("string"),

@@ -6,15 +6,16 @@
 //
 // A miniature compiler driver: reads a program in the little string
 // language (from a file argument, or a built-in demo), generates code for
-// the requested target, prints the instruction selection and the
-// assembly, and executes it on the matching simulator.
+// the requested target (its bindings lowered from the recorded
+// derivations), prints the instruction selection and the assembly, and
+// executes it on the matching simulator.
 //
 //   ./build/examples/compile_program [i8086|vax|ibm370] [program-file]
 //
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Frontend.h"
-#include "codegen/Target.h"
+#include "registry/Harness.h"
 #include "sim/Sim370.h"
 #include "sim/Sim8086.h"
 #include "sim/SimVax.h"
@@ -64,25 +65,19 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  std::unique_ptr<Target> T;
-  sim::SimResult (*Run)(const std::vector<std::string> &,
-                        const interp::Memory &,
-                        const std::map<std::string, int64_t> &,
-                        uint64_t) = nullptr;
-  if (TargetName == "i8086") {
-    T = makeI8086Target();
-    Run = sim::run8086;
-  } else if (TargetName == "vax") {
-    T = makeVaxTarget();
-    Run = sim::runVax;
-  } else if (TargetName == "ibm370") {
-    T = makeIbm370Target();
-    Run = sim::run370;
-  } else {
+  auto Machine = registry::machineFromName(TargetName);
+  if (!Machine) {
     std::fprintf(stderr, "unknown target '%s' (i8086|vax|ibm370)\n",
                  TargetName.c_str());
     return 1;
   }
+  std::unique_ptr<Target> T = registry::corpusTarget(*Machine);
+  sim::SimResult (*Run)(const std::vector<std::string> &,
+                        const interp::Memory &,
+                        const std::map<std::string, int64_t> &, uint64_t) =
+      *Machine == registry::MachineKind::I8086 ? sim::run8086
+      : *Machine == registry::MachineKind::Vax ? sim::runVax
+                                               : sim::run370;
 
   CodeGenResult Code = T->generate(*P);
   std::printf("; target: %s\n; instruction selection:\n", T->name().c_str());

@@ -11,15 +11,15 @@
 // on the matching simulator and checked for identical observable
 // results.
 //
-// Unlike the hand-built bootstrap tables, the bindings here come from a
-// *registry*: the deployable artifact the discovery pipeline exports.
-// Pass a registry file to compile with discovered bindings, or run with
-// no arguments to build one in-process from the recorded corpus:
+// The bindings come from a *registry*: the deployable artifact the
+// discovery pipeline exports. Pass a registry file to compile with
+// discovered bindings, or run with no arguments to use the recorded
+// corpus, built in-process:
 //
 //   ./build/examples/retarget_compiler [registry.jsonl]
 //
-// Either way the hand tables are cleared first — every exotic emission
-// below was compiled from a registry entry, not wired in by hand.
+// The targets start with no bindings — every exotic emission below was
+// compiled from a registry entry, not wired in by hand.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,15 +49,9 @@ int main(int argc, char **argv) {
     Reg = std::move(*Loaded);
     std::printf("registry: %zu entries from %s\n\n", Reg.size(), argv[1]);
   } else {
-    registry::RegistryBuilder Builder;
-    if (auto Added = Builder.addRecordedCases()) {
-      Reg = Builder.registry();
-      std::printf("registry: %u entries from the recorded corpus\n\n", *Added);
-    } else {
-      std::printf("cannot build registry: %s\n",
-                  Added.fault().Message.c_str());
-      return 1;
-    }
+    Reg = registry::recordedCorpus();
+    std::printf("registry: %zu entries from the recorded corpus\n\n",
+                Reg.size());
   }
 
   // The front end compiled something like:
@@ -95,9 +89,7 @@ int main(int argc, char **argv) {
 
   bool AllOk = true;
   for (TargetRun &TR : Runs) {
-    // Drop the hand-built bootstrap table and compile the registry's
-    // bindings onto the bare target.
-    TR.T->clearBindings();
+    // Compile the registry's bindings onto the bare target.
     std::vector<registry::CompileNote> Notes;
     unsigned Loaded =
         registry::loadRegistryBindings(Reg, TR.Machine, *TR.T, &Notes);

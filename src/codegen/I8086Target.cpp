@@ -5,149 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The 8086 binding table and decomposition rules. The StrIndex emitter
-/// reproduces the paper's §4.1 hand-translated listing for the augmented
-/// scasb (initial-pointer save, zf zeroing, `cld`, repeat prefix, and the
-/// index-from-address epilogue), with one correction: the paper's listing
-/// uses `jz` where the flag sense requires jump-if-NOT-found; we emit
-/// `jnz` to the not-found label. Constraints come from the actual Table 2
-/// analyses, run once and cached.
+/// The 8086 decomposition rules. The target is created without bindings:
+/// its exotic instructions (scasb, movsb, cmpsb, stosb) come from the
+/// binding registry, which lowers each recorded or discovered derivation
+/// onto it (registry::corpusTarget). The scasb binding lowered from the
+/// recorded scasb derivations reproduces the paper's §4.1
+/// hand-translated listing.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Target.h"
 
-#include "analysis/Derivations.h"
-
 using namespace extra;
 using namespace extra::codegen;
-using constraint::CompileTimeFacts;
 
 namespace {
 
-/// Constraint set from a Table 2 analysis (cached; the analyses are
-/// deterministic).
-const constraint::ConstraintSet &constraintsOf(const std::string &CaseId) {
-  static std::map<std::string, constraint::ConstraintSet> Cache;
-  auto It = Cache.find(CaseId);
-  if (It != Cache.end())
-    return It->second;
-  const analysis::AnalysisCase *Case = analysis::findCase(CaseId);
-  assert(Case && "unknown analysis case");
-  analysis::DiffOptions Opts;
-  Opts.Trials = 4; // The full verification runs in the test suite.
-  analysis::AnalysisResult R =
-      analysis::runAnalysis(*Case, analysis::Mode::Extension, Opts);
-  assert(R.Succeeded && "analysis behind a binding failed");
-  return Cache.emplace(CaseId, std::move(R.Constraints)).first->second;
-}
-
 class I8086Target : public Target {
 public:
-  I8086Target() : Target("Intel 8086", 0xFFFF) {
-    // scasb <- Rigel/CLU string search (§4.1).
-    InstructionBinding Scasb;
-    Scasb.Op = OpKind::StrIndex;
-    Scasb.Mnemonic = "scasb";
-    Scasb.AnalysisId = "i8086.scasb/rigel.index";
-    Scasb.Constraints = constraintsOf("i8086.scasb/rigel.index");
-    Scasb.Emit = [](const HLOp &O, const CompileTimeFacts &,
-                    CodeGenContext &Ctx) {
-      Ctx.load("di", O.Args[0]); // string address
-      Ctx.load("cx", O.Args[1]); // string length (<= 16 bits)
-      Ctx.load("al", O.Args[2]); // character sought
-      Ctx.emit("  mov bx, di        ; save initial address");
-      Ctx.emit("  mov si, 0");
-      Ctx.emit("  cmp si, 1         ; reset zero flag zf");
-      Ctx.emit("  cld               ; reset direction flag df");
-      Ctx.emit("  repne scasb       ; search string (rf=1, rfz=0)");
-      std::string NotFound = Ctx.freshLabel("nf");
-      std::string Done = Ctx.freshLabel("done");
-      Ctx.emit("  jnz " + NotFound + "          ; jump if not found");
-      Ctx.emit("  sub di, bx        ; compute index of char if found");
-      Ctx.emit("  jmp " + Done);
-      Ctx.emit(NotFound + ":");
-      Ctx.emit("  mov di, 0         ; return zero if not found");
-      Ctx.emit(Done + ":");
-      Ctx.emit("  mov " + O.Result + ", di   ; final result");
-      Ctx.clobberRegister("di");
-      Ctx.clobberRegister("cx");
-      Ctx.clobberRegister("si");
-      Ctx.clobberRegister("bx");
-      // al still holds the sought character (§6 register preference).
-      Ctx.setRegister(O.Result, "");
-    };
-    addBinding(std::move(Scasb));
-
-    // movsb <- Pascal/PL/1 string move.
-    InstructionBinding Movsb;
-    Movsb.Op = OpKind::StrMove;
-    Movsb.Mnemonic = "movsb";
-    Movsb.AnalysisId = "i8086.movsb/pascal.smove";
-    Movsb.Constraints = constraintsOf("i8086.movsb/pascal.smove");
-    Movsb.Emit = [](const HLOp &O, const CompileTimeFacts &,
-                    CodeGenContext &Ctx) {
-      Ctx.load("si", O.Args[1]); // source
-      Ctx.load("di", O.Args[0]); // destination
-      Ctx.load("cx", O.Args[2]); // length
-      Ctx.emit("  cld");
-      Ctx.emit("  rep movsb         ; block move (rf=1, df=0)");
-      Ctx.clobberRegister("si");
-      Ctx.clobberRegister("di");
-      Ctx.clobberRegister("cx");
-    };
-    addBinding(std::move(Movsb));
-
-    // cmpsb <- Pascal string comparison.
-    InstructionBinding Cmpsb;
-    Cmpsb.Op = OpKind::StrEqual;
-    Cmpsb.Mnemonic = "cmpsb";
-    Cmpsb.AnalysisId = "i8086.cmpsb/pascal.sequal";
-    Cmpsb.Constraints = constraintsOf("i8086.cmpsb/pascal.sequal");
-    Cmpsb.Emit = [](const HLOp &O, const CompileTimeFacts &,
-                    CodeGenContext &Ctx) {
-      Ctx.load("si", O.Args[0]);
-      Ctx.load("di", O.Args[1]);
-      Ctx.load("cx", O.Args[2]);
-      Ctx.emit("  cld");
-      Ctx.emit("  cmp ax, ax        ; set zf: empty strings are equal");
-      Ctx.emit("  repe cmpsb        ; compare while equal (rfz=1)");
-      std::string Ne = Ctx.freshLabel("ne");
-      std::string Done = Ctx.freshLabel("done");
-      Ctx.emit("  jnz " + Ne);
-      Ctx.emit("  mov " + O.Result + ", 1");
-      Ctx.emit("  jmp " + Done);
-      Ctx.emit(Ne + ":");
-      Ctx.emit("  mov " + O.Result + ", 0");
-      Ctx.emit(Done + ":");
-      Ctx.clobberRegister("si");
-      Ctx.clobberRegister("di");
-      Ctx.clobberRegister("cx");
-      Ctx.setRegister(O.Result, "");
-    };
-    addBinding(std::move(Cmpsb));
-
-    // stosb <- PC2 block clear (an extended analysis beyond Table 2).
-    InstructionBinding Stosb;
-    Stosb.Op = OpKind::BlockClear;
-    Stosb.Mnemonic = "stosb";
-    Stosb.AnalysisId = "i8086.stosb/pc2.clear";
-    Stosb.Constraints = constraintsOf("i8086.stosb/pc2.clear");
-    Stosb.Emit = [](const HLOp &O, const CompileTimeFacts &,
-                    CodeGenContext &Ctx) {
-      Ctx.load("di", O.Args[0]); // area address
-      Ctx.load("cx", O.Args[1]); // byte count
-      Ctx.load("al", Value::literal(0)); // fill byte pinned to zero
-      Ctx.emit("  cld");
-      Ctx.emit("  rep stosb         ; block clear (rf=1, df=0, al=0)");
-      Ctx.clobberRegister("di");
-      Ctx.clobberRegister("cx");
-    };
-    addBinding(std::move(Stosb));
-
-    // No 8086 binding was analyzed for BlockCopy (movsb is forward-only
-    // and cannot honor overlap); it decomposes.
-  }
+  I8086Target() : Target("Intel 8086", 0xFFFF) {}
 
   void decompose(const HLOp &O, CodeGenContext &Ctx) const override {
     switch (O.K) {

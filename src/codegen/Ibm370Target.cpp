@@ -5,16 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The 370 binding table. Only mvc was analyzed (Table 2's largest
-/// derivation), so only StrMove has an exotic implementation; its emitter
-/// makes both §4.2 artifacts visible:
-///
-///   * the *coding constraint* — the emitted length field is the source
-///     length minus one;
-///   * the range constraint — a literal length over 256 triggers the §6
-///     rewriting rule that emits consecutive 256-byte mvc chunks, and a
-///     symbolic length falls back to decomposition (no compile-time
-///     proof that it fits the 8-bit field).
+/// The 370 decomposition rules. The target is created without bindings:
+/// its one exotic instruction, mvc (Table 2's largest derivation), comes
+/// from the binding registry (registry::corpusTarget), which derives both
+/// §4.2 artifacts from the recorded constraint set — the coding
+/// constraint (length field = count - 1) and the 256-byte range that the
+/// §6 rewriting rule chunks a longer literal move into.
 ///
 /// The dialect is a simplified register-to-register pseudo-370 (la/ahi/
 /// ldb/stb/chi/j*) with `mvc (rD), (rS), L` taking the encoded length.
@@ -23,84 +19,14 @@
 
 #include "codegen/Target.h"
 
-#include "analysis/Derivations.h"
-
 using namespace extra;
 using namespace extra::codegen;
-using constraint::CompileTimeFacts;
 
 namespace {
 
-const constraint::ConstraintSet &mvcConstraints() {
-  static const constraint::ConstraintSet *Set = [] {
-    const analysis::AnalysisCase *Case =
-        analysis::findCase("ibm370.mvc/pascal.sassign");
-    assert(Case && "mvc case missing");
-    analysis::DiffOptions Opts;
-    Opts.Trials = 4;
-    analysis::AnalysisResult R =
-        analysis::runAnalysis(*Case, analysis::Mode::Base, Opts);
-    assert(R.Succeeded && "mvc analysis failed");
-    return new constraint::ConstraintSet(std::move(R.Constraints));
-  }();
-  return *Set;
-}
-
 class Ibm370Target : public Target {
 public:
-  Ibm370Target() : Target("IBM 370", 0xFFFFFF) {
-    InstructionBinding Mvc;
-    Mvc.Op = OpKind::StrMove;
-    Mvc.Mnemonic = "mvc";
-    Mvc.AnalysisId = "ibm370.mvc/pascal.sassign";
-    Mvc.Constraints = mvcConstraints();
-    Mvc.Emit = [](const HLOp &O, const CompileTimeFacts &Facts,
-                  CodeGenContext &Ctx) {
-      // Reached only when the length provably fits 1..256: a literal, or
-      // a fact-known symbol.
-      int64_t Len = O.Args[2].isLiteral()
-                        ? O.Args[2].Lit
-                        : Facts.KnownValues.at(O.Args[2].Name);
-      Ctx.load("r1", O.Args[0], "la"); // destination address
-      Ctx.load("r2", O.Args[1], "la"); // source address
-      Ctx.emit("  mvc (r1), (r2), " + std::to_string(Len - 1) +
-               "   ; length field = count - 1 (coding constraint)");
-    };
-    Mvc.RewriteEmit = [](const HLOp &O, const CompileTimeFacts &Facts,
-                         CodeGenContext &Ctx) {
-      // §6 constraint-satisfaction rewriting: a literal length beyond the
-      // encodable range becomes consecutive substring moves of at most
-      // 256 bytes. A symbolic length cannot be chunked at compile time.
-      int64_t Len = 0;
-      if (O.Args[2].isLiteral())
-        Len = O.Args[2].Lit;
-      else {
-        auto It = Facts.KnownValues.find(O.Args[2].Name);
-        if (It == Facts.KnownValues.end())
-          return false;
-        Len = It->second;
-      }
-      if (Len <= 0)
-        return false;
-      Ctx.load("r1", O.Args[0], "la");
-      Ctx.load("r2", O.Args[1], "la");
-      int64_t Remaining = Len;
-      while (Remaining > 0) {
-        int64_t Chunk = Remaining > 256 ? 256 : Remaining;
-        Ctx.emit("  mvc (r1), (r2), " + std::to_string(Chunk - 1) +
-                 "   ; " + std::to_string(Chunk) + "-byte chunk");
-        Remaining -= Chunk;
-        if (Remaining > 0) {
-          Ctx.emit("  ahi r1, " + std::to_string(Chunk));
-          Ctx.emit("  ahi r2, " + std::to_string(Chunk));
-          Ctx.clobberRegister("r1");
-          Ctx.clobberRegister("r2");
-        }
-      }
-      return true;
-    };
-    addBinding(std::move(Mvc));
-  }
+  Ibm370Target() : Target("IBM 370", 0xFFFFFF) {}
 
   void decompose(const HLOp &O, CodeGenContext &Ctx) const override {
     std::string Top = Ctx.freshLabel("top");

@@ -8,9 +8,12 @@
 /// The Graham-Glanville-flavored, table-driven back end of §6. A Target
 /// owns a table of InstructionBindings — the product of the EXTRA
 /// analyses: which exotic instruction implements which operator, under
-/// which constraints, with which hand-translated prologue/epilogue code
-/// (§4.1: "this process was done by hand for scasb"). Code generation
-/// walks the high-level internal form; for each operator it
+/// which constraints, with which prologue/epilogue code (§4.1 did this
+/// by hand for scasb). The table is not written here: the built-in
+/// targets start empty, and the registry's BindingCompiler lowers
+/// recorded or discovered derivations onto them
+/// (registry::corpusTarget). Code generation walks the high-level
+/// internal form; for each operator it
 ///
 ///   1. finds the binding for the operator kind,
 ///   2. checks the binding's constraints against the compile-time facts
@@ -120,10 +123,9 @@ public:
   int64_t wordMax() const { return WordMax; }
   void addBinding(InstructionBinding B) { Bindings.push_back(std::move(B)); }
   const std::vector<InstructionBinding> &bindings() const { return Bindings; }
-  /// Drops every binding, leaving a decomposition-only target. Used by
-  /// the registry loader (bindings come from a registry file instead of
-  /// the hand-built bootstrap table) and by the differential execution
-  /// harness's decomposition-only baseline.
+  /// Drops every binding, leaving a decomposition-only target. The
+  /// built-in targets already start that way; this resets a target before
+  /// a different registry is loaded onto it.
   void clearBindings() { Bindings.clear(); }
 
   /// Emits the primitive-operation fallback for \p O ("the compiler must
@@ -140,8 +142,7 @@ private:
   std::vector<InstructionBinding> Bindings;
 };
 
-/// The built-in targets, their binding tables populated with the
-/// constraint sets from the Table 2 analyses.
+/// The built-in targets: decomposition rules only, no bindings.
 std::unique_ptr<Target> makeI8086Target();
 std::unique_ptr<Target> makeVaxTarget();
 std::unique_ptr<Target> makeIbm370Target();

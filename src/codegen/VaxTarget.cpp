@@ -5,12 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The VAX-11 binding table. Two bindings showcase §4.3: BlockCopy uses
-/// movc3 unconditionally (PC2's bcopy matches movc3's overlap handling
-/// exactly — 21 steps, the easiest analysis), while StrMove uses movc3
-/// only under the Pascal no-overlap axiom, i.e. only when the program's
-/// compile-time facts vouch for `pascal.no-overlap` — the relational
-/// constraint the 1982 system could not represent.
+/// The VAX-11 decomposition rules. The target is created without
+/// bindings: locc, movc3 (BlockCopy, and StrMove under the Pascal
+/// no-overlap axiom, §4.3), cmpc3 and movc5 come from the binding
+/// registry (registry::corpusTarget).
 ///
 /// The dialect: string instructions take explicit operands and leave
 /// their results in the architecturally dedicated registers (r0 = 0 or
@@ -21,218 +19,14 @@
 
 #include "codegen/Target.h"
 
-#include "analysis/Derivations.h"
-
 using namespace extra;
 using namespace extra::codegen;
-using constraint::CompileTimeFacts;
 
 namespace {
 
-/// §6's exact rewriting-rule example: "a string move operator that is
-/// constrained to move strings of at most 65K bytes can be rewritten to
-/// move consecutive substrings of size less than or equal to 65K."
-/// Emits forward chunks, which is only sound when the operands cannot
-/// overlap — the caller guarantees that (Pascal axiom, or literal
-/// operands checked disjoint).
-void emitChunkedMovc3(int64_t Dst, int64_t Src, int64_t Len,
-                      codegen::CodeGenContext &Ctx) {
-  int64_t Done = 0;
-  while (Done < Len) {
-    int64_t Chunk = std::min<int64_t>(Len - Done, 0xFFFF);
-    Ctx.emit("  movl r0, " + std::to_string(Chunk));
-    Ctx.emit("  movl r1, " + std::to_string(Src + Done));
-    Ctx.emit("  movl r3, " + std::to_string(Dst + Done));
-    Ctx.emit("  movc3 r0, r1, r3  ; " + std::to_string(Chunk) +
-             "-byte substring");
-    Done += Chunk;
-  }
-  Ctx.clobberRegister("r1");
-  Ctx.clobberRegister("r3");
-  Ctx.setRegister("r0", "0");
-}
-
-/// Resolves a length operand to a compile-time value when possible.
-std::optional<int64_t> literalOf(const codegen::Value &V,
-                                 const CompileTimeFacts &Facts) {
-  if (V.isLiteral())
-    return V.Lit;
-  auto It = Facts.KnownValues.find(V.Name);
-  if (It == Facts.KnownValues.end())
-    return std::nullopt;
-  return It->second;
-}
-
-const constraint::ConstraintSet &constraintsOf(const std::string &CaseId) {
-  static std::map<std::string, constraint::ConstraintSet> Cache;
-  auto It = Cache.find(CaseId);
-  if (It != Cache.end())
-    return It->second;
-  const analysis::AnalysisCase *Case = analysis::findCase(CaseId);
-  assert(Case && "unknown analysis case");
-  analysis::DiffOptions Opts;
-  Opts.Trials = 4;
-  analysis::AnalysisResult R =
-      analysis::runAnalysis(*Case, analysis::Mode::Extension, Opts);
-  assert(R.Succeeded && "analysis behind a binding failed");
-  return Cache.emplace(CaseId, std::move(R.Constraints)).first->second;
-}
-
 class VaxTarget : public Target {
 public:
-  VaxTarget() : Target("VAX-11", 0xFFFFFFFFLL) {
-    // locc <- Rigel/CLU string search.
-    InstructionBinding Locc;
-    Locc.Op = OpKind::StrIndex;
-    Locc.Mnemonic = "locc";
-    Locc.AnalysisId = "vax.locc/rigel.index";
-    Locc.Constraints = constraintsOf("vax.locc/rigel.index");
-    Locc.Emit = [](const HLOp &O, const CompileTimeFacts &,
-                   CodeGenContext &Ctx) {
-      Ctx.load("r1", O.Args[0], "movl"); // string address
-      Ctx.load("r0", O.Args[1], "movl"); // length (16-bit constraint)
-      Ctx.load("r2", O.Args[2], "movl"); // character
-      Ctx.emit("  movl r4, r1       ; save initial address");
-      Ctx.emit("  locc r2, r0, r1   ; locate character");
-      std::string NotFound = Ctx.freshLabel("nf");
-      std::string Done = Ctx.freshLabel("done");
-      Ctx.emit("  tstl r0");
-      Ctx.emit("  beql " + NotFound + "          ; r0 = 0: not found");
-      Ctx.emit("  subl r1, r4       ; offset of located byte");
-      Ctx.emit("  incl r1           ; 1-based index");
-      Ctx.emit("  brb " + Done);
-      Ctx.emit(NotFound + ":");
-      Ctx.emit("  movl r1, 0");
-      Ctx.emit(Done + ":");
-      Ctx.emit("  movl " + O.Result + ", r1");
-      Ctx.clobberRegister("r1");
-      Ctx.clobberRegister("r4");
-      Ctx.setRegister("r0", ""); // 0 or remaining count
-      Ctx.setRegister(O.Result, "");
-    };
-    addBinding(std::move(Locc));
-
-    // movc3 <- PC2 block copy: both guard overlap, no constraints beyond
-    // the 16-bit length.
-    InstructionBinding Movc3Copy;
-    Movc3Copy.Op = OpKind::BlockCopy;
-    Movc3Copy.Mnemonic = "movc3";
-    Movc3Copy.AnalysisId = "vax.movc3/pc2.copy";
-    Movc3Copy.Constraints = constraintsOf("vax.movc3/pc2.copy");
-    Movc3Copy.Emit = [](const HLOp &O, const CompileTimeFacts &,
-                        CodeGenContext &Ctx) {
-      Ctx.load("r0", O.Args[2], "movl"); // length
-      Ctx.load("r1", O.Args[1], "movl"); // source
-      Ctx.load("r3", O.Args[0], "movl"); // destination
-      Ctx.emit("  movc3 r0, r1, r3  ; overlap-safe block move");
-      Ctx.clobberRegister("r1");
-      Ctx.clobberRegister("r3");
-      Ctx.setRegister("r0", "0"); // movc3 leaves r0 = 0
-    };
-    Movc3Copy.RewriteEmit = [](const HLOp &O, const CompileTimeFacts &Facts,
-                               CodeGenContext &Ctx) {
-      // Chunking is forward, so it is only sound when the compiler can
-      // *prove* the operands disjoint — all three literal and
-      // non-overlapping. Otherwise decompose.
-      auto Len = literalOf(O.Args[2], Facts);
-      auto Dst = literalOf(O.Args[0], Facts);
-      auto Src = literalOf(O.Args[1], Facts);
-      if (!Len || !Dst || !Src || *Len <= 0)
-        return false;
-      bool Disjoint = *Src + *Len <= *Dst || *Dst + *Len <= *Src;
-      if (!Disjoint)
-        return false;
-      emitChunkedMovc3(*Dst, *Src, *Len, Ctx);
-      return true;
-    };
-    addBinding(std::move(Movc3Copy));
-
-    // movc3 <- Pascal string assignment (§4.3): only valid under the
-    // source-language no-overlap guarantee, recorded as a relational
-    // constraint during the extension-mode analysis. The constraint
-    // check requires Facts.Axioms to contain "pascal.no-overlap".
-    InstructionBinding Movc3Move;
-    Movc3Move.Op = OpKind::StrMove;
-    Movc3Move.Mnemonic = "movc3";
-    Movc3Move.AnalysisId = "vax.movc3/pascal.sassign";
-    Movc3Move.Constraints = constraintsOf("vax.movc3/pascal.sassign");
-    Movc3Move.Emit = [](const HLOp &O, const CompileTimeFacts &,
-                        CodeGenContext &Ctx) {
-      Ctx.load("r0", O.Args[2], "movl");
-      Ctx.load("r1", O.Args[1], "movl");
-      Ctx.load("r3", O.Args[0], "movl");
-      Ctx.emit("  movc3 r0, r1, r3  ; string assignment (no overlap "
-               "by Pascal semantics)");
-      Ctx.clobberRegister("r1");
-      Ctx.clobberRegister("r3");
-      Ctx.setRegister("r0", "0");
-    };
-    Movc3Move.RewriteEmit = [](const HLOp &O, const CompileTimeFacts &Facts,
-                               CodeGenContext &Ctx) {
-      // Under the Pascal no-overlap axiom, forward 65K chunks are sound
-      // for any compile-time-known length.
-      if (!Facts.Axioms.count("pascal.no-overlap"))
-        return false;
-      auto Len = literalOf(O.Args[2], Facts);
-      auto Dst = literalOf(O.Args[0], Facts);
-      auto Src = literalOf(O.Args[1], Facts);
-      if (!Len || !Dst || !Src || *Len <= 0)
-        return false;
-      emitChunkedMovc3(*Dst, *Src, *Len, Ctx);
-      return true;
-    };
-    addBinding(std::move(Movc3Move));
-
-    // cmpc3 <- Pascal string comparison.
-    InstructionBinding Cmpc3;
-    Cmpc3.Op = OpKind::StrEqual;
-    Cmpc3.Mnemonic = "cmpc3";
-    Cmpc3.AnalysisId = "vax.cmpc3/pascal.sequal";
-    Cmpc3.Constraints = constraintsOf("vax.cmpc3/pascal.sequal");
-    Cmpc3.Emit = [](const HLOp &O, const CompileTimeFacts &,
-                    CodeGenContext &Ctx) {
-      Ctx.load("r0", O.Args[2], "movl");
-      Ctx.load("r1", O.Args[0], "movl");
-      Ctx.load("r3", O.Args[1], "movl");
-      Ctx.emit("  cmpc3 r0, r1, r3  ; compare characters");
-      std::string Eq = Ctx.freshLabel("eq");
-      std::string Done = Ctx.freshLabel("done");
-      Ctx.emit("  tstl r0");
-      Ctx.emit("  beql " + Eq + "          ; r0 = 0: all equal");
-      Ctx.emit("  movl " + O.Result + ", 0");
-      Ctx.emit("  brb " + Done);
-      Ctx.emit(Eq + ":");
-      Ctx.emit("  movl " + O.Result + ", 1");
-      Ctx.emit(Done + ":");
-      Ctx.clobberRegister("r1");
-      Ctx.clobberRegister("r3");
-      Ctx.setRegister("r0", "");
-      Ctx.setRegister(O.Result, "");
-    };
-    addBinding(std::move(Cmpc3));
-
-    // movc5 <- PC2 block clear: srclen and fill pinned to 0 (the value
-    // constraints of the movc5 analysis), srcaddr immaterial.
-    InstructionBinding Movc5;
-    Movc5.Op = OpKind::BlockClear;
-    Movc5.Mnemonic = "movc5";
-    Movc5.AnalysisId = "vax.movc5/pc2.clear";
-    Movc5.Constraints = constraintsOf("vax.movc5/pc2.clear");
-    Movc5.Emit = [](const HLOp &O, const CompileTimeFacts &,
-                    CodeGenContext &Ctx) {
-      Ctx.load("r0", Value::literal(0), "movl"); // srclen = 0 (pinned)
-      Ctx.load("r1", Value::literal(0), "movl"); // srcaddr (unused)
-      Ctx.load("r2", Value::literal(0), "movl"); // fill = 0 (pinned)
-      Ctx.load("r4", O.Args[1], "movl");         // dstlen
-      Ctx.load("r5", O.Args[0], "movl");         // dstaddr
-      Ctx.emit("  movc5 r0, r1, r2, r4, r5  ; block clear");
-      Ctx.setRegister("r0", "0");
-      Ctx.clobberRegister("r4");
-      Ctx.clobberRegister("r5");
-      Ctx.clobberRegister("r3");
-    };
-    addBinding(std::move(Movc5));
-  }
+  VaxTarget() : Target("VAX-11", 0xFFFFFFFFLL) {}
 
   void decompose(const HLOp &O, CodeGenContext &Ctx) const override {
     std::string Top = Ctx.freshLabel("top");

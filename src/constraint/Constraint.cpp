@@ -122,8 +122,12 @@ SatResult constraint::check(const Constraint &C, const CompileTimeFacts &Facts,
     return AllowRewriting ? SatResult::Satisfiable : SatResult::Unknown;
   }
   case ConstraintKind::Offset:
-    // A directive to the compiler; it can always comply.
-    return SatResult::Satisfiable;
+    // A directive to the compiler. Encoding `operand + delta` into the
+    // instruction needs the operand's value; without it only a rewriting
+    // rule can comply.
+    if (AllowRewriting || Facts.KnownValues.count(C.operand()))
+      return SatResult::Satisfiable;
+    return SatResult::Unknown;
   case ConstraintKind::Relational:
     return Facts.Axioms.count(C.axiom()) ? SatResult::Satisfied
                                          : SatResult::Unknown;

@@ -118,7 +118,8 @@ enum class SatResult {
 /// can set the flag); Range constraints are Satisfied when the known
 /// range fits, Satisfiable when a rewriting rule (e.g. chunked moves) is
 /// allowed, Violated when a known value falls outside; Offset constraints
-/// are directives and always Satisfiable; Relational constraints are
+/// are directives, Satisfiable when rewriting is allowed or the operand's
+/// value is known and Unknown otherwise; Relational constraints are
 /// Satisfied exactly when their axiom is among \p Facts.Axioms.
 SatResult check(const Constraint &C, const CompileTimeFacts &Facts,
                 bool AllowRewriting = true);

@@ -7,6 +7,7 @@
 #include "registry/BindingCompiler.h"
 
 #include "isdl/Parser.h"
+#include "isdl/Printer.h"
 #include "support/Diagnostics.h"
 #include "transform/ScriptIO.h"
 
@@ -127,70 +128,92 @@ struct AugmentPlan {
   std::optional<OutputSpec> Output;
 };
 
-Expected<OutputArm> parseOutputArm(const std::string &Text,
-                                   const std::string &SaveName) {
-  std::string T = trimmed(Text);
-  OutputArm Arm;
-  size_t Minus = T.find(" - ");
-  if (Minus != std::string::npos) {
-    Arm.K = OutputArm::Kind::RegMinusSave;
-    Arm.Reg = trimmed(T.substr(0, Minus));
-    std::string Rhs = trimmed(T.substr(Minus + 3));
-    if (Rhs != SaveName)
-      return parseFault("output arm '" + T +
-                        "' subtracts something other than the prologue "
-                        "save ('" +
-                        SaveName + "')");
-    return Arm;
-  }
-  char *End = nullptr;
-  Arm.Lit = std::strtoll(T.c_str(), &End, 10);
-  if (End == T.c_str() || *End != '\0')
-    return parseFault("output arm '" + T + "' is neither a literal nor an "
-                      "address difference");
-  return Arm;
+/// Parses augment code that must be exactly one statement; null when it
+/// is not.
+isdl::StmtPtr parseOneStmt(const std::string &Code) {
+  DiagnosticEngine Diags;
+  isdl::StmtList Stmts = isdl::parseStmts(Code, Diags);
+  if (Diags.hasErrors() || Stmts.size() != 1)
+    return nullptr;
+  return std::move(Stmts[0]);
 }
 
-/// Parses `if <cond> then output (<a>); else output (<b>); end_if;`.
+/// One `output (e);` arm: a literal, or a register minus the prologue
+/// save.
+Expected<OutputArm> parseOutputArm(const isdl::StmtList &Arm,
+                                   const std::string &SaveName) {
+  const auto *Out =
+      Arm.size() == 1 ? isdl::dyn_cast<isdl::OutputStmt>(Arm[0].get())
+                      : nullptr;
+  if (!Out || Out->getValues().size() != 1)
+    return parseFault("output arm is not one single-value output statement");
+  const isdl::Expr *V = Out->getValues()[0].get();
+  OutputArm A;
+  if (const auto *Lit = isdl::dyn_cast<isdl::IntLit>(V)) {
+    A.Lit = Lit->getValue();
+    return A;
+  }
+  const auto *Diff = isdl::dyn_cast<isdl::BinaryExpr>(V);
+  const auto *Reg = Diff && Diff->getOp() == isdl::BinaryOp::Sub
+                        ? isdl::dyn_cast<isdl::VarRef>(Diff->getLHS())
+                        : nullptr;
+  const auto *Save = Reg ? isdl::dyn_cast<isdl::VarRef>(Diff->getRHS())
+                         : nullptr;
+  if (!Save || Save->getName() != SaveName)
+    return parseFault("output arm '" + isdl::printExpr(*V) +
+                      "' is neither a literal nor an address difference "
+                      "from the prologue save ('" +
+                      SaveName + "')");
+  A.K = OutputArm::Kind::RegMinusSave;
+  A.Reg = Reg->getName();
+  return A;
+}
+
+/// The register `r` of an `r = 0` test; null for any other expression.
+const isdl::VarRef *zeroTested(const isdl::Expr &E) {
+  const auto *Eq = isdl::dyn_cast<isdl::BinaryExpr>(&E);
+  if (!Eq || Eq->getOp() != isdl::BinaryOp::Eq)
+    return nullptr;
+  const auto *Zero = isdl::dyn_cast<isdl::IntLit>(Eq->getRHS());
+  return Zero && Zero->getValue() == 0
+             ? isdl::dyn_cast<isdl::VarRef>(Eq->getLHS())
+             : nullptr;
+}
+
+/// Reads `if <cond> then output (<a>); else output (<b>); end_if;` from
+/// the statement parser's AST. `not <cond>` swaps the arms.
 Expected<OutputSpec> parseOutputSpec(const std::string &Code,
                                      const std::string &SaveName) {
-  const std::string ThenMark = " then output (";
-  const std::string ElseMark = "); else output (";
-  const std::string EndMark = "); end_if;";
-  if (!startsWith(Code, "if "))
-    return parseFault("unsupported replace-output code: '" + Code + "'");
-  size_t ThenAt = Code.find(ThenMark);
-  size_t ElseAt = Code.find(ElseMark);
-  size_t EndAt = Code.rfind(EndMark);
-  if (ThenAt == std::string::npos || ElseAt == std::string::npos ||
-      EndAt == std::string::npos || !(ThenAt < ElseAt && ElseAt < EndAt))
+  isdl::StmtPtr S = parseOneStmt(Code);
+  const auto *If = isdl::dyn_cast<isdl::IfStmt>(S.get());
+  if (!If)
     return parseFault("unsupported replace-output code: '" + Code + "'");
 
+  const isdl::Expr *Cond = If->getCond();
+  const auto *Not = isdl::dyn_cast<isdl::UnaryExpr>(Cond);
+  bool Negated = Not && Not->getOp() == isdl::UnaryOp::Not;
+  if (Negated)
+    Cond = Not->getOperand();
   OutputSpec Spec;
-  std::string Cond = trimmed(Code.substr(3, ThenAt - 3));
-  size_t EqZero = Cond.find(" = 0");
-  if (EqZero != std::string::npos && EqZero + 4 == Cond.size()) {
-    Spec.CondKind = OutputSpec::Cond::RegZero;
-    Spec.CondReg = trimmed(Cond.substr(0, EqZero));
-  } else if (Cond.find(' ') == std::string::npos) {
+  if (const auto *Flag = isdl::dyn_cast<isdl::VarRef>(Cond)) {
     Spec.CondKind = OutputSpec::Cond::Flag;
-    Spec.CondReg = Cond;
+    Spec.CondReg = Flag->getName();
+  } else if (const isdl::VarRef *Reg = zeroTested(*Cond)) {
+    Spec.CondKind = OutputSpec::Cond::RegZero;
+    Spec.CondReg = Reg->getName();
   } else {
-    return parseFault("unsupported output condition: '" + Cond + "'");
+    return parseFault("unsupported output condition: '" +
+                      isdl::printExpr(*Cond) + "'");
   }
 
-  auto Then = parseOutputArm(
-      Code.substr(ThenAt + ThenMark.size(), ElseAt - ThenAt - ThenMark.size()),
-      SaveName);
+  auto Then = parseOutputArm(If->getThen(), SaveName);
   if (!Then)
     return Then.fault();
-  auto Else = parseOutputArm(
-      Code.substr(ElseAt + ElseMark.size(), EndAt - ElseAt - ElseMark.size()),
-      SaveName);
+  auto Else = parseOutputArm(If->getElse(), SaveName);
   if (!Else)
     return Else.fault();
-  Spec.Then = *Then;
-  Spec.Else = *Else;
+  Spec.Then = Negated ? *Else : *Then;
+  Spec.Else = Negated ? *Then : *Else;
   return Spec;
 }
 
@@ -213,20 +236,18 @@ Expected<AugmentPlan> parseAugments(const std::string &InstScriptText) {
       Plan.SaveName = Arg("name");
     } else if (S.Rule == "add-prologue") {
       // "temp <- di;" — the initial-address save.
-      std::string Code = Arg("code");
-      size_t Arrow = Code.find("<-");
-      if (Arrow == std::string::npos)
-        return parseFault("unsupported prologue code: '" + Code + "'");
-      std::string Dst = trimmed(Code.substr(0, Arrow));
-      std::string Src = trimmed(Code.substr(Arrow + 2));
-      if (!Src.empty() && Src.back() == ';')
-        Src = trimmed(Src.substr(0, Src.size() - 1));
+      isdl::StmtPtr Stmt = parseOneStmt(Arg("code"));
+      const auto *Save = isdl::dyn_cast<isdl::AssignStmt>(Stmt.get());
+      const auto *Src =
+          Save ? isdl::dyn_cast<isdl::VarRef>(Save->getValue()) : nullptr;
+      if (!Src || Save->targetVarName().empty())
+        return parseFault("unsupported prologue code: '" + Arg("code") + "'");
       if (Plan.SaveName.empty())
-        Plan.SaveName = Dst;
-      if (Dst != Plan.SaveName)
-        return parseFault("prologue writes '" + Dst +
+        Plan.SaveName = Save->targetVarName();
+      if (Save->targetVarName() != Plan.SaveName)
+        return parseFault("prologue writes '" + Save->targetVarName() +
                           "', not the allocated temp '" + Plan.SaveName + "'");
-      Plan.SaveSrc = Src;
+      Plan.SaveSrc = Src->getName();
     } else if (S.Rule == "replace-output") {
       std::string Code = Arg("code");
       if (Code == "none")
@@ -417,9 +438,9 @@ void emitLowered(const Lowered &L, const HLOp &O,
     for (const auto &[Reg, V] : L.RegPins)
       Ctx.load(Reg, Value::literal(V), D.Mov);
   };
-  // The hand translations load the VAX instruction's pinned operands
-  // first (movc5's zero source) but the 8086's last (stosb's fill byte);
-  // either order is sound — we keep the per-machine convention.
+  // Pinned operands load first on the VAX (movc5's zero source) but last
+  // on the 8086 (stosb's fill byte); either order is sound — we keep the
+  // per-machine convention.
   if (I86) {
     ArgLoads();
     RegPinLoads();
@@ -444,9 +465,9 @@ void emitLowered(const Lowered &L, const HLOp &O,
     Ctx.emit("  cld               ; reset direction flag df");
 
   if (L.Spec.MvcStyle) {
-    // Reached only when the length provably fits the encodable range: a
-    // literal (constant propagation has already run), or a fact-known
-    // symbol.
+    // Reached only when the length is known (the strict offset check
+    // answers Unknown otherwise) and fits the encodable range: a literal
+    // (constant propagation has already run), or a fact-known symbol.
     const Value &LenV = O.Args[2];
     int64_t Len =
         LenV.isLiteral() ? LenV.Lit : Facts.KnownValues.at(LenV.Name);

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Lowers a RegistryEntry into a live `codegen::InstructionBinding` at
-/// target-load time, replacing the hand-built tables of
-/// I8086Target.cpp / VaxTarget.cpp / Ibm370Target.cpp as the production
-/// source of bindings (the hand tables remain the bootstrap).
+/// target-load time. It is the only source of bindings: the built-in
+/// targets are decomposition-only until a registry is lowered onto them
+/// (registry::corpusTarget lowers the recorded corpus).
 ///
 /// What is derived from the entry, and what is kernel knowledge, is the
 /// §9 contract (DESIGN.md):
@@ -17,12 +17,15 @@
 ///    constraint text — value pins, narrow ranges, offset deltas, and
 ///    relational predicates (re-parsed with the ISDL expression parser)
 ///    all behave under `ConstraintSet::checkAll` exactly as the
-///    bootstrap tables' analysis-produced sets do;
+///    analysis-produced sets they were rendered from do;
 ///  * the *augment structure* is parsed from the entry's instruction
 ///    derivation script: `fix-operand-value` pins become flag setup or
 ///    pinned register loads, `add-prologue "t <- r;"` becomes the
 ///    initial-address save, and `replace-output "if C then output (A);
-///    else output (B); end_if;"` becomes the branchy epilogue;
+///    else output (B); end_if;"` becomes the branchy epilogue. Augment
+///    code is read with the ISDL statement parser, so a recorded and a
+///    discovered rendering of one binding lower alike; `if not C` swaps
+///    the arms;
 ///  * the *kernel* — which dedicated register carries which operand,
 ///    the core instruction syntax, what the instruction clobbers, and
 ///    per-machine dialect (mov/branch mnemonics, how to force zf) — is

@@ -6,6 +6,7 @@
 
 #include "registry/Harness.h"
 
+#include "registry/RegistryBuilder.h"
 #include "sim/Sim370.h"
 #include "sim/Sim8086.h"
 #include "sim/SimVax.h"
@@ -73,7 +74,7 @@ interp::Memory registry::demoMemory() {
 
 namespace {
 
-std::unique_ptr<Target> makeBootstrap(MachineKind MK) {
+std::unique_ptr<Target> bareTarget(MachineKind MK) {
   switch (MK) {
   case MachineKind::I8086:
     return codegen::makeI8086Target();
@@ -159,6 +160,12 @@ std::string compareStates(const Program &P, const SideReport &A,
 
 } // namespace
 
+std::unique_ptr<Target> registry::corpusTarget(MachineKind MK) {
+  std::unique_ptr<Target> T = bareTarget(MK);
+  loadRegistryBindings(recordedCorpus(), machineName(MK), *T);
+  return T;
+}
+
 DifferentialReport registry::runDifferential(MachineKind MK, const Registry &R,
                                              const codegen::Program &P,
                                              const interp::Memory &Mem,
@@ -166,15 +173,12 @@ DifferentialReport registry::runDifferential(MachineKind MK, const Registry &R,
   DifferentialReport Rep;
   Rep.Machine = MK;
 
-  std::unique_ptr<Target> WithReg = makeBootstrap(MK);
-  WithReg->clearBindings(); // The hand table is bootstrap-only here.
+  std::unique_ptr<Target> WithReg = bareTarget(MK);
   Rep.BindingsLoaded =
       loadRegistryBindings(R, machineName(MK), *WithReg, Notes);
   Rep.WithRegistry = compileAndRun(MK, *WithReg, P, Mem);
 
-  std::unique_ptr<Target> Bare = makeBootstrap(MK);
-  Bare->clearBindings();
-  Rep.Baseline = compileAndRun(MK, *Bare, P, Mem);
+  Rep.Baseline = compileAndRun(MK, *bareTarget(MK), P, Mem);
 
   if (Rep.WithRegistry.Ok && Rep.Baseline.Ok) {
     Rep.Divergence = compareStates(P, Rep.WithRegistry, Rep.Baseline);

@@ -6,11 +6,16 @@
 ///
 /// \file
 /// Proves a registry *executable*: compiles a frontend program twice per
-/// target — once with the registry's bindings loaded (the hand-built
-/// bootstrap table cleared first), once decomposition-only — runs both
-/// through the matching simulator, and asserts the final memory and
-/// result symbols are state-identical while reporting the §1 cost
-/// deltas (instruction dispatches, byte operations, code size).
+/// target — once with the registry's bindings lowered onto it, once
+/// decomposition-only — runs both through the matching simulator, and
+/// asserts the final memory and result symbols are state-identical while
+/// reporting the §1 cost deltas (instruction dispatches, byte operations,
+/// code size). Both sides share the decomposition rules, so a defect in
+/// those rules shows on neither; only an independent reference model
+/// (perfbench's) can catch it.
+///
+/// Also the one place a built-in target gets its bindings:
+/// corpusTarget() lowers the recorded corpus onto a bare target.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +36,12 @@ enum class MachineKind { I8086, Vax, Ibm370 };
 const char *machineName(MachineKind MK);
 std::optional<MachineKind> machineFromName(const std::string &Name);
 std::vector<MachineKind> allMachines();
+
+/// The built-in target for \p MK with every lowerable entry of
+/// recordedCorpus() compiled onto it — the code generator's binding
+/// table, derived from the recorded derivations rather than written by
+/// hand.
+std::unique_ptr<codegen::Target> corpusTarget(MachineKind MK);
 
 /// The shared end-to-end demo program (the retargeting example): a
 /// string move, an index, an equality compare, and a block clear over

@@ -98,6 +98,15 @@ Expected<unsigned> RegistryBuilder::addRecordedCases() {
   return Admitted;
 }
 
+const Registry &registry::recordedCorpus() {
+  static const Registry Corpus = [] {
+    RegistryBuilder B;
+    (void)B.addRecordedCases(); // Never faults; a failed replay is a note.
+    return B.registry();
+  }();
+  return Corpus;
+}
+
 Expected<unsigned> RegistryBuilder::importScriptsDir(const std::string &Dir) {
   DIR *D = ::opendir(Dir.c_str());
   if (!D)

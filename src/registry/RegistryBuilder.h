@@ -77,6 +77,11 @@ private:
   std::vector<BuildNote> Notes;
 };
 
+/// The recorded corpus (RegistryBuilder::addRecordedCases), built and
+/// replay-verified once per process: the registry the built-in targets
+/// are compiled from when no registry file is given.
+const Registry &recordedCorpus();
+
 } // namespace registry
 } // namespace extra
 

@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/Target.h"
-
+#include "codegen/Frontend.h"
+#include "registry/Harness.h"
 #include "sim/Sim370.h"
 #include "sim/Sim8086.h"
 #include "sim/SimVax.h"
@@ -17,6 +17,8 @@ using namespace extra::codegen;
 using interp::Memory;
 using interp::loadBytes;
 using interp::storeBytes;
+using registry::MachineKind;
+using registry::corpusTarget;
 
 namespace {
 
@@ -32,7 +34,7 @@ std::string joined(const std::vector<std::string> &Lines) {
 //===----------------------------------------------------------------------===//
 
 TEST(I8086CodegenTest, IndexEmitsThePaperListing) {
-  auto T = makeI8086Target();
+  auto T = corpusTarget(MachineKind::I8086);
   Program P;
   P.Ops.push_back(strIndex("result", Value::symbol("str"),
                            Value::symbol("len"), Value::symbol("ch")));
@@ -49,7 +51,7 @@ TEST(I8086CodegenTest, IndexEmitsThePaperListing) {
 }
 
 TEST(I8086CodegenTest, GeneratedIndexRunsCorrectly) {
-  auto T = makeI8086Target();
+  auto T = corpusTarget(MachineKind::I8086);
   Program P;
   P.Ops.push_back(strIndex("result", Value::symbol("str"),
                            Value::symbol("len"), Value::symbol("ch")));
@@ -71,7 +73,7 @@ TEST(I8086CodegenTest, GeneratedIndexRunsCorrectly) {
 }
 
 TEST(I8086CodegenTest, MoveAndEqualRunCorrectly) {
-  auto T = makeI8086Target();
+  auto T = corpusTarget(MachineKind::I8086);
   Program P;
   P.Ops.push_back(strMove(Value::literal(200), Value::literal(100),
                           Value::literal(5)));
@@ -88,7 +90,7 @@ TEST(I8086CodegenTest, MoveAndEqualRunCorrectly) {
 }
 
 TEST(I8086CodegenTest, BlockCopyDecomposesAndHandlesOverlap) {
-  auto T = makeI8086Target();
+  auto T = corpusTarget(MachineKind::I8086);
   Program P;
   // Overlapping copy: only the decomposed, direction-checked loop is
   // correct, and 8086 has no analyzed overlap-safe exotic binding.
@@ -106,7 +108,7 @@ TEST(I8086CodegenTest, BlockCopyDecomposesAndHandlesOverlap) {
 TEST(I8086CodegenTest, BlockClearUsesStosb) {
   // The extended stosb/pc2.clear analysis gives the 8086 an exotic
   // BlockClear implementation.
-  auto T = makeI8086Target();
+  auto T = corpusTarget(MachineKind::I8086);
   Program P;
   P.Ops.push_back(blockClear(Value::literal(400), Value::literal(6)));
   CodeGenResult R = T->generate(P);
@@ -120,7 +122,7 @@ TEST(I8086CodegenTest, BlockClearUsesStosb) {
 }
 
 TEST(I8086CodegenTest, DecomposedIndexMatchesExotic) {
-  auto T = makeI8086Target();
+  auto T = corpusTarget(MachineKind::I8086);
   Program P;
   P.Ops.push_back(strIndex("r1", Value::symbol("s"), Value::symbol("n"),
                            Value::symbol("c")));
@@ -142,7 +144,7 @@ TEST(I8086CodegenTest, DecomposedIndexMatchesExotic) {
 }
 
 TEST(I8086CodegenTest, DecomposedEqualMatchesExotic) {
-  auto T = makeI8086Target();
+  auto T = corpusTarget(MachineKind::I8086);
   Memory M;
   storeBytes(M, 100, "equalize");
   storeBytes(M, 200, "equalize");
@@ -167,7 +169,7 @@ TEST(I8086CodegenTest, CascadedSearchesReuseAl) {
   // §6: "if exotic instructions are cascaded or put in loops, additional
   // loads of the registers are not necessary." Searching two strings for
   // the same character must load al only once.
-  auto T = makeI8086Target();
+  auto T = corpusTarget(MachineKind::I8086);
   Program P;
   P.Ops.push_back(strIndex("i1", Value::symbol("s1"), Value::symbol("n1"),
                            Value::symbol("c")));
@@ -186,7 +188,7 @@ TEST(I8086CodegenTest, CascadedSearchesReuseAl) {
 //===----------------------------------------------------------------------===//
 
 TEST(VaxCodegenTest, IndexViaLoccRunsCorrectly) {
-  auto T = makeVaxTarget();
+  auto T = corpusTarget(MachineKind::Vax);
   Program P;
   P.Ops.push_back(strIndex("result", Value::symbol("str"),
                            Value::symbol("len"), Value::symbol("ch")));
@@ -208,7 +210,7 @@ TEST(VaxCodegenTest, IndexViaLoccRunsCorrectly) {
 }
 
 TEST(VaxCodegenTest, StrMoveNeedsNoOverlapAxiom) {
-  auto T = makeVaxTarget();
+  auto T = corpusTarget(MachineKind::Vax);
   Program P;
   P.Ops.push_back(strMove(Value::symbol("dst"), Value::symbol("src"),
                           Value::symbol("len")));
@@ -225,7 +227,7 @@ TEST(VaxCodegenTest, StrMoveNeedsNoOverlapAxiom) {
 }
 
 TEST(VaxCodegenTest, BlockCopyUsesMovc3Unconditionally) {
-  auto T = makeVaxTarget();
+  auto T = corpusTarget(MachineKind::Vax);
   Program P;
   P.Ops.push_back(blockCopy(Value::literal(102), Value::literal(100),
                             Value::literal(4)));
@@ -241,7 +243,7 @@ TEST(VaxCodegenTest, BlockCopyUsesMovc3Unconditionally) {
 TEST(VaxCodegenTest, SixtyFiveKMoveChunksLikeSection6) {
   // §6's rewriting-rule example: a 100000-byte literal move becomes
   // consecutive movc3 substrings of at most 65535 bytes.
-  auto T = makeVaxTarget();
+  auto T = corpusTarget(MachineKind::Vax);
   Program P;
   P.Ops.push_back(blockCopy(Value::literal(200000), Value::literal(0),
                             Value::literal(100000)));
@@ -266,7 +268,7 @@ TEST(VaxCodegenTest, SixtyFiveKMoveChunksLikeSection6) {
 TEST(VaxCodegenTest, OverlappingLongCopyDecomposes) {
   // Chunking is forward-only; a potentially overlapping long copy must
   // not be chunked.
-  auto T = makeVaxTarget();
+  auto T = corpusTarget(MachineKind::Vax);
   Program P;
   P.Ops.push_back(blockCopy(Value::literal(50000), Value::literal(0),
                             Value::literal(100000)));
@@ -275,7 +277,7 @@ TEST(VaxCodegenTest, OverlappingLongCopyDecomposes) {
 }
 
 TEST(VaxCodegenTest, ClearAndEqualRunCorrectly) {
-  auto T = makeVaxTarget();
+  auto T = corpusTarget(MachineKind::Vax);
   Program P;
   P.Ops.push_back(blockClear(Value::literal(100), Value::literal(4)));
   P.Ops.push_back(strEqual("eq", Value::literal(100), Value::literal(200),
@@ -296,7 +298,7 @@ TEST(VaxCodegenTest, ClearAndEqualRunCorrectly) {
 //===----------------------------------------------------------------------===//
 
 TEST(Ibm370CodegenTest, MvcEmitsLengthMinusOne) {
-  auto T = makeIbm370Target();
+  auto T = corpusTarget(MachineKind::Ibm370);
   Program P;
   P.Ops.push_back(strMove(Value::literal(300), Value::literal(100),
                           Value::literal(10)));
@@ -313,7 +315,7 @@ TEST(Ibm370CodegenTest, MvcEmitsLengthMinusOne) {
 }
 
 TEST(Ibm370CodegenTest, LongMoveChunksInto256ByteMvcs) {
-  auto T = makeIbm370Target();
+  auto T = corpusTarget(MachineKind::Ibm370);
   Program P;
   P.Ops.push_back(strMove(Value::literal(2000), Value::literal(100),
                           Value::literal(600)));
@@ -335,7 +337,7 @@ TEST(Ibm370CodegenTest, LongMoveChunksInto256ByteMvcs) {
 }
 
 TEST(Ibm370CodegenTest, SymbolicLengthDecomposes) {
-  auto T = makeIbm370Target();
+  auto T = corpusTarget(MachineKind::Ibm370);
   Program P;
   P.Ops.push_back(strMove(Value::symbol("d"), Value::symbol("s"),
                           Value::symbol("n")));
@@ -350,7 +352,7 @@ TEST(Ibm370CodegenTest, SymbolicLengthDecomposes) {
 }
 
 TEST(Ibm370CodegenTest, FactKnownLengthUsesMvc) {
-  auto T = makeIbm370Target();
+  auto T = corpusTarget(MachineKind::Ibm370);
   Program P;
   P.Ops.push_back(strMove(Value::symbol("d"), Value::symbol("s"),
                           Value::symbol("n")));
@@ -359,6 +361,29 @@ TEST(Ibm370CodegenTest, FactKnownLengthUsesMvc) {
   CodeGenResult R = T->generate(P);
   EXPECT_EQ(R.ExoticCount, 1u);
   EXPECT_NE(joined(R.Asm).find(", 11"), std::string::npos);
+}
+
+TEST(Ibm370CodegenTest, RangeBoundedLengthDecomposes) {
+  // A length known only by its range cannot be encoded into mvc's length
+  // field, however narrow the range: the move decomposes.
+  auto T = corpusTarget(MachineKind::Ibm370);
+  for (const char *Range : {"range n 1 100;", "range n 1 255;",
+                            "range n 1 256;"}) {
+    DiagnosticEngine Diags;
+    auto P = parseProgram(std::string(Range) +
+                              " assume pascal.no-overlap; move(300, 100, n);",
+                          Diags);
+    ASSERT_TRUE(P.has_value()) << Diags.str();
+    CodeGenResult R;
+    ASSERT_NO_THROW(R = T->generate(*P)) << Range;
+    EXPECT_EQ(R.DecomposedCount, 1u) << Range;
+    Memory M;
+    storeBytes(M, 100, "reproduction!!");
+    sim::SimResult S = sim::run370(R.Asm, M, {{"n", 12}});
+    ASSERT_TRUE(S.Ok) << Range << ": " << S.Error;
+    EXPECT_EQ(loadBytes(S.Mem, 300, 12), "reproduction") << Range;
+    EXPECT_EQ(S.Mem.count(312), 0u) << Range;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -97,6 +97,18 @@ TEST(CheckTest, OffsetIsAlwaysADirective) {
   CompileTimeFacts Facts;
   EXPECT_EQ(check(Constraint::offset("Len", -1), Facts),
             SatResult::Satisfiable);
+  // Without rewriting, the length can be encoded only when it is known.
+  EXPECT_EQ(check(Constraint::offset("Len", -1), Facts,
+                  /*AllowRewriting=*/false),
+            SatResult::Unknown);
+  Facts.KnownRanges["Len"] = {1, 100};
+  EXPECT_EQ(check(Constraint::offset("Len", -1), Facts,
+                  /*AllowRewriting=*/false),
+            SatResult::Unknown);
+  Facts.KnownValues["Len"] = 12;
+  EXPECT_EQ(check(Constraint::offset("Len", -1), Facts,
+                  /*AllowRewriting=*/false),
+            SatResult::Satisfiable);
 }
 
 TEST(CheckTest, RelationalNeedsAxiom) {

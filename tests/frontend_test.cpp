@@ -9,6 +9,7 @@
 #include "codegen/Target.h"
 #include "isdl/Parser.h"
 #include "isdl/Printer.h"
+#include "registry/Harness.h"
 #include "sim/Sim8086.h"
 #include "transform/Transform.h"
 
@@ -70,7 +71,7 @@ TEST(FrontendTest, EndToEndThroughCodegenAndSimulator) {
   )",
                         Diags);
   ASSERT_TRUE(P.has_value()) << Diags.str();
-  auto T = makeI8086Target();
+  auto T = registry::corpusTarget(registry::MachineKind::I8086);
   CodeGenResult Code = T->generate(*P);
   interp::Memory M;
   interp::storeBytes(M, 100, "mover");

@@ -43,18 +43,6 @@ struct TempFile {
   ~TempFile() { std::remove(Path.c_str()); }
 };
 
-/// The recorded corpus, built once — replaying all 14 derivations is the
-/// slow part of these tests.
-const Registry &recordedRegistry() {
-  static const Registry R = [] {
-    RegistryBuilder B;
-    auto N = B.addRecordedCases();
-    EXPECT_TRUE(N) << (N ? "" : N.fault().Message);
-    return B.registry();
-  }();
-  return R;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -62,7 +50,7 @@ const Registry &recordedRegistry() {
 //===----------------------------------------------------------------------===//
 
 TEST(RegistryBuilder, RecordedCorpusAdmitsAllFourteenPairings) {
-  const Registry &R = recordedRegistry();
+  const Registry &R = recordedCorpus();
   // 11 Table 2 cases + stosb/clear + skpc/span + movc3/sassign.
   EXPECT_EQ(R.size(), 14u);
   for (const RegistryEntry *E : R.entries()) {
@@ -88,7 +76,7 @@ TEST(RegistryBuilder, ScriptsDirImportMatchesRecordedCorpus) {
   }();
   // The shipped scripts regenerate the same constraint sets the built-in
   // corpus does.
-  for (const RegistryEntry *E : recordedRegistry().entries()) {
+  for (const RegistryEntry *E : recordedCorpus().entries()) {
     const RegistryEntry *F = B.registry().find(E->Key);
     ASSERT_NE(F, nullptr) << E->AnalysisId;
     EXPECT_EQ(F->Constraints, E->Constraints) << E->AnalysisId;
@@ -120,7 +108,7 @@ TEST(RegistryBuilder, MemoImportTakesVerifiedEntriesVerbatim) {
   // A memo line as the server writes it: verified, with the rendered
   // payload. The import must trust it without replay and carry budgets.
   const RegistryEntry *Seed = nullptr;
-  for (const RegistryEntry *E : recordedRegistry().entries())
+  for (const RegistryEntry *E : recordedCorpus().entries())
     if (E->AnalysisId == "i8086.scasb/rigel.index")
       Seed = E;
   ASSERT_NE(Seed, nullptr);
@@ -153,7 +141,7 @@ TEST(RegistryBuilder, MemoImportTakesVerifiedEntriesVerbatim) {
 
 TEST(RegistryFormat, SaveLoadRoundTripPreservesEveryField) {
   TempFile F("registry_roundtrip.jsonl");
-  const Registry &R = recordedRegistry();
+  const Registry &R = recordedCorpus();
   auto Saved = R.save(F.Path);
   ASSERT_TRUE(Saved) << Saved.fault().Message;
 
@@ -175,19 +163,19 @@ TEST(RegistryFormat, MissingFileLoadsEmpty) {
 
 TEST(RegistryFormat, TornTrailingLineIsSkipped) {
   TempFile F("registry_torn.jsonl");
-  ASSERT_TRUE(recordedRegistry().save(F.Path));
+  ASSERT_TRUE(recordedCorpus().save(F.Path));
   {
     std::ofstream Out(F.Path, std::ios::app);
     Out << "{\"key\":\"0xdead\",\"case\":\"i80"; // Killed mid-append.
   }
   auto R = Registry::load(F.Path);
   ASSERT_TRUE(R) << R.fault().Message;
-  EXPECT_EQ(R->size(), recordedRegistry().size());
+  EXPECT_EQ(R->size(), recordedCorpus().size());
 }
 
 TEST(RegistryFormat, LaterRecordWinsOnDuplicateKey) {
   TempFile F("registry_dup.jsonl");
-  const RegistryEntry *Seed = recordedRegistry().entries()[0];
+  const RegistryEntry *Seed = recordedCorpus().entries()[0];
   ASSERT_TRUE(Registry::appendEntry(F.Path, *Seed));
   RegistryEntry Updated = *Seed;
   Updated.Source = "memo";
@@ -203,7 +191,7 @@ TEST(RegistryFormat, HeaderlessFileIsTolerated) {
   TempFile F("registry_headerless.jsonl");
   {
     std::ofstream Out(F.Path);
-    Out << recordedRegistry().entries()[0]->toJsonLine() << "\n";
+    Out << recordedCorpus().entries()[0]->toJsonLine() << "\n";
   }
   auto R = Registry::load(F.Path);
   ASSERT_TRUE(R) << R.fault().Message;
@@ -240,7 +228,7 @@ TEST(RegistryFormat, FutureVersionHeaderIsATypedStoreFault) {
 //===----------------------------------------------------------------------===//
 
 TEST(ConstraintText, EveryRecordedSetReParsesToTheSameRendering) {
-  for (const RegistryEntry *E : recordedRegistry().entries()) {
+  for (const RegistryEntry *E : recordedCorpus().entries()) {
     auto CS = parseConstraintText(E->Constraints);
     ASSERT_TRUE(CS) << E->AnalysisId << ": " << CS.fault().Message;
     EXPECT_EQ(CS->str(), E->Constraints) << E->AnalysisId;
@@ -258,7 +246,7 @@ TEST(ConstraintText, UnknownRenderingIsAParseFault) {
 //===----------------------------------------------------------------------===//
 
 TEST(BindingCompiler, EveryInVocabularyEntryLowers) {
-  for (const RegistryEntry *E : recordedRegistry().entries()) {
+  for (const RegistryEntry *E : recordedCorpus().entries()) {
     auto B = compileBinding(*E);
     if (E->Op.empty()) {
       // rigel.span has no code-generator operator kind; the entry is
@@ -275,10 +263,9 @@ TEST(BindingCompiler, EveryInVocabularyEntryLowers) {
 
 TEST(BindingCompiler, LoaderDeduplicatesTwoLanguagePairings) {
   auto T = codegen::makeI8086Target();
-  T->clearBindings();
   std::vector<CompileNote> Notes;
   unsigned N =
-      loadRegistryBindings(recordedRegistry(), "i8086", *T, &Notes);
+      loadRegistryBindings(recordedCorpus(), "i8086", *T, &Notes);
   // scasb is discovered against both pascal.index and clu.search; one
   // binding covers both. movsb likewise. With cmpsb and stosb: 4.
   EXPECT_EQ(N, 4u);
@@ -287,13 +274,81 @@ TEST(BindingCompiler, LoaderDeduplicatesTwoLanguagePairings) {
   for (const CompileNote &Note : Notes)
     SawDup |= Note.Detail.find("already loaded") != std::string::npos;
   EXPECT_TRUE(SawDup);
+
+  // The built-in targets: locc's two pairings share one binding on the
+  // VAX (locc, two movc3s, cmpc3, movc5); the 370 has mvc alone.
+  const std::pair<MachineKind, size_t> Loaded[] = {
+      {MachineKind::I8086, 4}, {MachineKind::Vax, 5}, {MachineKind::Ibm370, 1}};
+  for (const auto &[MK, Want] : Loaded)
+    EXPECT_EQ(corpusTarget(MK)->bindings().size(), Want) << machineName(MK);
+}
+
+namespace {
+
+const RegistryEntry &recordedEntry(const std::string &CaseId) {
+  for (const RegistryEntry *E : recordedCorpus().entries())
+    if (E->AnalysisId == CaseId)
+      return *E;
+  ADD_FAILURE() << "no recorded entry " << CaseId;
+  return *recordedCorpus().entries()[0];
+}
+
+/// The lines \p E's lowered binding emits for one symbolic index.
+std::vector<std::string> loweredIndexLines(const RegistryEntry &E) {
+  auto B = compileBinding(E);
+  if (!B) {
+    ADD_FAILURE() << E.AnalysisId << ": " << B.fault().Message;
+    return {};
+  }
+  codegen::CodeGenContext Ctx;
+  B->Emit(codegen::strIndex("res", codegen::Value::symbol("s"),
+                            codegen::Value::symbol("n"),
+                            codegen::Value::symbol("c")),
+          constraint::CompileTimeFacts(), Ctx);
+  return Ctx.takeLines();
+}
+
+} // namespace
+
+TEST(BindingCompiler, SearcherRenderedLoccOutputLowers) {
+  // The searcher prints augment code with its own spacing; the lowerer
+  // reads the ISDL AST, so the discovered rigel.index binding emits what
+  // the recorded one does.
+  RegistryEntry Discovered = recordedEntry("vax.locc/rigel.index");
+  Discovered.InstScript =
+      "allocate-temp name=rb section=OPERANDS type=bits:31:0\n"
+      "add-prologue code=\"rb <- r1;\"\n"
+      "replace-output code=\"if r0 = 0 then   output (0); else   "
+      "output (r1 - rb); end_if;\"\n"
+      "empty-if-elim\n";
+  std::vector<std::string> Want =
+      loweredIndexLines(recordedEntry("vax.locc/rigel.index"));
+  ASSERT_FALSE(Want.empty());
+  EXPECT_EQ(loweredIndexLines(Discovered), Want);
+}
+
+TEST(BindingCompiler, SearcherRenderedNegatedLoccOutputSwapsArms) {
+  // For clu.search the searcher tests `not r0 = 0`, with the arms the
+  // other way round; the lowered epilogue is the same.
+  RegistryEntry Discovered = recordedEntry("vax.locc/clu.search");
+  Discovered.InstScript =
+      "allocate-temp name=rb section=OPERANDS type=bits:31:0\n"
+      "add-prologue code=\"rb <- r1;\"\n"
+      "replace-output code=\"if not r0 = 0 then   output (r1 - rb); else   "
+      "output (0); end_if;\"\n"
+      "empty-if-elim\n"
+      "if-not-elim\n";
+  std::vector<std::string> Want =
+      loweredIndexLines(recordedEntry("vax.locc/rigel.index"));
+  ASSERT_FALSE(Want.empty());
+  EXPECT_EQ(loweredIndexLines(Discovered), Want);
 }
 
 TEST(BindingCompiler, MvcChunkSizeComesFromTheRangeConstraint) {
   // The 370 registry binding must chunk a 700-byte literal move at the
   // constraint's 256 bound — the number appears nowhere in the compiler.
   const RegistryEntry *Mvc = nullptr;
-  for (const RegistryEntry *E : recordedRegistry().entries())
+  for (const RegistryEntry *E : recordedCorpus().entries())
     if (E->Machine == "ibm370")
       Mvc = E;
   ASSERT_NE(Mvc, nullptr);
@@ -319,7 +374,7 @@ TEST(BindingCompiler, MvcChunkSizeComesFromTheRangeConstraint) {
 //===----------------------------------------------------------------------===//
 
 TEST(Differential, DemoProgramIsStateIdenticalAndCheaperOnAllMachines) {
-  const Registry &R = recordedRegistry();
+  const Registry &R = recordedCorpus();
   for (MachineKind MK : allMachines()) {
     DifferentialReport Rep =
         runDifferential(MK, R, demoProgram(), demoMemory());
@@ -387,7 +442,7 @@ TEST(Differential, EveryLowerablePairingIsStateIdenticalInIsolation) {
   // per-pairing half of the differential suite: a registry binding may
   // only ever change cost, never observable state.
   unsigned Exercised = 0;
-  for (const RegistryEntry *E : recordedRegistry().entries()) {
+  for (const RegistryEntry *E : recordedCorpus().entries()) {
     auto MK = machineFromName(E->Machine);
     ASSERT_TRUE(MK.has_value()) << E->AnalysisId;
     auto B = compileBinding(*E);
@@ -415,7 +470,7 @@ TEST(Differential, EveryLowerablePairingIsStateIdenticalInIsolation) {
 TEST(Differential, RegistryFileRoundTripStillExecutes) {
   // The full deployment path: build -> save -> load -> compile -> run.
   TempFile F("registry_exec.jsonl");
-  ASSERT_TRUE(recordedRegistry().save(F.Path));
+  ASSERT_TRUE(recordedCorpus().save(F.Path));
   auto Loaded = Registry::load(F.Path);
   ASSERT_TRUE(Loaded) << Loaded.fault().Message;
   for (MachineKind MK : allMachines()) {
