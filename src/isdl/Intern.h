@@ -182,8 +182,8 @@ public:
 
   /// Rename-invariant canonical fingerprint, memoized by `identity`. The
   /// token stream reproduces search::fingerprint's legacy Canonicalizer
-  /// byte for byte, so values are unchanged (MemoStore keys, registry
-  /// dedup keys and recorded traces stay valid).
+  /// byte for byte, so values are unchanged (registry dedup keys and
+  /// recorded traces stay valid).
   uint64_t canonicalFingerprint(const Description &D);
 
   /// Nodes currently interned (tests and the soft-cap policy).

@@ -33,28 +33,6 @@
 ///   synth.proposal.<kind>        proposals generated per kind
 ///   synth.accept / synth.reject  proposals surviving atomic application
 ///   batch.case_wall_ms           per-pairing discovery wall time
-///   server.cache.hit / server.cache.miss
-///                                discovery-service submit consults of
-///                                the cross-run memo store
-///   server.job_wall_ms           per-job wall time on a service worker
-///   server.store.put_fault       memo appends lost to store faults
-///   server.progress.watchers     `watch` subscriptions accepted
-///   server.progress.ticks        progress tick lines pushed to watchers
-///   server.progress.disconnects  watchers that vanished mid-stream
-///   server.net.accepted          connections given a handler thread
-///   server.net.rejected          connections refused at the cap (typed
-///                                overloaded reply, no thread)
-///   server.net.read_timeout      peers evicted stalling mid-request
-///   server.net.write_timeout     peers evicted not draining responses
-///   server.net.oversized_line    request lines over the byte cap
-///   server.net.evicted           total slow/abusive-peer evictions
-///   server.admission.enqueued    new jobs admitted to the work queue
-///   server.admission.rejected    submits refused by the backlog bound
-///   server.admission.draining    submits refused while draining
-///   server.admission.rid_dedup   retried submits coalesced by request
-///                                id (the double-enqueue that didn't)
-///   server.admission.rid_evict   request ids aged out of the dedup
-///                                window
 ///
 /// Adding a counter is one line at the instrumentation site:
 /// `if (M) M->counter("my.metric").add();` — registration is implicit

@@ -171,8 +171,8 @@ private:
   std::chrono::steady_clock::time_point Epoch;
 };
 
-/// A file-owning JSONL sink with size-capped rotation, so a week of
-/// persistent-server tracing cannot fill the disk. When the active file
+/// A file-owning JSONL sink with size-capped rotation, so a long traced
+/// batch cannot fill the disk. When the active file
 /// (`trace.jsonl`) would exceed MaxBytes, it is shifted to
 /// `trace.1.jsonl` (older generations move to `.2`, `.3`, ... and the
 /// oldest beyond MaxRotated is deleted) and a fresh active file is

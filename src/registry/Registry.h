@@ -7,13 +7,13 @@
 /// \file
 /// The deployment format that closes the paper's §6 loop: a discovered,
 /// verified operator/instruction binding leaves the discovery pipeline
-/// (MemoStore, checkpoint, recorded corpus) as one registry entry —
-/// pairing key, canonical fingerprints, constraint set, derivation
-/// scripts, and provenance — and re-enters a production code generator
-/// through the BindingCompiler, which lowers entries back into live
-/// `codegen::InstructionBinding`s at target-load time. "Once found, the
-/// instruction sequences are hard-wired" into the generator; the registry
-/// is the wire.
+/// (a search run, a checkpoint, the recorded corpus) as one registry
+/// entry — pairing key, canonical fingerprints, constraint set,
+/// derivation scripts, and provenance — and re-enters a production code
+/// generator through the BindingCompiler, which lowers entries back into
+/// live `codegen::InstructionBinding`s at target-load time. "Once found,
+/// the instruction sequences are hard-wired" into the generator; the
+/// registry is the wire.
 ///
 /// Serialization is the repo-wide versioned JSONL scheme (one
 /// `extra-registry` v1 header line, tolerated-if-absent on read, foreign
@@ -72,7 +72,8 @@ struct RegistryEntry {
   std::string Binding;     ///< isdl::NameBinding text ("name <-> reg").
 
   //===--- Provenance -----------------------------------------------------===//
-  std::string Source; ///< "recorded" / "scripts" / "memo" / "checkpoint".
+  std::string Source; ///< "recorded" / "scripts" / "checkpoint" /
+                      ///< "search".
   unsigned BeamWidth = 0; ///< Discovery budgets (0 for replayed sources).
   unsigned MaxDepth = 0;
   unsigned Widenings = 0;
@@ -124,7 +125,7 @@ public:
   Expected<bool> save(const std::string &Path) const;
 
   /// Appends one entry to a registry file (open-append-close, header
-  /// stamped on first use) without loading it — the durable export path.
+  /// stamped on first use) without loading it.
   static Expected<bool> appendEntry(const std::string &Path,
                                     const RegistryEntry &E);
 

@@ -8,14 +8,12 @@
 
 #include "analysis/Derivations.h"
 #include "descriptions/Descriptions.h"
-#include "obs/TraceFile.h"
 #include "search/Canon.h"
 #include "search/Checkpoint.h"
 #include "transform/ScriptIO.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <dirent.h>
 #include <fstream>
 #include <sstream>
@@ -36,34 +34,23 @@ analysis::DiffOptions importDiffOptions() {
 
 } // namespace
 
-bool RegistryBuilder::admitCase(const analysis::AnalysisCase &Case,
-                                const std::string &Source) {
+std::optional<RegistryEntry>
+RegistryBuilder::entryFor(const analysis::AnalysisCase &Case,
+                          const analysis::AnalysisResult &R,
+                          const std::string &Source, double WallMs) {
   analysis::Mode M = Case.RequiresExtension ? analysis::Mode::Extension
                                             : analysis::Mode::Base;
   auto Key = search::pairingKeyHex(Case.OperatorId, Case.InstructionId, M);
   if (!Key) {
     Notes.push_back({Case.Id, Key.fault().Message});
-    return false;
+    return std::nullopt;
   }
   auto Op = descriptions::loadChecked(Case.OperatorId);
   auto Inst = descriptions::loadChecked(Case.InstructionId);
   if (!Op || !Inst) {
     Notes.push_back({Case.Id, "descriptions unavailable"});
-    return false;
+    return std::nullopt;
   }
-
-  auto T0 = std::chrono::steady_clock::now();
-  analysis::AnalysisResult R = analysis::runAnalysis(Case, M,
-                                                     importDiffOptions());
-  double WallMs =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - T0)
-          .count();
-  if (!R.Succeeded) {
-    Notes.push_back({Case.Id, "replay failed: " + R.FailureReason});
-    return false;
-  }
-
   RegistryEntry E;
   E.Key = *Key;
   E.AnalysisId = Case.Id;
@@ -81,7 +68,57 @@ bool RegistryBuilder::admitCase(const analysis::AnalysisCase &Case,
   E.Binding = R.Binding.str();
   E.Source = Source;
   E.WallMs = WallMs;
-  Reg.upsert(std::move(E));
+  return E;
+}
+
+bool RegistryBuilder::admitCase(const analysis::AnalysisCase &Case,
+                                const std::string &Source) {
+  analysis::Mode M = Case.RequiresExtension ? analysis::Mode::Extension
+                                            : analysis::Mode::Base;
+  auto T0 = std::chrono::steady_clock::now();
+  analysis::AnalysisResult R = analysis::runAnalysis(Case, M,
+                                                     importDiffOptions());
+  double WallMs =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - T0)
+          .count();
+  if (!R.Succeeded) {
+    Notes.push_back({Case.Id, "replay failed: " + R.FailureReason});
+    return false;
+  }
+  auto E = entryFor(Case, R, Source, WallMs);
+  if (!E)
+    return false;
+  Reg.upsert(std::move(*E));
+  return true;
+}
+
+bool RegistryBuilder::admitDiscovery(const search::BatchCase &C,
+                                     const search::DiscoveryResult &D,
+                                     const search::SearchLimits &L,
+                                     double WallMs) {
+  if (!D.Verified) {
+    Notes.push_back({C.Id, "not verified; not admitted"});
+    return false;
+  }
+  // The case discoverAndVerify replayed: the discovered scripts, in the
+  // search's mode.
+  analysis::AnalysisCase Case;
+  Case.Id = C.Id;
+  Case.OperatorId = C.OperatorId;
+  Case.InstructionId = C.InstructionId;
+  Case.OperatorScript = D.Outcome.OperatorScript;
+  Case.InstructionScript = D.Outcome.InstructionScript;
+  Case.RequiresExtension = C.M == analysis::Mode::Extension;
+  auto E = entryFor(Case, D.Replay, "search", WallMs);
+  if (!E)
+    return false;
+  E->BeamWidth = L.BeamWidth;
+  E->MaxDepth = L.MaxDepth;
+  E->Widenings = L.Widenings;
+  E->MaxNodes = L.MaxNodes;
+  E->TimeBudgetMs = L.TimeBudgetMs;
+  Reg.upsert(std::move(*E));
   return true;
 }
 
@@ -166,85 +203,6 @@ Expected<unsigned> RegistryBuilder::importScriptsDir(const std::string &Dir) {
     Case.InstructionScript = std::move(*InstScript);
     if (admitCase(Case, "scripts"))
       ++Admitted;
-  }
-  return Admitted;
-}
-
-Expected<unsigned> RegistryBuilder::importMemoFile(const std::string &Path) {
-  // Lock-free read of the server's format: the registry export must work
-  // while a server holds the store's sidecar lock, and a read takes no
-  // lock by design (torn trailing lines are skipped like everywhere
-  // else). The format constants are restated here rather than linking
-  // the server library: the registry sits below the server in the
-  // layering (the server links the registry for its export verb).
-  support::FileFormat MemoFormat{"extra-memo", 1, "memo store"};
-  auto Lines = support::readVersionedLines(Path, MemoFormat);
-  if (!Lines)
-    return Lines.fault();
-
-  unsigned Admitted = 0;
-  for (const std::string &Line : *Lines) {
-    auto Fields = obs::parseJsonObjectLine(Line);
-    if (!Fields)
-      continue; // Torn trailing write.
-    auto Get = [&](const char *Key) -> std::string {
-      auto It = Fields->find(Key);
-      return It == Fields->end() ? std::string() : It->second;
-    };
-    std::string CaseId = Get("case");
-    if (Get("key").empty() || CaseId.empty())
-      continue; // A plain checkpoint line, not a memo entry.
-    if (Get("outcome") != "verified") {
-      Notes.push_back({CaseId, "memo entry not verified (" + Get("outcome") +
-                                   "); skipped"});
-      continue;
-    }
-    auto M = analysis::modeFromName(Get("mode"));
-    if (!M) {
-      Notes.push_back({CaseId, "memo entry has unknown mode"});
-      continue;
-    }
-    std::string OperatorId = Get("operator");
-    std::string InstructionId = Get("instruction");
-    // Canonical fingerprints are recomputed from the descriptions (a
-    // verified memo entry carries none — its fp fields are the partial
-    // frontier of failed searches). Unknown ids mean the store came from
-    // a build with descriptions this one lacks: note and skip.
-    auto Op = descriptions::loadChecked(OperatorId);
-    auto Inst = descriptions::loadChecked(InstructionId);
-    if (!Op || !Inst) {
-      Notes.push_back({CaseId, "descriptions unknown to this build"});
-      continue;
-    }
-    RegistryEntry E;
-    E.Key = Get("key");
-    E.AnalysisId = CaseId;
-    E.OperatorId = OperatorId;
-    E.InstructionId = InstructionId;
-    E.M = *M;
-    E.FpOp = search::fingerprint(**Op);
-    E.FpInst = search::fingerprint(**Inst);
-    E.Machine = machineOfInstruction(InstructionId);
-    E.Mnemonic = mnemonicOfInstruction(InstructionId);
-    E.Op = opKindOfOperator(OperatorId);
-    // Server-verified payload, trusted verbatim.
-    E.Constraints = Get("constraints");
-    E.OpScript = Get("op_script");
-    E.InstScript = Get("inst_script");
-    E.Binding = Get("binding");
-    E.Source = "memo";
-    E.BeamWidth = static_cast<unsigned>(
-        std::strtoul(Get("beam").c_str(), nullptr, 10));
-    E.MaxDepth = static_cast<unsigned>(
-        std::strtoul(Get("depth").c_str(), nullptr, 10));
-    E.Widenings = static_cast<unsigned>(
-        std::strtoul(Get("widenings").c_str(), nullptr, 10));
-    E.MaxNodes = std::strtoull(Get("max_nodes").c_str(), nullptr, 10);
-    E.TimeBudgetMs =
-        std::strtoull(Get("time_budget_ms").c_str(), nullptr, 10);
-    E.WallMs = std::strtod(Get("wall_ms").c_str(), nullptr);
-    Reg.upsert(std::move(E));
-    ++Admitted;
   }
   return Admitted;
 }

@@ -10,16 +10,15 @@
 ///  * the recorded derivation corpus built into the binary
 ///    (analysis/Derivations.cpp — Table 2, the extended cases, §4.3);
 ///  * the shipped `scripts/` directory (extra-cli export-script text);
-///  * a MemoStore file written by the discovery server;
-///  * a batch checkpoint file.
+///  * a batch checkpoint file;
+///  * a search's own verified results (`extra-cli search --registry`).
 ///
-/// Every imported pairing is *re-verified* by replaying its derivation
-/// through `analysis::runAnalysis` before it is admitted — except memo
-/// imports, whose entries were verified by the server when stored and
-/// carry the rendered constraint/binding text verbatim. Imports
-/// deduplicate by canonical pairing key, later sources winning, so
-/// `build --from-scripts --from-memo` layers a live store over the
-/// shipped corpus.
+/// Every admitted pairing has been replayed through
+/// `analysis::runAnalysis`: imports replay the derivation before
+/// admitting it, and a search result brings the end-to-end replay that
+/// verified it, so it is not replayed twice. Entries deduplicate by
+/// canonical pairing key, later admissions winning, so a search run
+/// with `--registry` layers its discoveries over the file's entries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +26,9 @@
 #define EXTRA_REGISTRY_REGISTRYBUILDER_H
 
 #include "registry/Registry.h"
+#include "search/JobRunner.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,16 +54,19 @@ public:
   /// substituting the parsed scripts into the library case and replaying.
   Expected<unsigned> importScriptsDir(const std::string &Dir);
 
-  /// Imports verified entries from a memo-store file. The file is read
-  /// lock-free (no MemoStore::open, no sidecar lock), so a live server's
-  /// store can be exported under it; stored constraint/binding text is
-  /// trusted as server-verified. Faults on foreign/future headers.
-  Expected<unsigned> importMemoFile(const std::string &Path);
-
   /// Imports Verified records from a batch checkpoint file. Checkpoint
   /// records carry no scripts, so the library derivation for each case id
   /// is replayed to regenerate the payload.
   Expected<unsigned> importCheckpoint(const std::string &Path);
+
+  /// Admits a search result as a "search" entry, filled from the
+  /// search's own end-to-end replay (no second replay). \p L and
+  /// \p WallMs are provenance: the budget the binding was found at and
+  /// the search-plus-replay time. Notes and returns false unless \p D is
+  /// Verified.
+  bool admitDiscovery(const search::BatchCase &C,
+                      const search::DiscoveryResult &D,
+                      const search::SearchLimits &L, double WallMs);
 
   Registry &registry() { return Reg; }
   const Registry &registry() const { return Reg; }
@@ -72,6 +76,13 @@ private:
   /// Replays \p Case and admits it as \p Source; notes and returns false
   /// when the replay fails or identity derivation faults.
   bool admitCase(const analysis::AnalysisCase &Case, const std::string &Source);
+
+  /// The entry for \p Case, filled from its successful replay \p R;
+  /// nullopt (with a note) when the pairing cannot be keyed.
+  std::optional<RegistryEntry> entryFor(const analysis::AnalysisCase &Case,
+                                        const analysis::AnalysisResult &R,
+                                        const std::string &Source,
+                                        double WallMs);
 
   Registry Reg;
   std::vector<BuildNote> Notes;

@@ -34,12 +34,14 @@ std::vector<BatchResult> search::runBatch(const std::vector<BatchCase> &Cases,
 
   // Resume: satisfy already-recorded cases from the checkpoint file
   // before any worker starts. Idempotent — re-running a fully recorded
-  // batch does no search work at all.
-  if (Opts.Resume && !Opts.CheckpointPath.empty()) {
+  // batch does no search work at all. A record answers only the case and
+  // mode it was searched in: a base-mode verdict says nothing about the
+  // extension-mode search of the same pairing.
+  if (Opts.Resume) {
     std::vector<CheckpointRecord> Prior = readCheckpoints(Opts.CheckpointPath);
     for (size_t I = 0; I < Cases.size(); ++I)
       for (const CheckpointRecord &R : Prior)
-        if (R.Case == Cases[I].Id) {
+        if (R.Case == Cases[I].Id && R.M == Cases[I].M) {
           Results[I].Record = R;
           Results[I].FromCheckpoint = true;
           Skip[I] = 1;

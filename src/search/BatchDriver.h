@@ -49,7 +49,8 @@ struct BatchOptions {
   /// JSONL checkpoint file: one CheckpointRecord appended per finished
   /// case. Empty disables checkpointing.
   std::string CheckpointPath;
-  /// Skip cases already recorded in CheckpointPath (idempotent resume).
+  /// Skip cases already recorded in CheckpointPath in the same mode
+  /// (idempotent resume).
   bool Resume = false;
   /// Retry a TimedOut/Faulted case once at half beam and half nodes.
   bool DegradedRetry = true;

@@ -52,8 +52,8 @@ namespace search {
 /// Computed through the thread-local isdl::Interner: the description is
 /// hash-consed into the arena and repeat fingerprints of structurally
 /// identical descriptions are answered from a memo without re-walking.
-/// Values are identical to fingerprintLegacy — MemoStore keys, registry
-/// dedup keys and recorded traces stay valid.
+/// Values are identical to fingerprintLegacy — registry dedup keys and
+/// recorded traces stay valid.
 uint64_t fingerprint(const isdl::Description &D);
 
 /// The original map-based single-walk fingerprint, kept as the
@@ -67,12 +67,11 @@ uint64_t fingerprintLegacy(const isdl::Description &D);
 uint64_t pairKey(uint64_t OperatorFp, uint64_t InstructionFp);
 
 /// The canonical identity of one (operator, instruction, mode) pairing,
-/// rendered as a stable hex string — the cache key of the server's
-/// MemoStore and the dedup key of the binding registry. Loads both
-/// descriptions from the library (Store fault on unknown ids),
-/// fingerprints them, combines with pairKey, and perturbs the key in
-/// Extension mode (the two modes are distinct cache lines: Extension
-/// changes what the analysis may conclude).
+/// rendered as a stable hex string — the dedup key of the binding
+/// registry. Loads both descriptions from the library (Store fault on
+/// unknown ids), fingerprints them, combines with pairKey, and perturbs
+/// the key in Extension mode (the two modes are distinct entries:
+/// Extension changes what the analysis may conclude).
 Expected<std::string> pairingKeyHex(const std::string &OperatorId,
                                     const std::string &InstructionId,
                                     analysis::Mode M);

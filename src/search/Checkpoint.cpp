@@ -60,6 +60,7 @@ int search::caseOutcomeRank(CaseOutcome O) {
 
 std::string CheckpointRecord::toJsonLine() const {
   std::string Out = "{\"case\":\"" + obs::jsonEscape(Case) + "\"";
+  Out += ",\"mode\":\"" + std::string(analysis::modeName(M)) + "\"";
   Out += ",\"outcome\":\"" + std::string(caseOutcomeName(Outcome)) + "\"";
   Out += ",\"fault_category\":\"" + std::string(faultCategoryName(Category)) +
          "\"";
@@ -89,6 +90,12 @@ CheckpointRecord::fromJsonLine(std::string_view Line) {
   R.Case = Get("case");
   if (R.Case.empty())
     return std::nullopt;
+  if (auto It = Fields->find("mode"); It != Fields->end()) {
+    auto M = analysis::modeFromName(It->second);
+    if (!M)
+      return std::nullopt;
+    R.M = *M;
+  }
   auto O = caseOutcomeFromName(Get("outcome"));
   if (!O)
     return std::nullopt;
@@ -168,20 +175,18 @@ std::vector<CheckpointRecord> search::readCheckpoints(const std::string &Path,
     return {};
   }
   // Later records win: a resumed run that re-ran a case (e.g. under a
-  // different policy) supersedes the earlier line.
+  // different policy) supersedes the earlier line for the same mode.
   std::vector<CheckpointRecord> Out;
-  std::map<std::string, size_t> ByCase;
+  std::map<std::pair<std::string, analysis::Mode>, size_t> ByCase;
   for (const std::string &Line : *Lines) {
     auto R = CheckpointRecord::fromJsonLine(Line);
     if (!R)
       continue; // Torn trailing write from a killed run — skip.
-    auto It = ByCase.find(R->Case);
-    if (It == ByCase.end()) {
-      ByCase[R->Case] = Out.size();
+    auto [It, New] = ByCase.try_emplace({R->Case, R->M}, Out.size());
+    if (New)
       Out.push_back(std::move(*R));
-    } else {
+    else
       Out[It->second] = std::move(*R);
-    }
   }
   return Out;
 }

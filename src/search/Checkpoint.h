@@ -27,14 +27,19 @@
 /// tolerated-if-absent — PR 4 files predate it and still load — but a
 /// file stamped with a *higher* version than this build knows is
 /// rejected with a typed Store fault instead of being silently
-/// misparsed. The same header mechanism is reused by the discovery
-/// service's MemoStore (src/server), which extends the record format.
+/// misparsed.
+///
+/// Each record names its search mode (base or extension), and a resumed
+/// batch reuses a record only for the same case *and* mode. A record
+/// without the field reads as base, so files written before it load
+/// unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXTRA_SEARCH_CHECKPOINT_H
 #define EXTRA_SEARCH_CHECKPOINT_H
 
+#include "analysis/Analysis.h"
 #include "support/Error.h"
 
 #include <cstdint>
@@ -72,6 +77,7 @@ int caseOutcomeRank(CaseOutcome O);
 /// and exactly what one checkpoint line carries.
 struct CheckpointRecord {
   std::string Case;           ///< Batch case id.
+  analysis::Mode M = analysis::Mode::Base; ///< Search mode of the case.
   CaseOutcome Outcome = CaseOutcome::Exhausted;
   FaultCategory Category = FaultCategory::None;
   std::string FaultMessage;   ///< Empty unless a fault was recorded.
@@ -99,7 +105,7 @@ struct CheckpointRecord {
 };
 
 //===----------------------------------------------------------------------===//
-// Schema-version headers (shared with the server MemoStore format)
+// Schema-version headers
 //===----------------------------------------------------------------------===//
 
 /// Format tag and highest version this build reads and writes.
@@ -125,15 +131,14 @@ bool appendCheckpoint(const std::string &Path, const CheckpointRecord &R,
 /// Reads every complete record from \p Path. A missing file reads as
 /// empty; malformed lines (torn trailing writes) are skipped; an absent
 /// version header is tolerated (PR 4 files). When two records name the
-/// same case, the later one wins. A header naming a foreign format or a
-/// version above kCheckpointVersion empties the result and fills \p F
-/// (when given) with a typed Store fault.
+/// same case in the same mode, the later one wins. A header naming a
+/// foreign format or a version above kCheckpointVersion empties the
+/// result and fills \p F (when given) with a typed Store fault.
 std::vector<CheckpointRecord> readCheckpoints(const std::string &Path,
                                               Fault *F = nullptr);
 
 /// Fault-typed variant of readCheckpoints for callers that must not
-/// silently treat a future-format file as empty (CLI --resume, the
-/// server MemoStore).
+/// silently treat a future-format file as empty (CLI --resume).
 Expected<std::vector<CheckpointRecord>>
 readCheckpointsChecked(const std::string &Path);
 

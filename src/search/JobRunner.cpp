@@ -8,6 +8,7 @@
 
 #include "support/FaultInjection.h"
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -33,58 +34,25 @@ struct Attempt {
 };
 
 Attempt runAttempt(const BatchCase &C, const SearchLimits &Limits,
-                   bool Watchdog, std::atomic<bool> *ExternalCancel) {
+                   bool Watchdog) {
   Attempt A;
   SearchLimits L = Limits;
 
-  std::atomic<bool> LocalCancel{false};
-  // The external flag (when given) doubles as the watchdog's target, so
-  // a service shutdown and a watchdog trip stop the search through the
-  // same cooperative path.
-  std::atomic<bool> *Cancel = ExternalCancel ? ExternalCancel : &LocalCancel;
+  std::atomic<bool> Cancel{false};
   std::atomic<bool> Done{false};
   std::atomic<bool> WatchdogFired{false};
   std::thread Monitor;
-  if (ExternalCancel)
-    L.Cancel = ExternalCancel;
-  // The monitor thread doubles as the telemetry sampler: when the job
-  // carries a ProgressPublisher, each 20ms tick diffs the published
-  // expansion count and writes expansions/sec into the publisher's rate
-  // slot (the searcher itself never reads a clock for telemetry). It
-  // runs whenever there is a watchdog to arm or a publisher to sample.
-  obs::ProgressPublisher *Progress = L.Progress;
-  if (Watchdog || Progress) {
-    if (Watchdog)
-      L.Cancel = Cancel;
+  if (Watchdog) {
+    L.Cancel = &Cancel;
     uint64_t DeadlineMs = L.TimeBudgetMs + L.TimeBudgetMs / 2 + 1000;
-    Monitor = std::thread([Cancel, &Done, &WatchdogFired, DeadlineMs,
-                           Watchdog, Progress]() {
+    Monitor = std::thread([&Cancel, &Done, &WatchdogFired, DeadlineMs]() {
       Clock::time_point Deadline =
           Clock::now() + std::chrono::milliseconds(DeadlineMs);
-      Clock::time_point WindowStart = Clock::now();
-      uint64_t WindowExpanded = Progress ? Progress->expandedNow() : 0;
-      bool Armed = Watchdog;
       while (!Done.load(std::memory_order_acquire)) {
-        if (Armed && Clock::now() >= Deadline) {
+        if (Clock::now() >= Deadline) {
           WatchdogFired.store(true, std::memory_order_release);
-          Cancel->store(true, std::memory_order_release);
-          Armed = false;
-          if (!Progress)
-            break;
-        }
-        if (Progress) {
-          Clock::time_point Now = Clock::now();
-          double ElapsedS =
-              std::chrono::duration<double>(Now - WindowStart).count();
-          // ~250ms windows: long enough to smooth the 20ms tick noise,
-          // short enough to track a widening round kicking in.
-          if (ElapsedS >= 0.25) {
-            uint64_t Expanded = Progress->expandedNow();
-            Progress->setRate(
-                double(Expanded - WindowExpanded) / ElapsedS);
-            WindowStart = Now;
-            WindowExpanded = Expanded;
-          }
+          Cancel.store(true, std::memory_order_release);
+          break;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
@@ -119,8 +87,6 @@ Attempt runAttempt(const BatchCase &C, const SearchLimits &Limits,
   // a timeout beats plain exhaustion, and success levels need no tie
   // breaking (a found derivation cannot also have faulted).
   const SearchOutcome &O = A.Discovery.Outcome;
-  bool ExternallyCancelled =
-      ExternalCancel && ExternalCancel->load(std::memory_order_acquire);
   if (A.Discovery.Verified) {
     A.Outcome = CaseOutcome::Verified;
   } else if (O.Found) {
@@ -131,7 +97,7 @@ Attempt runAttempt(const BatchCase &C, const SearchLimits &Limits,
       A.Category = O.SearchFault.Category;
       A.FaultMessage = O.SearchFault.Message;
     }
-  } else if (O.Stats.TimedOut || WatchdogFired.load() || ExternallyCancelled) {
+  } else if (O.Stats.TimedOut || WatchdogFired.load()) {
     A.Outcome = CaseOutcome::TimedOut;
   } else {
     A.Outcome = CaseOutcome::Exhausted;
@@ -155,11 +121,9 @@ JobExecution search::executeJob(const BatchCase &C, const JobPolicy &Policy) {
   bool Retried = false;
   {
     FaultScope Scope(C.Id);
-    Kept = runAttempt(C, L, Policy.Watchdog, Policy.ExternalCancel);
+    Kept = runAttempt(C, L, Policy.Watchdog);
   }
-  bool Cancelled = Policy.ExternalCancel &&
-                   Policy.ExternalCancel->load(std::memory_order_acquire);
-  if (!Cancelled && Policy.DegradedRetry &&
+  if (Policy.DegradedRetry &&
       (Kept.Outcome == CaseOutcome::TimedOut ||
        Kept.Outcome == CaseOutcome::Faulted)) {
     // One automatic retry at half beam and half nodes: a cheaper probe
@@ -171,8 +135,7 @@ JobExecution search::executeJob(const BatchCase &C, const JobPolicy &Policy) {
     Degraded.MaxNodes = std::max<uint64_t>(1000, L.MaxNodes / 2);
     Retried = true;
     FaultScope Scope(C.Id + "#retry1");
-    Attempt Again = runAttempt(C, Degraded, Policy.Watchdog,
-                               Policy.ExternalCancel);
+    Attempt Again = runAttempt(C, Degraded, Policy.Watchdog);
     Again.WallMs += Kept.WallMs;
     if (caseOutcomeRank(Again.Outcome) > caseOutcomeRank(Kept.Outcome))
       Kept = std::move(Again);
@@ -187,10 +150,6 @@ JobExecution search::executeJob(const BatchCase &C, const JobPolicy &Policy) {
   E.FaultMessage = std::move(Kept.FaultMessage);
   E.Retried = Retried;
   E.WallMs = Kept.WallMs;
-  // After the retry decision: a degraded second attempt reuses the same
-  // publisher, so Done must not be raised between attempts.
-  if (Policy.Limits.Progress)
-    Policy.Limits.Progress->markDone();
   return E;
 }
 
@@ -198,6 +157,7 @@ CheckpointRecord search::executionRecord(const BatchCase &C,
                                          const JobExecution &E) {
   CheckpointRecord R;
   R.Case = C.Id;
+  R.M = C.M;
   R.Outcome = E.Outcome;
   R.Category = E.Category;
   R.FaultMessage = E.FaultMessage;

@@ -5,13 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The reusable job-execution layer factored out of BatchDriver: one
+/// The job-execution layer under BatchDriver's worker pool: one
 /// discovery pairing run to a typed CaseOutcome under full containment —
 /// catch-all, watchdog cancel, deterministic fault-injection scopes, and
-/// the degraded-retry policy. BatchDriver's worker pool and the
-/// discovery service's WorkQueue workers (src/server) both execute jobs
-/// through this layer, so a pairing behaves identically whether it ran
-/// in a one-shot batch or was submitted to a long-running server.
+/// the degraded-retry policy.
 ///
 /// Containment semantics (inherited verbatim from the PR 4 batch
 /// driver):
@@ -22,8 +19,6 @@
 ///  * A TimedOut/Faulted attempt is retried once at half beam width and
 ///    half node budget under scope `"<case-id>#retry1"`; the retry is
 ///    kept only when its outcome strictly outranks the first attempt's.
-///  * An external cancel flag (the service's cooperative job cancel)
-///    aborts the attempt like a deadline and suppresses the retry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +28,6 @@
 #include "search/Checkpoint.h"
 #include "search/Searcher.h"
 
-#include <atomic>
 #include <string>
 
 namespace extra {
@@ -56,11 +50,6 @@ struct JobPolicy {
   bool Watchdog = true;
   /// Retry a TimedOut/Faulted case once at half beam and half nodes.
   bool DegradedRetry = true;
-  /// Cooperative cancel shared with the caller (optional, non-owning):
-  /// the watchdog and the searcher both observe it, and the caller may
-  /// set it to abort the job (service shutdown). A set flag also
-  /// suppresses the degraded retry.
-  std::atomic<bool> *ExternalCancel = nullptr;
 };
 
 /// The kept result of one contained job execution.

@@ -318,25 +318,6 @@ struct SearchContext {
   }
 };
 
-/// The per-depth live-telemetry snapshot; consumed by the seqlock
-/// publisher when SearchLimits::Progress is set.
-obs::ProgressSnapshot progressSnapshot(const SearchContext &Ctx,
-                                       unsigned Depth, unsigned Round,
-                                       size_t FrontierSize) {
-  obs::ProgressSnapshot S;
-  S.Depth = Depth;
-  S.Round = Round;
-  S.Frontier = FrontierSize;
-  S.Expanded = Ctx.Stats.NodesExpanded;
-  S.Generated = Ctx.Stats.NodesGenerated;
-  S.HashHits = Ctx.Stats.HashHits;
-  S.MemoHits = Ctx.Stats.VerifyMemoHits;
-  S.Reopened = Ctx.Stats.Reopened;
-  if (Ctx.Best.Valid)
-    S.BestDistance = Ctx.Best.Distance;
-  return S;
-}
-
 /// Payload fragment shared by frontier/prune/goal events: the state's
 /// canonical fingerprints and score breakdown.
 obs::Payload statePayload(const Node &N, unsigned Depth, unsigned Round) {
@@ -977,11 +958,6 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
     if (Children.size() > Kept)
       Children.resize(Kept);
     Frontier = std::move(Children);
-    // Live telemetry: exactly one relaxed seqlock publish per depth,
-    // after the beam committed — never inside the expansion loop.
-    if (Ctx.Limits.Progress)
-      Ctx.Limits.Progress->publish(progressSnapshot(Ctx, Depth, RoundIdx,
-                                                    Frontier.size()));
   }
   return false;
 }
@@ -1122,11 +1098,6 @@ SearchOutcome search::searchDerivation(const Description &Operator,
       Ctx.met()->counter("search.reopened").add(Ctx.Stats.Reopened);
   }
   Out.Stats = Ctx.Stats;
-  // Final telemetry snapshot so watchers see end-of-search totals even
-  // when the last depth was cut short by a budget or a goal.
-  if (Limits.Progress)
-    Limits.Progress->publish(progressSnapshot(
-        Ctx, Ctx.Best.Valid ? Ctx.Best.Depth : 0, Ctx.Stats.Rounds, 0));
   return Out;
 }
 

@@ -42,7 +42,6 @@
 
 #include "analysis/Analysis.h"
 #include "obs/Metrics.h"
-#include "obs/Progress.h"
 #include "obs/Trace.h"
 #include "support/Error.h"
 #include "transform/Transform.h"
@@ -103,14 +102,6 @@ struct SearchLimits {
   /// watchdog uses this to bound cases whose between-expansion deadline
   /// check is starved by one long expansion.
   std::atomic<bool> *Cancel = nullptr;
-  /// Live progress publication (optional, non-owning). When set, the
-  /// search publishes one lock-free ProgressSnapshot at the end of each
-  /// beam depth — depth, frontier occupancy, expansion counts, best
-  /// partial distance, hit rates — which the job watchdog samples for
-  /// expansions/sec and the service's `watch` verb streams to clients.
-  /// The hot-path cost is exactly one relaxed seqlock publish per depth;
-  /// null (the default) costs one branch per depth.
-  obs::ProgressPublisher *Progress = nullptr;
   /// Differential/benchmark mode: run the hot path the way the pre-COW
   /// searcher did — a deep copy of the untouched side per child, a fresh
   /// full-walk fingerprint per state (fingerprintLegacy), map-based

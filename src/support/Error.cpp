@@ -22,12 +22,8 @@ const char *extra::faultCategoryName(FaultCategory C) {
     return "rule-application";
   case FaultCategory::Synth:
     return "synth";
-  case FaultCategory::Protocol:
-    return "protocol";
   case FaultCategory::Store:
     return "store";
-  case FaultCategory::Transport:
-    return "transport";
   case FaultCategory::Internal:
     return "internal";
   }
@@ -38,8 +34,7 @@ FaultCategory extra::faultCategoryFromName(const std::string &Name) {
   for (FaultCategory C :
        {FaultCategory::None, FaultCategory::Parse, FaultCategory::Validate,
         FaultCategory::InterpBudget, FaultCategory::RuleApplication,
-        FaultCategory::Synth, FaultCategory::Protocol, FaultCategory::Store,
-        FaultCategory::Transport, FaultCategory::Internal})
+        FaultCategory::Synth, FaultCategory::Store, FaultCategory::Internal})
     if (Name == faultCategoryName(C))
       return C;
   return FaultCategory::Internal;

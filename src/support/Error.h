@@ -49,14 +49,9 @@ enum class FaultCategory {
   RuleApplication, ///< A transformation rule failed abnormally (not a
                    ///< polite refusal — those carry reasons, not faults).
   Synth,           ///< Argument synthesis failed abnormally.
-  Protocol,        ///< A discovery-service request was malformed or
-                   ///< violated the line-delimited JSON protocol.
-  Store,           ///< The persistent memo/checkpoint store failed
-                   ///< (unwritable file, version mismatch, lock conflict).
-  Transport,       ///< The network layer under the protocol failed: a
-                   ///< connect/read/write timed out, the peer vanished
-                   ///< mid-line, or a frame exceeded the line cap.
-  Internal,        ///< Anything else: logic errors, injected chaos,
+  Store,           ///< A persistent checkpoint or registry file failed
+                   ///< (unwritable file, foreign format, future version).
+  Internal,        ///< Anything else: logic errors, injected faults,
                    ///< foreign exceptions caught by a containment layer.
 };
 

@@ -52,7 +52,7 @@ FaultInjector &FaultInjector::instance() {
 
 const std::vector<std::string> &FaultInjector::knownSites() {
   static const std::vector<std::string> Sites = {
-      "parser", "validate", "interp", "rule-apply", "synth", "store"};
+      "parser", "validate", "interp", "rule-apply", "synth"};
   return Sites;
 }
 

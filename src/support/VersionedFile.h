@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The shared durability contract of every JSONL artifact the system
-/// persists — checkpoints (search/Checkpoint), the server MemoStore, and
-/// the binding registry (src/registry). One place implements it:
+/// persists — checkpoints (search/Checkpoint) and the binding registry
+/// (src/registry). One place implements it:
 ///
 ///  * Files carry a schema-version header record as their first line,
 ///    `{"format":"<tag>","version":N}`. The header is tolerated-if-
@@ -46,7 +46,7 @@ namespace support {
 
 /// Identity of one versioned file format: the header tag, the highest
 /// version this build reads/writes, and the human noun used in fault
-/// messages ("checkpoint", "memo store", "binding registry").
+/// messages ("checkpoint", "binding registry").
 struct FileFormat {
   const char *Tag;
   uint32_t Version;

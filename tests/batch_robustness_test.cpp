@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // The robustness layer's acceptance tests: checkpoint records round-trip
-// and tolerate torn writes, injected faults produce identical typed
-// outcomes whatever the thread count, a killed-and-resumed batch renders
-// a byte-identical report, and no fault ever loses a case.
+// and tolerate torn writes, checkpoint files carry a schema-version
+// header (tolerated when absent, fatal when from the future), injected
+// faults produce identical typed outcomes whatever the thread count, a
+// killed-and-resumed batch renders a byte-identical report, resume never
+// crosses search modes, and no fault ever loses a case.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,6 +68,7 @@ std::vector<BatchCase> quickCases() {
 TEST(CheckpointTest, RecordRoundTrips) {
   CheckpointRecord R;
   R.Case = "vax.locc/clu.search";
+  R.M = analysis::Mode::Extension;
   R.Outcome = CaseOutcome::TimedOut;
   R.Category = FaultCategory::Synth;
   R.FaultMessage = "injected \"fault\"\nwith control chars";
@@ -81,6 +84,7 @@ TEST(CheckpointTest, RecordRoundTrips) {
   auto Back = CheckpointRecord::fromJsonLine(R.toJsonLine());
   ASSERT_TRUE(Back);
   EXPECT_EQ(Back->Case, R.Case);
+  EXPECT_EQ(Back->M, R.M);
   EXPECT_EQ(Back->Outcome, R.Outcome);
   EXPECT_EQ(Back->Category, R.Category);
   EXPECT_EQ(Back->FaultMessage, R.FaultMessage);
@@ -105,6 +109,9 @@ TEST(CheckpointTest, MalformedLinesRejected) {
   // Unknown outcome name.
   EXPECT_FALSE(CheckpointRecord::fromJsonLine(
       "{\"case\":\"x\",\"outcome\":\"sideways\"}"));
+  // Unknown mode name.
+  EXPECT_FALSE(CheckpointRecord::fromJsonLine(
+      "{\"case\":\"x\",\"mode\":\"sideways\",\"outcome\":\"verified\"}"));
 }
 
 TEST(CheckpointTest, ReaderSkipsTornLinesAndDedups) {
@@ -118,18 +125,25 @@ TEST(CheckpointTest, ReaderSkipsTornLinesAndDedups) {
   B.Found = B.Verified = true;
   CheckpointRecord A2 = A;
   A2.Outcome = CaseOutcome::Verified; // Later record for "a" wins.
+  CheckpointRecord AExt = A;          // Same case, other mode: kept apart.
+  AExt.M = analysis::Mode::Extension;
   {
     std::ofstream OS(F.Path);
     OS << A.toJsonLine() << "\n";
     OS << B.toJsonLine() << "\n";
     OS << A2.toJsonLine() << "\n";
+    OS << AExt.toJsonLine() << "\n";
     OS << "{\"case\":\"c\",\"outc"; // Torn write from a killed run.
   }
   std::vector<CheckpointRecord> Records = readCheckpoints(F.Path);
-  ASSERT_EQ(Records.size(), 2u);
+  ASSERT_EQ(Records.size(), 3u);
   EXPECT_EQ(Records[0].Case, "a");
+  EXPECT_EQ(Records[0].M, analysis::Mode::Base);
   EXPECT_EQ(Records[0].Outcome, CaseOutcome::Verified);
   EXPECT_EQ(Records[1].Case, "b");
+  EXPECT_EQ(Records[2].Case, "a");
+  EXPECT_EQ(Records[2].M, analysis::Mode::Extension);
+  EXPECT_EQ(Records[2].Outcome, CaseOutcome::Exhausted);
 }
 
 TEST(CheckpointTest, MissingFileReadsEmpty) {
@@ -153,6 +167,95 @@ TEST(CheckpointTest, OutcomeNamesRoundTripAndRank) {
             caseOutcomeRank(CaseOutcome::TimedOut));
   EXPECT_GT(caseOutcomeRank(CaseOutcome::TimedOut),
             caseOutcomeRank(CaseOutcome::Faulted));
+}
+
+//===----------------------------------------------------------------------===//
+// Schema-version headers
+//===----------------------------------------------------------------------===//
+
+TEST(VersionHeaderTest, RoundTrips) {
+  std::string Line = versionHeaderLine(kCheckpointFormat, 7);
+  auto H = parseVersionHeader(Line);
+  ASSERT_TRUE(H);
+  EXPECT_EQ(H->first, kCheckpointFormat);
+  EXPECT_EQ(H->second, 7u);
+  // Records and junk are not headers.
+  EXPECT_FALSE(parseVersionHeader("{\"case\":\"x\",\"outcome\":\"verified\"}"));
+  EXPECT_FALSE(parseVersionHeader("{\"format\":\"x\",\"vers"));
+  EXPECT_FALSE(parseVersionHeader(""));
+}
+
+TEST(VersionHeaderTest, AppendStampsHeaderOnNewFiles) {
+  TempFile F("ckpt_header.jsonl");
+  CheckpointRecord R;
+  R.Case = "a";
+  R.Outcome = CaseOutcome::Verified;
+  ASSERT_TRUE(appendCheckpoint(F.Path, R));
+  ASSERT_TRUE(appendCheckpoint(F.Path, R)); // No second header.
+
+  std::ifstream In(F.Path);
+  std::string First;
+  ASSERT_TRUE(std::getline(In, First));
+  auto H = parseVersionHeader(First);
+  ASSERT_TRUE(H);
+  EXPECT_EQ(H->first, kCheckpointFormat);
+  EXPECT_EQ(H->second, kCheckpointVersion);
+  unsigned Headers = 1, Records = 0;
+  std::string Line;
+  while (std::getline(In, Line)) {
+    if (parseVersionHeader(Line))
+      ++Headers;
+    else if (!Line.empty())
+      ++Records;
+  }
+  EXPECT_EQ(Headers, 1u);
+  EXPECT_EQ(Records, 2u);
+
+  auto Back = readCheckpointsChecked(F.Path);
+  ASSERT_TRUE(bool(Back));
+  EXPECT_EQ(Back->size(), 1u); // Same case, later record wins.
+}
+
+TEST(VersionHeaderTest, HeaderlessLegacyFilesStillRead) {
+  TempFile F("ckpt_legacy.jsonl");
+  {
+    // PR 4 format: no header line, and no "mode" field on the record.
+    std::ofstream OS(F.Path);
+    OS << "{\"case\":\"legacy\",\"outcome\":\"exhausted\",\"nodes\":7}\n";
+  }
+  auto Back = readCheckpointsChecked(F.Path);
+  ASSERT_TRUE(bool(Back));
+  ASSERT_EQ(Back->size(), 1u);
+  EXPECT_EQ((*Back)[0].Case, "legacy");
+  EXPECT_EQ((*Back)[0].M, analysis::Mode::Base);
+  EXPECT_EQ((*Back)[0].Nodes, 7u);
+}
+
+TEST(VersionHeaderTest, FutureVersionRejectedWithStoreFault) {
+  TempFile F("ckpt_future.jsonl");
+  {
+    std::ofstream OS(F.Path);
+    OS << versionHeaderLine(kCheckpointFormat, 99) << "\n";
+  }
+  auto Back = readCheckpointsChecked(F.Path);
+  ASSERT_FALSE(bool(Back));
+  EXPECT_EQ(Back.fault().Category, FaultCategory::Store);
+
+  // The tolerant reader agrees (empty result, typed fault out-param).
+  Fault Flt;
+  EXPECT_TRUE(readCheckpoints(F.Path, &Flt).empty());
+  EXPECT_EQ(Flt.Category, FaultCategory::Store);
+}
+
+TEST(VersionHeaderTest, ForeignFormatRejected) {
+  TempFile F("ckpt_foreign.jsonl");
+  {
+    std::ofstream OS(F.Path);
+    OS << versionHeaderLine("extra-registry", 1) << "\n";
+  }
+  auto Back = readCheckpointsChecked(F.Path);
+  ASSERT_FALSE(bool(Back));
+  EXPECT_EQ(Back.fault().Category, FaultCategory::Store);
 }
 
 //===----------------------------------------------------------------------===//
@@ -272,6 +375,44 @@ TEST(BatchRobustnessTest, CheckpointResumeRendersByteIdenticalReport) {
   EXPECT_EQ(Stats2.Resumed, static_cast<unsigned>(Cases.size()));
   EXPECT_EQ(Stats2.NodesExpanded, 0u);
   EXPECT_EQ(batchReportText(Again), FullReport);
+}
+
+TEST(BatchRobustnessTest, BaseRecordDoesNotResumeExtensionBatch) {
+  // A verified base-mode record for a pairing says nothing about its
+  // extension-mode search: resuming an Extension batch of the same case
+  // id must search again, and only then resume from its own record.
+  TempFile F("ckpt_mode.jsonl");
+  CheckpointRecord Base;
+  Base.Case = "vax.movc3/pc2.copy";
+  Base.Outcome = CaseOutcome::Verified;
+  Base.Found = Base.Verified = true;
+  ASSERT_TRUE(appendCheckpoint(F.Path, Base));
+
+  BatchCase Ext;
+  Ext.Id = Base.Case;
+  Ext.OperatorId = "pc2.copy";
+  Ext.InstructionId = "vax.movc3";
+  Ext.M = analysis::Mode::Extension;
+  BatchOptions Opts;
+  Opts.Threads = 1;
+  Opts.CheckpointPath = F.Path;
+  Opts.Resume = true;
+  BatchStats Stats;
+  std::vector<BatchResult> Results = runBatch({Ext}, Opts, &Stats);
+  ASSERT_EQ(Results.size(), 1u);
+  EXPECT_EQ(Stats.Resumed, 0u);
+  EXPECT_FALSE(Results[0].FromCheckpoint);
+  EXPECT_GT(Stats.NodesExpanded, 0u);
+  EXPECT_EQ(Results[0].Record.M, analysis::Mode::Extension);
+
+  // Both records now live side by side, and the Extension batch resumes
+  // from its own.
+  EXPECT_EQ(readCheckpoints(F.Path).size(), 2u);
+  BatchStats Again;
+  Results = runBatch({Ext}, Opts, &Again);
+  EXPECT_EQ(Again.Resumed, 1u);
+  EXPECT_TRUE(Results[0].FromCheckpoint);
+  EXPECT_EQ(Results[0].Record.M, analysis::Mode::Extension);
 }
 
 TEST(BatchRobustnessTest, EverySiteProducesACompleteBatch) {

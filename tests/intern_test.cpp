@@ -41,8 +41,8 @@ std::vector<std::string> corpusIds() {
 }
 
 //===----------------------------------------------------------------------===//
-// Fingerprint parity: values are unchanged (MemoStore keys, registry dedup
-// keys and recorded traces depend on this).
+// Fingerprint parity: values are unchanged (registry dedup keys and
+// recorded traces depend on this).
 //===----------------------------------------------------------------------===//
 
 TEST(InternTest, FingerprintMatchesLegacyOnWholeCorpus) {

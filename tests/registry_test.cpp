@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // The executable-registry pipeline end to end: format round trips and
-// version-header behavior, imports from every artifact source, constraint
-// text re-parsing, binding compilation per machine, and the differential
-// execution proof that registry-compiled bindings produce simulator
-// states identical to decomposition while dispatching strictly fewer
-// instructions.
+// version-header behavior, imports from every artifact source and from a
+// search's own verified result, constraint text re-parsing, binding
+// compilation per machine, and the differential execution proof that
+// registry-compiled bindings produce simulator states identical to
+// decomposition while dispatching strictly fewer instructions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 #include "registry/RegistryBuilder.h"
 
 #include "analysis/Derivations.h"
+#include "search/Canon.h"
 #include "search/Checkpoint.h"
 #include "support/VersionedFile.h"
 
@@ -102,37 +103,6 @@ TEST(RegistryBuilder, CheckpointImportReplaysVerifiedCasesOnly) {
   EXPECT_EQ(B.registry().size(), 1u);
   EXPECT_EQ(B.registry().entries()[0]->AnalysisId, "i8086.scasb/rigel.index");
   EXPECT_EQ(B.registry().entries()[0]->Source, "checkpoint");
-}
-
-TEST(RegistryBuilder, MemoImportTakesVerifiedEntriesVerbatim) {
-  // A memo line as the server writes it: verified, with the rendered
-  // payload. The import must trust it without replay and carry budgets.
-  const RegistryEntry *Seed = nullptr;
-  for (const RegistryEntry *E : recordedCorpus().entries())
-    if (E->AnalysisId == "i8086.scasb/rigel.index")
-      Seed = E;
-  ASSERT_NE(Seed, nullptr);
-
-  TempFile F("registry_memo.jsonl");
-  {
-    std::ofstream Out(F.Path);
-    Out << search::versionHeaderLine("extra-memo", 1) << "\n";
-    RegistryEntry E = *Seed;
-    // Reuse the registry rendering: the memo format is a superset of the
-    // checkpoint record plus exactly these payload keys.
-    std::string Line = E.toJsonLine();
-    Line.insert(Line.size() - 1, ",\"outcome\":\"verified\"");
-    Out << Line << "\n";
-  }
-  RegistryBuilder B;
-  auto N = B.importMemoFile(F.Path);
-  ASSERT_TRUE(N) << N.fault().Message;
-  EXPECT_EQ(*N, 1u);
-  const RegistryEntry *E = B.registry().find(Seed->Key);
-  ASSERT_NE(E, nullptr);
-  EXPECT_EQ(E->Source, "memo");
-  EXPECT_EQ(E->Constraints, Seed->Constraints);
-  EXPECT_EQ(E->InstScript, Seed->InstScript);
 }
 
 //===----------------------------------------------------------------------===//
@@ -479,4 +449,57 @@ TEST(Differential, RegistryFileRoundTripStillExecutes) {
     EXPECT_TRUE(Rep.passes())
         << machineName(MK) << ": " << formatReport(Rep);
   }
+}
+
+TEST(RegistryBuilder, DiscoveredBindingIsAdmittedSavedAndLowered) {
+  // The `search --registry` path: a verified search result is admitted
+  // from its own end-to-end replay, survives a save/load round trip, and
+  // lowers onto the VAX as the movc3 copy binding.
+  search::BatchCase C;
+  C.Id = "vax.movc3/pc2.copy";
+  C.OperatorId = "pc2.copy";
+  C.InstructionId = "vax.movc3";
+  search::SearchLimits L;
+  search::DiscoveryResult D =
+      search::discoverAndVerify(C.OperatorId, C.InstructionId, L);
+  ASSERT_TRUE(D.Verified) << D.Outcome.FailureReason;
+
+  RegistryBuilder B;
+  ASSERT_TRUE(B.admitDiscovery(C, D, L, 12.5));
+  EXPECT_TRUE(B.notes().empty());
+  ASSERT_EQ(B.registry().size(), 1u);
+  const RegistryEntry E = *B.registry().entries()[0];
+  auto Key = search::pairingKeyHex(C.OperatorId, C.InstructionId, C.M);
+  ASSERT_TRUE(Key);
+  EXPECT_EQ(E.Key, *Key);
+  EXPECT_EQ(E.AnalysisId, C.Id);
+  EXPECT_EQ(E.Source, "search");
+  EXPECT_EQ(E.Op, "BlockCopy");
+  EXPECT_EQ(E.Binding, D.Replay.Binding.str());
+  EXPECT_EQ(E.Constraints, D.Replay.Constraints.str());
+  EXPECT_EQ(E.MaxNodes, L.MaxNodes);
+  EXPECT_DOUBLE_EQ(E.WallMs, 12.5);
+
+  TempFile F("registry_search.jsonl");
+  ASSERT_TRUE(B.registry().save(F.Path));
+  auto Loaded = Registry::load(F.Path);
+  ASSERT_TRUE(Loaded) << Loaded.fault().Message;
+  const RegistryEntry *Back = Loaded->find(E.Key);
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(Back->toJsonLine(), E.toJsonLine());
+
+  DifferentialReport Rep =
+      runDifferential(MachineKind::Vax, *Loaded,
+                      opProgram(codegen::OpKind::BlockCopy), opMemory());
+  EXPECT_EQ(Rep.BindingsLoaded, 1u);
+  EXPECT_EQ(Rep.WithRegistry.Exotic, 1u);
+  EXPECT_TRUE(Rep.passes()) << formatReport(Rep);
+
+  // An unverified result is noted, never admitted.
+  search::DiscoveryResult Unverified = D;
+  Unverified.Verified = false;
+  RegistryBuilder None;
+  EXPECT_FALSE(None.admitDiscovery(C, Unverified, L, 0));
+  EXPECT_TRUE(None.registry().empty());
+  EXPECT_EQ(None.notes().size(), 1u);
 }

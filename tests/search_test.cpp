@@ -94,6 +94,29 @@ TEST(CanonTest, PairKeyAsymmetric) {
   EXPECT_NE(pairKey(A, B), pairKey(A, A));
 }
 
+TEST(PairingKeyTest, StableOrderedAndModeSensitive) {
+  auto K1 = pairingKeyHex("pc2.copy", "vax.movc3", analysis::Mode::Base);
+  auto K2 = pairingKeyHex("pc2.copy", "vax.movc3", analysis::Mode::Base);
+  ASSERT_TRUE(bool(K1));
+  ASSERT_TRUE(bool(K2));
+  EXPECT_EQ(*K1, *K2); // Deterministic.
+  EXPECT_EQ(K1->substr(0, 2), "0x");
+
+  // The pairing is ordered (operator side vs instruction side).
+  auto Swapped = pairingKeyHex("vax.movc3", "pc2.copy", analysis::Mode::Base);
+  ASSERT_TRUE(bool(Swapped));
+  EXPECT_NE(*K1, *Swapped);
+
+  // Extension mode is a distinct registry entry.
+  auto Ext = pairingKeyHex("pc2.copy", "vax.movc3", analysis::Mode::Extension);
+  ASSERT_TRUE(bool(Ext));
+  EXPECT_NE(*K1, *Ext);
+
+  // Unknown descriptions fault instead of keying garbage.
+  EXPECT_FALSE(bool(pairingKeyHex("no.such.op", "vax.movc3",
+                                  analysis::Mode::Base)));
+}
+
 //===----------------------------------------------------------------------===//
 // Derivation discovery
 //===----------------------------------------------------------------------===//

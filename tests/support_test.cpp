@@ -133,6 +133,7 @@ TEST(FaultInjectionTest, SpecValidation) {
   std::string Err;
   EXPECT_FALSE(FaultInjector::instance().configure("nosuchsite=0.5", &Err));
   EXPECT_NE(Err.find("nosuchsite"), std::string::npos);
+  EXPECT_FALSE(FaultInjector::instance().configure("store=0.5", &Err));
   EXPECT_FALSE(FaultInjector::instance().configure("parser=1.5", &Err));
   EXPECT_FALSE(FaultInjector::instance().configure("parser=", &Err));
   EXPECT_FALSE(FaultInjector::instance().configure("parser", &Err));

@@ -15,21 +15,13 @@
 //   extra-cli export-script <case-id> <operator|instruction>
 //   extra-cli replay <desc-id> <script-file>
 //   extra-cli search --case <id> | <op-id> <inst-id> | --all
-//                                      discover derivation scripts
+//                    [--registry <file>]
+//                                      discover derivation scripts (and
+//                                      keep the verified bindings)
 //   extra-cli trace <case-id> [--out trace.jsonl]
 //                                      traced single-case discovery
 //   extra-cli postmortem <trace.jsonl> --against <case-id>
 //                                      why the beam lost the recorded line
-//   extra-cli serve --socket S --store F
-//                                      run the persistent discovery service
-//   extra-cli client --socket S <submit|query|suite|status|drain|shutdown>
-//                                      talk to a running service
-//   extra-cli client --socket S export <path>
-//                                      dump the live store as a registry
-//   extra-cli client --socket S metrics [--prom]
-//                                      scrape the live metrics registry
-//   extra-cli client --socket S watch (<job-id> | --case <id>)
-//                                      stream a running job's progress
 //   extra-cli profile <trace.jsonl>    self/total-time rollups from a trace
 //   extra-cli benchdiff <old> <new>    attribute movement between bench runs
 //   extra-cli registry build --out F   build a binding registry
@@ -42,7 +34,6 @@
 #include "analysis/Advisor.h"
 #include "analysis/Derivations.h"
 #include "obs/BenchDiff.h"
-#include "obs/Exposition.h"
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
@@ -52,27 +43,18 @@
 #include "search/BatchDriver.h"
 #include "search/Checkpoint.h"
 #include "search/Postmortem.h"
-#include "server/Chaos.h"
-#include "server/Client.h"
-#include "server/MemoStore.h"
-#include "server/Service.h"
-#include "server/Socket.h"
 #include "transform/ScriptIO.h"
 #include "descriptions/Descriptions.h"
 #include "isdl/Printer.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtil.h"
 
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <thread>
-#include <unistd.h>
 
 using namespace extra;
 using namespace extra::analysis;
@@ -105,7 +87,10 @@ int usage() {
                "             --metrics FILE (counter/histogram JSON),\n"
                "             --min-verified N (fail below N verified),\n"
                "             --checkpoint FILE (JSONL record per case),\n"
-               "             --resume (skip cases already checkpointed),\n"
+               "             --resume (skip cases already checkpointed in\n"
+               "             the same mode; needs --checkpoint),\n"
+               "             --registry FILE (admit every verified\n"
+               "             binding into this registry file),\n"
                "             --inject site=rate[,...] (seeded fault\n"
                "             injection; also env EXTRA_INJECT),\n"
                "             --inject-seed N, --no-retry (disable the\n"
@@ -126,70 +111,6 @@ int usage() {
                "                          (closest state, script prefix,\n"
                "                          divergence) — no recorded script\n"
                "                          needed\n"
-               "  serve (--socket S | --listen HOST:PORT | both) --store F\n"
-               "                          run the persistent discovery\n"
-               "                          service: answers repeat queries\n"
-               "                          from the cross-run memo store in\n"
-               "                          O(lookup), searches misses on a\n"
-               "                          worker pool; --listen adds a TCP\n"
-               "                          listener (port 0 = ephemeral)\n"
-               "    options: --workers N, --beam/--depth/--nodes/--time-ms,\n"
-               "             --no-retry, --no-watchdog, --no-compact,\n"
-               "             --inject/--inject-seed, --metrics FILE,\n"
-               "             --max-queued N (admission bound; overflow gets\n"
-               "             a typed overloaded reply), --max-conns N,\n"
-               "             --line-deadline-ms/--idle-timeout-ms/\n"
-               "             --write-deadline-ms N (slow-peer eviction),\n"
-               "             --max-line-bytes N\n"
-               "  client (--socket S | --connect HOST:PORT) <verb> ...\n"
-               "    options: --retries N, --deadline-ms N (per-request\n"
-               "             budget; retries reuse the request id so a\n"
-               "             resent submit never double-enqueues)\n"
-               "  client ... submit <op-id> <inst-id> [-x] [--wait]\n"
-               "                          [--priority N]\n"
-               "  client ... submit --case <case-id> [--wait]\n"
-               "  client ... query (<op-id> <inst-id> [-x] |\n"
-               "                          --case <case-id>)\n"
-               "  client ... suite [--min-verified N] [--expect-hits N]\n"
-               "                          submit all recorded pairings and\n"
-               "                          wait for verdicts\n"
-               "  client ... status|shutdown|health|ready\n"
-               "                          (ready exits 0 only while the\n"
-               "                          server accepts new work)\n"
-               "  client ... drain [--deadline MS]\n"
-               "                          wait until idle; with --deadline,\n"
-               "                          stop admission, finish or cancel\n"
-               "                          in-flight jobs by the deadline,\n"
-               "                          compact, and exit the server\n"
-               "  client ... export <path>\n"
-               "                          dump the live store's verified\n"
-               "                          pairings as a binding-registry\n"
-               "                          file at a server-side path\n"
-               "  client ... metrics [--prom]\n"
-               "                          [--require name[,name...]]\n"
-               "                          scrape the live metrics registry\n"
-               "                          (JSON, or the Prometheus text\n"
-               "                          exposition with --prom; --require\n"
-               "                          fails unless the named counters\n"
-               "                          are nonzero)\n"
-               "  client ... watch (<job-id> | --case <case-id>)\n"
-               "                          stream a running job's progress:\n"
-               "                          one line per tick (depth,\n"
-               "                          frontier, expansions/sec, best\n"
-               "                          partial distance), then the final\n"
-               "                          verdict\n"
-               "  chaos-proxy --listen EP --target EP [--seed N]\n"
-               "              [--torn/--partial/--stall/--disconnect/\n"
-               "              --garbage PER-MILLE | --all PER-MILLE]\n"
-               "              [--stall-ms N]\n"
-               "                          deterministic fault-injecting\n"
-               "                          proxy between a protocol client\n"
-               "                          and the server: tears lines,\n"
-               "                          dribbles partial writes, stalls,\n"
-               "                          cuts connections mid-line, and\n"
-               "                          injects garbage, all seeded;\n"
-               "                          SIGINT/SIGTERM prints the fired\n"
-               "                          counts and exits\n"
                "  profile <trace.jsonl> [--collapsed FILE]\n"
                "                          roll a (possibly rotated) JSONL\n"
                "                          trace into self/total-time tables\n"
@@ -202,7 +123,7 @@ int usage() {
                "                          counter moved (default threshold\n"
                "                          10%%)\n"
                "  registry build --out FILE [--recorded]\n"
-               "                 [--from-scripts DIR] [--from-memo FILE]\n"
+               "                 [--from-scripts DIR]\n"
                "                 [--from-checkpoint FILE]\n"
                "                          build a binding registry from\n"
                "                          discovery artifacts (default: the\n"
@@ -451,13 +372,19 @@ int reportDiscovery(const std::string &Label,
   return R.Verified ? 0 : 1;
 }
 
+void printBuildNotes(const std::vector<extra::registry::BuildNote> &Notes) {
+  for (const auto &N : Notes)
+    std::fprintf(stderr, "note: %s: %s\n", N.CaseId.c_str(),
+                 N.Detail.c_str());
+}
+
 int cmdSearch(int argc, char **argv) {
   extra::search::BatchOptions Opts;
   std::vector<extra::search::BatchCase> Cases;
   analysis::Mode M = Mode::Base;
   bool All = false;
   std::string CaseId, OperatorId, InstructionId;
-  std::string TracePath, MetricsPath;
+  std::string TracePath, MetricsPath, RegistryPath;
   uint64_t TraceCapBytes = obs::RotatingTraceSink::DefaultMaxBytes;
   uint64_t MinVerified = 0;
   bool HaveMinVerified = false;
@@ -500,6 +427,8 @@ int cmdSearch(int argc, char **argv) {
       Opts.CheckpointPath = argv[++I];
     else if (Arg == "--resume")
       Opts.Resume = true;
+    else if (Arg == "--registry" && I + 1 < argc)
+      RegistryPath = argv[++I];
     else if (Arg == "--no-retry")
       Opts.DegradedRetry = false;
     else if (Arg == "--inject" && I + 1 < argc) {
@@ -543,6 +472,23 @@ int cmdSearch(int argc, char **argv) {
   } else {
     return usage();
   }
+  if (Opts.Resume && Opts.CheckpointPath.empty()) {
+    std::fprintf(stderr, "--resume needs --checkpoint FILE\n");
+    return 2;
+  }
+
+  // Load the registry before any search, so a foreign or future file
+  // fails here rather than after the batch has run.
+  extra::registry::RegistryBuilder Discovered;
+  if (!RegistryPath.empty()) {
+    auto Prior = extra::registry::Registry::load(RegistryPath);
+    if (!Prior) {
+      std::fprintf(stderr, "cannot use registry '%s': %s\n",
+                   RegistryPath.c_str(), Prior.fault().Message.c_str());
+      return 1;
+    }
+    Discovered.registry() = std::move(*Prior);
+  }
 
   std::unique_ptr<obs::RotatingTraceSink> Sink;
   if (!TracePath.empty()) {
@@ -560,7 +506,7 @@ int cmdSearch(int argc, char **argv) {
   if (!MetricsPath.empty())
     Opts.Limits.Metrics = &Met;
 
-  if (Opts.Resume && !Opts.CheckpointPath.empty()) {
+  if (Opts.Resume) {
     // Surface a future-version or foreign checkpoint file as an error
     // here; the tolerant reader inside runBatch would resume from
     // nothing and silently redo the whole batch.
@@ -603,6 +549,23 @@ int cmdSearch(int argc, char **argv) {
                 static_cast<unsigned long long>(Stats.HashHits),
                 Stats.WallMs, Stats.CaseWallMs, Stats.SlowestCase.c_str(),
                 Stats.SlowestCaseMs);
+  }
+  if (!RegistryPath.empty()) {
+    unsigned Admitted = 0;
+    for (const extra::search::BatchResult &R : Results)
+      if (R.Discovery.Verified &&
+          Discovered.admitDiscovery(R.Case, R.Discovery, Opts.Limits,
+                                    R.WallMs))
+        ++Admitted;
+    printBuildNotes(Discovered.notes());
+    auto Saved = Discovered.registry().save(RegistryPath);
+    if (!Saved) {
+      std::fprintf(stderr, "%s\n", Saved.fault().Message.c_str());
+      return 1;
+    }
+    std::printf("registry: %u verified binding(s) admitted, %zu entries "
+                "in %s\n",
+                Admitted, Discovered.registry().size(), RegistryPath.c_str());
   }
   if (FaultInjector::instance().armed()) {
     std::string Fired;
@@ -755,518 +718,6 @@ int cmdPostmortem(int argc, char **argv) {
   return Rep.Ok ? 0 : 1;
 }
 
-int cmdServe(int argc, char **argv) {
-  std::string SocketPath, ListenSpec, StorePath, MetricsPath;
-  extra::server::ServiceOptions Opts;
-  extra::server::ServeOptions SOpts;
-  for (int I = 2; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto IntOpt = [&](uint64_t &Slot) {
-      if (I + 1 >= argc)
-        return false;
-      Slot = std::strtoull(argv[++I], nullptr, 10);
-      return true;
-    };
-    uint64_t V = 0;
-    if (Arg == "--socket" && I + 1 < argc)
-      SocketPath = argv[++I];
-    else if (Arg == "--listen" && I + 1 < argc)
-      ListenSpec = argv[++I];
-    else if (Arg == "--store" && I + 1 < argc)
-      StorePath = argv[++I];
-    else if (Arg == "--workers" && IntOpt(V))
-      Opts.Workers = static_cast<unsigned>(V);
-    else if (Arg == "--beam" && IntOpt(V))
-      Opts.Limits.BeamWidth = static_cast<unsigned>(V);
-    else if (Arg == "--depth" && IntOpt(V))
-      Opts.Limits.MaxDepth = static_cast<unsigned>(V);
-    else if (Arg == "--nodes" && IntOpt(V))
-      Opts.Limits.MaxNodes = V;
-    else if (Arg == "--time-ms" && IntOpt(V))
-      Opts.Limits.TimeBudgetMs = V;
-    else if (Arg == "--max-queued" && IntOpt(V))
-      Opts.MaxQueued = V;
-    else if (Arg == "--max-conns" && IntOpt(V))
-      SOpts.MaxConnections = static_cast<unsigned>(V);
-    else if (Arg == "--line-deadline-ms" && IntOpt(V))
-      SOpts.LineDeadlineMs = static_cast<int>(V);
-    else if (Arg == "--idle-timeout-ms" && IntOpt(V))
-      SOpts.IdleTimeoutMs = static_cast<int>(V);
-    else if (Arg == "--write-deadline-ms" && IntOpt(V))
-      SOpts.WriteDeadlineMs = static_cast<int>(V);
-    else if (Arg == "--max-line-bytes" && IntOpt(V))
-      SOpts.MaxLineBytes = V;
-    else if (Arg == "--no-retry")
-      Opts.DegradedRetry = false;
-    else if (Arg == "--no-watchdog")
-      Opts.Watchdog = false;
-    else if (Arg == "--no-compact")
-      Opts.CompactOnShutdown = false;
-    else if (Arg == "--metrics" && I + 1 < argc)
-      MetricsPath = argv[++I];
-    else if (Arg == "--inject" && I + 1 < argc) {
-      std::string Err;
-      if (!FaultInjector::instance().configure(argv[++I], &Err)) {
-        std::fprintf(stderr, "bad --inject spec: %s\n", Err.c_str());
-        return 2;
-      }
-    } else if (Arg == "--inject-seed" && IntOpt(V))
-      FaultInjector::instance().setSeed(V);
-    else
-      return usage();
-  }
-  if ((SocketPath.empty() && ListenSpec.empty()) || StorePath.empty())
-    return usage();
-
-  Opts.StorePath = StorePath;
-  auto Service = extra::server::Service::create(std::move(Opts));
-  if (!Service) {
-    std::fprintf(stderr, "cannot start service: %s\n",
-                 Service.fault().Message.c_str());
-    return 1;
-  }
-  std::vector<extra::server::Listener> Listeners;
-  auto FailListen = [&](const std::string &Message) {
-    std::fprintf(stderr, "%s\n", Message.c_str());
-    for (const extra::server::Listener &L : Listeners)
-      ::close(L.Fd);
-    (*Service)->stop();
-    return 1;
-  };
-  if (!SocketPath.empty()) {
-    auto Fd = extra::server::listenUnix(SocketPath);
-    if (!Fd)
-      return FailListen(Fd.fault().Message);
-    Listeners.push_back({*Fd, SocketPath});
-    std::printf("listening on unix %s\n", SocketPath.c_str());
-  }
-  if (!ListenSpec.empty()) {
-    auto Ep = extra::server::parseEndpoint(ListenSpec);
-    if (!Ep)
-      return FailListen(Ep.fault().Message);
-    auto Fd = extra::server::listenEndpoint(*Ep);
-    if (!Fd)
-      return FailListen(Fd.fault().Message);
-    Listeners.push_back({*Fd, Ep->Tcp ? std::string() : Ep->Path});
-    if (Ep->Tcp)
-      std::printf("listening on tcp %s:%u\n", Ep->Host.c_str(),
-                  extra::server::localPort(*Fd));
-    else
-      std::printf("listening on unix %s\n", Ep->Path.c_str());
-  }
-  std::printf("serving (store %s, %zu cached entr%s)\n", StorePath.c_str(),
-              (*Service)->store().size(),
-              (*Service)->store().size() == 1 ? "y" : "ies");
-  std::fflush(stdout);
-  extra::server::serveLoop(Listeners, **Service, SOpts);
-  (*Service)->stop();
-  if (!MetricsPath.empty()) {
-    std::ofstream MO(MetricsPath);
-    if (MO)
-      MO << (*Service)->metrics().json() << "\n";
-  }
-  std::printf("service stopped (%zu cached entries)\n",
-              (*Service)->store().size());
-  return 0;
-}
-
-void printResponse(const extra::server::Response &R) {
-  std::printf("%s\n", R.Raw.c_str());
-}
-
-int cmdClient(int argc, char **argv) {
-  std::string Spec, Sub;
-  extra::server::ClientOptions COpts;
-  std::vector<std::string> Rest;
-  for (int I = 2; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if ((Arg == "--socket" || Arg == "--connect") && I + 1 < argc)
-      Spec = argv[++I];
-    else if (Arg == "--retries" && I + 1 < argc)
-      COpts.MaxAttempts = static_cast<unsigned>(
-          std::strtoul(argv[++I], nullptr, 10));
-    else if (Arg == "--deadline-ms" && I + 1 < argc)
-      COpts.RequestDeadlineMs =
-          static_cast<int>(std::strtol(argv[++I], nullptr, 10));
-    else if (Sub.empty() && Arg[0] != '-')
-      Sub = Arg;
-    else
-      Rest.push_back(Arg);
-  }
-  if (Spec.empty() || Sub.empty())
-    return usage();
-
-  // A deadline-bounded drain can legitimately take its whole deadline;
-  // give the request budget headroom past it so the client does not
-  // retry a drain that is simply still draining.
-  if (Sub == "drain")
-    for (size_t I = 0; I + 1 < Rest.size(); ++I)
-      if (Rest[I] == "--deadline") {
-        int64_t D = std::strtoll(Rest[I + 1].c_str(), nullptr, 10);
-        if (COpts.RequestDeadlineMs > 0 &&
-            D + 30000 > COpts.RequestDeadlineMs)
-          COpts.RequestDeadlineMs = static_cast<int>(D + 30000);
-      }
-
-  auto Client = extra::server::Client::connect(Spec, COpts);
-  if (!Client) {
-    std::fprintf(stderr, "%s\n", Client.fault().Message.c_str());
-    return 1;
-  }
-  auto Ask = [&](const std::string &Line)
-      -> std::optional<extra::server::Response> {
-    auto R = (*Client)->request(Line);
-    if (!R) {
-      std::fprintf(stderr, "%s\n", R.fault().Message.c_str());
-      return std::nullopt;
-    }
-    return *R;
-  };
-
-  if (Sub == "status" || Sub == "drain" || Sub == "shutdown" ||
-      Sub == "health" || Sub == "ready") {
-    obs::Payload P;
-    P.add("cmd", Sub);
-    if (Sub == "drain") {
-      for (size_t I = 0; I < Rest.size(); ++I) {
-        if (Rest[I] == "--deadline" && I + 1 < Rest.size())
-          P.add("deadline_ms", static_cast<uint64_t>(std::strtoull(
-                                   Rest[++I].c_str(), nullptr, 10)));
-        else
-          return usage();
-      }
-    } else if (!Rest.empty()) {
-      return usage();
-    }
-    auto R = Ask("{" + P.rendered().substr(1) + "}");
-    if (!R)
-      return 1;
-    printResponse(*R);
-    if (Sub == "ready")
-      return R->ok() && R->get("ready") == "true" ? 0 : 1;
-    return R->ok() ? 0 : 1;
-  }
-
-  if (Sub == "export") {
-    if (Rest.size() != 1)
-      return usage();
-    obs::Payload P;
-    P.add("cmd", "export");
-    P.add("path", Rest[0]);
-    auto R = Ask("{" + P.rendered().substr(1) + "}");
-    if (!R)
-      return 1;
-    printResponse(*R);
-    return R->ok() ? 0 : 1;
-  }
-
-  if (Sub == "submit" || Sub == "query") {
-    obs::Payload P;
-    P.add("cmd", Sub);
-    std::string CaseId, OperatorId, InstructionId;
-    bool Wait = false;
-    int Priority = 0;
-    bool Extension = false;
-    for (size_t I = 0; I < Rest.size(); ++I) {
-      const std::string &Arg = Rest[I];
-      if (Arg == "--case" && I + 1 < Rest.size())
-        CaseId = Rest[++I];
-      else if (Arg == "--wait")
-        Wait = true;
-      else if (Arg == "--priority" && I + 1 < Rest.size())
-        Priority = std::atoi(Rest[++I].c_str());
-      else if (Arg == "-x")
-        Extension = true;
-      else if (Arg[0] != '-' && OperatorId.empty())
-        OperatorId = Arg;
-      else if (Arg[0] != '-' && InstructionId.empty())
-        InstructionId = Arg;
-      else
-        return usage();
-    }
-    if (!CaseId.empty()) {
-      P.add("case", CaseId);
-    } else if (!OperatorId.empty() && !InstructionId.empty()) {
-      P.add("operator", OperatorId);
-      P.add("instruction", InstructionId);
-      if (Extension)
-        P.add("mode", "extension");
-    } else {
-      return usage();
-    }
-    if (Wait)
-      P.add("wait", true);
-    if (Priority)
-      P.add("priority", Priority);
-    auto R = Ask("{" + P.rendered().substr(1) + "}");
-    if (!R)
-      return 1;
-    printResponse(*R);
-    return R->ok() ? 0 : 1;
-  }
-
-  if (Sub == "metrics") {
-    bool Prom = false;
-    std::string Require;
-    for (size_t I = 0; I < Rest.size(); ++I) {
-      if (Rest[I] == "--prom")
-        Prom = true;
-      else if (Rest[I] == "--require" && I + 1 < Rest.size())
-        Require = Rest[++I];
-      else
-        return usage();
-    }
-    obs::Payload P;
-    P.add("cmd", "metrics");
-    P.add("format", Prom ? "prom" : "json");
-    auto R = Ask("{" + P.rendered().substr(1) + "}");
-    if (!R)
-      return 1;
-    if (!R->ok()) {
-      printResponse(*R);
-      return 1;
-    }
-    std::string Body = R->get("metrics");
-    std::fputs(Body.c_str(), stdout);
-    if (!Body.empty() && Body.back() != '\n')
-      std::fputs("\n", stdout);
-    if (Prom) {
-      // Self-check the exposition grammar on the way through — a scrape
-      // that does not parse is a CI failure, not a display problem.
-      std::map<std::string, double> Samples;
-      std::string Err;
-      if (!obs::validateExposition(Body, Samples, &Err)) {
-        std::fprintf(stderr, "FAIL: exposition does not parse: %s\n",
-                     Err.c_str());
-        return 1;
-      }
-    }
-    if (!Require.empty()) {
-      // Assert on the prom exposition: its samples carry the original
-      // registry name as a `name` label, so requires match exactly.
-      std::map<std::string, double> Samples;
-      std::string PromBody = Body;
-      if (!Prom) {
-        obs::Payload P2;
-        P2.add("cmd", "metrics");
-        P2.add("format", "prom");
-        auto R2 = Ask("{" + P2.rendered().substr(1) + "}");
-        if (!R2 || !R2->ok())
-          return 1;
-        PromBody = R2->get("metrics");
-      }
-      std::string Err;
-      if (!obs::validateExposition(PromBody, Samples, &Err)) {
-        std::fprintf(stderr, "FAIL: exposition does not parse: %s\n",
-                     Err.c_str());
-        return 1;
-      }
-      for (const std::string &Name : extra::split(Require, ',')) {
-        if (Name.empty())
-          continue;
-        std::string Tag = "name=\"" + Name + "\"";
-        bool Nonzero = false;
-        for (const auto &[Key, Value] : Samples)
-          if (Key.find(Tag) != std::string::npos && Value > 0) {
-            Nonzero = true;
-            break;
-          }
-        if (!Nonzero) {
-          std::fprintf(stderr,
-                       "FAIL: required metric '%s' is missing or zero\n",
-                       Name.c_str());
-          return 1;
-        }
-      }
-    }
-    return 0;
-  }
-
-  if (Sub == "watch") {
-    std::string CaseId, JobId;
-    for (size_t I = 0; I < Rest.size(); ++I) {
-      if (Rest[I] == "--case" && I + 1 < Rest.size())
-        CaseId = Rest[++I];
-      else if (Rest[I][0] != '-' && JobId.empty())
-        JobId = Rest[I];
-      else
-        return usage();
-    }
-    if (CaseId.empty() && JobId.empty())
-      return usage();
-    obs::Payload P;
-    P.add("cmd", "watch");
-    if (!JobId.empty())
-      P.add("job", static_cast<uint64_t>(
-                       std::strtoull(JobId.c_str(), nullptr, 10)));
-    else
-      P.add("case", CaseId);
-    auto R = (*Client)->requestStream(
-        "{" + P.rendered().substr(1) + "}",
-        [](const extra::server::Response &Tick) {
-          std::printf("tick %s  depth %s  frontier %s  expanded %s  "
-                      "%s exp/s  hash-hit %s  best %s\n",
-                      Tick.get("tick").c_str(), Tick.get("depth").c_str(),
-                      Tick.get("frontier").c_str(),
-                      Tick.get("expanded").c_str(),
-                      Tick.get("expansions_per_sec").c_str(),
-                      Tick.get("hash_hit_rate").c_str(),
-                      Tick.get("best_distance").empty()
-                          ? "-"
-                          : Tick.get("best_distance").c_str());
-          std::fflush(stdout);
-          return true;
-        });
-    if (!R) {
-      std::fprintf(stderr, "%s\n", R.fault().Message.c_str());
-      return 1;
-    }
-    printResponse(*R);
-    return R->ok() ? 0 : 1;
-  }
-
-  if (Sub == "suite") {
-    uint64_t MinVerified = 0;
-    bool HaveMinVerified = false;
-    int64_t ExpectHits = -1;
-    for (size_t I = 0; I < Rest.size(); ++I) {
-      if (Rest[I] == "--min-verified" && I + 1 < Rest.size()) {
-        MinVerified = std::strtoull(Rest[++I].c_str(), nullptr, 10);
-        HaveMinVerified = true;
-      } else if (Rest[I] == "--expect-hits" && I + 1 < Rest.size()) {
-        ExpectHits = std::strtoll(Rest[++I].c_str(), nullptr, 10);
-      } else {
-        return usage();
-      }
-    }
-    unsigned Verified = 0, Cached = 0, Total = 0;
-    for (const extra::search::BatchCase &C : extra::search::libraryCases()) {
-      obs::Payload P;
-      P.add("cmd", "submit");
-      P.add("case", C.Id);
-      P.add("wait", true);
-      auto R = Ask("{" + P.rendered().substr(1) + "}");
-      if (!R)
-        return 1;
-      ++Total;
-      if (!R->ok()) {
-        std::printf("%-28s ERROR %s\n", C.Id.c_str(),
-                    R->get("error").c_str());
-        continue;
-      }
-      bool Hit = R->get("cached") == "true";
-      Cached += Hit;
-      Verified += R->get("verified") == "true";
-      std::printf("%-28s %-12s%s\n", C.Id.c_str(),
-                  R->get("outcome").c_str(), Hit ? " (cached)" : "");
-    }
-    std::printf("suite: %u/%u verified, %u answered from cache\n", Verified,
-                Total, Cached);
-    if (HaveMinVerified && Verified < MinVerified) {
-      std::fprintf(stderr,
-                   "FAIL: %u verified, below the --min-verified floor of "
-                   "%llu\n",
-                   Verified, static_cast<unsigned long long>(MinVerified));
-      return 1;
-    }
-    if (ExpectHits >= 0 && Cached != static_cast<uint64_t>(ExpectHits)) {
-      std::fprintf(stderr,
-                   "FAIL: %u cache hits, expected exactly %lld\n", Cached,
-                   static_cast<long long>(ExpectHits));
-      return 1;
-    }
-    return 0;
-  }
-
-  return usage();
-}
-
-volatile std::sig_atomic_t ChaosSignal = 0;
-void onChaosSignal(int Sig) { ChaosSignal = Sig; }
-
-int cmdChaosProxy(int argc, char **argv) {
-  std::string ListenSpec, TargetSpec;
-  extra::server::ChaosOptions COpts;
-  for (int I = 2; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto IntOpt = [&](uint64_t &Slot) {
-      if (I + 1 >= argc)
-        return false;
-      Slot = std::strtoull(argv[++I], nullptr, 10);
-      return true;
-    };
-    uint64_t V = 0;
-    if (Arg == "--listen" && I + 1 < argc)
-      ListenSpec = argv[++I];
-    else if (Arg == "--target" && I + 1 < argc)
-      TargetSpec = argv[++I];
-    else if (Arg == "--seed" && IntOpt(V))
-      COpts.Seed = V;
-    else if (Arg == "--torn" && IntOpt(V))
-      COpts.TornPerMille = static_cast<unsigned>(V);
-    else if (Arg == "--partial" && IntOpt(V))
-      COpts.PartialPerMille = static_cast<unsigned>(V);
-    else if (Arg == "--stall" && IntOpt(V))
-      COpts.StallPerMille = static_cast<unsigned>(V);
-    else if (Arg == "--disconnect" && IntOpt(V))
-      COpts.DisconnectPerMille = static_cast<unsigned>(V);
-    else if (Arg == "--garbage" && IntOpt(V))
-      COpts.GarbagePerMille = static_cast<unsigned>(V);
-    else if (Arg == "--all" && IntOpt(V)) {
-      COpts.TornPerMille = COpts.PartialPerMille = COpts.StallPerMille =
-          COpts.DisconnectPerMille = COpts.GarbagePerMille =
-              static_cast<unsigned>(V);
-    } else if (Arg == "--stall-ms" && IntOpt(V))
-      COpts.StallMs = static_cast<unsigned>(V);
-    else
-      return usage();
-  }
-  if (ListenSpec.empty() || TargetSpec.empty())
-    return usage();
-  auto Listen = extra::server::parseEndpoint(ListenSpec);
-  auto Target = extra::server::parseEndpoint(TargetSpec);
-  if (!Listen || !Target) {
-    std::fprintf(stderr, "%s\n",
-                 (!Listen ? Listen.fault() : Target.fault()).Message.c_str());
-    return 1;
-  }
-  auto Proxy =
-      extra::server::ChaosProxy::start(*Listen, std::move(*Target), COpts);
-  if (!Proxy) {
-    std::fprintf(stderr, "cannot start chaos proxy: %s\n",
-                 Proxy.fault().Message.c_str());
-    return 1;
-  }
-  if (Listen->Tcp)
-    std::printf("chaos proxy on tcp %s:%u -> %s (seed %llu)\n",
-                Listen->Host.c_str(), (*Proxy)->port(), TargetSpec.c_str(),
-                static_cast<unsigned long long>(COpts.Seed));
-  else
-    std::printf("chaos proxy on unix %s -> %s (seed %llu)\n",
-                Listen->Path.c_str(), TargetSpec.c_str(),
-                static_cast<unsigned long long>(COpts.Seed));
-  std::fflush(stdout);
-
-  std::signal(SIGINT, onChaosSignal);
-  std::signal(SIGTERM, onChaosSignal);
-  while (!ChaosSignal)
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  extra::server::ChaosCounts C = (*Proxy)->counts();
-  (*Proxy)->stop();
-  std::printf("chaos proxy stopped: %llu connections, %llu lines, "
-              "%llu faults fired (torn %llu, partial %llu, stall %llu, "
-              "disconnect %llu, garbage %llu)\n",
-              static_cast<unsigned long long>(C.Connections),
-              static_cast<unsigned long long>(C.Lines),
-              static_cast<unsigned long long>(C.fired()),
-              static_cast<unsigned long long>(C.Torn),
-              static_cast<unsigned long long>(C.Partial),
-              static_cast<unsigned long long>(C.Stalls),
-              static_cast<unsigned long long>(C.Disconnects),
-              static_cast<unsigned long long>(C.Garbage));
-  return 0;
-}
-
 int cmdProfile(int argc, char **argv) {
   if (argc < 3 || argv[2][0] == '-')
     return usage();
@@ -1337,12 +788,6 @@ int cmdBenchdiff(int argc, char **argv) {
 // registry build | inspect, compile --registry
 //===----------------------------------------------------------------------===//
 
-void printBuildNotes(const std::vector<extra::registry::BuildNote> &Notes) {
-  for (const auto &N : Notes)
-    std::fprintf(stderr, "note: %s: %s\n", N.CaseId.c_str(),
-                 N.Detail.c_str());
-}
-
 int cmdRegistry(int argc, char **argv) {
   using namespace extra::registry;
   if (argc < 3)
@@ -1363,8 +808,6 @@ int cmdRegistry(int argc, char **argv) {
         Recorded = true;
       else if (Arg == "--from-scripts" && I + 1 < argc)
         Sources.push_back({"scripts", argv[++I]});
-      else if (Arg == "--from-memo" && I + 1 < argc)
-        Sources.push_back({"memo", argv[++I]});
       else if (Arg == "--from-checkpoint" && I + 1 < argc)
         Sources.push_back({"checkpoint", argv[++I]});
       else
@@ -1388,11 +831,8 @@ int cmdRegistry(int argc, char **argv) {
     if (Recorded && !Report("recorded", B.addRecordedCases()))
       return 1;
     for (const auto &[Kind, Path] : Sources) {
-      Expected<unsigned> N =
-          Kind == "scripts"
-              ? B.importScriptsDir(Path)
-              : Kind == "memo" ? B.importMemoFile(Path)
-                               : B.importCheckpoint(Path);
+      Expected<unsigned> N = Kind == "scripts" ? B.importScriptsDir(Path)
+                                               : B.importCheckpoint(Path);
       if (!Report(Kind.c_str(), N))
         return 1;
     }
@@ -1520,12 +960,6 @@ int main(int argc, char **argv) {
     return cmdProfile(argc, argv);
   if (!std::strcmp(Cmd, "benchdiff"))
     return cmdBenchdiff(argc, argv);
-  if (!std::strcmp(Cmd, "serve"))
-    return cmdServe(argc, argv);
-  if (!std::strcmp(Cmd, "client"))
-    return cmdClient(argc, argv);
-  if (!std::strcmp(Cmd, "chaos-proxy"))
-    return cmdChaosProxy(argc, argv);
   if (!std::strcmp(Cmd, "registry"))
     return cmdRegistry(argc, argv);
   if (!std::strcmp(Cmd, "compile"))
