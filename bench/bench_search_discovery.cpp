@@ -23,14 +23,12 @@
 #include "search/BatchDriver.h"
 
 #include "analysis/Derivations.h"
-#include "descriptions/Descriptions.h"
 #include "obs/Metrics.h"
 
 #include "BenchSupport.h"
 
 #include <benchmark/benchmark.h>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace extra;
 using namespace extra::search;
@@ -183,52 +181,9 @@ void benchBatch(benchmark::State &State) {
 }
 BENCHMARK(benchBatch)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
-void benchExpansionThroughput(benchmark::State &State, bool Legacy) {
-  // In-binary A/B on the hardest report pairing: the same node-capped
-  // search on the copy-on-write hot path and with LegacyHotPath
-  // reproducing the pre-COW decision-path costs (per-attempt and
-  // per-child deep copies, re-walked fingerprints, map-based distances,
-  // inline pre-table verification, no caches). The differential suite
-  // proves both expand the same nodes, so the ratio isolates those costs
-  // machine-independently — but it cannot opt out of the arena-allocated
-  // node representation itself, so it *understates* the end-to-end
-  // speedup. scripts/perf_smoke.sh reports it informationally and gates
-  // on the suite line above against the committed pre-COW baseline.
-  auto Op = descriptions::load("pascal.sequal");
-  auto Inst = descriptions::load("vax.cmpc3");
-  SearchLimits Limits;
-  // Deep enough to reach the widening rounds, where the representation
-  // differences dominate: re-expanded states hit the candidate/synth
-  // caches and the verify memo on the COW path but re-pay enumeration,
-  // trials, clones and fingerprint walks on the legacy path. A shallow
-  // cap would measure mostly the shared interpreter work and report a
-  // diluted ratio.
-  Limits.MaxNodes = 1200;
-  Limits.TimeBudgetMs = 300000; // node-capped, never the clock
-  Limits.LegacyHotPath = Legacy;
-  uint64_t Expanded = 0;
-  double SearchMs = 0;
-  for (auto _ : State) {
-    SearchOutcome O = searchDerivation(*Op, *Inst, Limits);
-    benchmark::DoNotOptimize(O.Found);
-    Expanded += O.Stats.NodesExpanded;
-    SearchMs += O.Stats.WallMs;
-  }
-  State.counters["search.expansions_per_sec"] =
-      SearchMs > 0 ? Expanded * 1000.0 / SearchMs : 0.0;
-}
-BENCHMARK_CAPTURE(benchExpansionThroughput, cow, false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(benchExpansionThroughput, legacy, true)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int main(int argc, char **argv) {
-  // EXTRA_BENCH_SKIP_REPORT=1 skips the ~90 s discovery report so the CI
-  // perf-smoke gate (scripts/perf_smoke.sh) runs only its two benchmarks.
-  const char *Skip = std::getenv("EXTRA_BENCH_SKIP_REPORT");
-  if (!Skip || Skip[0] == '0')
-    printDiscoveryReport();
+  printDiscoveryReport();
   return extra_bench::runBenchmarks(argc, argv);
 }

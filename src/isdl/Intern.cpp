@@ -92,8 +92,8 @@ FeatureVec FeatureVec::of(const Description &D) {
           ++F.C[binarySlot(cast<BinaryExpr>(&E)->getOp())];
           break;
         case Expr::Kind::Unary:
-          // Legacy keyed operators by spelling: unary negation shares
-          // the "-" key with binary subtraction.
+          // Operators are counted by spelling: unary negation shares
+          // the "-" slot with binary subtraction.
           ++F.C[cast<UnaryExpr>(&E)->getOp() == UnaryOp::Not
                     ? FeatureVec::OpNot
                     : FeatureVec::OpSubOrNeg];
@@ -269,12 +269,20 @@ uint64_t Interner::identity(const Description &D) {
   // caches, never correctness.
   if (Nodes.size() > SoftNodeCap)
     reset();
-  // Everything the canonical fingerprint can observe: the entry routine
-  // choice, every routine's name and (interned) body in order, and the
-  // declared-name set that classifies first mentions. Decl types and
-  // dead text the matcher never sees are included anyway via names —
-  // over-approximating identity only costs memo hits, never correctness.
+  // Everything the caches keyed by identity can observe: the entry
+  // routine choice, every routine's name, result type and (interned) body
+  // in order, and every declaration's name and type. The canonical
+  // fingerprint needs only the names, but candidate enumeration does not
+  // (flag rules need a one-bit type) and neither does a verify verdict
+  // (register widths and routine result types mask values). Including
+  // dead text the matcher never sees over-approximates identity, which
+  // only costs memo hits, never correctness.
   uint64_t H = FnvBasis;
+  auto MixType = [&H](const TypeRef &T) {
+    H = fnvMix(H, static_cast<uint64_t>(T.K));
+    H = fnvMix(H, static_cast<uint64_t>(static_cast<uint32_t>(T.Hi)));
+    H = fnvMix(H, static_cast<uint64_t>(static_cast<uint32_t>(T.Lo)));
+  };
   const Routine *Entry = D.entryRoutine();
   H = fnvMix(H, Entry ? symbol(Entry->Name) + 1 : 0);
   for (const Section &Sec : D.getSections())
@@ -282,9 +290,11 @@ uint64_t Interner::identity(const Description &D) {
       if (It.K == SectionItem::Kind::Decl) {
         H = fnvMix(H, 0x9E3779B97F4A7C15ULL);
         H = fnvMix(H, symbol(It.D.Name));
+        MixType(It.D.Type);
       } else {
         H = fnvMix(H, 0xC2B2AE3D27D4EB4FULL);
         H = fnvMix(H, symbol(It.R->Name));
+        MixType(It.R->ResultType);
         H = fnvMix(H, intern(It.R->Body));
       }
     }
@@ -305,10 +315,12 @@ void Interner::reset() {
 
 namespace {
 
-/// Streams the same canonical token stream as the legacy map-based
-/// Canonicalizer (search/Canon.cpp), but over interned nodes with a flat
-/// vector keyed by SymId as the rename map. Tags and mixing order are
-/// byte-identical, so fingerprint values are unchanged.
+/// Streams the canonical token stream of a description over interned nodes,
+/// with a flat vector keyed by SymId as the rename map. The token layout
+/// mirrors the lockstep order of isdl::matchStmts/matchExpr, so two
+/// matchable descriptions emit identical streams. The values are
+/// persistent registry keys: tests/intern_test.cpp freezes them and checks
+/// this walk against the map-based reference Canonicalizer kept there.
 class DagCanonicalizer {
 public:
   DagCanonicalizer(Interner &I, const Description &D) : I(I), D(D) {}
@@ -349,7 +361,7 @@ public:
   }
 
 private:
-  // Tag values must stay identical to the legacy Canonicalizer's.
+  // Tag values are part of every fingerprint: never renumber them.
   enum class Tag : uint64_t {
     NoEntry = 1,
     RoutineBody,
@@ -536,10 +548,6 @@ private:
 
 } // namespace
 
-uint64_t Interner::canonicalWalk(const Description &D) {
-  return DagCanonicalizer(*this, D).run();
-}
-
 uint64_t Interner::canonicalFingerprint(const Description &D) {
   uint64_t Id = identity(D);
   auto It = FpMemo.find(Id);
@@ -547,7 +555,7 @@ uint64_t Interner::canonicalFingerprint(const Description &D) {
     ++MemoHits;
     return It->second;
   }
-  uint64_t Fp = canonicalWalk(D);
+  uint64_t Fp = DagCanonicalizer(*this, D).run();
   FpMemo.emplace(Id, Fp);
   return Fp;
 }

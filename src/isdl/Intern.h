@@ -20,9 +20,9 @@
 ///  * `FeatureVec` — the structural-distance feature vector as a fixed
 ///    array instead of a `std::map<std::string,int>`: building one is a
 ///    single allocation-free walk, and the L1 distance is a flat loop.
-///    Slot counts are defined to agree exactly with the legacy map keys
-///    (binary `-` and unary negation share one slot, as the legacy
-///    spelling-keyed map merged them).
+///    Slots count syntactic categories, operators by spelling (binary `-`
+///    and unary negation share one slot); tests/intern_test.cpp checks it
+///    against a map-keyed reference.
 ///
 ///  * `DescHandle` — a refcounted copy-on-write handle to an immutable
 ///    `Description` version. Search nodes hold handles, so a child shares
@@ -61,9 +61,10 @@ namespace isdl {
 // FeatureVec
 //===----------------------------------------------------------------------===//
 
-/// Fixed-slot feature vector of a description's syntactic categories.
-/// `distance` over two of these equals the legacy map-based structural
-/// distance exactly (same categories, same merges).
+/// Fixed-slot feature vector of a description's syntactic categories:
+/// statement kinds, input/output arity, routine and declaration counts,
+/// memory references, calls, literals and operators. Zero distance does
+/// not imply equivalence; it is a search heuristic only.
 struct FeatureVec {
   enum Slot : unsigned {
     Routines,
@@ -79,8 +80,8 @@ struct FeatureVec {
     Mem,
     Call,
     Lit,
-    // Operators, one slot per legacy "op:<spelling>" key. Binary minus
-    // and unary negation share a spelling and therefore a slot.
+    // Operators, one slot per spelling. Binary minus and unary negation
+    // share a spelling and therefore a slot.
     OpAdd,
     OpSubOrNeg,
     OpMul,
@@ -110,13 +111,6 @@ struct FeatureVec {
       D += static_cast<unsigned>(Diff < 0 ? -Diff : Diff);
     }
     return D;
-  }
-
-  bool operator==(const FeatureVec &O) const {
-    for (unsigned I = 0; I < NumSlots; ++I)
-      if (C[I] != O.C[I])
-        return false;
-    return true;
   }
 };
 
@@ -175,15 +169,15 @@ public:
 
   const Node &node(NodeRef R) const { return Nodes[R]; }
 
-  /// Structural identity of the whole description (names included): equal
-  /// identities imply equal canonical fingerprints. 64-bit, same collision
-  /// tolerance as the transposition table.
+  /// Structural identity of the whole description (names and declared
+  /// types included): equal identities imply equal canonical fingerprints,
+  /// candidate pools and verify verdicts. 64-bit, same collision tolerance
+  /// as the transposition table.
   uint64_t identity(const Description &D);
 
-  /// Rename-invariant canonical fingerprint, memoized by `identity`. The
-  /// token stream reproduces search::fingerprint's legacy Canonicalizer
-  /// byte for byte, so values are unchanged (registry dedup keys and
-  /// recorded traces stay valid).
+  /// Rename-invariant canonical fingerprint, memoized by `identity`. Values
+  /// are registry dedup keys and appear in recorded traces, so they are
+  /// frozen by tests/intern_test.cpp.
   uint64_t canonicalFingerprint(const Description &D);
 
   /// Nodes currently interned (tests and the soft-cap policy).
@@ -201,7 +195,6 @@ private:
 
   NodeRef internNode(Node::K Kind, uint8_t Op, int64_t Value,
                      std::vector<NodeRef> Kids);
-  uint64_t canonicalWalk(const Description &D);
 
   std::vector<Node> Nodes;
   std::unordered_map<uint64_t, NodeRef> Buckets;

@@ -10,216 +10,12 @@
 #include "isdl/Intern.h"
 
 #include <cstdio>
-#include <map>
-#include <vector>
 
 using namespace extra;
 using namespace extra::isdl;
 
-namespace {
-
-/// Streams canonical tokens into an FNV-1a accumulator. The token layout
-/// mirrors the lockstep order of isdl::matchStmts/matchExpr so that two
-/// matchable descriptions emit identical streams.
-class Canonicalizer {
-public:
-  explicit Canonicalizer(const Description &D) : D(D) {}
-
-  uint64_t run() {
-    const Routine *Entry = D.entryRoutine();
-    if (!Entry) {
-      mix(Tag::NoEntry);
-      return H;
-    }
-    nameId(Entry->Name);
-    // Expand routines in first-mention order. Matching binds routines at
-    // call sites; because both sides of a successful match mention bound
-    // routines in the same lockstep order, first-mention expansion is
-    // isomorphism-invariant (unlike alphabetical order, which depends on
-    // the very names we are abstracting away).
-    while (NextToExpand < Mentioned.size()) {
-      const std::string Name = Mentioned[NextToExpand++];
-      const Routine *R = D.findRoutine(Name);
-      if (!R)
-        continue;
-      mix(Tag::RoutineBody);
-      walk(R->Body);
-      mix(Tag::End);
-    }
-    return H;
-  }
-
-private:
-  enum class Tag : uint64_t {
-    NoEntry = 1,
-    RoutineBody,
-    End,
-    Assign,
-    AssignToMem,
-    If,
-    Else,
-    Repeat,
-    ExitWhen,
-    Input,
-    Output,
-    Constrain,
-    Assert,
-    IntLit,
-    CharLit,
-    VarRef,
-    MemRef,
-    Call,
-    Unary,
-    Binary,
-    DeclaredVar,
-    UndeclaredVar,
-    RoutineName,
-  };
-
-  void mix(uint64_t V) {
-    // FNV-1a over the value's bytes.
-    for (int I = 0; I < 8; ++I) {
-      H ^= (V >> (I * 8)) & 0xFF;
-      H *= 1099511628211ULL;
-    }
-  }
-  void mix(Tag T) { mix(static_cast<uint64_t>(T)); }
-
-  /// Canonical index of a name, assigned at first mention. The first
-  /// mention also records what kind of thing the name is on this side
-  /// (routine / declared variable / undeclared), because the matcher
-  /// insists the two sides agree on that.
-  void nameId(const std::string &Name) {
-    auto [It, Inserted] = Ids.emplace(Name, Ids.size());
-    if (Inserted) {
-      Mentioned.push_back(Name);
-      if (D.findRoutine(Name))
-        mix(Tag::RoutineName);
-      else
-        mix(D.findDecl(Name) ? Tag::DeclaredVar : Tag::UndeclaredVar);
-    }
-    mix(It->second);
-  }
-
-  void walk(const Expr &E) {
-    switch (E.getKind()) {
-    case Expr::Kind::IntLit:
-      mix(Tag::IntLit);
-      mix(static_cast<uint64_t>(cast<IntLit>(&E)->getValue()));
-      return;
-    case Expr::Kind::CharLit:
-      mix(Tag::CharLit);
-      mix(cast<CharLit>(&E)->getValue());
-      return;
-    case Expr::Kind::VarRef:
-      mix(Tag::VarRef);
-      nameId(cast<VarRef>(&E)->getName());
-      return;
-    case Expr::Kind::MemRef:
-      mix(Tag::MemRef);
-      walk(*cast<MemRef>(&E)->getAddress());
-      return;
-    case Expr::Kind::Call:
-      mix(Tag::Call);
-      nameId(cast<CallExpr>(&E)->getCallee());
-      return;
-    case Expr::Kind::Unary: {
-      const auto *U = cast<UnaryExpr>(&E);
-      mix(Tag::Unary);
-      mix(static_cast<uint64_t>(U->getOp()));
-      walk(*U->getOperand());
-      return;
-    }
-    case Expr::Kind::Binary: {
-      const auto *B = cast<BinaryExpr>(&E);
-      mix(Tag::Binary);
-      mix(static_cast<uint64_t>(B->getOp()));
-      walk(*B->getLHS());
-      walk(*B->getRHS());
-      return;
-    }
-    }
-  }
-
-  void walk(const Stmt &S) {
-    switch (S.getKind()) {
-    case Stmt::Kind::Assign: {
-      const auto *A = cast<AssignStmt>(&S);
-      mix(isa<MemRef>(A->getTarget()) ? Tag::AssignToMem : Tag::Assign);
-      walk(*A->getTarget());
-      walk(*A->getValue());
-      return;
-    }
-    case Stmt::Kind::If: {
-      const auto *If = cast<IfStmt>(&S);
-      mix(Tag::If);
-      walk(*If->getCond());
-      walk(If->getThen());
-      mix(Tag::Else);
-      walk(If->getElse());
-      mix(Tag::End);
-      return;
-    }
-    case Stmt::Kind::Repeat:
-      mix(Tag::Repeat);
-      walk(cast<RepeatStmt>(&S)->getBody());
-      mix(Tag::End);
-      return;
-    case Stmt::Kind::ExitWhen:
-      mix(Tag::ExitWhen);
-      walk(*cast<ExitWhenStmt>(&S)->getCond());
-      return;
-    case Stmt::Kind::Input: {
-      const auto *In = cast<InputStmt>(&S);
-      mix(Tag::Input);
-      mix(In->getTargets().size());
-      for (const std::string &T : In->getTargets())
-        nameId(T);
-      return;
-    }
-    case Stmt::Kind::Output: {
-      const auto *Out = cast<OutputStmt>(&S);
-      mix(Tag::Output);
-      mix(Out->getValues().size());
-      for (const ExprPtr &V : Out->getValues())
-        walk(*V);
-      return;
-    }
-    case Stmt::Kind::Constrain: {
-      const auto *C = cast<ConstrainStmt>(&S);
-      mix(Tag::Constrain);
-      for (char Ch : C->getTag())
-        mix(static_cast<uint64_t>(Ch));
-      walk(*C->getPred());
-      return;
-    }
-    case Stmt::Kind::Assert:
-      mix(Tag::Assert);
-      walk(*cast<AssertStmt>(&S)->getPred());
-      return;
-    }
-  }
-
-  void walk(const StmtList &Stmts) {
-    for (const StmtPtr &S : Stmts)
-      walk(*S);
-  }
-
-  const Description &D;
-  uint64_t H = 14695981039346656037ULL; // FNV offset basis.
-  std::map<std::string, uint64_t> Ids;
-  std::vector<std::string> Mentioned;
-  size_t NextToExpand = 0;
-};
-
-} // namespace
-
 uint64_t search::fingerprint(const Description &D) {
   return isdl::canonicalFingerprint(D);
-}
-
-uint64_t search::fingerprintLegacy(const Description &D) {
-  return Canonicalizer(D).run();
 }
 
 uint64_t search::pairKey(uint64_t OperatorFp, uint64_t InstructionFp) {

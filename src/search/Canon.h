@@ -52,14 +52,10 @@ namespace search {
 /// Computed through the thread-local isdl::Interner: the description is
 /// hash-consed into the arena and repeat fingerprints of structurally
 /// identical descriptions are answered from a memo without re-walking.
-/// Values are identical to fingerprintLegacy — registry dedup keys and
-/// recorded traces stay valid.
+/// Values are persistent registry keys. tests/intern_test.cpp freezes
+/// them for the whole library and checks them against a map-based
+/// reference walk kept there.
 uint64_t fingerprint(const isdl::Description &D);
-
-/// The original map-based single-walk fingerprint, kept as the
-/// differential oracle: `fingerprint(D) == fingerprintLegacy(D)` for every
-/// description (tests/intern_test.cpp enforces this over the corpus).
-uint64_t fingerprintLegacy(const isdl::Description &D);
 
 /// Combines the two side fingerprints of a search state into one
 /// transposition-table key. Not commutative: the operator and the

@@ -44,10 +44,14 @@ Attempt runAttempt(const BatchCase &C, const SearchLimits &Limits,
   std::thread Monitor;
   if (Watchdog) {
     L.Cancel = &Cancel;
-    uint64_t DeadlineMs = L.TimeBudgetMs + L.TimeBudgetMs / 2 + 1000;
+    // Saturating, like the searcher's own deadline: a budget near the top
+    // of the range must not wrap the watchdog into the past.
+    uint64_t Slack = L.TimeBudgetMs / 2 + 1000;
+    uint64_t DeadlineMs = L.TimeBudgetMs > UINT64_MAX - Slack
+                              ? UINT64_MAX
+                              : L.TimeBudgetMs + Slack;
     Monitor = std::thread([&Cancel, &Done, &WatchdogFired, DeadlineMs]() {
-      Clock::time_point Deadline =
-          Clock::now() + std::chrono::milliseconds(DeadlineMs);
+      Clock::time_point Deadline = deadlineAfter(DeadlineMs);
       while (!Done.load(std::memory_order_acquire)) {
         if (Clock::now() >= Deadline) {
           WatchdogFired.store(true, std::memory_order_release);

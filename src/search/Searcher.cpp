@@ -6,7 +6,6 @@
 
 #include "search/Searcher.h"
 
-#include "analysis/Advisor.h"
 #include "analysis/DiffCheck.h"
 #include "analysis/Priors.h"
 #include "descriptions/Descriptions.h"
@@ -34,10 +33,29 @@ using transform::Step;
 
 namespace {
 
-/// Simplification rules worth trying with no arguments that the advisor's
-/// interactive pool leaves out (the advisor optimizes for few, plausible
-/// suggestions; the searcher wants coverage).
-const char *ExtraZeroArgRules[] = {
+/// Rules worth trying with no arguments. Generation order is part of the
+/// search's behavior: candidates are stable-sorted by rule-bigram prior,
+/// so ties keep this order.
+const char *ZeroArgRules[] = {
+    "fold-constants",   "if-false-elim", "if-true-elim",
+    "if-not-elim",      "not-not",       "ne-to-not-eq",
+    "eq-to-diff-zero",  "diff-zero-to-eq", "de-morgan-and",
+    "if-to-flag-assign", "flag-assign-to-if", "dead-loop-elim",
+    "empty-if-elim",    "merge-exits",   "split-exit-disjunction",
+    "rotate-while-to-dowhile", "remove-assert", "hoist-from-if",
+    "sink-common-tail", "rel-shift-const", "fold-const-chain",
+};
+
+/// Rules proposed once per declaration, naming it as `var`.
+const char *PerDeclRules[] = {
+    "dead-decl-elim", "dead-var-elim", "dead-assign-elim",
+    "global-constant-propagate", "copy-propagate", "move-up",
+    "move-down", "fuse-load-store",
+};
+
+/// Constant-folding and identity rules, proposed with no arguments after
+/// the per-declaration and routine-structuring candidates.
+const char *FoldRules[] = {
     "fold-not",  "fold-neg", "fold-add",  "fold-sub",
     "fold-mul",  "fold-div", "fold-and",  "fold-or",
     "fold-compare", "and-true", "or-true", "mul-zero",
@@ -118,21 +136,52 @@ void permutations(size_t N, std::vector<std::string> &Out) {
 std::vector<Step> search::enumerateCandidates(const Description &Current,
                                               const Description &Other,
                                               bool CurrentIsInstruction) {
-  // The advisor's interactive pool is the base layer. Pinning proposals
-  // are stripped on the operator side: every recorded operator script
-  // gets by without fix-operand-value, and allowing it there lets the
-  // search pin a loop count to zero on *both* sides and "discover" the
-  // matching empty husks — verified, but with constraints no assembler
-  // could use.
-  std::vector<Step> Out = analysis::candidateSteps(Current);
-  if (!CurrentIsInstruction)
-    Out.erase(std::remove_if(Out.begin(), Out.end(),
-                             [](const Step &S) {
-                               return S.Rule == "fix-operand-value";
-                             }),
-              Out.end());
+  std::vector<Step> Out;
+  for (const char *R : ZeroArgRules)
+    Out.push_back(Step{R, "", {}});
 
-  for (const char *R : ExtraZeroArgRules)
+  // Per-declaration candidates. Flags are pinned on the instruction side
+  // only: every recorded operator script gets by without
+  // fix-operand-value, and allowing it there lets the search pin a loop
+  // count to zero on *both* sides and "discover" the matching empty
+  // husks — verified, but with constraints no assembler could use.
+  for (const Decl *Dl : Current.decls()) {
+    const std::string &N = Dl->Name;
+    for (const char *Rule : PerDeclRules)
+      Out.push_back(Step{Rule, "", {{"var", N}}});
+    if (Dl->Type.isFlag()) {
+      if (CurrentIsInstruction)
+        for (const char *Value : {"0", "1"})
+          Out.push_back(Step{
+              "fix-operand-value", "", {{"operand", N}, {"value", Value}}});
+      Out.push_back(Step{"record-exit-cause", "", {{"flag", N}}});
+      Out.push_back(Step{"invert-flag", "", {{"var", N}}});
+    }
+  }
+
+  // Base+index access patterns suggest strength reduction; the pointer
+  // names are synthesized from the access shape (src/synth), so two runs
+  // — and the matching side — agree on the spelling.
+  for (Step &S : synth::proposeIndexToPointer(Current))
+    Out.push_back(std::move(S));
+
+  // Up-counting loops suggest the down-counter rewrite, reusing the
+  // bound as the counter.
+  for (Step &S : synth::proposeCountUpToDown(Current))
+    Out.push_back(std::move(S));
+
+  // Routine-structuring candidates, each with its own fresh temp name.
+  unsigned Fresh = 0;
+  for (const Routine *R : Current.routines()) {
+    for (const char *Rule : {"extract-call-to-temp", "inline-routine"})
+      Out.push_back(Step{Rule,
+                         "",
+                         {{"callee", R->Name},
+                          {"temp", "t" + std::to_string(Fresh++)}}});
+    Out.push_back(Step{"dead-routine-elim", "", {{"name", R->Name}}});
+  }
+
+  for (const char *R : FoldRules)
     Out.push_back(Step{R, "", {}});
 
   // Re-scope cleanup rules to every non-entry routine.
@@ -144,8 +193,8 @@ std::vector<Step> search::enumerateCandidates(const Description &Current,
       Out.push_back(Step{Rule, R->Name, {}});
   }
 
-  // Operand pinning over *every* input operand (the advisor pins flags
-  // only; movc5/stosb-style derivations pin counts and fill bytes too).
+  // Operand pinning over *every* input operand, not only flags:
+  // movc5/stosb-style derivations pin counts and fill bytes too.
   if (CurrentIsInstruction)
     if (const InputStmt *In = entryInput(Current))
       for (const std::string &Operand : In->getTargets())
@@ -240,7 +289,6 @@ struct SearchContext {
   /// routine and operand names, and with score-aware re-opening two
   /// fingerprint-equal states can differ in fresh-name choices. Widening
   /// rounds re-expand the same early states, so these hit constantly.
-  /// Bypassed in LegacyHotPath mode.
   std::unordered_map<uint64_t, std::shared_ptr<const std::vector<Step>>>
       CandCache;
   std::unordered_map<uint64_t,
@@ -252,21 +300,8 @@ struct SearchContext {
   /// the verifier is deterministic — fixed seed, and the constraint set a
   /// single-step scratch engine hands the verifier is a pure function of
   /// (before, step). Widening rounds re-reach and re-verify the same
-  /// rewrites; this answers them without re-running the trials. Bypassed
-  /// in LegacyHotPath mode.
+  /// rewrites; this answers them without re-running the trials.
   std::unordered_map<uint64_t, bool> VerifyMemo;
-
-  /// Representation-path helpers honoring the LegacyHotPath A/B flag:
-  /// legacy re-walks the description per call, the COW path answers from
-  /// the handle's per-version caches and the interner's memo.
-  uint64_t fpOf(const DescHandle &H) const {
-    return Limits.LegacyHotPath ? fingerprintLegacy(H.get()) : H.fingerprint();
-  }
-  unsigned distanceOf(const DescHandle &A, const DescHandle &B) const {
-    return Limits.LegacyHotPath
-               ? analysis::structuralDistance(A.get(), B.get())
-               : DescHandle::distance(A, B);
-  }
 
   /// The trace sink (the shared no-op sink when tracing is off, so call
   /// sites guard on enabled() only).
@@ -473,9 +508,9 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
   Node Root;
   Root.Op = Operator;
   Root.Inst = Instruction;
-  Root.FpOp = Ctx.fpOf(Root.Op);
-  Root.FpInst = Ctx.fpOf(Root.Inst);
-  Root.Distance = Ctx.distanceOf(Root.Op, Root.Inst);
+  Root.FpOp = Root.Op.fingerprint();
+  Root.FpInst = Root.Inst.fingerprint();
+  Root.Distance = DescHandle::distance(Root.Op, Root.Inst);
   Root.Score = Root.Distance;
   Ctx.noteBest(Root, 0, RoundIdx);
   if (T.enabled())
@@ -547,7 +582,7 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           // leaves the engine, and the fingerprint computed here is cached
           // on the version for every later re-reach.
           DescHandle NewH = Scratch.currentHandle();
-          uint64_t NewFp = Ctx.fpOf(NewH);
+          uint64_t NewFp = NewH.fingerprint();
           uint64_t Key = Side == 0 ? pairKey(NewFp, N.FpInst)
                                    : pairKey(N.FpOp, NewFp);
           unsigned NewLen = static_cast<unsigned>(
@@ -591,18 +626,14 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
             // the same rewrites from re-expanded parents; the memo answers
             // those without re-running the trials. Keyed by interned
             // identities (name-sensitive, unlike the rename-invariant
-            // fingerprints). Legacy A/B mode re-runs every check.
+            // fingerprints).
             bool Verdict;
-            uint64_t VKey = 0;
-            bool UseMemo = !Ctx.Limits.LegacyHotPath;
-            auto MemoIt = Ctx.VerifyMemo.end();
-            if (UseMemo) {
-              Interner &I = Interner::local();
-              VKey = pairKey(pairKey(I.identity(*Cur), I.identity(*NewH)),
-                             std::hash<std::string>{}(DV->S.str()));
-              MemoIt = Ctx.VerifyMemo.find(VKey);
-            }
-            if (UseMemo && MemoIt != Ctx.VerifyMemo.end()) {
+            Interner &I = Interner::local();
+            uint64_t VKey =
+                pairKey(pairKey(I.identity(*Cur), I.identity(*NewH)),
+                        std::hash<std::string>{}(DV->S.str()));
+            auto MemoIt = Ctx.VerifyMemo.find(VKey);
+            if (MemoIt != Ctx.VerifyMemo.end()) {
               Verdict = MemoIt->second;
               ++Ctx.Stats.VerifyMemoHits;
               if (Ctx.met())
@@ -614,8 +645,7 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
                                              DV->R.Adapter};
               std::string Error;
               Verdict = Verify(Obs, Error);
-              if (UseMemo)
-                Ctx.VerifyMemo.emplace(VKey, Verdict);
+              Ctx.VerifyMemo.emplace(VKey, Verdict);
             }
             if (!Verdict) {
               ChildVerifyRejected = true;
@@ -660,19 +690,15 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           ++Ctx.Stats.NodesGenerated;
 
           Node Child;
-          // The untouched side is shared with the parent: a handle copy
-          // in COW mode (its cached fingerprint and features ride along),
-          // a deep copy in the legacy A/B mode.
+          // The untouched side is shared with the parent: a handle copy,
+          // and its cached fingerprint and features ride along.
           if (Side == 0) {
             Child.Op = std::move(NewH);
-            Child.Inst = Ctx.Limits.LegacyHotPath
-                             ? DescHandle(N.Inst.clone())
-                             : N.Inst;
+            Child.Inst = N.Inst;
             Child.FpOp = NewFp;
             Child.FpInst = N.FpInst;
           } else {
-            Child.Op = Ctx.Limits.LegacyHotPath ? DescHandle(N.Op.clone())
-                                                : N.Op;
+            Child.Op = N.Op;
             Child.Inst = std::move(NewH);
             Child.FpOp = N.FpOp;
             Child.FpInst = NewFp;
@@ -687,7 +713,7 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           for (const constraint::Constraint &C :
                Scratch.constraints().items())
             Child.Constraints.add(C);
-          Child.Distance = Ctx.distanceOf(Child.Op, Child.Inst);
+          Child.Distance = DescHandle::distance(Child.Op, Child.Inst);
           Child.Score = Child.Distance +
                         Ctx.Limits.LengthLambda *
                             (Child.OpScript.size() + Child.InstScript.size());
@@ -706,21 +732,20 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           return false;
         };
 
-        // A fresh scratch engine per attempt; the engine checks the
-        // rule's own applicability conditions, and the verifier hook
-        // differentially tests every applied step on random inputs.
-        // (The verifier closes over the engine's own constraint set, so
-        // it is installed on the engine in place, never moved.)
-        auto InitScratch = [&](transform::Engine &Scratch) {
+        // A fresh scratch engine per attempt, sharing this side's
+        // version until a rule actually applies; the engine checks the
+        // rule's own applicability conditions. With InlineVerify the
+        // verifier hook differentially tests every applied step on
+        // random inputs as it lands. (The verifier closes over the
+        // engine's own constraint set, so it is installed on the engine
+        // in place, never moved.)
+        auto InitScratch = [&](transform::Engine &Scratch,
+                               bool InlineVerify) {
           // Metrics only — no trace: a rule-apply event per attempted
           // candidate would swamp the trace with refusals; the searcher's
           // own prune/frontier events carry the interesting outcomes.
           Scratch.setMetrics(Ctx.met());
-          // The legacy A/B mode reproduces the pre-COW cost model: every
-          // attempt pays its own clone, no thread-local scratch reuse.
-          if (Ctx.Limits.LegacyHotPath)
-            Scratch.setScratchReuse(false);
-          if (Ctx.Limits.VerifyTrials > 0)
+          if (InlineVerify && Ctx.Limits.VerifyTrials > 0)
             Scratch.setVerifier(analysis::makeStepVerifier(
                 Scratch.constraints(), Ctx.VerifyOpts));
         };
@@ -731,27 +756,19 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
         // widening rounds, keyed by name-sensitive structural identity
         // (the steps carry concrete routine/operand names, so the
         // rename-invariant fingerprint would be an unsound key).
-        bool OthHasOutput = hasOutput(*Oth);
-        std::shared_ptr<const std::vector<Step>> Cands;
-        if (Ctx.Limits.LegacyHotPath) {
-          Cands = std::make_shared<const std::vector<Step>>(
-              enumerateCandidates(*Cur, *Oth,
-                                  /*CurrentIsInstruction=*/Side == 1));
-        } else {
-          uint64_t CandKey =
-              pairKey(Interner::local().identity(*Cur),
-                      (Side == 1 ? 2u : 0u) | (OthHasOutput ? 1u : 0u));
-          auto It = Ctx.CandCache.find(CandKey);
-          if (It == Ctx.CandCache.end())
-            It = Ctx.CandCache
-                     .emplace(CandKey,
-                              std::make_shared<const std::vector<Step>>(
-                                  enumerateCandidates(
-                                      *Cur, *Oth,
-                                      /*CurrentIsInstruction=*/Side == 1)))
-                     .first;
-          Cands = It->second;
-        }
+        uint64_t CandKey =
+            pairKey(Interner::local().identity(*Cur),
+                    (Side == 1 ? 2u : 0u) | (hasOutput(*Oth) ? 1u : 0u));
+        auto CandIt = Ctx.CandCache.find(CandKey);
+        if (CandIt == Ctx.CandCache.end())
+          CandIt = Ctx.CandCache
+                       .emplace(CandKey,
+                                std::make_shared<const std::vector<Step>>(
+                                    enumerateCandidates(
+                                        *Cur, *Oth,
+                                        /*CurrentIsInstruction=*/Side == 1)))
+                       .first;
+        std::shared_ptr<const std::vector<Step>> Cands = CandIt->second;
         // Try in the order the recorded derivations make likeliest after
         // this side's previous rule. The pool is shared, so sort an index
         // over it rather than copying the steps.
@@ -786,29 +803,15 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           int Variants = S.Rule == "fix-operand-value" ? 2 : 1;
           ChildVerifyRejected = false;
           for (int Variant = 0; Variant < Variants; ++Variant) {
-            // COW scratch engine: shares the node's version until a rule
-            // actually applies. The legacy A/B path pays the pre-COW
-            // per-candidate construction clone.
-            transform::Engine Scratch =
-                Ctx.Limits.LegacyHotPath
-                    ? transform::Engine(Cur.clone())
-                    : transform::Engine(Cur);
-            Scratch.setMetrics(Ctx.met());
-            if (Ctx.Limits.LegacyHotPath)
-              Scratch.setScratchReuse(false);
             // The plain variant defers differential verification into
             // MakeChild (after the transposition lookup); the macro
             // variant keeps applying steps through the engine, so it
-            // verifies inline as each lands. The legacy A/B mode always
-            // verifies inline — the pre-COW ordering paid the trials on
-            // every applied child, duplicates included, before the table
-            // could prune them. Survival is order-independent (a child
-            // enters the beam iff it verifies and is not a duplicate),
-            // so outcomes stay identical either way.
-            bool InlineVerify = Variant == 1 || Ctx.Limits.LegacyHotPath;
-            if (InlineVerify && Ctx.Limits.VerifyTrials > 0)
-              Scratch.setVerifier(analysis::makeStepVerifier(
-                  Scratch.constraints(), Ctx.VerifyOpts));
+            // verifies inline as each lands. Survival is order-independent
+            // (a child enters the beam iff it verifies and is not a
+            // duplicate), so deferring changes cost, not outcomes.
+            bool InlineVerify = Variant == 1;
+            transform::Engine Scratch(Cur);
+            InitScratch(Scratch, InlineVerify);
             transform::ApplyResult R = Scratch.apply(S);
             if (!R.Applied) {
               ++Ctx.Stats.DeadEnds;
@@ -857,39 +860,31 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
         // a synthesized candidate enters the beam only verified.
         // Synthesis reads both sides, so the cache key combines both
         // identities (again name-sensitive: proposals carry names).
-        std::shared_ptr<const std::vector<synth::Proposal>> Props;
-        if (Ctx.Limits.LegacyHotPath) {
-          Props = std::make_shared<const std::vector<synth::Proposal>>(
-              synth::synthesizeProposals(*Cur, *Oth,
-                                         /*CurrentIsInstruction=*/Side == 1,
-                                         Priors.vocabulary(), Ctx.met()));
-        } else {
-          Interner &I = Interner::local();
-          uint64_t SynthKey = pairKey(
-              pairKey(I.identity(*Cur), I.identity(*Oth)), Side == 1 ? 1 : 0);
-          auto It = Ctx.SynthCache.find(SynthKey);
-          if (It == Ctx.SynthCache.end())
-            It = Ctx.SynthCache
-                     .emplace(
-                         SynthKey,
-                         std::make_shared<const std::vector<synth::Proposal>>(
-                             synth::synthesizeProposals(
-                                 *Cur, *Oth,
-                                 /*CurrentIsInstruction=*/Side == 1,
-                                 Priors.vocabulary(), Ctx.met())))
-                     .first;
-          Props = It->second;
-        }
+        Interner &I = Interner::local();
+        uint64_t SynthKey = pairKey(
+            pairKey(I.identity(*Cur), I.identity(*Oth)), Side == 1 ? 1 : 0);
+        auto SynthIt = Ctx.SynthCache.find(SynthKey);
+        if (SynthIt == Ctx.SynthCache.end())
+          SynthIt =
+              Ctx.SynthCache
+                  .emplace(SynthKey,
+                           std::make_shared<
+                               const std::vector<synth::Proposal>>(
+                               synth::synthesizeProposals(
+                                   *Cur, *Oth,
+                                   /*CurrentIsInstruction=*/Side == 1,
+                                   Priors.vocabulary(), Ctx.met())))
+                  .first;
+        std::shared_ptr<const std::vector<synth::Proposal>> Props =
+            SynthIt->second;
         for (const synth::Proposal &Prop : *Props) {
           if (Prop.Steps.empty())
             continue;
           ++Ctx.Stats.CandidatesTried;
           if ((Ctx.Stats.CandidatesTried & 7) == 0 && Ctx.exhausted())
             return false;
-          transform::Engine Scratch =
-              Ctx.Limits.LegacyHotPath ? transform::Engine(Cur.clone())
-                                       : transform::Engine(Cur);
-          InitScratch(Scratch);
+          transform::Engine Scratch(Cur);
+          InitScratch(Scratch, /*InlineVerify=*/true);
           Script AppliedSteps;
           bool AllApplied = true;
           bool Augmenting = false;
@@ -964,14 +959,22 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
 
 } // namespace
 
+Clock::time_point search::deadlineAfter(uint64_t Ms) {
+  Clock::time_point Now = Clock::now();
+  auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  Clock::time_point::max() - Now)
+                  .count();
+  if (Ms >= static_cast<uint64_t>(Left))
+    return Clock::time_point::max();
+  return Now + std::chrono::milliseconds(Ms);
+}
+
 SearchOutcome search::searchDerivation(const Description &Operator,
                                        const Description &Instruction,
                                        const SearchLimits &Limits) {
   SearchOutcome Out;
-  SearchContext Ctx{Limits,
-                    SearchStats(),
-                    Clock::now() + std::chrono::milliseconds(
-                                       Limits.TimeBudgetMs),
+  SearchContext Ctx{Limits, SearchStats(),
+                    deadlineAfter(Limits.TimeBudgetMs),
                     analysis::DiffOptions()};
   Ctx.VerifyOpts.Trials = Limits.VerifyTrials;
   Ctx.VerifyOpts.Metrics = Limits.Metrics;

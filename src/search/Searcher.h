@@ -7,10 +7,9 @@
 /// \file
 /// The paper's headline future work (§7): "methods should be developed to
 /// structure the analysis and to help the user in deciding how the
-/// analysis should proceed." Where analysis::suggestSteps ranks a single
-/// next step for an interactive user, this module closes the loop: given
-/// only an operator description, an instruction description, and budgets,
-/// it searches the space of transform::Steps until the two sides reach
+/// analysis should proceed." This module closes the loop: given only an
+/// operator description, an instruction description, and budgets, it
+/// searches the space of transform::Steps until the two sides reach
 /// common form, emitting a verified derivation Script for each side plus
 /// the uncovered constraints — no recorded script consulted.
 ///
@@ -47,6 +46,7 @@
 #include "transform/Transform.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -102,15 +102,6 @@ struct SearchLimits {
   /// watchdog uses this to bound cases whose between-expansion deadline
   /// check is starved by one long expansion.
   std::atomic<bool> *Cancel = nullptr;
-  /// Differential/benchmark mode: run the hot path the way the pre-COW
-  /// searcher did — a deep copy of the untouched side per child, a fresh
-  /// full-walk fingerprint per state (fingerprintLegacy), map-based
-  /// structural distance, a cloned description per scratch engine, and no
-  /// enumeration caches. Search *behavior* is identical (the differential
-  /// suite asserts it); only the representation cost differs. This is the
-  /// baseline side of the in-binary perf A/B gate, so the ≥3x CI check is
-  /// machine-independent.
-  bool LegacyHotPath = false;
 };
 
 /// Observability counters for one search (aggregated over widening
@@ -220,11 +211,15 @@ DiscoveryResult discoverAndVerify(const std::string &OperatorId,
                                   const SearchLimits &Limits = {},
                                   analysis::Mode M = analysis::Mode::Base);
 
-/// The widened candidate pool: analysis::candidateSteps plus
-/// target-aware proposals (operand pinning over every input operand,
-/// input permutations, output replacement, occurrence-parameterized
-/// rewrites, and per-routine variants). \p Other is the description on
-/// the opposite side of the search, used only to aim proposals.
+/// The candidate pool of one side: argument-free rules, per-declaration
+/// and routine-structuring steps, synthesized strength reductions
+/// (src/synth), and target-aware proposals (operand pinning over every
+/// input operand, input permutations, output replacement,
+/// occurrence-parameterized rewrites, and per-routine variants).
+/// \p Other is the description on the opposite side of the search, used
+/// only to aim proposals: the pool depends on it only through whether it
+/// has an `output` statement (the searcher's candidate cache is keyed on
+/// that).
 /// \p CurrentIsInstruction gates operand pinning: fixing an operand is
 /// an encoding condition on the *instruction* (the recorded sessions
 /// never pin an operator operand — that would shrink the language
@@ -235,6 +230,11 @@ std::vector<transform::Step>
 enumerateCandidates(const isdl::Description &Current,
                     const isdl::Description &Other,
                     bool CurrentIsInstruction = true);
+
+/// The steady-clock instant \p Ms milliseconds from now. A budget the
+/// clock cannot represent saturates to time_point::max(): no wall-clock
+/// limit, rather than a deadline wrapped into the past.
+std::chrono::steady_clock::time_point deadlineAfter(uint64_t Ms);
 
 } // namespace search
 } // namespace extra

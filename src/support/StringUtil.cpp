@@ -7,6 +7,8 @@
 #include "support/StringUtil.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 
 using namespace extra;
 
@@ -59,4 +61,35 @@ std::string extra::padRight(std::string_view S, size_t Width) {
   if (Out.size() < Width)
     Out.append(Width - Out.size(), ' ');
   return Out;
+}
+
+std::optional<uint64_t> extra::parseUnsigned(std::string_view S,
+                                             uint64_t Max) {
+  if (S.empty())
+    return std::nullopt;
+  uint64_t V = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return std::nullopt;
+    uint64_t Digit = static_cast<uint64_t>(C - '0');
+    if (Digit > Max || V > (Max - Digit) / 10)
+      return std::nullopt;
+    V = V * 10 + Digit;
+  }
+  return V;
+}
+
+std::optional<double> extra::parseDecimal(std::string_view S) {
+  auto Digits = [](std::string_view Part) {
+    return !Part.empty() &&
+           Part.find_first_not_of("0123456789") == std::string_view::npos;
+  };
+  size_t Dot = S.find('.');
+  if (!Digits(S.substr(0, Dot)) ||
+      (Dot != std::string_view::npos && !Digits(S.substr(Dot + 1))))
+    return std::nullopt;
+  double V = std::strtod(std::string(S).c_str(), nullptr);
+  if (!std::isfinite(V))
+    return std::nullopt;
+  return V;
 }

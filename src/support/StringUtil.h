@@ -7,6 +7,8 @@
 #ifndef EXTRA_SUPPORT_STRINGUTIL_H
 #define EXTRA_SUPPORT_STRINGUTIL_H
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +33,18 @@ std::string padLeft(std::string_view S, size_t Width);
 
 /// Right-pads \p S with spaces to at least \p Width columns.
 std::string padRight(std::string_view S, size_t Width);
+
+/// Parses all of \p S as a decimal integer: one or more digits and
+/// nothing else (no sign, whitespace or base prefix), with a value of at
+/// most \p Max. Empty on anything else, so "3x", "-1" and a value that
+/// overflows are rejected rather than read as a prefix or wrapped.
+std::optional<uint64_t> parseUnsigned(std::string_view S,
+                                      uint64_t Max = UINT64_MAX);
+
+/// Parses all of \p S as a non-negative decimal number: digits with an
+/// optional fractional part ("10", "2.5"). Empty on anything else,
+/// including exponents, signs and non-finite values.
+std::optional<double> parseDecimal(std::string_view S);
 
 } // namespace extra
 

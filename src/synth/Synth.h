@@ -21,10 +21,9 @@
 ///    instruction-side partner — and offers the text as add-prologue /
 ///    replace-output arguments for the instruction side.
 ///
-/// Every proposal is an ordinary transform::Script: the search and the
-/// advisor apply it through the verifying engine like any other step, so
-/// synthesis can only ever *suggest*, never smuggle in an unverified
-/// rewrite.
+/// Every proposal is an ordinary transform::Script: the search applies it
+/// through the verifying engine like any other step, so synthesis can only
+/// ever *suggest*, never smuggle in an unverified rewrite.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,7 +104,7 @@ std::vector<Proposal> proposeAugments(const isdl::Description &Operator,
 /// All multi-step proposals for one side of a two-sided search state.
 /// \p CurrentIsInstruction gates code synthesis: augments edit the
 /// instruction side only. (Single-step name proposals are exposed above
-/// and reach the searcher through analysis::candidateSteps.)
+/// and reach the searcher through search::enumerateCandidates.)
 ///
 /// With \p Metrics installed (optional, non-owning), each generated
 /// proposal increments `synth.proposal.<kind>`, where kind is the

@@ -227,7 +227,7 @@ ApplyResult Engine::apply(const Step &S) {
   // and a busy flag drops to a local clone on reentrant applies (e.g. a
   // verifier that runs an engine of its own on this thread).
   ScratchSlot &SB = scratchSlot();
-  bool Reusing = ScratchReuse && !SB.Busy;
+  bool Reusing = !SB.Busy;
   Description WorkLocal;
   if (Reusing) {
     if (!SB.Valid || !SB.For.same(Cur)) {

@@ -225,7 +225,11 @@ using StepVerifier = std::function<bool(const StepObservation &,
 /// refusal discards the working copy with nothing to restore, undo() is a
 /// refcount swap instead of a deep copy, and an Engine constructed from a
 /// shared DescHandle (the searcher's per-candidate scratch engine) costs no
-/// clone at all until a rule actually applies.
+/// clone at all until a rule actually applies. The working copy lives in a
+/// thread-local slot kept across attempts, so a refused candidate costs a
+/// rule match but no clone: the next attempt on the same version reuses
+/// the buffer under the rules' refusal-purity contract (see
+/// Transformation::apply).
 class Engine {
 public:
   explicit Engine(isdl::Description Initial);
@@ -267,14 +271,6 @@ public:
   /// Installs a per-step verifier (differential semantic check).
   void setVerifier(StepVerifier V) { Verifier = std::move(V); }
 
-  /// Scratch reuse (default on): apply() keeps one thread-local working
-  /// copy alive across attempts, so a refused candidate costs a rule
-  /// match but no clone — the next attempt on the same version reuses
-  /// the buffer under the rules' refusal-purity contract (see
-  /// Transformation::apply). The searcher's legacy A/B mode turns this
-  /// off to reproduce the pre-COW per-attempt clone cost.
-  void setScratchReuse(bool On) { ScratchReuse = On; }
-
   /// Observability hooks, both optional and non-owning. With metrics
   /// installed, apply() records per-rule apply/refuse counters and the
   /// apply latency histogram; with a trace sink, every attempt emits a
@@ -289,7 +285,6 @@ private:
   isdl::DescHandle Cur;
   constraint::ConstraintSet Constraints;
   std::vector<LogEntry> Log;
-  bool ScratchReuse = true;
   StepVerifier Verifier;
   obs::Metrics *Met = nullptr;
   obs::TraceSink *Trace = nullptr;

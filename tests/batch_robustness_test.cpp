@@ -19,6 +19,7 @@
 #include "analysis/Derivations.h"
 #include "support/FaultInjection.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -332,6 +333,26 @@ TEST(BatchRobustnessTest, DegradedRetryRecoversOneShotFault) {
   }
   // The retry can only improve an outcome, never worsen one.
   EXPECT_GE(RankWith, RankWithout);
+}
+
+TEST(BatchRobustnessTest, UnrepresentableTimeBudgetDoesNotTripWatchdog) {
+  // The watchdog's deadline (budget x 1.5 + 1 s) saturates like the
+  // searcher's own: at UINT64_MAX ms neither clock fires, and the node
+  // cap decides the case. Unsaturated, both wrapped into the past and
+  // the case came back timed out (then degraded-retried) at once.
+  std::vector<BatchCase> Cases = quickCases();
+  Cases.resize(1); // vax.movc3/pc2.copy needs 10 nodes.
+  BatchOptions Opts;
+  Opts.Threads = 1;
+  Opts.Watchdog = true;
+  Opts.Limits.TimeBudgetMs = UINT64_MAX;
+  Opts.Limits.MaxNodes = 3;
+  std::vector<BatchResult> Results = runBatch(Cases, Opts);
+  ASSERT_EQ(Results.size(), 1u);
+  EXPECT_EQ(Results[0].Record.Outcome, CaseOutcome::Exhausted)
+      << caseOutcomeName(Results[0].Record.Outcome);
+  EXPECT_EQ(Results[0].Record.Nodes, 3u);
+  EXPECT_FALSE(Results[0].Record.Retried);
 }
 
 TEST(BatchRobustnessTest, CheckpointResumeRendersByteIdenticalReport) {

@@ -4,26 +4,39 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The differential suite for the interned hot path: the new representation
-// (hash-consed arena, memoized canonical fingerprints, FeatureVec
-// distances, copy-on-write engine state) must be *observationally
-// identical* to the legacy deep-copy path on the whole description
-// library — byte-identical printed text, equal fingerprints, equal
-// structural distances, and identical whole-search outcomes. Run under
-// ASan/UBSan in the sanitizers CI job, these tests also exercise the
-// arena and the sharing/undo aliasing edges.
+// Tests for the interned hot path: the hash-consed arena, memoized
+// canonical fingerprints, FeatureVec distances and copy-on-write engine
+// state.
+//
+// Two kinds of oracle. The reference implementations below are the
+// straightforward map-based walks the interned code replaced (the
+// "Legacy" in the parity tests' names); they live only here, and the
+// parity tests compare against them on the whole description library
+// and on derived states. The frozen tables pin values that must never
+// move: every library description's fingerprint and every recorded
+// pairing's key (both are persistent registry keys), and the scripts and
+// node traffic of two whole searches. Run under ASan/UBSan in the
+// sanitizers CI job, these tests also exercise the arena and the
+// sharing/undo aliasing edges.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Advisor.h"
 #include "descriptions/Descriptions.h"
 #include "isdl/Intern.h"
+#include "isdl/Parser.h"
 #include "isdl/Printer.h"
+#include "isdl/Traverse.h"
+#include "search/BatchDriver.h"
 #include "search/Canon.h"
 #include "search/Searcher.h"
 #include "transform/Transform.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <map>
+#include <vector>
 
 using namespace extra;
 using namespace extra::isdl;
@@ -41,16 +54,300 @@ std::vector<std::string> corpusIds() {
 }
 
 //===----------------------------------------------------------------------===//
-// Fingerprint parity: values are unchanged (registry dedup keys and
-// recorded traces depend on this).
+// Reference fingerprint: one map-based walk over the AST
+//===----------------------------------------------------------------------===//
+
+/// Streams canonical tokens into an FNV-1a accumulator. The token layout
+/// mirrors the lockstep order of isdl::matchStmts/matchExpr so that two
+/// matchable descriptions emit identical streams.
+class RefCanonicalizer {
+public:
+  explicit RefCanonicalizer(const Description &D) : D(D) {}
+
+  uint64_t run() {
+    const Routine *Entry = D.entryRoutine();
+    if (!Entry) {
+      mix(Tag::NoEntry);
+      return H;
+    }
+    nameId(Entry->Name);
+    // Expand routines in first-mention order. Matching binds routines at
+    // call sites; because both sides of a successful match mention bound
+    // routines in the same lockstep order, first-mention expansion is
+    // isomorphism-invariant (unlike alphabetical order, which depends on
+    // the very names we are abstracting away).
+    while (NextToExpand < Mentioned.size()) {
+      const std::string Name = Mentioned[NextToExpand++];
+      const Routine *R = D.findRoutine(Name);
+      if (!R)
+        continue;
+      mix(Tag::RoutineBody);
+      walk(R->Body);
+      mix(Tag::End);
+    }
+    return H;
+  }
+
+private:
+  enum class Tag : uint64_t {
+    NoEntry = 1,
+    RoutineBody,
+    End,
+    Assign,
+    AssignToMem,
+    If,
+    Else,
+    Repeat,
+    ExitWhen,
+    Input,
+    Output,
+    Constrain,
+    Assert,
+    IntLit,
+    CharLit,
+    VarRef,
+    MemRef,
+    Call,
+    Unary,
+    Binary,
+    DeclaredVar,
+    UndeclaredVar,
+    RoutineName,
+  };
+
+  void mix(uint64_t V) {
+    // FNV-1a over the value's bytes.
+    for (int I = 0; I < 8; ++I) {
+      H ^= (V >> (I * 8)) & 0xFF;
+      H *= 1099511628211ULL;
+    }
+  }
+  void mix(Tag T) { mix(static_cast<uint64_t>(T)); }
+
+  /// Canonical index of a name, assigned at first mention. The first
+  /// mention also records what kind of thing the name is on this side
+  /// (routine / declared variable / undeclared), because the matcher
+  /// insists the two sides agree on that.
+  void nameId(const std::string &Name) {
+    auto [It, Inserted] = Ids.emplace(Name, Ids.size());
+    if (Inserted) {
+      Mentioned.push_back(Name);
+      if (D.findRoutine(Name))
+        mix(Tag::RoutineName);
+      else
+        mix(D.findDecl(Name) ? Tag::DeclaredVar : Tag::UndeclaredVar);
+    }
+    mix(It->second);
+  }
+
+  void walk(const Expr &E) {
+    switch (E.getKind()) {
+    case Expr::Kind::IntLit:
+      mix(Tag::IntLit);
+      mix(static_cast<uint64_t>(cast<IntLit>(&E)->getValue()));
+      return;
+    case Expr::Kind::CharLit:
+      mix(Tag::CharLit);
+      mix(cast<CharLit>(&E)->getValue());
+      return;
+    case Expr::Kind::VarRef:
+      mix(Tag::VarRef);
+      nameId(cast<VarRef>(&E)->getName());
+      return;
+    case Expr::Kind::MemRef:
+      mix(Tag::MemRef);
+      walk(*cast<MemRef>(&E)->getAddress());
+      return;
+    case Expr::Kind::Call:
+      mix(Tag::Call);
+      nameId(cast<CallExpr>(&E)->getCallee());
+      return;
+    case Expr::Kind::Unary: {
+      const auto *U = cast<UnaryExpr>(&E);
+      mix(Tag::Unary);
+      mix(static_cast<uint64_t>(U->getOp()));
+      walk(*U->getOperand());
+      return;
+    }
+    case Expr::Kind::Binary: {
+      const auto *B = cast<BinaryExpr>(&E);
+      mix(Tag::Binary);
+      mix(static_cast<uint64_t>(B->getOp()));
+      walk(*B->getLHS());
+      walk(*B->getRHS());
+      return;
+    }
+    }
+  }
+
+  void walk(const Stmt &S) {
+    switch (S.getKind()) {
+    case Stmt::Kind::Assign: {
+      const auto *A = cast<AssignStmt>(&S);
+      mix(isa<MemRef>(A->getTarget()) ? Tag::AssignToMem : Tag::Assign);
+      walk(*A->getTarget());
+      walk(*A->getValue());
+      return;
+    }
+    case Stmt::Kind::If: {
+      const auto *If = cast<IfStmt>(&S);
+      mix(Tag::If);
+      walk(*If->getCond());
+      walk(If->getThen());
+      mix(Tag::Else);
+      walk(If->getElse());
+      mix(Tag::End);
+      return;
+    }
+    case Stmt::Kind::Repeat:
+      mix(Tag::Repeat);
+      walk(cast<RepeatStmt>(&S)->getBody());
+      mix(Tag::End);
+      return;
+    case Stmt::Kind::ExitWhen:
+      mix(Tag::ExitWhen);
+      walk(*cast<ExitWhenStmt>(&S)->getCond());
+      return;
+    case Stmt::Kind::Input: {
+      const auto *In = cast<InputStmt>(&S);
+      mix(Tag::Input);
+      mix(In->getTargets().size());
+      for (const std::string &T : In->getTargets())
+        nameId(T);
+      return;
+    }
+    case Stmt::Kind::Output: {
+      const auto *Out = cast<OutputStmt>(&S);
+      mix(Tag::Output);
+      mix(Out->getValues().size());
+      for (const ExprPtr &V : Out->getValues())
+        walk(*V);
+      return;
+    }
+    case Stmt::Kind::Constrain: {
+      const auto *C = cast<ConstrainStmt>(&S);
+      mix(Tag::Constrain);
+      for (char Ch : C->getTag())
+        mix(static_cast<uint64_t>(Ch));
+      walk(*C->getPred());
+      return;
+    }
+    case Stmt::Kind::Assert:
+      mix(Tag::Assert);
+      walk(*cast<AssertStmt>(&S)->getPred());
+      return;
+    }
+  }
+
+  void walk(const StmtList &Stmts) {
+    for (const StmtPtr &S : Stmts)
+      walk(*S);
+  }
+
+  const Description &D;
+  uint64_t H = 14695981039346656037ULL; // FNV offset basis.
+  std::map<std::string, uint64_t> Ids;
+  std::vector<std::string> Mentioned;
+  size_t NextToExpand = 0;
+};
+
+uint64_t referenceFingerprint(const Description &D) {
+  return RefCanonicalizer(D).run();
+}
+
+//===----------------------------------------------------------------------===//
+// Reference structural distance: string-keyed feature counts
+//===----------------------------------------------------------------------===//
+
+/// Feature vector: counts of syntactic categories, operators keyed by
+/// spelling.
+std::map<std::string, int> referenceFeatures(const Description &D) {
+  std::map<std::string, int> F;
+  F["routines"] = static_cast<int>(D.routines().size());
+  F["decls"] = static_cast<int>(D.decls().size());
+  for (const Routine *R : D.routines()) {
+    forEachStmt(R->Body, [&](const Stmt &S) {
+      switch (S.getKind()) {
+      case Stmt::Kind::Assign:
+        ++F["assign"];
+        break;
+      case Stmt::Kind::If:
+        ++F["if"];
+        break;
+      case Stmt::Kind::Repeat:
+        ++F["repeat"];
+        break;
+      case Stmt::Kind::ExitWhen:
+        ++F["exit"];
+        break;
+      case Stmt::Kind::Input:
+        F["input-arity"] +=
+            static_cast<int>(cast<InputStmt>(&S)->getTargets().size());
+        break;
+      case Stmt::Kind::Output:
+        F["output-arity"] +=
+            static_cast<int>(cast<OutputStmt>(&S)->getValues().size());
+        break;
+      case Stmt::Kind::Constrain:
+        ++F["constrain"];
+        break;
+      case Stmt::Kind::Assert:
+        ++F["assert"];
+        break;
+      }
+      forEachExpr(S, [&](const Expr &E) {
+        switch (E.getKind()) {
+        case Expr::Kind::Binary:
+          ++F[std::string("op:") +
+              spelling(cast<BinaryExpr>(&E)->getOp())];
+          break;
+        case Expr::Kind::Unary:
+          ++F[std::string("op:") + spelling(cast<UnaryExpr>(&E)->getOp())];
+          break;
+        case Expr::Kind::MemRef:
+          ++F["mem"];
+          break;
+        case Expr::Kind::Call:
+          ++F["call"];
+          break;
+        case Expr::Kind::IntLit:
+          ++F["lit"];
+          break;
+        default:
+          break;
+        }
+      });
+    });
+  }
+  return F;
+}
+
+/// L1 distance over the string-keyed feature counts.
+unsigned referenceDistance(const Description &A, const Description &B) {
+  std::map<std::string, int> FA = referenceFeatures(A),
+                             FB = referenceFeatures(B);
+  unsigned D = 0;
+  for (const auto &[K, V] : FA) {
+    auto It = FB.find(K);
+    D += static_cast<unsigned>(std::abs(V - (It == FB.end() ? 0 : It->second)));
+  }
+  for (const auto &[K, V] : FB)
+    if (!FA.count(K))
+      D += static_cast<unsigned>(std::abs(V));
+  return D;
+}
+
+//===----------------------------------------------------------------------===//
+// Fingerprints: parity with the reference walk, and frozen values
+// (registry dedup keys and recorded traces depend on them).
 //===----------------------------------------------------------------------===//
 
 TEST(InternTest, FingerprintMatchesLegacyOnWholeCorpus) {
   for (const std::string &Id : corpusIds()) {
     auto D = descriptions::load(Id);
     ASSERT_TRUE(D) << Id;
-    EXPECT_EQ(search::fingerprint(*D), search::fingerprintLegacy(*D))
-        << "interned fingerprint diverged from legacy on " << Id;
+    EXPECT_EQ(search::fingerprint(*D), referenceFingerprint(*D))
+        << "interned fingerprint diverged from the reference on " << Id;
   }
 }
 
@@ -66,9 +363,103 @@ TEST(InternTest, FingerprintMatchesLegacyAfterTransformations) {
       if (!E.apply(S).Applied)
         continue;
       const Description &After = E.current();
-      EXPECT_EQ(search::fingerprint(After), search::fingerprintLegacy(After))
+      EXPECT_EQ(search::fingerprint(After), referenceFingerprint(After))
           << Id << " after " << S.str();
     }
+  }
+}
+
+TEST(InternTest, FrozenLibraryFingerprints) {
+  // Every library description's canonical fingerprint. A change here
+  // re-keys every registry on disk; it must be deliberate and listed with
+  // its old and new values wherever the change is recorded.
+  const std::map<std::string, uint64_t> Frozen = {
+      {"rigel.index", 0x2aae2c852e9e5f07ull},
+      {"clu.search", 0xbf917936930c87afull},
+      {"pascal.smove", 0x1c5be186f905a76aull},
+      {"pl1.move", 0x8e2cc5e04d5fff7aull},
+      {"pascal.sequal", 0x063317180d51a6a9ull},
+      {"pc2.copy", 0xfd396cbb398ce5faull},
+      {"pc2.clear", 0x7f6865e485d6ec5eull},
+      {"pascal.sassign", 0x14ca28214e97f96aull},
+      {"rigel.span", 0xd1b6dc1524f0adf5ull},
+      {"i8086.scasb", 0x70e7080a756c8324ull},
+      {"i8086.movsb", 0xa47791ef5a168590ull},
+      {"i8086.cmpsb", 0x2fdb36143b679269ull},
+      {"vax.locc", 0xe2d00404eee48a6cull},
+      {"vax.cmpc3", 0xd657b5fe43b4033dull},
+      {"vax.movc3", 0x17839f83d37f4f00ull},
+      {"vax.movc5", 0x33da5731aa630370ull},
+      {"ibm370.mvc", 0x93c05acda493c05aull},
+      {"i8086.stosb", 0xaa7ae53c932d2692ull},
+      {"vax.skpc", 0x73897c95bbfc8c4dull},
+      {"ibm370.clc", 0xc098ea008d8cf0a1ull},
+      {"eclipse.cmv", 0x116b043028f8a618ull},
+  };
+  std::vector<std::string> Ids = corpusIds();
+  EXPECT_EQ(Ids.size(), Frozen.size()) << "library grew: freeze the newcomer";
+  for (const std::string &Id : Ids) {
+    auto It = Frozen.find(Id);
+    ASSERT_NE(It, Frozen.end()) << Id << " has no frozen fingerprint";
+    auto D = descriptions::load(Id);
+    ASSERT_TRUE(D) << Id;
+    EXPECT_EQ(search::fingerprint(*D), It->second) << Id;
+  }
+}
+
+TEST(InternTest, FrozenPairingKeys) {
+  // The registry key of every recorded pairing, in both modes (Extension
+  // perturbs the key so the two modes are distinct entries).
+  struct Frozen {
+    const char *Operator, *Instruction;
+    analysis::Mode M;
+    const char *Key;
+  };
+  const analysis::Mode Base = analysis::Mode::Base;
+  const analysis::Mode Ext = analysis::Mode::Extension;
+  const Frozen Table[] = {
+      {"pascal.smove", "i8086.movsb", Base, "0x1ed6d8d75a625b71"},
+      {"pascal.smove", "i8086.movsb", Ext, "0x80e1a16e25282764"},
+      {"pl1.move", "i8086.movsb", Base, "0x99c3193c93715ee6"},
+      {"pl1.move", "i8086.movsb", Ext, "0x07f46085ec3b22f3"},
+      {"rigel.index", "i8086.scasb", Base, "0xde3f9bf3030f0a2e"},
+      {"rigel.index", "i8086.scasb", Ext, "0x4008e24a7c45763b"},
+      {"clu.search", "i8086.scasb", Base, "0x8d3a7bbeb56e301c"},
+      {"clu.search", "i8086.scasb", Ext, "0x130d0207ca244c09"},
+      {"pascal.sequal", "i8086.cmpsb", Base, "0xf9d4750c58a01e41"},
+      {"pascal.sequal", "i8086.cmpsb", Ext, "0x67e30cb527ea6254"},
+      {"pc2.copy", "vax.movc3", Base, "0xa1630f1aed4edc8e"},
+      {"pc2.copy", "vax.movc3", Ext, "0x3f5476a39204a09b"},
+      {"pc2.clear", "vax.movc5", Base, "0x1f0efa4265062214"},
+      {"pc2.clear", "vax.movc5", Ext, "0x813983fb1a4c5e01"},
+      {"rigel.index", "vax.locc", Base, "0x4cd49ff589970376"},
+      {"rigel.index", "vax.locc", Ext, "0xd2e3e64cf6dd7f63"},
+      {"clu.search", "vax.locc", Base, "0x1b0287b40cd63954"},
+      {"clu.search", "vax.locc", Ext, "0x8535fe0d739c4541"},
+      {"pascal.sequal", "vax.cmpc3", Base, "0xa050f6e6536f8f15"},
+      {"pascal.sequal", "vax.cmpc3", Ext, "0x3e678f5f2c25f300"},
+      {"pascal.sassign", "ibm370.mvc", Base, "0xc10ca3d3f6c9a56f"},
+      {"pascal.sassign", "ibm370.mvc", Ext, "0x5f3bda6a8983d97a"},
+      {"pc2.clear", "i8086.stosb", Base, "0xa86f48554c4c1d32"},
+      {"pc2.clear", "i8086.stosb", Ext, "0x365831ec33066127"},
+      {"rigel.span", "vax.skpc", Base, "0x5d2b6a4abc85ceb4"},
+      {"rigel.span", "vax.skpc", Ext, "0xc31c13f3c3cfb2a1"},
+      {"pascal.sassign", "vax.movc3", Base, "0x4d43f889a9de13c1"},
+      {"pascal.sassign", "vax.movc3", Ext, "0xd3748130d6946fd4"},
+  };
+  // The table covers every pairing the batch driver runs, in its own mode.
+  for (const search::BatchCase &C : search::libraryCases()) {
+    bool Covered = false;
+    for (const Frozen &F : Table)
+      Covered = Covered || (C.OperatorId == F.Operator &&
+                            C.InstructionId == F.Instruction && C.M == F.M);
+    EXPECT_TRUE(Covered) << C.Id << " has no frozen pairing key";
+  }
+  for (const Frozen &F : Table) {
+    auto Key = search::pairingKeyHex(F.Operator, F.Instruction, F.M);
+    ASSERT_TRUE(bool(Key)) << F.Instruction << "/" << F.Operator;
+    EXPECT_EQ(*Key, F.Key) << F.Instruction << "/" << F.Operator << " in "
+                           << analysis::modeName(F.M) << " mode";
   }
 }
 
@@ -111,8 +502,47 @@ TEST(InternTest, ResetInvalidatesNothingButNodes) {
   EXPECT_EQ(I.canonicalFingerprint(*D), Fp);
 }
 
+TEST(InternTest, IdentityIncludesDeclarationTypes) {
+  // The candidate cache and the verify memo are keyed by identity, and
+  // both depend on declared types: on scasb, `record-exit-cause flag=rf`
+  // and `invert-flag var=rf` are proposed only while rf is a one-bit
+  // flag. Widening rf must therefore change the identity, although the
+  // rename-invariant fingerprint (which ignores types) stays put.
+  auto Flag = descriptions::load("i8086.scasb");
+  ASSERT_TRUE(Flag);
+  std::string Text = printDescription(*Flag);
+  size_t At = Text.find("rf<>,");
+  ASSERT_NE(At, std::string::npos);
+  Text.replace(At, 5, "rf<7:0>,");
+  DiagnosticEngine Diags;
+  auto Byte = parseDescription(Text, Diags);
+  ASSERT_TRUE(Byte && !Diags.hasErrors()) << Diags.str();
+
+  Interner &I = Interner::local();
+  EXPECT_NE(I.identity(*Flag), I.identity(*Byte));
+  EXPECT_EQ(search::fingerprint(*Flag), search::fingerprint(*Byte));
+
+  auto Pool = [](const Description &D) {
+    std::vector<std::string> Out;
+    for (const Step &S : search::enumerateCandidates(D, D))
+      Out.push_back(S.str());
+    return Out;
+  };
+  std::vector<std::string> FlagPool = Pool(*Flag), BytePool = Pool(*Byte);
+  EXPECT_NE(FlagPool, BytePool);
+  for (const char *Needs : {"record-exit-cause flag=rf", "invert-flag var=rf"}) {
+    EXPECT_NE(std::find(FlagPool.begin(), FlagPool.end(), Needs),
+              FlagPool.end())
+        << Needs;
+    EXPECT_EQ(std::find(BytePool.begin(), BytePool.end(), Needs),
+              BytePool.end())
+        << Needs;
+  }
+}
+
 //===----------------------------------------------------------------------===//
-// FeatureVec parity with the legacy map-based structural distance
+// Structural distance: FeatureVec parity with the reference, and the
+// properties the beam relies on
 //===----------------------------------------------------------------------===//
 
 TEST(InternTest, FeatureDistanceMatchesLegacyOnAllPairs) {
@@ -123,8 +553,7 @@ TEST(InternTest, FeatureDistanceMatchesLegacyOnAllPairs) {
     FeatureVec FA = FeatureVec::of(*Descs[A]);
     for (size_t B = 0; B < Descs.size(); ++B) {
       FeatureVec FB = FeatureVec::of(*Descs[B]);
-      EXPECT_EQ(FA.distance(FB),
-                analysis::structuralDistance(*Descs[A], *Descs[B]))
+      EXPECT_EQ(FA.distance(FB), referenceDistance(*Descs[A], *Descs[B]))
           << corpusIds()[A] << " vs " << corpusIds()[B];
     }
   }
@@ -139,6 +568,47 @@ TEST(InternTest, HandleDistanceShortCircuitsOnSharedVersion) {
   DescHandle C(A.clone());
   EXPECT_FALSE(A.same(C));
   EXPECT_EQ(DescHandle::distance(A, C), 0u);
+}
+
+TEST(StructuralDistanceTest, ZeroOnIdenticalAndRenamed) {
+  DescHandle A(descriptions::load("rigel.index")->clone());
+  EXPECT_EQ(A.features().distance(FeatureVec::of(*A)), 0u);
+  // Renaming does not change the structure.
+  Engine E(A);
+  ASSERT_TRUE(E.apply({"rename-variable", "",
+                       {{"from", "Src.Length"}, {"to", "n"}}})
+                  .Applied);
+  EXPECT_FALSE(E.currentHandle().same(A));
+  EXPECT_EQ(DescHandle::distance(A, E.currentHandle()), 0u);
+}
+
+TEST(StructuralDistanceTest, EmptyRoutineDescriptions) {
+  // Degenerate descriptions with an empty entry routine: the distance
+  // must be well-defined (no crash), zero against itself, and positive
+  // against any real description.
+  DiagnosticEngine Diags;
+  auto Empty = parseDescription(R"(
+e.op := begin
+  ** S **
+    e.execute := begin
+    end
+end
+)",
+                                Diags);
+  ASSERT_TRUE(Empty && !Diags.hasErrors()) << Diags.str();
+  DescHandle E(std::move(*Empty));
+  DescHandle EmptyAgain(E.clone());
+  EXPECT_EQ(DescHandle::distance(E, EmptyAgain), 0u);
+
+  DescHandle Real(descriptions::load("pc2.clear")->clone());
+  EXPECT_GT(DescHandle::distance(E, Real), 0u);
+  EXPECT_EQ(DescHandle::distance(E, Real), DescHandle::distance(Real, E));
+}
+
+TEST(StructuralDistanceTest, SensitiveToStructure) {
+  FeatureVec A = FeatureVec::of(*descriptions::load("rigel.index"));
+  FeatureVec B = FeatureVec::of(*descriptions::load("i8086.scasb"));
+  EXPECT_GT(A.distance(B), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -173,17 +643,17 @@ TEST(InternTest, CowApplyMatchesOwnedApplyOnWholeCorpus) {
       ASSERT_EQ(ROwned.Applied, RCow.Applied) << Id << " step " << S.str();
       if (!ROwned.Applied)
         continue;
-      // Byte-identical text, equal fingerprints (both computations), and
-      // equal structural distance against the untouched original.
+      // Byte-identical text, equal fingerprints (interned and reference),
+      // and equal structural distance against the untouched original.
       EXPECT_EQ(printDescription(Owned.current()),
                 printDescription(Cow.current()))
           << Id << " step " << S.str();
       EXPECT_EQ(search::fingerprint(Owned.current()),
                 search::fingerprint(Cow.current()));
-      EXPECT_EQ(search::fingerprintLegacy(Owned.current()),
-                search::fingerprintLegacy(Cow.current()));
-      EXPECT_EQ(analysis::structuralDistance(Owned.current(), *D),
-                analysis::structuralDistance(Cow.current(), *D));
+      EXPECT_EQ(referenceFingerprint(Owned.current()),
+                referenceFingerprint(Cow.current()));
+      EXPECT_EQ(DescHandle::distance(Owned.currentHandle(), Shared),
+                DescHandle::distance(Cow.currentHandle(), Shared));
       // The shared original must be untouched by the COW apply.
       EXPECT_EQ(printDescription(*Shared), printDescription(*D))
           << Id << " step " << S.str() << " mutated a shared version";
@@ -268,45 +738,72 @@ TEST(InternTest, TakeOnSharedHandleLeavesSiblingIntact) {
 }
 
 //===----------------------------------------------------------------------===//
-// Whole-search differential: the COW hot path and the legacy hot path are
-// the same search (same outcome, same scripts, same node traffic).
+// Frozen whole searches: the representation may not change what the
+// search explores (same scripts, same node traffic). Recorded at
+// VerifyTrials = 0, which keeps the tests fast; replay is not under test.
 //===----------------------------------------------------------------------===//
 
-void expectSearchesIdentical(const std::string &OperatorId,
-                             const std::string &InstructionId) {
-  auto Op = descriptions::load(OperatorId);
-  auto Inst = descriptions::load(InstructionId);
+struct FrozenSearch {
+  const char *Operator, *Instruction;
+  std::vector<std::string> OperatorScript, InstructionScript;
+  uint64_t Expanded, Generated, HashHits, Reopened, Tried, DeadEnds;
+};
+
+void expectFrozenSearch(const FrozenSearch &F) {
+  auto Op = descriptions::load(F.Operator);
+  auto Inst = descriptions::load(F.Instruction);
   ASSERT_TRUE(Op && Inst);
 
-  search::SearchLimits Cow;
-  Cow.VerifyTrials = 0; // keep the test fast; replay is not under test
-  search::SearchLimits Legacy = Cow;
-  Legacy.LegacyHotPath = true;
+  search::SearchLimits Limits;
+  Limits.VerifyTrials = 0;
+  search::SearchOutcome O = search::searchDerivation(*Op, *Inst, Limits);
 
-  search::SearchOutcome A = search::searchDerivation(*Op, *Inst, Cow);
-  search::SearchOutcome B = search::searchDerivation(*Op, *Inst, Legacy);
-
-  EXPECT_EQ(A.Found, B.Found);
-  ASSERT_EQ(A.OperatorScript.size(), B.OperatorScript.size());
-  for (size_t I = 0; I < A.OperatorScript.size(); ++I)
-    EXPECT_EQ(A.OperatorScript[I].str(), B.OperatorScript[I].str());
-  ASSERT_EQ(A.InstructionScript.size(), B.InstructionScript.size());
-  for (size_t I = 0; I < A.InstructionScript.size(); ++I)
-    EXPECT_EQ(A.InstructionScript[I].str(), B.InstructionScript[I].str());
-  // Node traffic is part of the contract: the representations may not
-  // change what the search explores.
-  EXPECT_EQ(A.Stats.NodesExpanded, B.Stats.NodesExpanded);
-  EXPECT_EQ(A.Stats.NodesGenerated, B.Stats.NodesGenerated);
-  EXPECT_EQ(A.Stats.HashHits, B.Stats.HashHits);
-  EXPECT_EQ(A.Stats.Reopened, B.Stats.Reopened);
+  ASSERT_TRUE(O.Found) << O.FailureReason;
+  auto Texts = [](const Script &S) {
+    std::vector<std::string> Out;
+    for (const Step &St : S)
+      Out.push_back(St.str());
+    return Out;
+  };
+  EXPECT_EQ(Texts(O.OperatorScript), F.OperatorScript);
+  EXPECT_EQ(Texts(O.InstructionScript), F.InstructionScript);
+  EXPECT_EQ(O.Stats.NodesExpanded, F.Expanded);
+  EXPECT_EQ(O.Stats.NodesGenerated, F.Generated);
+  EXPECT_EQ(O.Stats.HashHits, F.HashHits);
+  EXPECT_EQ(O.Stats.Reopened, F.Reopened);
+  EXPECT_EQ(O.Stats.CandidatesTried, F.Tried);
+  EXPECT_EQ(O.Stats.DeadEnds, F.DeadEnds);
 }
 
-TEST(InternTest, SearchOutcomeIdenticalToLegacyPathMovc3) {
-  expectSearchesIdentical("pc2.copy", "vax.movc3");
+TEST(InternTest, FrozenSearchTrafficMovc3) {
+  expectFrozenSearch({"pc2.copy",
+                      "vax.movc3",
+                      {"swap-relational-operands occurrence=0",
+                       "swap-commutative occurrence=1 op=+"},
+                      {"replace-output code=none"},
+                      /*Expanded=*/10,
+                      /*Generated=*/235,
+                      /*HashHits=*/99,
+                      /*Reopened=*/0,
+                      /*Tried=*/1595,
+                      /*DeadEnds=*/1315});
 }
 
-TEST(InternTest, SearchOutcomeIdenticalToLegacyPathSkpc) {
-  expectSearchesIdentical("rigel.span", "vax.skpc");
+TEST(InternTest, FrozenSearchTrafficSkpc) {
+  expectFrozenSearch({"rigel.span",
+                      "vax.skpc",
+                      {"permute-inputs order=2,1,0",
+                       "swap-relational-operands occurrence=1"},
+                      {"allocate-temp name=t0 section=OPERANDS type=bits:15:0",
+                       "add-prologue code=t0 <- r0;",
+                       "replace-output code=output (t0 - r0);",
+                       "empty-if-elim"},
+                      /*Expanded=*/14,
+                      /*Generated=*/353,
+                      /*HashHits=*/114,
+                      /*Reopened=*/0,
+                      /*Tried=*/2977,
+                      /*DeadEnds=*/2588});
 }
 
 } // namespace

@@ -11,12 +11,15 @@
 #include "analysis/Derivations.h"
 #include "descriptions/Descriptions.h"
 #include "isdl/Equiv.h"
+#include "isdl/Traverse.h"
 #include "transform/Transform.h"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <optional>
 
 using namespace extra;
 using namespace extra::search;
@@ -312,6 +315,26 @@ TEST(SearcherTest, FailedSearchCarriesPartialLine) {
   EXPECT_TRUE(P.Divergence.Valid);
 }
 
+TEST(SearcherTest, UnrepresentableTimeBudgetMeansNoClock) {
+  // A budget the steady clock cannot represent saturates to "no
+  // wall-clock limit". Unsaturated, UINT64_MAX ms wrapped the deadline
+  // into the past and the search timed out before its first expansion.
+  EXPECT_EQ(deadlineAfter(UINT64_MAX),
+            std::chrono::steady_clock::time_point::max());
+  EXPECT_GT(deadlineAfter(1000), std::chrono::steady_clock::now());
+
+  SearchLimits Limits;
+  Limits.TimeBudgetMs = UINT64_MAX;
+  Limits.MaxNodes = 3;
+  auto Op = descriptions::load("pc2.copy");
+  auto Inst = descriptions::load("vax.movc3");
+  SearchOutcome O = searchDerivation(*Op, *Inst, Limits);
+  EXPECT_FALSE(O.Found);
+  EXPECT_EQ(O.Stats.NodesExpanded, 3u);
+  EXPECT_TRUE(O.Stats.BudgetExhausted);
+  EXPECT_FALSE(O.Stats.TimedOut) << O.FailureReason;
+}
+
 TEST(SearcherTest, UnknownDescriptionIdIsTypedFault) {
   DiscoveryResult R = discoverAndVerify("no.such.operator", "i8086.movsb");
   EXPECT_FALSE(R.Outcome.Found);
@@ -319,6 +342,88 @@ TEST(SearcherTest, UnknownDescriptionIdIsTypedFault) {
   ASSERT_TRUE(R.Outcome.SearchFault.isFault());
   EXPECT_EQ(R.Outcome.SearchFault.Category, FaultCategory::Internal);
   EXPECT_FALSE(R.Outcome.FailureReason.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Candidate pool
+//===----------------------------------------------------------------------===//
+
+/// True when the entry routine contains an output statement at any depth.
+bool hasOutputStmt(const isdl::Description &D) {
+  const isdl::Routine *Entry = D.entryRoutine();
+  bool Found = false;
+  if (Entry)
+    isdl::forEachStmt(Entry->Body, [&](const isdl::Stmt &S) {
+      Found = Found || isdl::isa<isdl::OutputStmt>(&S);
+    });
+  return Found;
+}
+
+std::vector<std::string> stepTexts(const std::vector<transform::Step> &Pool) {
+  std::vector<std::string> Out;
+  for (const transform::Step &S : Pool)
+    Out.push_back(S.str());
+  return Out;
+}
+
+TEST(CandidatePoolTest, IndexToPointerProposedForBaseIndexAccess) {
+  // rigel.index reads Mb[base + index], where locc walks a pointer: the
+  // operator side's pool must hold an index-to-pointer strength
+  // reduction that applies.
+  auto Current = descriptions::load("rigel.index");
+  auto Target = descriptions::load("vax.locc");
+  bool Proposed = false, Applies = false;
+  for (const transform::Step &S :
+       enumerateCandidates(*Current, *Target,
+                           /*CurrentIsInstruction=*/false)) {
+    if (S.Rule != "index-to-pointer")
+      continue;
+    Proposed = true;
+    transform::Engine E(Current->clone());
+    Applies = Applies || E.apply(S).Applied;
+  }
+  EXPECT_TRUE(Proposed);
+  EXPECT_TRUE(Applies);
+}
+
+TEST(CandidatePoolTest, DependsOnOtherSideOnlyThroughOutput) {
+  // The searcher caches each side's pool under (identity, side, whether
+  // the other side has an output statement). That key is sound only if
+  // the pool reads nothing else of the other side: over the whole
+  // library, any two other sides that agree on having an output must
+  // yield the same steps in the same order.
+  std::vector<std::string> Ids;
+  std::vector<std::unique_ptr<isdl::Description>> Lib;
+  bool SeenOutput[2] = {false, false};
+  for (const descriptions::Entry &E : descriptions::allEntries()) {
+    Ids.push_back(E.Id);
+    Lib.push_back(descriptions::load(E.Id));
+    ASSERT_TRUE(Lib.back()) << E.Id;
+    SeenOutput[hasOutputStmt(*Lib.back())] = true;
+  }
+  ASSERT_TRUE(SeenOutput[0] && SeenOutput[1])
+      << "the library must exercise both halves of the key";
+
+  for (size_t D = 0; D < Lib.size(); ++D)
+    for (bool IsInstruction : {false, true}) {
+      std::optional<std::vector<std::string>> First[2];
+      size_t FirstOther[2] = {0, 0};
+      for (size_t O = 0; O < Lib.size(); ++O) {
+        bool HasOutput = hasOutputStmt(*Lib[O]);
+        std::vector<std::string> Pool =
+            stepTexts(enumerateCandidates(*Lib[D], *Lib[O], IsInstruction));
+        if (!First[HasOutput]) {
+          First[HasOutput] = std::move(Pool);
+          FirstOther[HasOutput] = O;
+          continue;
+        }
+        EXPECT_EQ(Pool, *First[HasOutput])
+            << Ids[D] << (IsInstruction ? " (instruction side)"
+                                        : " (operator side)")
+            << ": pool against " << Ids[O] << " differs from the pool against "
+            << Ids[FirstOther[HasOutput]];
+      }
+    }
 }
 
 //===----------------------------------------------------------------------===//

@@ -76,6 +76,40 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(startsWith("abc", "b"));
 }
 
+TEST(StringUtilTest, ParseUnsignedTakesWholeDecimalArgument) {
+  EXPECT_EQ(parseUnsigned("0"), 0u);
+  EXPECT_EQ(parseUnsigned("300"), 300u);
+  EXPECT_EQ(parseUnsigned("007"), 7u);
+  EXPECT_EQ(parseUnsigned("18446744073709551615"), UINT64_MAX);
+  // A prefix is not a number, and neither is a sign, a space or a base.
+  for (const char *Bad : {"", "abc", "3x", "x3", "-1", "+1", " 1", "1 ",
+                          "0x10", "1.5", "1e3"})
+    EXPECT_FALSE(parseUnsigned(Bad)) << '"' << Bad << '"';
+  // Overflow is rejected, not wrapped.
+  EXPECT_FALSE(parseUnsigned("18446744073709551616"));
+  EXPECT_FALSE(parseUnsigned("99999999999999999999"));
+}
+
+TEST(StringUtilTest, ParseUnsignedHonorsMax) {
+  EXPECT_EQ(parseUnsigned("4294967295", UINT32_MAX), UINT32_MAX);
+  EXPECT_FALSE(parseUnsigned("4294967296", UINT32_MAX));
+  EXPECT_EQ(parseUnsigned("0", 0), 0u);
+  EXPECT_FALSE(parseUnsigned("5", 0));
+  EXPECT_EQ(parseUnsigned("19", 19), 19u);
+  EXPECT_FALSE(parseUnsigned("20", 19));
+}
+
+TEST(StringUtilTest, ParseDecimalTakesWholeArgument) {
+  EXPECT_EQ(parseDecimal("10"), 10.0);
+  EXPECT_EQ(parseDecimal("2.5"), 2.5);
+  EXPECT_EQ(parseDecimal("0"), 0.0);
+  for (const char *Bad : {"", "abc", "10%", "-1", "+1", " 1", "1.", ".5",
+                          "1.2.3", "1e3", "inf", "nan", "0x10"})
+    EXPECT_FALSE(parseDecimal(Bad)) << '"' << Bad << '"';
+  // Too large for a double.
+  EXPECT_FALSE(parseDecimal(std::string(400, '9')));
+}
+
 //===----------------------------------------------------------------------===//
 // Typed faults and Expected<T>
 //===----------------------------------------------------------------------===//

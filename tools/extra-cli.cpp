@@ -11,7 +11,6 @@
 //   extra-cli show <id>                print one description
 //   extra-cli cases                    list the recorded analyses
 //   extra-cli analyze <case-id> [-x]   run an analysis (-x: extension mode)
-//   extra-cli suggest <cur-id> <tgt-id> propose next derivation steps
 //   extra-cli export-script <case-id> <operator|instruction>
 //   extra-cli replay <desc-id> <script-file>
 //   extra-cli search --case <id> | <op-id> <inst-id> | --all
@@ -31,7 +30,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Advisor.h"
 #include "analysis/Derivations.h"
 #include "obs/BenchDiff.h"
 #include "obs/Metrics.h"
@@ -49,8 +47,9 @@
 #include "support/FaultInjection.h"
 #include "support/StringUtil.h"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -70,7 +69,6 @@ int usage() {
                "  show <id>               print one description\n"
                "  cases                   list the recorded analyses\n"
                "  analyze <case-id> [-x]  run an analysis (-x extension)\n"
-               "  suggest <cur> <target>  propose next derivation steps\n"
                "  export-script <case-id> <operator|instruction>\n"
                "                          dump a recorded derivation script\n"
                "  replay <desc-id> <file> apply a script file to a "
@@ -139,6 +137,25 @@ int usage() {
                "                          the cost deltas; exit 1 on any\n"
                "                          divergence\n");
   return 2;
+}
+
+/// Reads the value of the integer option argv[I] into \p Out and steps
+/// \p I past it. The value must be the whole next argument, decimal digits
+/// only, at most \p Max. Otherwise returns false (after saying why when
+/// the value is malformed), so the caller's option chain ends in usage().
+bool unsignedArg(int argc, char **argv, int &I, uint64_t &Out,
+                 uint64_t Max = UINT64_MAX) {
+  if (I + 1 >= argc)
+    return false;
+  std::optional<uint64_t> V = parseUnsigned(argv[I + 1], Max);
+  if (!V) {
+    std::fprintf(stderr, "%s expects an integer in [0, %llu], got '%s'\n",
+                 argv[I], static_cast<unsigned long long>(Max), argv[I + 1]);
+    return false;
+  }
+  Out = *V;
+  ++I;
+  return true;
 }
 
 int cmdRules(int argc, char **argv) {
@@ -232,30 +249,6 @@ int cmdAnalyze(int argc, char **argv) {
   std::printf("binding:\n%s\n", R.Binding.str().c_str());
   std::printf("constraints:\n%s\n", R.Constraints.str().c_str());
   std::printf("augmented instruction:\n%s", R.AugmentedInstruction.c_str());
-  return 0;
-}
-
-int cmdSuggest(int argc, char **argv) {
-  if (argc < 4)
-    return usage();
-  const char *CurSrc = descriptions::sourceFor(argv[2]);
-  const char *TgtSrc = descriptions::sourceFor(argv[3]);
-  if (!CurSrc || !TgtSrc) {
-    std::fprintf(stderr, "unknown description id\n");
-    return 1;
-  }
-  auto Current = descriptions::load(argv[2]);
-  auto Target = descriptions::load(argv[3]);
-  std::printf("structural distance %s -> %s: %u\n\n", argv[2], argv[3],
-              structuralDistance(*Current, *Target));
-  for (const Suggestion &S : suggestSteps(*Current, *Target, 10)) {
-    std::printf("  %-60s (distance after: %u)\n", S.S.str().c_str(),
-                S.DistanceAfter);
-    // Synthesized proposals are multi-step: the distance holds only if
-    // the follow-up steps are applied too.
-    for (const transform::Step &F : S.Follow)
-      std::printf("    then: %s\n", F.str().c_str());
-  }
   return 0;
 }
 
@@ -391,12 +384,6 @@ int cmdSearch(int argc, char **argv) {
 
   for (int I = 2; I < argc; ++I) {
     std::string Arg = argv[I];
-    auto IntOpt = [&](uint64_t &Slot) {
-      if (I + 1 >= argc)
-        return false;
-      Slot = std::strtoull(argv[++I], nullptr, 10);
-      return true;
-    };
     uint64_t V = 0;
     if (Arg == "--case" && I + 1 < argc)
       CaseId = argv[++I];
@@ -404,23 +391,23 @@ int cmdSearch(int argc, char **argv) {
       All = true;
     else if (Arg == "-x")
       M = Mode::Extension;
-    else if (Arg == "--threads" && IntOpt(V))
+    else if (Arg == "--threads" && unsignedArg(argc, argv, I, V, UINT_MAX))
       Opts.Threads = static_cast<unsigned>(V);
-    else if (Arg == "--beam" && IntOpt(V))
+    else if (Arg == "--beam" && unsignedArg(argc, argv, I, V, UINT_MAX))
       Opts.Limits.BeamWidth = static_cast<unsigned>(V);
-    else if (Arg == "--depth" && IntOpt(V))
+    else if (Arg == "--depth" && unsignedArg(argc, argv, I, V, UINT_MAX))
       Opts.Limits.MaxDepth = static_cast<unsigned>(V);
-    else if (Arg == "--nodes" && IntOpt(V))
+    else if (Arg == "--nodes" && unsignedArg(argc, argv, I, V))
       Opts.Limits.MaxNodes = V;
-    else if (Arg == "--time-ms" && IntOpt(V))
+    else if (Arg == "--time-ms" && unsignedArg(argc, argv, I, V))
       Opts.Limits.TimeBudgetMs = V;
     else if (Arg == "--trace" && I + 1 < argc)
       TracePath = argv[++I];
-    else if (Arg == "--trace-cap-bytes" && IntOpt(V))
+    else if (Arg == "--trace-cap-bytes" && unsignedArg(argc, argv, I, V))
       TraceCapBytes = V;
     else if (Arg == "--metrics" && I + 1 < argc)
       MetricsPath = argv[++I];
-    else if (Arg == "--min-verified" && IntOpt(V)) {
+    else if (Arg == "--min-verified" && unsignedArg(argc, argv, I, V)) {
       MinVerified = V;
       HaveMinVerified = true;
     } else if (Arg == "--checkpoint" && I + 1 < argc)
@@ -437,7 +424,7 @@ int cmdSearch(int argc, char **argv) {
         std::fprintf(stderr, "bad --inject spec: %s\n", Err.c_str());
         return 2;
       }
-    } else if (Arg == "--inject-seed" && IntOpt(V))
+    } else if (Arg == "--inject-seed" && unsignedArg(argc, argv, I, V))
       FaultInjector::instance().setSeed(V);
     else if (Arg[0] != '-' && OperatorId.empty())
       OperatorId = Arg;
@@ -620,24 +607,18 @@ int cmdTrace(int argc, char **argv) {
   extra::search::SearchLimits Limits;
   for (int I = 3; I < argc; ++I) {
     std::string Arg = argv[I];
-    auto IntOpt = [&](uint64_t &Slot) {
-      if (I + 1 >= argc)
-        return false;
-      Slot = std::strtoull(argv[++I], nullptr, 10);
-      return true;
-    };
     uint64_t V = 0;
     if (Arg == "--out" && I + 1 < argc)
       Out = argv[++I];
-    else if (Arg == "--trace-cap-bytes" && IntOpt(V))
+    else if (Arg == "--trace-cap-bytes" && unsignedArg(argc, argv, I, V))
       TraceCapBytes = V;
-    else if (Arg == "--beam" && IntOpt(V))
+    else if (Arg == "--beam" && unsignedArg(argc, argv, I, V, UINT_MAX))
       Limits.BeamWidth = static_cast<unsigned>(V);
-    else if (Arg == "--depth" && IntOpt(V))
+    else if (Arg == "--depth" && unsignedArg(argc, argv, I, V, UINT_MAX))
       Limits.MaxDepth = static_cast<unsigned>(V);
-    else if (Arg == "--nodes" && IntOpt(V))
+    else if (Arg == "--nodes" && unsignedArg(argc, argv, I, V))
       Limits.MaxNodes = V;
-    else if (Arg == "--time-ms" && IntOpt(V))
+    else if (Arg == "--time-ms" && unsignedArg(argc, argv, I, V))
       Limits.TimeBudgetMs = V;
     else
       return usage();
@@ -755,10 +736,16 @@ int cmdBenchdiff(int argc, char **argv) {
     return usage();
   double Threshold = 0.10;
   for (int I = 4; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--threshold") && I + 1 < argc)
-      Threshold = std::strtod(argv[++I], nullptr) / 100.0;
-    else
+    if (std::strcmp(argv[I], "--threshold") != 0 || I + 1 >= argc)
       return usage();
+    std::optional<double> Pct = parseDecimal(argv[++I]);
+    if (!Pct) {
+      std::fprintf(stderr, "--threshold expects a percentage such as 10 "
+                           "or 2.5, got '%s'\n",
+                   argv[I]);
+      return usage();
+    }
+    Threshold = *Pct / 100.0;
   }
   auto ReadSide = [](const char *Path)
       -> std::optional<std::vector<obs::BenchRecord>> {
@@ -787,6 +774,24 @@ int cmdBenchdiff(int argc, char **argv) {
 //===----------------------------------------------------------------------===//
 // registry build | inspect, compile --registry
 //===----------------------------------------------------------------------===//
+
+/// Loads a registry file that a verb reads but never writes. A missing
+/// file is an error here, not an empty registry: only `search --registry`
+/// starts from nothing, and elsewhere a typo should not read as "0
+/// entries".
+std::optional<extra::registry::Registry>
+loadExistingRegistry(const std::string &Path) {
+  if (!std::ifstream(Path)) {
+    std::fprintf(stderr, "cannot open '%s'\n", Path.c_str());
+    return std::nullopt;
+  }
+  auto R = extra::registry::Registry::load(Path);
+  if (!R) {
+    std::fprintf(stderr, "%s\n", R.fault().Message.c_str());
+    return std::nullopt;
+  }
+  return std::move(*R);
+}
 
 int cmdRegistry(int argc, char **argv) {
   using namespace extra::registry;
@@ -850,11 +855,9 @@ int cmdRegistry(int argc, char **argv) {
   if (Sub == "inspect") {
     if (argc < 4)
       return usage();
-    auto R = Registry::load(argv[3]);
-    if (!R) {
-      std::fprintf(stderr, "%s\n", R.fault().Message.c_str());
+    auto R = loadExistingRegistry(argv[3]);
+    if (!R)
       return 1;
-    }
     std::printf("%zu entries in %s\n", R->size(), argv[3]);
     for (const RegistryEntry *E : R->entries()) {
       std::printf("%s  %-30s %-7s %-10s %-10s %s\n", E->Key.c_str(),
@@ -889,11 +892,9 @@ int cmdCompile(int argc, char **argv) {
     std::fprintf(stderr, "unknown machine '%s'\n", MachineFilter.c_str());
     return usage();
   }
-  auto R = Registry::load(RegPath);
-  if (!R) {
-    std::fprintf(stderr, "%s\n", R.fault().Message.c_str());
+  auto R = loadExistingRegistry(RegPath);
+  if (!R)
     return 1;
-  }
 
   bool AllPass = true;
   for (MachineKind MK : allMachines()) {
@@ -944,8 +945,6 @@ int main(int argc, char **argv) {
     return cmdCases();
   if (!std::strcmp(Cmd, "analyze"))
     return cmdAnalyze(argc, argv);
-  if (!std::strcmp(Cmd, "suggest"))
-    return cmdSuggest(argc, argv);
   if (!std::strcmp(Cmd, "export-script"))
     return cmdExportScript(argc, argv);
   if (!std::strcmp(Cmd, "replay"))
