@@ -9,6 +9,8 @@
 #include "isdl/Printer.h"
 #include "support/FaultInjection.h"
 
+#include <map>
+
 using namespace extra;
 using namespace extra::interp;
 using namespace extra::isdl;
@@ -198,8 +200,7 @@ private:
       int64_t Addr = eval(*cast<MemRef>(&E)->getAddress());
       if (failed())
         return 0;
-      auto It = Result.FinalMemory.find(static_cast<uint64_t>(Addr));
-      return It == Result.FinalMemory.end() ? 0 : It->second;
+      return Result.FinalMemory.get(static_cast<uint64_t>(Addr));
     }
     case Expr::Kind::Call: {
       const Routine *R = D.findRoutine(cast<CallExpr>(&E)->getCallee());
@@ -313,9 +314,7 @@ void interp::storeBytes(Memory &M, uint64_t Base, const std::string &Bytes) {
 std::string interp::loadBytes(const Memory &M, uint64_t Base, size_t Len) {
   std::string Out;
   Out.reserve(Len);
-  for (size_t I = 0; I < Len; ++I) {
-    auto It = M.find(Base + I);
-    Out.push_back(It == M.end() ? '\0' : static_cast<char>(It->second));
-  }
+  for (size_t I = 0; I < Len; ++I)
+    Out.push_back(static_cast<char>(M.get(Base + I)));
   return Out;
 }

@@ -17,7 +17,7 @@
 ///  * `input (a, b, c)` consumes the next three values of the input
 ///    vector (masked on intake); running out of inputs is an error;
 ///  * `output (e)` appends to the output vector;
-///  * `Mb[addr]` reads/writes one byte of a sparse memory;
+///  * `Mb[addr]` reads/writes one byte of a sparse memory (Memory.h);
 ///  * a routine returns the final value of the variable named after
 ///    itself, masked to the declared result width; each invocation gets a
 ///    fresh return accumulator;
@@ -31,19 +31,16 @@
 #ifndef EXTRA_INTERP_INTERP_H
 #define EXTRA_INTERP_INTERP_H
 
+#include "interp/Memory.h"
 #include "isdl/AST.h"
 #include "support/Error.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace extra {
 namespace interp {
-
-/// Sparse byte memory keyed by address.
-using Memory = std::map<uint64_t, uint8_t>;
 
 /// Limits and switches for one execution.
 struct ExecOptions {

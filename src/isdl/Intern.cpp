@@ -277,7 +277,7 @@ uint64_t Interner::identity(const Description &D) {
   // (register widths and routine result types mask values). Including
   // dead text the matcher never sees over-approximates identity, which
   // only costs memo hits, never correctness.
-  uint64_t H = FnvBasis;
+  uint64_t H = fnvMix(FnvBasis, Epoch);
   auto MixType = [&H](const TypeRef &T) {
     H = fnvMix(H, static_cast<uint64_t>(T.K));
     H = fnvMix(H, static_cast<uint64_t>(static_cast<uint32_t>(T.Hi)));
@@ -302,6 +302,7 @@ uint64_t Interner::identity(const Description &D) {
 }
 
 void Interner::reset() {
+  ++Epoch;
   Nodes.clear();
   Buckets.clear();
   Syms.clear();

@@ -185,9 +185,9 @@ public:
   /// Canonical-fingerprint memo entries answered without a re-walk.
   uint64_t memoHits() const { return MemoHits; }
 
-  /// Drops the arena, symbol table and memos. Cached fingerprint *values*
-  /// held elsewhere stay valid; only transient NodeRefs die. Called
-  /// automatically past the soft cap.
+  /// Drops the arena, symbol table and memos and starts a new epoch.
+  /// Cached fingerprint *values* held elsewhere stay valid; only transient
+  /// NodeRefs die. Called automatically past the soft cap.
   void reset();
 
 private:
@@ -203,6 +203,9 @@ private:
   /// identity -> canonical fingerprint.
   std::unordered_map<uint64_t, uint64_t> FpMemo;
   uint64_t MemoHits = 0;
+  /// Resets so far, mixed into every identity: identities hash symbol and
+  /// node numbers that a reset hands out again.
+  uint64_t Epoch = 0;
 
   /// Soft cap on arena size; `intern` resets everything past it. Sized so
   /// a full 14-pairing batch never trips it in practice.

@@ -134,10 +134,7 @@ std::string compareStates(const Program &P, const SideReport &A,
   for (const auto &[Addr, V] : B.Mem)
     Addrs.insert(Addr);
   for (uint64_t Addr : Addrs) {
-    auto AIt = A.Mem.find(Addr);
-    auto BIt = B.Mem.find(Addr);
-    uint8_t AV = AIt == A.Mem.end() ? 0 : AIt->second;
-    uint8_t BV = BIt == B.Mem.end() ? 0 : BIt->second;
+    uint8_t AV = A.Mem.get(Addr), BV = B.Mem.get(Addr);
     if (AV != BV) {
       char Buf[96];
       std::snprintf(Buf, sizeof(Buf),

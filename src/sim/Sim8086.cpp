@@ -69,9 +69,7 @@ private:
   bool readOperand(const std::string &T, int64_t &Out) {
     if (isMem(T)) {
       std::string Reg = T.substr(1, T.size() - 2);
-      uint64_t Addr = static_cast<uint64_t>(R[Reg]);
-      auto It = Res.Mem.find(Addr);
-      Out = It == Res.Mem.end() ? 0 : It->second;
+      Out = Res.Mem.get(static_cast<uint64_t>(R[Reg]));
       return true;
     }
     if (T.empty())
@@ -94,8 +92,7 @@ private:
   }
 
   uint8_t byteAt(int64_t Addr) {
-    auto It = Res.Mem.find(static_cast<uint64_t>(Addr));
-    return It == Res.Mem.end() ? 0 : It->second;
+    return Res.Mem.get(static_cast<uint64_t>(Addr));
   }
 
   int dir() const { return Df ? -1 : 1; }
@@ -154,34 +151,34 @@ private:
           break; // found
         if (Op == "repe" && !Zf)
           break; // mismatch
-        if (Res.MicroOps > 10000000)
-          return error(S, "runaway rep");
       }
       return true;
     }
 
-    auto Jump = [&](const std::string &Label) {
-      auto It = Labels.find(Label);
+    auto Jump = [&] {
+      if (S.Toks.size() != 2)
+        return error(S, "unknown instruction '" + Op + "'");
+      auto It = Labels.find(S.Toks[1]);
       if (It == Labels.end())
-        return error(S, "unknown label '" + Label + "'");
+        return error(S, "unknown label '" + S.Toks[1] + "'");
       NextPc = It->second;
       return true;
     };
 
     if (Op == "jmp")
-      return Jump(S.Toks[1]);
+      return Jump();
     if (Op == "jz")
-      return !Zf ? true : Jump(S.Toks[1]);
+      return !Zf ? true : Jump();
     if (Op == "jnz")
-      return Zf ? true : Jump(S.Toks[1]);
+      return Zf ? true : Jump();
     if (Op == "jl")
-      return LastCmp < 0 ? Jump(S.Toks[1]) : true;
+      return LastCmp < 0 ? Jump() : true;
     if (Op == "jle")
-      return LastCmp <= 0 ? Jump(S.Toks[1]) : true;
+      return LastCmp <= 0 ? Jump() : true;
     if (Op == "jg")
-      return LastCmp > 0 ? Jump(S.Toks[1]) : true;
+      return LastCmp > 0 ? Jump() : true;
     if (Op == "jge")
-      return LastCmp >= 0 ? Jump(S.Toks[1]) : true;
+      return LastCmp >= 0 ? Jump() : true;
 
     if (Op == "cld") {
       Df = false;

@@ -62,28 +62,29 @@ private:
   }
 
   uint8_t byteAt(int64_t Addr) {
-    auto It = Res.Mem.find(static_cast<uint64_t>(Addr));
-    return It == Res.Mem.end() ? 0 : It->second;
+    return Res.Mem.get(static_cast<uint64_t>(Addr));
   }
 
   bool exec(const AsmStmt &S, const std::map<std::string, size_t> &Labels,
             size_t &NextPc) {
     const std::string &Op = S.Toks[0];
 
-    auto Jump = [&](const std::string &Label) {
-      auto It = Labels.find(Label);
+    auto Jump = [&] {
+      if (S.Toks.size() != 2)
+        return error(S, "unknown instruction '" + Op + "'");
+      auto It = Labels.find(S.Toks[1]);
       if (It == Labels.end())
-        return error(S, "unknown label '" + Label + "'");
+        return error(S, "unknown label '" + S.Toks[1] + "'");
       NextPc = It->second;
       return true;
     };
 
     if (Op == "brb" || Op == "jmp")
-      return Jump(S.Toks[1]);
+      return Jump();
     if (Op == "beql")
-      return Z ? Jump(S.Toks[1]) : true;
+      return Z ? Jump() : true;
     if (Op == "bneq")
-      return !Z ? Jump(S.Toks[1]) : true;
+      return !Z ? Jump() : true;
 
     ++Res.MicroOps;
     if (Op == "movl" && S.Toks.size() == 3) {

@@ -125,7 +125,7 @@ TEST(InstructionBehaviorTest, MovsbSingleShot) {
   M[10] = 'x';
   auto R = interp::run(*D, {0, 0, 10, 40, 5}, M); // rf = 0
   ASSERT_TRUE(R.Ok);
-  EXPECT_EQ(R.FinalMemory.at(40), 'x');
+  EXPECT_EQ(R.FinalMemory.get(40), 'x');
   EXPECT_EQ(R.Outputs, (std::vector<int64_t>{11, 41, 5}));
 }
 
@@ -198,7 +198,7 @@ TEST(InstructionBehaviorTest, MvcMovesLengthPlusOne) {
   auto R = interp::run(*D, {40, 10, 3}, M); // moves FOUR bytes
   ASSERT_TRUE(R.Ok);
   EXPECT_EQ(loadBytes(R.FinalMemory, 40, 4), "370m");
-  EXPECT_EQ(R.FinalMemory.count(44), 0u);
+  EXPECT_FALSE(R.FinalMemory.contains(44));
 }
 
 TEST(InstructionBehaviorTest, ClcComparesWithOrdering) {

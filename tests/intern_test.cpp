@@ -502,6 +502,38 @@ TEST(InternTest, ResetInvalidatesNothingButNodes) {
   EXPECT_EQ(I.canonicalFingerprint(*D), Fp);
 }
 
+TEST(InternTest, IdentityDiffersAcrossReset) {
+  // Identities hash arena-relative symbol and node numbers. Interned
+  // first into a fresh arena, these two bodies get the same numbers, and
+  // the searcher's memos keyed by identity outlive the reset that the
+  // arena's soft cap triggers: a stale verify memo hit would admit an
+  // unverified step.
+  DiagnosticEngine Diags;
+  auto Parse = [&Diags](const char *Stmt) {
+    return parseDescription(std::string(R"(
+t.op := begin
+  ** S **
+    a: integer,
+    t.execute := begin
+      )") + Stmt + R"(
+    end
+end
+)",
+                            Diags);
+  };
+  auto Plus = Parse("a <- a + 1;"), Minus = Parse("a <- a - 7;");
+  ASSERT_TRUE(Plus && Minus && !Diags.hasErrors()) << Diags.str();
+  ASSERT_NE(search::fingerprint(*Plus), search::fingerprint(*Minus));
+
+  Interner &I = Interner::local();
+  I.reset();
+  uint64_t Before = I.identity(*Plus);
+  I.reset();
+  EXPECT_NE(I.identity(*Minus), Before);
+  // Within one epoch identity stays a pure function of the description.
+  EXPECT_EQ(I.identity(*Plus), I.identity(Plus->clone()));
+}
+
 TEST(InternTest, IdentityIncludesDeclarationTypes) {
   // The candidate cache and the verify memo are keyed by identity, and
   // both depend on declared types: on scasb, `record-exit-cause flag=rf`

@@ -306,4 +306,104 @@ end
   EXPECT_FALSE(A.sameObservable(C));
 }
 
+//===----------------------------------------------------------------------===//
+// Memory: held-byte semantics of the paged image
+//===----------------------------------------------------------------------===//
+
+std::vector<std::pair<uint64_t, uint8_t>> held(const Memory &M) {
+  return {M.begin(), M.end()};
+}
+
+TEST(MemoryTest, WrittenZeroIsHeldAndDiffersFromAbsent) {
+  Memory Zero, Empty;
+  EXPECT_EQ(Zero.get(5), 0);
+  EXPECT_FALSE(Zero.contains(5));
+  Zero[5] = 0;
+  EXPECT_TRUE(Zero.contains(5));
+  EXPECT_EQ(Zero.get(5), 0);
+  EXPECT_NE(Zero, Empty);
+  // Reading through operator[] holds the byte too, as std::map did.
+  Memory Read;
+  EXPECT_EQ(Read[9], 0);
+  EXPECT_TRUE(Read.contains(9));
+}
+
+TEST(MemoryTest, EraseMakesAByteAbsent) {
+  Memory M, Same;
+  M[300] = 7;
+  M[301] = 8;
+  Same[301] = 8;
+  M.erase(300);
+  EXPECT_FALSE(M.contains(300));
+  EXPECT_EQ(M.get(300), 0);
+  EXPECT_EQ(M, Same);
+  M.erase(12345); // Absent: no effect.
+  EXPECT_EQ(M, Same);
+}
+
+TEST(MemoryTest, IteratesAscendingAcrossPagesAndAboveTwoToThe63) {
+  const uint64_t Neg = static_cast<uint64_t>(int64_t(-1));
+  const uint64_t High = uint64_t(1) << 63;
+  Memory M;
+  for (uint64_t A : {Neg, High, uint64_t(70000), uint64_t(256), uint64_t(255),
+                     uint64_t(0), uint64_t(4096), High - 1})
+    M[A] = static_cast<uint8_t>(A % 251 + 1);
+  std::vector<uint64_t> Addrs;
+  for (const auto &[Addr, V] : M) {
+    Addrs.push_back(Addr);
+    EXPECT_EQ(V, Addr % 251 + 1) << Addr;
+  }
+  EXPECT_EQ(Addrs, (std::vector<uint64_t>{0, 255, 256, 4096, 70000, High - 1,
+                                          High, Neg}));
+  // The interpreter stores a negative address there too.
+  auto D = desc(R"(
+x := begin
+  ** S **
+    p: integer,
+    x.execute := begin input (p); Mb[p] <- 9; Mb[p + 2] <- 8; end
+end
+)");
+  ExecResult R = run(*D, {-1});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(held(R.FinalMemory),
+            (std::vector<std::pair<uint64_t, uint8_t>>{{1, 8}, {Neg, 9}}));
+}
+
+TEST(MemoryTest, FullyErasedPageEqualsNoPage) {
+  Memory M, Empty;
+  for (uint64_t A = 1000; A < 1600; ++A)
+    M[A] = 1;
+  EXPECT_NE(M, Empty);
+  for (uint64_t A = 1000; A < 1600; ++A)
+    M.erase(A);
+  EXPECT_EQ(M, Empty);
+  EXPECT_TRUE(held(M).empty());
+  M[1200] = 3; // The image stays usable after its pages were dropped.
+  EXPECT_EQ(M.get(1200), 3);
+}
+
+TEST(MemoryTest, CopiesAreIndependentAndMovedFromImagesReusable) {
+  Memory A;
+  storeBytes(A, 100, "abc");
+  EXPECT_EQ(A.get(101), 'b');
+  Memory B = A;
+  B[101] = 'x';
+  A[102] = 'y';
+  EXPECT_EQ(loadBytes(A, 100, 3), "aby");
+  EXPECT_EQ(loadBytes(B, 100, 3), "axc");
+
+  Memory C = std::move(A);
+  A[101] = 'z';
+  A.erase(5);
+  EXPECT_EQ(A.get(101), 'z');
+  EXPECT_EQ(loadBytes(C, 100, 3), "aby");
+  Memory D;
+  D[7] = 7;
+  D = std::move(C);
+  C[100] = 'q';
+  EXPECT_EQ(C.get(100), 'q');
+  EXPECT_EQ(loadBytes(D, 100, 3), "aby");
+  EXPECT_FALSE(D.contains(7));
+}
+
 } // namespace

@@ -243,10 +243,11 @@ TEST_P(MoveGridTest, MovesExactlyTheRequestedBytes) {
     sim::SimResult S = G.Run(Code.Asm, M, {}, 1000000);
     ASSERT_TRUE(S.Ok) << G.TargetName << ": " << S.Error;
     for (int64_t I = 0; I < Len; ++I)
-      ASSERT_EQ(S.Mem.at(700 + I), M.at(64 + I))
+      ASSERT_EQ(S.Mem.get(700 + I), M.get(64 + I))
           << G.TargetName << " len=" << Len << " at " << I;
     // Exactly Len bytes: the next cell is untouched.
-    EXPECT_EQ(S.Mem.count(700 + Len), 0u) << G.TargetName << " len=" << Len;
+    EXPECT_FALSE(S.Mem.contains(700 + Len))
+        << G.TargetName << " len=" << Len;
   }
 }
 
@@ -313,8 +314,8 @@ TEST_P(ClearGridTest, ClearsExactlyTheRequestedBytes) {
     sim::SimResult S = G.Run(Code.Asm, M, {}, 1000000);
     ASSERT_TRUE(S.Ok) << G.TargetName << ": " << S.Error;
     for (int64_t I = 0; I < Len; ++I)
-      ASSERT_EQ(S.Mem.at(700 + I), 0) << G.TargetName << " at " << I;
-    EXPECT_EQ(S.Mem.at(700 + Len), 0xAB) << G.TargetName << " len=" << Len;
+      ASSERT_EQ(S.Mem.get(700 + I), 0) << G.TargetName << " at " << I;
+    EXPECT_EQ(S.Mem.get(700 + Len), 0xAB) << G.TargetName << " len=" << Len;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "registry/Harness.h"
 #include "registry/RegistryBuilder.h"
 
+#include "SimTraffic.h"
 #include "analysis/Derivations.h"
 #include "search/Canon.h"
 #include "search/Checkpoint.h"
@@ -448,6 +449,129 @@ TEST(Differential, RegistryFileRoundTripStillExecutes) {
         runDifferential(MK, *Loaded, demoProgram(), demoMemory());
     EXPECT_TRUE(Rep.passes())
         << machineName(MK) << ": " << formatReport(Rep);
+  }
+}
+
+TEST(Differential, FrozenSimulatorTraffic) {
+  // Compiled programs on both sides of the harness on every machine,
+  // pinned as sim_test's frozen table pins hand-written runs.
+  auto Bytes = [](uint64_t Base, size_t Len) {
+    interp::Memory M;
+    for (size_t I = 0; I < Len; ++I)
+      M[Base + I] = static_cast<uint8_t>('a' + I % 26);
+    return M;
+  };
+  using codegen::Value;
+  auto Program = [](codegen::HLOp Op) {
+    codegen::Program P;
+    P.Ops.push_back(std::move(Op));
+    P.Facts.Axioms.insert("pascal.no-overlap");
+    return P;
+  };
+  std::vector<std::tuple<std::string, codegen::Program, interp::Memory>>
+      Compiled = {
+          {"demo", demoProgram(), demoMemory()},
+          {"copy up",
+           Program(codegen::blockCopy(Value::literal(110), Value::literal(100),
+                                      Value::literal(40))),
+           Bytes(100, 40)},
+          {"copy down",
+           Program(codegen::blockCopy(Value::literal(100), Value::literal(110),
+                                      Value::literal(40))),
+           Bytes(110, 40)},
+          {"long move",
+           Program(codegen::strMove(Value::literal(1000), Value::literal(100),
+                                    Value::literal(600))),
+           Bytes(100, 600)},
+      };
+  std::vector<std::pair<std::string, std::string>> Runs;
+  for (const auto &[Name, P, Mem] : Compiled)
+    for (MachineKind MK : allMachines()) {
+      DifferentialReport Rep = runDifferential(MK, recordedCorpus(), P, Mem);
+      std::string Tag = std::string(machineName(MK)) + " " + Name;
+      Runs.emplace_back(Tag + " registry",
+                        extra::testing::traffic(Rep.WithRegistry));
+      Runs.emplace_back(Tag + " baseline",
+                        extra::testing::traffic(Rep.Baseline));
+    }
+
+  static const std::vector<std::pair<std::string, std::string>> Frozen = {
+      {"i8086 demo registry",
+       "ok n=31 uops=67 mem=40:d042af6a127d452d regs=al=0 ax=0 bx=300 cx=0 "
+       "di=408 eq=1 i=4 si=116 "},
+      {"i8086 demo baseline",
+       "ok n=389 uops=280 mem=40:d042af6a127d452d regs=al=114 bx=300 cx=0 "
+       "dh=33 di=408 dl=0 eq=1 i=4 si=116 "},
+      {"vax demo registry",
+       "ok n=28 uops=69 mem=40:d042af6a127d452d regs=eq=1 i=4 r0=0 r1=0 "
+       "r2=0 r3=408 r4=0 r5=0 "},
+      {"vax demo baseline",
+       "ok n=388 uops=279 mem=40:d042af6a127d452d regs=eq=1 i=4 r0=0 r1=116 "
+       "r2=114 r3=408 r4=300 r5=0 r6=33 "},
+      {"ibm370 demo registry",
+       "ok n=258 uops=198 mem=40:d042af6a127d452d regs=eq=1 i=4 r1=408 "
+       "r2=316 r3=0 r4=114 r5=300 r6=0 r7=33 "},
+      {"ibm370 demo baseline",
+       "ok n=388 uops=279 mem=40:d042af6a127d452d regs=eq=1 i=4 r1=408 "
+       "r2=316 r3=0 r4=114 r5=300 r6=0 r7=33 "},
+      {"i8086 copy up registry",
+       "ok n=333 uops=250 mem=50:fd10e987808a5be9 regs=cx=0 di=110 dl=97 "
+       "dx=140 si=100 "},
+      {"i8086 copy up baseline",
+       "ok n=333 uops=250 mem=50:fd10e987808a5be9 regs=cx=0 di=110 dl=97 "
+       "dx=140 si=100 "},
+      {"vax copy up registry",
+       "ok n=4 uops=44 mem=50:fd10e987808a5be9 regs=r0=0 r1=140 r2=0 r3=150 "
+       "r4=0 r5=0 "},
+      {"vax copy up baseline",
+       "ok n=325 uops=244 mem=50:eec73b0ee2c08329 regs=r0=0 r1=140 r3=150 "
+       "r5=106 "},
+      {"ibm370 copy up registry",
+       "ok n=325 uops=244 mem=50:eec73b0ee2c08329 regs=r1=150 r2=140 r3=0 "
+       "r6=106 "},
+      {"ibm370 copy up baseline",
+       "ok n=325 uops=244 mem=50:eec73b0ee2c08329 regs=r1=150 r2=140 r3=0 "
+       "r6=106 "},
+      {"i8086 copy down registry",
+       "ok n=329 uops=247 mem=50:b70d356018664421 regs=cx=0 di=140 dl=110 "
+       "dx=150 si=150 "},
+      {"i8086 copy down baseline",
+       "ok n=329 uops=247 mem=50:b70d356018664421 regs=cx=0 di=140 dl=110 "
+       "dx=150 si=150 "},
+      {"vax copy down registry",
+       "ok n=4 uops=44 mem=50:b70d356018664421 regs=r0=0 r1=150 r2=0 r3=140 "
+       "r4=0 r5=0 "},
+      {"vax copy down baseline",
+       "ok n=325 uops=244 mem=50:b70d356018664421 regs=r0=0 r1=150 r3=140 "
+       "r5=110 "},
+      {"ibm370 copy down registry",
+       "ok n=325 uops=244 mem=50:b70d356018664421 regs=r1=140 r2=150 r3=0 "
+       "r6=110 "},
+      {"ibm370 copy down baseline",
+       "ok n=325 uops=244 mem=50:b70d356018664421 regs=r1=140 r2=150 r3=0 "
+       "r6=110 "},
+      {"i8086 long move registry",
+       "ok n=5 uops=604 mem=1200:27ad5ad0352587b5 regs=cx=0 di=1600 si=700 "},
+      {"i8086 long move baseline",
+       "ok n=4805 uops=3604 mem=1200:27ad5ad0352587b5 regs=cx=0 di=1600 "
+       "dl=98 si=700 "},
+      {"vax long move registry",
+       "ok n=4 uops=604 mem=1200:27ad5ad0352587b5 regs=r0=0 r1=700 r2=0 "
+       "r3=1600 r4=0 r5=0 "},
+      {"vax long move baseline",
+       "ok n=4805 uops=3604 mem=1200:27ad5ad0352587b5 regs=r0=0 r1=700 "
+       "r3=1600 r5=98 "},
+      {"ibm370 long move registry",
+       "ok n=9 uops=609 mem=1200:27ad5ad0352587b5 regs=r1=1512 r2=612 "},
+      {"ibm370 long move baseline",
+       "ok n=4805 uops=3604 mem=1200:27ad5ad0352587b5 regs=r1=1600 r2=700 "
+       "r3=0 r6=98 "},
+  };
+  ASSERT_EQ(Runs.size(), Frozen.size());
+  for (size_t I = 0; I < Runs.size(); ++I) {
+    EXPECT_EQ(Runs[I].first, Frozen[I].first);
+    EXPECT_EQ(Runs[I].second, Frozen[I].second)
+        << "{\"" << Runs[I].first << "\",\n \"" << Runs[I].second << "\"},";
   }
 }
 

@@ -394,7 +394,8 @@ end
     ASSERT_TRUE(Before.Ok && After.Ok) << After.Error;
     EXPECT_EQ(Before.Outputs, After.Outputs);
     EXPECT_EQ(Before.FinalMemory, After.FinalMemory);
-    EXPECT_EQ(static_cast<int64_t>(After.FinalMemory.size()), M + 1);
+    EXPECT_EQ(std::distance(After.FinalMemory.begin(), After.FinalMemory.end()),
+              M + 1);
   }
 }
 
