@@ -11,9 +11,10 @@
 /// name binding, and differentially validating the whole derivation.
 ///
 /// In the paper the scripts were interactive user sessions; here they are
-/// recorded Step sequences (analysis/Derivations.cpp holds the eleven of
-/// Table 2 plus the §4.3 movc3 case). The engine still *verifies* every
-/// step exactly as EXTRA did.
+/// recorded Step sequences (the scripts/ files behind
+/// analysis/Derivations.h hold the eleven of Table 2, two more pairings
+/// and the §4.3 movc3 case). The engine still *verifies* every step
+/// exactly as EXTRA did.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===- Derivations.cpp - The Table 2 derivation scripts ---------*- C++ -*-===//
+//===- Derivations.cpp - The recorded derivation corpus ---------*- C++ -*-===//
 //
 // Part of the EXTRA reproduction of Morgan & Rowe, SIGPLAN '82.
 //
@@ -6,554 +6,130 @@
 
 #include "analysis/Derivations.h"
 
+#include "transform/ScriptIO.h"
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+
 using namespace extra;
 using namespace extra::analysis;
-using transform::Script;
-using transform::Step;
 
 namespace {
 
-Step s(std::string Rule, std::map<std::string, std::string> Args = {},
-       std::string Routine = "") {
-  return Step{std::move(Rule), std::move(Routine), std::move(Args)};
-}
+/// One corpus case: its id and Table 2 columns. The steps are in the
+/// case's two script files.
+struct Row {
+  const char *Id;
+  const char *Machine;
+  const char *Instruction;
+  const char *Language;
+  const char *Operation;
+  unsigned PaperSteps;
+  bool Extension;
+};
 
-//===----------------------------------------------------------------------===//
-// Shared instruction-side simplifications
-//===----------------------------------------------------------------------===//
+constexpr Row Rows[] = {
+    {"i8086.movsb/pascal.smove", "Intel 8086", "movsb", "Pascal",
+     "string move", 52, false},
+    {"i8086.movsb/pl1.move", "Intel 8086", "movsb", "PL/1", "string move", 66,
+     false},
+    {"i8086.scasb/rigel.index", "Intel 8086", "scasb", "Rigel",
+     "string search", 73, false},
+    {"i8086.scasb/clu.search", "Intel 8086", "scasb", "CLU", "string search",
+     86, false},
+    {"i8086.cmpsb/pascal.sequal", "Intel 8086", "cmpsb", "Pascal",
+     "string compare", 79, false},
+    {"vax.movc3/pc2.copy", "VAX-11", "movc3", "PC2", "block copy", 21, false},
+    {"vax.movc5/pc2.clear", "VAX-11", "movc5", "PC2", "block clear", 26,
+     false},
+    {"vax.locc/rigel.index", "VAX-11", "locc", "Rigel", "string search", 33,
+     false},
+    {"vax.locc/clu.search", "VAX-11", "locc", "CLU", "string search", 32,
+     false},
+    {"vax.cmpc3/pascal.sequal", "VAX-11", "cmpc3", "Pascal", "string compare",
+     47, false},
+    {"ibm370.mvc/pascal.sassign", "IBM 370", "mvc", "Pascal", "string move",
+     105, false},
+    {"i8086.stosb/pc2.clear", "Intel 8086", "stosb", "PC2", "block clear", 0,
+     false},
+    {"vax.skpc/rigel.span", "VAX-11", "skpc", "Rigel", "span", 0, false},
+    {"vax.movc3/pascal.sassign", "VAX-11", "movc3", "Pascal",
+     "string assignment", 0, true},
+};
+constexpr size_t NumTable2 = 11, NumExtended = 2;
+static_assert(std::size(Rows) == NumTable2 + NumExtended + 1);
 
-/// 8086 rep-prefix simplification: pin rf = 1 and fold away the
-/// non-repeating arm (§4.1: "setting rf means [the instruction] always
-/// loops").
-Script repPrefix() {
-  return {
-      s("fix-operand-value", {{"operand", "rf"}, {"value", "1"}}),
-      s("global-constant-propagate", {{"var", "rf"}}),
-      s("fold-not"),
-      s("if-false-elim"),
-  };
-}
-
-/// 8086 direction-flag simplification for one fetch routine: pin df = 0
-/// so strings are processed low addresses to high.
-Script forwardDirection(std::initializer_list<const char *> FetchRoutines) {
-  Script Out = {
-      s("fix-operand-value", {{"operand", "df"}, {"value", "0"}}),
-      s("global-constant-propagate", {{"var", "df"}}),
-  };
-  for (const char *R : FetchRoutines)
-    Out.push_back(s("if-false-elim", {}, R));
-  return Out;
-}
-
-/// Removes the pinned flag's now-dead definition and declaration.
-Script dropFlag(const char *Name) {
-  return {
-      s("dead-assign-elim", {{"var", Name}}),
-      s("dead-decl-elim", {{"var", Name}}),
-  };
-}
-
-void append(Script &Out, const Script &More) {
-  Out.insert(Out.end(), More.begin(), More.end());
-}
-
-//===----------------------------------------------------------------------===//
-// Instruction scripts
-//===----------------------------------------------------------------------===//
-
-/// movsb with rep, forward: Figure-3 style flags pinned, raw register
-/// outputs dropped (string move has no operator-level result).
-Script movsbScript() {
-  Script Out = repPrefix();
-  append(Out, forwardDirection({"fetch"}));
-  Out.push_back(s("if-false-elim")); // the di-direction if in the entry
-  append(Out, dropFlag("rf"));
-  append(Out, dropFlag("df"));
-  Out.push_back(s("replace-output", {{"code", "none"}}));
-  return Out;
-}
-
-/// scasb simplified (Figure 4) and augmented (Figure 5): rf=1, rfz=0,
-/// df=0; zf zeroed in the prologue; initial pointer saved; epilogue
-/// computes the 1-based index from the final address.
-Script scasbScript() {
-  Script Out = repPrefix();
-  // rfz = 0 collapses the exit condition to plain zf (§4.1).
-  Out.push_back(s("fix-operand-value", {{"operand", "rfz"}, {"value", "0"}}));
-  Out.push_back(s("global-constant-propagate", {{"var", "rfz"}}));
-  Out.push_back(s("and-false"));
-  Out.push_back(s("fold-not"));
-  Out.push_back(s("and-true"));
-  Out.push_back(s("or-false"));
-  append(Out, forwardDirection({"fetch"}));
-  append(Out, dropFlag("rf"));
-  append(Out, dropFlag("rfz"));
-  append(Out, dropFlag("df"));
-  // --- Figure 4 reached. Augments (Figure 5): ---
-  Out.push_back(s("fix-operand-value", {{"operand", "zf"}, {"value", "0"}}));
-  Out.push_back(s("allocate-temp", {{"name", "temp"},
-                                    {"type", "bits:15:0"},
-                                    {"section", "STATE"}}));
-  Out.push_back(s("add-prologue", {{"code", "temp <- di;"}}));
-  Out.push_back(s("replace-output",
-                  {{"code", "if zf then output (di - temp); else "
-                            "output (0); end_if;"}}));
-  return Out;
-}
-
-/// cmpsb simplified for compare-while-equal (rfz = 1) and augmented to
-/// return the equality result.
-Script cmpsbScript() {
-  Script Out = repPrefix();
-  Out.push_back(s("fix-operand-value", {{"operand", "rfz"}, {"value", "1"}}));
-  Out.push_back(s("global-constant-propagate", {{"var", "rfz"}}));
-  Out.push_back(s("and-true"));
-  Out.push_back(s("fold-not"));
-  Out.push_back(s("and-false"));
-  Out.push_back(s("or-false"));
-  append(Out, forwardDirection({"fetchs", "fetchd"}));
-  append(Out, dropFlag("rf"));
-  append(Out, dropFlag("rfz"));
-  append(Out, dropFlag("df"));
-  // Augments: empty strings compare equal, so zf starts at 1.
-  Out.push_back(s("fix-operand-value", {{"operand", "zf"}, {"value", "1"}}));
-  Out.push_back(s("replace-output",
-                  {{"code",
-                    "if zf then output (1); else output (0); end_if;"}}));
-  return Out;
-}
-
-/// locc: operands reordered to the operator's (addr, len, char) order,
-/// initial address saved, epilogue computes the 1-based index.
-Script loccScript() {
-  return {
-      s("permute-inputs", {{"order", "2,1,0"}}),
-      s("allocate-temp",
-        {{"name", "rb"}, {"type", "bits:31:0"}, {"section", "OPERANDS"}}),
-      s("add-prologue", {{"code", "rb <- r1;"}}),
-      s("replace-output",
-        {{"code",
-          "if r0 = 0 then output (0); else output (r1 - rb); end_if;"}}),
-      s("empty-if-elim"),
-  };
-}
-
-/// cmpc3: operands reordered, epilogue turns "bytes remaining" into the
-/// operator's boolean equality result.
-Script cmpc3Script() {
-  return {
-      s("permute-inputs", {{"order", "1,2,0"}}),
-      s("replace-output",
-        {{"code", "if r0 = 0 then output (1); else output (0); end_if;"}}),
-  };
-}
-
-/// movc3 for PC2 block copy: both sides guard overlap identically, so
-/// only the raw register results go away.
-Script movc3ForPc2Script() {
-  return {
-      s("replace-output", {{"code", "none"}}),
-  };
-}
-
-/// movc3 for Pascal sassign (§4.3): requires the no-overlap axiom —
-/// extension mode only.
-Script movc3ForSassignScript() {
-  return {
-      s("permute-inputs", {{"order", "2,1,0"}}),
-      s("note-relational-constraint",
-        {{"pred", "(r1 + r0 <= r3) or (r3 + r0 <= r1)"},
-         {"axiom", "pascal.no-overlap"}}),
-      s("resolve-if-by-constraint", {{"arm", "else"}, {"occurrence", "0"}}),
-      s("replace-output", {{"code", "none"}}),
-  };
-}
-
-/// movc5 specialized to block clear: source length 0 (move phase
-/// vanishes), fill 0, unused source address pinned, operands reordered.
-Script movc5Script() {
-  return {
-      s("replace-output", {{"code", "none"}}),
-      s("fix-operand-value", {{"operand", "r0"}, {"value", "0"}}),
-      s("dead-loop-elim"),
-      s("dead-assign-elim", {{"var", "r0"}}),
-      s("dead-decl-elim", {{"var", "r0"}}),
-      s("fix-operand-value", {{"operand", "r1"}, {"value", "0"}}),
-      s("dead-assign-elim", {{"var", "r1"}}),
-      s("dead-decl-elim", {{"var", "r1"}}),
-      s("fix-operand-value", {{"operand", "fill"}, {"value", "0"}}),
-      s("global-constant-propagate", {{"var", "fill"}}),
-      s("dead-assign-elim", {{"var", "fill"}}),
-      s("dead-decl-elim", {{"var", "fill"}}),
-      s("permute-inputs", {{"order", "1,0"}}),
-  };
-}
-
-//===----------------------------------------------------------------------===//
-// Operator scripts
-//===----------------------------------------------------------------------===//
-
-/// Pascal smove toward movsb: pointers instead of base+index, decrement
-/// moved to the top of the loop, dead bases removed.
-Script smoveScript() {
-  return {
-      s("index-to-pointer", {{"index-var", "Src.Index"},
-                             {"base-var", "Src.Base"},
-                             {"pointer-var", "sp"}}),
-      s("index-to-pointer", {{"index-var", "Dst.Index"},
-                             {"base-var", "Dst.Base"},
-                             {"pointer-var", "dp"}}),
-      s("move-up", {{"var", "Len"}}),
-      s("move-up", {{"var", "Len"}}),
-      s("dead-assign-elim", {{"var", "Src.Base"}}),
-      s("dead-decl-elim", {{"var", "Src.Base"}}),
-      s("dead-assign-elim", {{"var", "Dst.Base"}}),
-      s("dead-decl-elim", {{"var", "Dst.Base"}}),
-      s("dead-decl-elim", {{"var", "Src.Index"}}),
-      s("dead-decl-elim", {{"var", "Dst.Index"}}),
-  };
-}
-
-/// PL/1 move toward movsb: like smove, plus the up counter must become a
-/// down counter (counting n itself down, as the hardware does).
-Script pl1moveScript() {
-  return {
-      s("index-to-pointer", {{"index-var", "Spos"},
-                             {"base-var", "Sbase"},
-                             {"pointer-var", "sp"}}),
-      s("index-to-pointer", {{"index-var", "Dpos"},
-                             {"base-var", "Dbase"},
-                             {"pointer-var", "dp"}}),
-      s("count-up-to-down", {{"index-var", "cnt"},
-                             {"bound-var", "n"},
-                             {"counter-var", "n"}}),
-      s("move-up", {{"var", "n"}}),
-      s("move-up", {{"var", "n"}}),
-      s("dead-assign-elim", {{"var", "Sbase"}}),
-      s("dead-decl-elim", {{"var", "Sbase"}}),
-      s("dead-assign-elim", {{"var", "Dbase"}}),
-      s("dead-decl-elim", {{"var", "Dbase"}}),
-      s("dead-decl-elim", {{"var", "Spos"}}),
-      s("dead-decl-elim", {{"var", "Dpos"}}),
-      s("dead-decl-elim", {{"var", "cnt"}}),
-  };
-}
-
-/// Rigel index toward scasb: record which exit fired in a fresh flag
-/// (the zf idiom), move the decrement to the scasb position, switch the
-/// comparison to subtract-and-test, and reduce indexing to a pointer.
-Script rigelIndexForScasbScript() {
-  return {
-      s("allocate-temp",
-        {{"name", "found"}, {"type", "flag"}, {"section", "STATE"}}),
-      s("record-exit-cause", {{"flag", "found"}}),
-      s("move-up", {{"var", "Src.Length"}}),
-      s("move-up", {{"var", "Src.Length"}}),
-      s("eq-to-diff-zero"),
-      s("index-to-pointer", {{"index-var", "Src.Index"},
-                             {"base-var", "Src.Base"},
-                             {"pointer-var", "ptr"}}),
-      s("dead-decl-elim", {{"var", "Src.Index"}}),
-  };
-}
-
-/// CLU search toward scasb: clean up the inverted comparisons first,
-/// then the same flag recording as Rigel (the pointer form is already
-/// there — CLU's runtime scans with a pointer).
-Script cluSearchForScasbScript() {
-  return {
-      s("ne-to-not-eq"),
-      s("not-not"),
-      s("if-not-elim"),
-      s("swap-relational-operands", {{"occurrence", "1"}}),
-      s("allocate-temp",
-        {{"name", "found"}, {"type", "flag"}, {"section", "STATE"}}),
-      s("record-exit-cause", {{"flag", "found"}}),
-      s("move-up", {{"var", "rem"}}),
-      s("move-up", {{"var", "rem"}}),
-      s("eq-to-diff-zero"),
-  };
-}
-
-/// Pascal sequal toward cmpsb: record the exit cause, invert the flag's
-/// polarity to the hardware's "equal" sense, normalize the comparison.
-Script sequalForCmpsbScript() {
-  return {
-      s("allocate-temp",
-        {{"name", "ne"}, {"type", "flag"}, {"section", "STATE"}}),
-      s("record-exit-cause", {{"flag", "ne"}}),
-      s("move-up", {{"var", "Len"}}),
-      s("move-up", {{"var", "Len"}}),
-      s("invert-flag", {{"var", "ne"}}),
-      s("if-not-elim"),
-      s("reverse-conditional", {{"occurrence", "0"}}),
-      s("ne-to-not-eq"),
-      s("not-not"),
-      s("eq-to-diff-zero"),
-      s("index-to-pointer", {{"index-var", "A.Index"},
-                             {"base-var", "A.Base"},
-                             {"pointer-var", "pa"}}),
-      s("index-to-pointer", {{"index-var", "B.Index"},
-                             {"base-var", "B.Base"},
-                             {"pointer-var", "pb"}}),
-      s("dead-assign-elim", {{"var", "A.Base"}}),
-      s("dead-decl-elim", {{"var", "A.Base"}}),
-      s("dead-assign-elim", {{"var", "B.Base"}}),
-      s("dead-decl-elim", {{"var", "B.Base"}}),
-      s("dead-decl-elim", {{"var", "A.Index"}}),
-      s("dead-decl-elim", {{"var", "B.Index"}}),
-  };
-}
-
-/// PC2 copy toward movc3: only cosmetic comparison normalization.
-Script pc2copyScript() {
-  return {
-      s("swap-relational-operands", {{"occurrence", "0"}}),
-      s("swap-commutative", {{"op", "+"}, {"occurrence", "1"}}),
-  };
-}
-
-/// Rigel index toward locc: pointer access; the locc epilogue already
-/// discriminates exactly like the operator.
-Script rigelIndexForLoccScript() {
-  return {
-      s("index-to-pointer", {{"index-var", "Src.Index"},
-                             {"base-var", "Src.Base"},
-                             {"pointer-var", "ptr"}}),
-      s("dead-decl-elim", {{"var", "Src.Index"}}),
-  };
-}
-
-/// CLU search toward locc: comparison cleanup only.
-Script cluSearchForLoccScript() {
-  return {
-      s("ne-to-not-eq"),
-      s("not-not"),
-      s("if-not-elim"),
-      s("swap-relational-operands", {{"occurrence", "1"}}),
-  };
-}
-
-/// Pascal sequal toward cmpc3: pointer access; the comparison is already
-/// in the cmpc3 shape.
-Script sequalForCmpc3Script() {
-  return {
-      s("index-to-pointer", {{"index-var", "A.Index"},
-                             {"base-var", "A.Base"},
-                             {"pointer-var", "pa"}}),
-      s("index-to-pointer", {{"index-var", "B.Index"},
-                             {"base-var", "B.Base"},
-                             {"pointer-var", "pb"}}),
-      s("dead-assign-elim", {{"var", "A.Base"}}),
-      s("dead-decl-elim", {{"var", "A.Base"}}),
-      s("dead-assign-elim", {{"var", "B.Base"}}),
-      s("dead-decl-elim", {{"var", "B.Base"}}),
-      s("dead-decl-elim", {{"var", "A.Index"}}),
-      s("dead-decl-elim", {{"var", "B.Index"}}),
-  };
-}
-
-/// Pascal sassign toward mvc (§4.2): the length-minus-one coding
-/// constraint, loop rotation justified by the induced length >= 1, the
-/// counter shifted to the encoded length, pointers, and the access
-/// routine flattened into the mvc shape.
-Script sassignForMvcScript() {
-  return {
-      s("introduce-offset-input",
-        {{"operand", "Len"}, {"delta", "-1"}, {"new-name", "Lc"}}),
-      s("introduce-range-assert", {{"operand", "Lc"}, {"lo", "0"},
-                                   {"hi", "255"}}),
-      s("introduce-range-assert", {{"operand", "Len"},
-                                   {"lo", "1"},
-                                   {"hi", "256"},
-                                   {"before-loop", "1"}}),
-      s("rotate-while-to-dowhile"),
-      s("remove-assert"),
-      s("shift-counter", {{"old-var", "Len"}, {"new-var", "Lc"}}),
-      s("index-to-pointer", {{"index-var", "Src.Index"},
-                             {"base-var", "Src.Base"},
-                             {"pointer-var", "sp"}}),
-      s("index-to-pointer", {{"index-var", "Dst.Index"},
-                             {"base-var", "Dst.Base"},
-                             {"pointer-var", "dp"}}),
-      s("extract-call-to-temp", {{"callee", "getch"}, {"temp", "tc"}}),
-      s("inline-routine", {{"callee", "getch"}, {"temp", "gv"}}),
-      s("copy-propagate", {{"var", "tc"}}),
-      s("dead-assign-elim", {{"var", "tc"}}),
-      s("dead-decl-elim", {{"var", "tc"}}),
-      s("move-down", {{"var", "sp"}}),
-      s("fuse-load-store", {{"var", "gv"}}),
-      s("dead-decl-elim", {{"var", "gv"}}),
-      s("move-down", {{"var", "sp"}}),
-      s("dead-routine-elim", {{"name", "getch"}}),
-      s("dead-assign-elim", {{"var", "Src.Base"}}),
-      s("dead-decl-elim", {{"var", "Src.Base"}}),
-      s("dead-assign-elim", {{"var", "Dst.Base"}}),
-      s("dead-decl-elim", {{"var", "Dst.Base"}}),
-      s("dead-decl-elim", {{"var", "Src.Index"}}),
-      s("dead-decl-elim", {{"var", "Dst.Index"}}),
-  };
-}
-
-/// Pascal sassign toward movc3 (§4.3 extension): like the mvc flattening
-/// but with no length re-encoding, and the decrement moved to the top.
-Script sassignForMovc3Script() {
-  return {
-      s("index-to-pointer", {{"index-var", "Src.Index"},
-                             {"base-var", "Src.Base"},
-                             {"pointer-var", "sp"}}),
-      s("index-to-pointer", {{"index-var", "Dst.Index"},
-                             {"base-var", "Dst.Base"},
-                             {"pointer-var", "dp"}}),
-      s("extract-call-to-temp", {{"callee", "getch"}, {"temp", "tc"}}),
-      s("inline-routine", {{"callee", "getch"}, {"temp", "gv"}}),
-      s("copy-propagate", {{"var", "tc"}}),
-      s("dead-assign-elim", {{"var", "tc"}}),
-      s("dead-decl-elim", {{"var", "tc"}}),
-      s("move-down", {{"var", "sp"}}),
-      s("fuse-load-store", {{"var", "gv"}}),
-      s("dead-decl-elim", {{"var", "gv"}}),
-      s("move-up", {{"var", "Len"}}),
-      s("move-up", {{"var", "Len"}}),
-      s("move-up", {{"var", "Len"}}),
-      s("dead-routine-elim", {{"name", "getch"}}),
-      s("dead-assign-elim", {{"var", "Src.Base"}}),
-      s("dead-decl-elim", {{"var", "Src.Base"}}),
-      s("dead-assign-elim", {{"var", "Dst.Base"}}),
-      s("dead-decl-elim", {{"var", "Dst.Base"}}),
-      s("dead-decl-elim", {{"var", "Src.Index"}}),
-      s("dead-decl-elim", {{"var", "Dst.Index"}}),
-  };
-}
-
-/// 8086 stosb toward PC2 block clear (extended case): the same flag
-/// simplifications as movsb, plus the fill byte pinned to zero.
-Script stosbScript() {
-  Script Out = repPrefix();
-  append(Out, forwardDirection({}));
-  Out.push_back(s("if-false-elim")); // the di-direction if in the entry
-  append(Out, dropFlag("rf"));
-  append(Out, dropFlag("df"));
-  Out.push_back(s("fix-operand-value", {{"operand", "al"}, {"value", "0"}}));
-  Out.push_back(s("global-constant-propagate", {{"var", "al"}}));
-  Out.push_back(s("dead-assign-elim", {{"var", "al"}}));
-  Out.push_back(s("dead-decl-elim", {{"var", "al"}}));
-  Out.push_back(s("permute-inputs", {{"order", "0,1"}}));
-  Out.push_back(s("replace-output", {{"code", "none"}}));
-  return Out;
-}
-
-/// PC2 clear toward stosb: only the counter decrement moves up.
-Script pc2clearForStosbScript() {
-  return {
-      s("move-up", {{"var", "n"}}),
-      s("move-up", {{"var", "n"}}),
-  };
-}
-
-/// VAX skpc toward Rigel span: operands reordered, initial length saved,
-/// the count epilogue — notably no conditional: consumed = initial -
-/// remaining on both exit paths.
-Script skpcScript() {
-  return {
-      s("permute-inputs", {{"order", "2,1,0"}}),
-      s("allocate-temp",
-        {{"name", "t0"}, {"type", "bits:15:0"}, {"section", "OPERANDS"}}),
-      s("add-prologue", {{"code", "t0 <- r0;"}}),
-      s("replace-output", {{"code", "output (t0 - r0);"}}),
-      s("empty-if-elim"),
-  };
-}
-
-/// Rigel span toward skpc: only the comparison operand order differs.
-Script rigelSpanScript() {
-  return {
-      s("swap-relational-operands", {{"occurrence", "1"}}),
-  };
-}
-
-AnalysisCase makeCase(std::string Machine, std::string Instruction,
-                      std::string Language, std::string Operation,
-                      unsigned PaperSteps, std::string OperatorId,
-                      std::string InstructionId, Script OperatorScript,
-                      Script InstructionScript, bool Extension = false) {
-  AnalysisCase C;
-  C.Id = InstructionId + "/" + OperatorId;
-  C.Machine = std::move(Machine);
-  C.Instruction = std::move(Instruction);
-  C.Language = std::move(Language);
-  C.Operation = std::move(Operation);
-  C.PaperSteps = PaperSteps;
-  C.OperatorId = std::move(OperatorId);
-  C.InstructionId = std::move(InstructionId);
-  C.OperatorScript = std::move(OperatorScript);
-  C.InstructionScript = std::move(InstructionScript);
-  C.RequiresExtension = Extension;
-  return C;
+/// One side of a recorded derivation, parsed from its shipped file. The
+/// files are compiled in, so one that is missing or does not parse is a
+/// build defect: it stops the process.
+transform::Script loadSide(const std::string &CaseId, const char *Side) {
+  std::string Name = CaseId + "." + Side + ".script";
+  std::replace(Name.begin(), Name.end(), '/', '_');
+  auto It = shippedScripts().find(Name);
+  Expected<transform::Script> S =
+      It == shippedScripts().end()
+          ? makeFault(FaultCategory::Parse, Name + ": not in scripts/")
+          : parseScriptFile(Name, It->second);
+  if (!S) {
+    std::fprintf(stderr, "recorded corpus: %s\n", S.fault().Message.c_str());
+    std::abort();
+  }
+  return S.take();
 }
 
 } // namespace
 
-const std::vector<AnalysisCase> &analysis::table2Cases() {
-  static const std::vector<AnalysisCase> Cases = {
-      makeCase("Intel 8086", "movsb", "Pascal", "string move", 52,
-               "pascal.smove", "i8086.movsb", smoveScript(), movsbScript()),
-      makeCase("Intel 8086", "movsb", "PL/1", "string move", 66, "pl1.move",
-               "i8086.movsb", pl1moveScript(), movsbScript()),
-      makeCase("Intel 8086", "scasb", "Rigel", "string search", 73,
-               "rigel.index", "i8086.scasb", rigelIndexForScasbScript(),
-               scasbScript()),
-      makeCase("Intel 8086", "scasb", "CLU", "string search", 86,
-               "clu.search", "i8086.scasb", cluSearchForScasbScript(),
-               scasbScript()),
-      makeCase("Intel 8086", "cmpsb", "Pascal", "string compare", 79,
-               "pascal.sequal", "i8086.cmpsb", sequalForCmpsbScript(),
-               cmpsbScript()),
-      makeCase("VAX-11", "movc3", "PC2", "block copy", 21, "pc2.copy",
-               "vax.movc3", pc2copyScript(), movc3ForPc2Script()),
-      makeCase("VAX-11", "movc5", "PC2", "block clear", 26, "pc2.clear",
-               "vax.movc5", Script{}, movc5Script()),
-      makeCase("VAX-11", "locc", "Rigel", "string search", 33, "rigel.index",
-               "vax.locc", rigelIndexForLoccScript(), loccScript()),
-      makeCase("VAX-11", "locc", "CLU", "string search", 32, "clu.search",
-               "vax.locc", cluSearchForLoccScript(), loccScript()),
-      makeCase("VAX-11", "cmpc3", "Pascal", "string compare", 47,
-               "pascal.sequal", "vax.cmpc3", sequalForCmpc3Script(),
-               cmpc3Script()),
-      makeCase("IBM 370", "mvc", "Pascal", "string move", 105,
-               "pascal.sassign", "ibm370.mvc", sassignForMvcScript(),
-               Script{}),
-  };
+Expected<transform::Script>
+analysis::parseScriptFile(const std::string &Name, std::string_view Text) {
+  DiagnosticEngine Diags;
+  auto S = transform::parseScript(Text, Diags);
+  if (!S) {
+    std::string Message;
+    for (const Diagnostic &D : Diags.diagnostics())
+      Message += (Message.empty() ? "" : "; ") + Name + ":" + D.str();
+    return makeFault(FaultCategory::Parse, Message);
+  }
+  return std::move(*S);
+}
+
+const std::vector<AnalysisCase> &analysis::corpus() {
+  static const std::vector<AnalysisCase> Cases = [] {
+    std::vector<AnalysisCase> Out;
+    for (const Row &R : Rows) {
+      AnalysisCase C;
+      C.Id = R.Id;
+      size_t Slash = C.Id.find('/');
+      C.InstructionId = C.Id.substr(0, Slash);
+      C.OperatorId = C.Id.substr(Slash + 1);
+      C.Machine = R.Machine;
+      C.Instruction = R.Instruction;
+      C.Language = R.Language;
+      C.Operation = R.Operation;
+      C.PaperSteps = R.PaperSteps;
+      C.RequiresExtension = R.Extension;
+      C.OperatorScript = loadSide(C.Id, "operator");
+      C.InstructionScript = loadSide(C.Id, "instruction");
+      Out.push_back(std::move(C));
+    }
+    return Out;
+  }();
   return Cases;
 }
 
-const std::vector<AnalysisCase> &analysis::extendedCases() {
-  static const std::vector<AnalysisCase> Cases = {
-      makeCase("Intel 8086", "stosb", "PC2", "block clear", 0, "pc2.clear",
-               "i8086.stosb", pc2clearForStosbScript(), stosbScript()),
-      makeCase("VAX-11", "skpc", "Rigel", "span", 0, "rigel.span",
-               "vax.skpc", rigelSpanScript(), skpcScript()),
-  };
-  return Cases;
+std::span<const AnalysisCase> analysis::table2Cases() {
+  return std::span(corpus()).first(NumTable2);
 }
 
-const AnalysisCase &analysis::movc3SassignCase() {
-  static const AnalysisCase Case = makeCase(
-      "VAX-11", "movc3", "Pascal", "string assignment", 0, "pascal.sassign",
-      "vax.movc3", sassignForMovc3Script(), movc3ForSassignScript(),
-      /*Extension=*/true);
-  return Case;
+std::span<const AnalysisCase> analysis::extendedCases() {
+  return std::span(corpus()).subspan(NumTable2, NumExtended);
 }
+
+const AnalysisCase &analysis::movc3SassignCase() { return corpus().back(); }
 
 const AnalysisCase *analysis::findCase(const std::string &Id) {
-  for (const AnalysisCase &C : table2Cases())
+  for (const AnalysisCase &C : corpus())
     if (C.Id == Id)
       return &C;
-  for (const AnalysisCase &C : extendedCases())
-    if (C.Id == Id)
-      return &C;
-  if (movc3SassignCase().Id == Id)
-    return &movc3SassignCase();
   return nullptr;
 }

@@ -44,15 +44,10 @@ bool splitSave(const std::string &Code, std::string &Lhs, std::string &Rhs) {
 
 Priors::Priors() {
   std::vector<const Script *> Corpus;
-  auto AddCase = [&](const AnalysisCase &C) {
+  for (const AnalysisCase &C : corpus()) {
     Corpus.push_back(&C.OperatorScript);
     Corpus.push_back(&C.InstructionScript);
-  };
-  for (const AnalysisCase &C : table2Cases())
-    AddCase(C);
-  for (const AnalysisCase &C : extendedCases())
-    AddCase(C);
-  AddCase(movc3SassignCase());
+  }
 
   for (const Script *S : Corpus) {
     // Rule bigrams, including the script-start pseudo-rule "".

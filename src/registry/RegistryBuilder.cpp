@@ -6,7 +6,6 @@
 
 #include "registry/RegistryBuilder.h"
 
-#include "analysis/Derivations.h"
 #include "descriptions/Descriptions.h"
 #include "search/Canon.h"
 #include "search/Checkpoint.h"
@@ -122,17 +121,46 @@ bool RegistryBuilder::admitDiscovery(const search::BatchCase &C,
   return true;
 }
 
-Expected<unsigned> RegistryBuilder::addRecordedCases() {
+unsigned RegistryBuilder::admitScriptFiles(const analysis::ScriptFiles &Files,
+                                           const std::string &Source) {
+  const std::string OpSuffix = ".operator.script";
   unsigned Admitted = 0;
-  for (const analysis::AnalysisCase &C : analysis::table2Cases())
-    if (admitCase(C, "recorded"))
+  for (const auto &[OpName, OpText] : Files) {
+    if (!OpName.ends_with(OpSuffix))
+      continue;
+    std::string Stem = OpName.substr(0, OpName.size() - OpSuffix.size());
+    std::string CaseId = Stem;
+    std::replace(CaseId.begin(), CaseId.end(), '_', '/');
+    const analysis::AnalysisCase *Known = analysis::findCase(CaseId);
+    if (!Known) {
+      Notes.push_back({CaseId, "no recorded derivation for this script"});
+      continue;
+    }
+    auto Inst = Files.find(Stem + ".instruction.script");
+    if (Inst == Files.end()) {
+      Notes.push_back({CaseId, "script file pair incomplete"});
+      continue;
+    }
+    auto OpScript = analysis::parseScriptFile(OpName, OpText);
+    auto InstScript = analysis::parseScriptFile(Inst->first, Inst->second);
+    if (!OpScript || !InstScript) {
+      const Fault &F = OpScript ? InstScript.fault() : OpScript.fault();
+      Notes.push_back({CaseId, F.Message});
+      continue;
+    }
+    // Replay the files' scripts, not the corpus case's, so a stale or
+    // hand-edited file is verified on its own terms.
+    analysis::AnalysisCase Case = *Known;
+    Case.OperatorScript = OpScript.take();
+    Case.InstructionScript = InstScript.take();
+    if (admitCase(Case, Source))
       ++Admitted;
-  for (const analysis::AnalysisCase &C : analysis::extendedCases())
-    if (admitCase(C, "recorded"))
-      ++Admitted;
-  if (admitCase(analysis::movc3SassignCase(), "recorded"))
-    ++Admitted;
+  }
   return Admitted;
+}
+
+Expected<unsigned> RegistryBuilder::addRecordedCases() {
+  return admitScriptFiles(analysis::shippedScripts(), "recorded");
 }
 
 const Registry &registry::recordedCorpus() {
@@ -149,62 +177,22 @@ Expected<unsigned> RegistryBuilder::importScriptsDir(const std::string &Dir) {
   if (!D)
     return makeFault(FaultCategory::Store,
                      "cannot open scripts directory '" + Dir + "'");
-  std::vector<std::string> Stems;
-  const std::string OpSuffix = ".operator.script";
+  analysis::ScriptFiles Files;
   while (struct dirent *Ent = ::readdir(D)) {
     std::string Name = Ent->d_name;
-    if (Name.size() > OpSuffix.size() &&
-        Name.compare(Name.size() - OpSuffix.size(), OpSuffix.size(),
-                     OpSuffix) == 0)
-      Stems.push_back(Name.substr(0, Name.size() - OpSuffix.size()));
+    if (!Name.ends_with(".script"))
+      continue;
+    std::ifstream F(Dir + "/" + Name);
+    if (!F) {
+      Notes.push_back({Name, "cannot read this script file"});
+      continue;
+    }
+    std::ostringstream Text;
+    Text << F.rdbuf();
+    Files[Name] = Text.str();
   }
   ::closedir(D);
-  std::sort(Stems.begin(), Stems.end()); // Deterministic import order.
-
-  auto Slurp = [](const std::string &Path, bool &Ok) {
-    std::ifstream F(Path);
-    Ok = F.good();
-    std::ostringstream Out;
-    Out << F.rdbuf();
-    return Out.str();
-  };
-
-  unsigned Admitted = 0;
-  for (const std::string &Stem : Stems) {
-    // The export-script naming scheme encodes the case id's '/' as '_'.
-    std::string CaseId = Stem;
-    std::replace(CaseId.begin(), CaseId.end(), '_', '/');
-    const analysis::AnalysisCase *Known = analysis::findCase(CaseId);
-    if (!Known) {
-      Notes.push_back({CaseId, "no recorded derivation for this script"});
-      continue;
-    }
-    bool OpOk = false, InstOk = false;
-    std::string OpText = Slurp(Dir + "/" + Stem + OpSuffix, OpOk);
-    std::string InstText =
-        Slurp(Dir + "/" + Stem + ".instruction.script", InstOk);
-    if (!OpOk || !InstOk) {
-      Notes.push_back({CaseId, "script file pair incomplete"});
-      continue;
-    }
-    DiagnosticEngine OpDiags, InstDiags;
-    auto OpScript = transform::parseScript(OpText, OpDiags);
-    auto InstScript = transform::parseScript(InstText, InstDiags);
-    if (!OpScript || !InstScript) {
-      Notes.push_back({CaseId, "script parse failed: " +
-                                   (OpScript ? InstDiags.str()
-                                             : OpDiags.str())});
-      continue;
-    }
-    // Replay the *file's* scripts (not the built-in ones) so a stale or
-    // hand-edited file is verified on its own terms.
-    analysis::AnalysisCase Case = *Known;
-    Case.OperatorScript = std::move(*OpScript);
-    Case.InstructionScript = std::move(*InstScript);
-    if (admitCase(Case, "scripts"))
-      ++Admitted;
-  }
-  return Admitted;
+  return admitScriptFiles(Files, "scripts");
 }
 
 Expected<unsigned> RegistryBuilder::importCheckpoint(const std::string &Path) {

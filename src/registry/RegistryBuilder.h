@@ -7,9 +7,9 @@
 /// \file
 /// Builds a binding registry from the discovery pipeline's artifacts:
 ///
-///  * the recorded derivation corpus built into the binary
-///    (analysis/Derivations.cpp — Table 2, the extended cases, §4.3);
-///  * the shipped `scripts/` directory (extra-cli export-script text);
+///  * the recorded derivation corpus, the `scripts/` files compiled into
+///    the binary (Table 2, the extended cases, §4.3);
+///  * a directory of script files in the same layout (`--from-scripts`);
 ///  * a batch checkpoint file;
 ///  * a search's own verified results (`extra-cli search --registry`).
 ///
@@ -25,6 +25,7 @@
 #ifndef EXTRA_REGISTRY_REGISTRYBUILDER_H
 #define EXTRA_REGISTRY_REGISTRYBUILDER_H
 
+#include "analysis/Derivations.h"
 #include "registry/Registry.h"
 #include "search/JobRunner.h"
 
@@ -44,15 +45,21 @@ struct BuildNote {
 
 class RegistryBuilder {
 public:
-  /// Imports every built-in recorded derivation, replaying each analysis
-  /// (cheap differential budget) to regenerate constraints and binding.
-  /// Returns the number of entries admitted.
+  /// Imports the recorded corpus (analysis::shippedScripts()) as
+  /// "recorded" entries. Returns the number of entries admitted.
   Expected<unsigned> addRecordedCases();
 
-  /// Imports `<dir>/<case>.operator.script` + `.instruction.script`
-  /// pairs (case id encoded with '/' as '_'), verifying each pair by
-  /// substituting the parsed scripts into the library case and replaying.
+  /// Imports the `*.script` files in \p Dir as "scripts" entries.
   Expected<unsigned> importScriptsDir(const std::string &Dir);
+
+  /// Imports each `<case>.operator.script` in \p Files with its
+  /// `.instruction.script`, as \p Source: parses both, substitutes them
+  /// into the corpus case named by the file (the id's '/' written '_')
+  /// and replays it (cheap differential budget) to regenerate the
+  /// constraints and binding. A file that does not parse is noted with
+  /// its name and the parser's diagnostics. Returns the number admitted.
+  unsigned admitScriptFiles(const analysis::ScriptFiles &Files,
+                            const std::string &Source);
 
   /// Imports Verified records from a batch checkpoint file. Checkpoint
   /// records carry no scripts, so the library derivation for each case id

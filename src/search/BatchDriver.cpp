@@ -160,7 +160,7 @@ std::string search::batchReportText(const std::vector<BatchResult> &Results) {
 
 std::vector<BatchCase> search::libraryCases() {
   std::vector<BatchCase> Out;
-  auto FromCase = [&Out](const analysis::AnalysisCase &C) {
+  for (const analysis::AnalysisCase &C : analysis::corpus()) {
     BatchCase B;
     B.Id = C.Id;
     B.OperatorId = C.OperatorId;
@@ -168,11 +168,6 @@ std::vector<BatchCase> search::libraryCases() {
     B.M = C.RequiresExtension ? analysis::Mode::Extension
                               : analysis::Mode::Base;
     Out.push_back(std::move(B));
-  };
-  for (const analysis::AnalysisCase &C : analysis::table2Cases())
-    FromCase(C);
-  for (const analysis::AnalysisCase &C : analysis::extendedCases())
-    FromCase(C);
-  FromCase(analysis::movc3SassignCase());
+  }
   return Out;
 }

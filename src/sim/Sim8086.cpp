@@ -30,25 +30,23 @@ public:
                 uint64_t MaxSteps) {
     size_t Pc = 0;
     while (Pc < Prog.size()) {
-      if (++Res.Instructions > MaxSteps)
-        return fail("step limit exceeded");
-      const AsmStmt &S = Prog[Pc];
+      if (++Res.Instructions > MaxSteps) {
+        Res.Error = "step limit exceeded";
+        break;
+      }
       size_t NextPc = Pc + 1;
-      if (!exec(S, Labels, NextPc))
-        return std::move(Res);
+      if (!exec(Prog[Pc], Labels, NextPc))
+        break;
       Pc = NextPc;
     }
-    Res.Ok = true;
+    // The one exit: a failed run reports the registers at the failing
+    // statement, like the VAX and 370 simulators.
+    Res.Ok = Res.Error.empty();
     Res.Regs = R;
     return std::move(Res);
   }
 
 private:
-  SimResult fail(const std::string &Why) {
-    Res.Error = Why;
-    Res.Regs = R;
-    return std::move(Res);
-  }
   bool error(const AsmStmt &S, const std::string &Why) {
     Res.Error = Why + " in '" + S.Raw + "'";
     return false;

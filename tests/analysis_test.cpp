@@ -10,8 +10,10 @@
 #include "descriptions/Descriptions.h"
 #include "isdl/Parser.h"
 #include "isdl/Validate.h"
+#include "transform/ScriptIO.h"
 
 #include <gtest/gtest.h>
+#include <sstream>
 
 using namespace extra;
 using namespace extra::analysis;
@@ -169,6 +171,93 @@ TEST(Movc3Test, ExtensionModeSucceeds) {
   EXPECT_TRUE(R.Constraints.hasRelational());
   EXPECT_NE(R.Constraints.str().find("pascal.no-overlap"),
             std::string::npos);
+}
+
+// The recorded corpus, frozen: for each case in order, its id and Table 2
+// columns, and for each side the step count and an FNV-1a digest of the
+// printed script. Recorded when the steps were still C++ builders, so
+// the scripts/ files that replaced them must reproduce every line; the
+// mined priors are a pure function of this ordered corpus.
+std::string corpusLine(const AnalysisCase &C) {
+  auto Side = [](const transform::Script &S) {
+    uint64_t H = 0xcbf29ce484222325ULL;
+    for (unsigned char Ch : transform::printScript(S))
+      H = (H ^ Ch) * 0x100000001b3ULL;
+    std::ostringstream Out;
+    Out << S.size() << ":" << std::hex << H;
+    return Out.str();
+  };
+  std::ostringstream Out;
+  Out << C.Id << " | " << C.Machine << " | " << C.Instruction << " | "
+      << C.Language << " | " << C.Operation << " | paper=" << C.PaperSteps
+      << (C.RequiresExtension ? " extension" : " base")
+      << " | op=" << Side(C.OperatorScript)
+      << " inst=" << Side(C.InstructionScript);
+  return Out.str();
+}
+
+TEST(CorpusTest, FrozenCorpusTable) {
+  static const std::vector<std::string> Frozen = {
+      "i8086.movsb/pascal.smove | Intel 8086 | movsb | Pascal"
+      " | string move | paper=52 base"
+      " | op=10:a6f4b41e10d38793 inst=13:3cbfdef915376f4c",
+      "i8086.movsb/pl1.move | Intel 8086 | movsb | PL/1"
+      " | string move | paper=66 base"
+      " | op=12:8a7a0c02e68610e1 inst=13:3cbfdef915376f4c",
+      "i8086.scasb/rigel.index | Intel 8086 | scasb | Rigel"
+      " | string search | paper=73 base"
+      " | op=7:162edb024cd98f88 inst=23:769603b1e953cbca",
+      "i8086.scasb/clu.search | Intel 8086 | scasb | CLU"
+      " | string search | paper=86 base"
+      " | op=9:bacfd8376c1cff0a inst=23:769603b1e953cbca",
+      "i8086.cmpsb/pascal.sequal | Intel 8086 | cmpsb | Pascal"
+      " | string compare | paper=79 base"
+      " | op=18:df9b429de00341d8 inst=22:d75d7652f71dcda7",
+      "vax.movc3/pc2.copy | VAX-11 | movc3 | PC2"
+      " | block copy | paper=21 base"
+      " | op=2:92bff45a116bc981 inst=1:fadfd13c3650b101",
+      "vax.movc5/pc2.clear | VAX-11 | movc5 | PC2"
+      " | block clear | paper=26 base"
+      " | op=0:cbf29ce484222325 inst=13:f09d69632721b3fd",
+      "vax.locc/rigel.index | VAX-11 | locc | Rigel"
+      " | string search | paper=33 base"
+      " | op=2:d39c7b1ef19dcac8 inst=5:7723757ccb3c39b1",
+      "vax.locc/clu.search | VAX-11 | locc | CLU"
+      " | string search | paper=32 base"
+      " | op=4:99a9808ae52bbca8 inst=5:7723757ccb3c39b1",
+      "vax.cmpc3/pascal.sequal | VAX-11 | cmpc3 | Pascal"
+      " | string compare | paper=47 base"
+      " | op=8:aaee720c274fa20f inst=2:c4355a6829d03ae8",
+      "ibm370.mvc/pascal.sassign | IBM 370 | mvc | Pascal"
+      " | string move | paper=105 base"
+      " | op=24:76476ad62065f15f inst=0:cbf29ce484222325",
+      "i8086.stosb/pc2.clear | Intel 8086 | stosb | PC2"
+      " | block clear | paper=0 base"
+      " | op=2:6bd8089278239715 inst=17:208478029b18f4d5",
+      "vax.skpc/rigel.span | VAX-11 | skpc | Rigel"
+      " | span | paper=0 base"
+      " | op=1:cf5f07092a54888a inst=5:14fe43a41141d3a4",
+      "vax.movc3/pascal.sassign | VAX-11 | movc3 | Pascal"
+      " | string assignment | paper=0 extension"
+      " | op=20:6a0000f74f6a58d7 inst=4:f7cb4f5861ab8bfe",
+  };
+  const std::vector<AnalysisCase> &Cases = corpus();
+  ASSERT_EQ(Cases.size(), Frozen.size());
+  for (size_t I = 0; I < Cases.size(); ++I)
+    EXPECT_EQ(corpusLine(Cases[I]), Frozen[I]);
+}
+
+TEST(CorpusTest, GroupAccessorsAndLookupViewTheOneCorpus) {
+  const std::vector<AnalysisCase> &Cases = corpus();
+  ASSERT_EQ(Cases.size(), 14u);
+  EXPECT_EQ(table2Cases().data(), Cases.data());
+  EXPECT_EQ(table2Cases().size(), 11u);
+  EXPECT_EQ(extendedCases().data(), Cases.data() + 11);
+  EXPECT_EQ(extendedCases().size(), 2u);
+  EXPECT_EQ(&movc3SassignCase(), &Cases.back());
+  for (const AnalysisCase &C : Cases)
+    EXPECT_EQ(findCase(C.Id), &C);
+  EXPECT_EQ(findCase("vax.movc3/no.such"), nullptr);
 }
 
 } // namespace

@@ -84,9 +84,7 @@ TEST(CanonTest, MatchedFinalFormsFingerprintEqual) {
     ASSERT_TRUE(isdl::matchDescriptions(Op, Inst).Matched) << C.Id;
     EXPECT_EQ(fingerprint(Op), fingerprint(Inst)) << C.Id;
   };
-  for (const analysis::AnalysisCase &C : analysis::table2Cases())
-    Check(C);
-  for (const analysis::AnalysisCase &C : analysis::extendedCases())
+  for (const analysis::AnalysisCase &C : analysis::corpus())
     Check(C);
 }
 
@@ -191,21 +189,15 @@ TEST(SearcherTest, DiscoversMajorityOfRecordedPairings) {
   Limits.Widenings = 0;
 
   unsigned Matching = 0;
-  std::vector<const analysis::AnalysisCase *> All;
-  for (const analysis::AnalysisCase &C : analysis::table2Cases())
-    All.push_back(&C);
-  for (const analysis::AnalysisCase &C : analysis::extendedCases())
-    All.push_back(&C);
-  All.push_back(&analysis::movc3SassignCase());
-  ASSERT_EQ(All.size(), 14u);
+  ASSERT_EQ(analysis::corpus().size(), 14u);
 
-  for (const analysis::AnalysisCase *C : All) {
+  for (const analysis::AnalysisCase &C : analysis::corpus()) {
     DiscoveryResult R =
-        discoverAndVerify(C->OperatorId, C->InstructionId, Limits);
+        discoverAndVerify(C.OperatorId, C.InstructionId, Limits);
     if (!R.Outcome.Found || !R.Verified)
       continue;
-    analysis::AnalysisResult Replay = analysis::runAnalysis(*C);
-    ASSERT_TRUE(Replay.Succeeded) << C->Id;
+    analysis::AnalysisResult Replay = analysis::runAnalysis(C);
+    ASSERT_TRUE(Replay.Succeeded) << C.Id;
     if (constraintLines(R.Replay.Constraints) ==
         constraintLines(Replay.Constraints))
       ++Matching;
@@ -485,9 +477,7 @@ TEST(BatchDriverTest, ParallelResultsMatchSequential) {
 
 TEST(BatchDriverTest, LibraryCasesCoverRecordedPairings) {
   std::vector<BatchCase> Cases = libraryCases();
-  size_t Expected = analysis::table2Cases().size() +
-                    analysis::extendedCases().size() + 1;
-  EXPECT_EQ(Cases.size(), Expected);
+  EXPECT_EQ(Cases.size(), analysis::corpus().size());
   for (const BatchCase &C : Cases) {
     EXPECT_FALSE(C.OperatorId.empty());
     EXPECT_FALSE(C.InstructionId.empty());

@@ -488,23 +488,23 @@ TEST(SimTrafficTest, FrozenTable) {
        "ok n=6 uops=1 mem=20:a603d180822486c5 regs=cx=0 "},
       {"8086 asm rep of a non-string instruction",
        "fail 'unknown string instruction in 'rep lodsb'' n=2 uops=1 "
-       "mem=20:a603d180822486c5 regs="},
+       "mem=20:a603d180822486c5 regs=cx=1 "},
       {"8086 asm inc of memory",
        "fail 'inc/dec needs one register in 'inc [di]'' n=2 uops=1 "
-       "mem=20:a603d180822486c5 regs="},
+       "mem=20:a603d180822486c5 regs=di=10 "},
       {"8086 asm literal-looking destination",
        "ok n=3 uops=3 mem=20:a603d180822486c5 regs=5=7 ax=5 "},
       {"8086 asm wrong operand count",
        "fail 'unknown instruction in 'mov ax'' n=2 uops=1 "
-       "mem=20:a603d180822486c5 regs="},
+       "mem=20:a603d180822486c5 regs=ax=1 "},
       {"8086 asm duplicate label",
        "fail 'duplicate label 'x'' n=0 uops=0 mem=0:cbf29ce484222325 regs="},
       {"8086 asm unknown instruction",
        "fail 'unknown instruction 'frobnicate' in 'frobnicate ax, 1'' n=2 "
-       "uops=2 mem=20:a603d180822486c5 regs="},
+       "uops=2 mem=20:a603d180822486c5 regs=ax=1 "},
       {"8086 asm unknown label on a taken branch",
        "fail 'unknown label 'nowhere' in 'jnz nowhere'' n=4 uops=2 "
-       "mem=20:a603d180822486c5 regs="},
+       "mem=20:a603d180822486c5 regs=ax=1 "},
       {"8086 asm step limit",
        "fail 'step limit exceeded' n=501 uops=251 mem=20:a603d180822486c5 "
        "regs=cx=250 "},

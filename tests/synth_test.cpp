@@ -31,17 +31,6 @@ isdl::Description replayTo(const std::string &Id, const transform::Script &S,
   return E.takeDescription();
 }
 
-/// All recorded cases: Table 2, the extensions, and the §4.3 case.
-std::vector<const analysis::AnalysisCase *> allCases() {
-  std::vector<const analysis::AnalysisCase *> Out;
-  for (const analysis::AnalysisCase &C : analysis::table2Cases())
-    Out.push_back(&C);
-  for (const analysis::AnalysisCase &C : analysis::extendedCases())
-    Out.push_back(&C);
-  Out.push_back(&analysis::movc3SassignCase());
-  return Out;
-}
-
 std::string arg(const Step &S, const char *Key) {
   auto It = S.Args.find(Key);
   return It == S.Args.end() ? std::string() : It->second;
@@ -165,9 +154,9 @@ TEST(NameSynthTest, ProposalsContainEveryRecordedRenamingStep) {
     }
   };
 
-  for (const analysis::AnalysisCase *C : allCases()) {
-    CheckScript(C->OperatorId, C->OperatorScript);
-    CheckScript(C->InstructionId, C->InstructionScript);
+  for (const analysis::AnalysisCase &C : analysis::corpus()) {
+    CheckScript(C.OperatorId, C.OperatorScript);
+    CheckScript(C.InstructionId, C.InstructionScript);
   }
   // The recorded corpus exercises all three renaming rules.
   EXPECT_GE(I2P, 8u);
@@ -204,25 +193,25 @@ TEST(CodeSynthTest, SynthesizedAugmentsRoundTripThroughEngine) {
   const Vocabulary &Vocab = analysis::Priors::instance().vocabulary();
   unsigned CasesWithProposals = 0, StepsApplied = 0;
 
-  for (const analysis::AnalysisCase *C : allCases()) {
-    size_t First = C->InstructionScript.size();
-    for (size_t I = 0; I < C->InstructionScript.size(); ++I) {
-      const std::string &R = C->InstructionScript[I].Rule;
+  for (const analysis::AnalysisCase &C : analysis::corpus()) {
+    size_t First = C.InstructionScript.size();
+    for (size_t I = 0; I < C.InstructionScript.size(); ++I) {
+      const std::string &R = C.InstructionScript[I].Rule;
       if (R == "add-prologue" || R == "replace-output" ||
           (R == "allocate-temp" &&
-           I + 1 < C->InstructionScript.size() &&
-           C->InstructionScript[I + 1].Rule == "add-prologue")) {
+           I + 1 < C.InstructionScript.size() &&
+           C.InstructionScript[I + 1].Rule == "add-prologue")) {
         First = I;
         break;
       }
     }
-    if (First == C->InstructionScript.size())
+    if (First == C.InstructionScript.size())
       continue;
 
     isdl::Description Op =
-        replayTo(C->OperatorId, C->OperatorScript, C->OperatorScript.size());
+        replayTo(C.OperatorId, C.OperatorScript, C.OperatorScript.size());
     isdl::Description Inst =
-        replayTo(C->InstructionId, C->InstructionScript, First);
+        replayTo(C.InstructionId, C.InstructionScript, First);
 
     std::vector<Proposal> Props = proposeAugments(Op, Inst, Vocab);
     if (Props.empty())
@@ -232,7 +221,7 @@ TEST(CodeSynthTest, SynthesizedAugmentsRoundTripThroughEngine) {
       transform::Engine E(Inst.clone());
       for (const Step &S : P.Steps) {
         EXPECT_TRUE(E.apply(S).Applied)
-            << C->Id << ": synthesized step refused: " << S.str();
+            << C.Id << ": synthesized step refused: " << S.str();
         ++StepsApplied;
       }
     }

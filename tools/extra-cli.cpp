@@ -11,7 +11,6 @@
 //   extra-cli show <id>                print one description
 //   extra-cli cases                    list the recorded analyses
 //   extra-cli analyze <case-id> [-x]   run an analysis (-x: extension mode)
-//   extra-cli export-script <case-id> <operator|instruction>
 //   extra-cli replay <desc-id> <script-file>
 //   extra-cli search --case <id> | <op-id> <inst-id> | --all
 //                    [--registry <file>]
@@ -69,8 +68,6 @@ int usage() {
                "  show <id>               print one description\n"
                "  cases                   list the recorded analyses\n"
                "  analyze <case-id> [-x]  run an analysis (-x extension)\n"
-               "  export-script <case-id> <operator|instruction>\n"
-               "                          dump a recorded derivation script\n"
                "  replay <desc-id> <file> apply a script file to a "
                "description\n"
                "  search --case <case-id> | <operator-id> <instruction-id>\n"
@@ -211,18 +208,16 @@ int cmdShow(int argc, char **argv) {
 }
 
 int cmdCases() {
-  for (const AnalysisCase &C : table2Cases())
-    std::printf("%-28s %-12s %-10s %-16s paper: %u steps\n", C.Id.c_str(),
+  for (const AnalysisCase &C : corpus()) {
+    std::string Note = "beyond Table 2";
+    if (C.PaperSteps)
+      Note = "paper: " + std::to_string(C.PaperSteps) + " steps";
+    else if (C.RequiresExtension)
+      Note = "extension mode only (§4.3)";
+    std::printf("%-28s %-12s %-10s %-16s %s\n", C.Id.c_str(),
                 C.Machine.c_str(), C.Language.c_str(), C.Operation.c_str(),
-                C.PaperSteps);
-  for (const AnalysisCase &C : extendedCases())
-    std::printf("%-28s %-12s %-10s %-16s beyond Table 2\n", C.Id.c_str(),
-                C.Machine.c_str(), C.Language.c_str(),
-                C.Operation.c_str());
-  const AnalysisCase &M = movc3SassignCase();
-  std::printf("%-28s %-12s %-10s %-16s extension mode only (§4.3)\n",
-              M.Id.c_str(), M.Machine.c_str(), M.Language.c_str(),
-              M.Operation.c_str());
+                Note.c_str());
+  }
   return 0;
 }
 
@@ -249,27 +244,6 @@ int cmdAnalyze(int argc, char **argv) {
   std::printf("binding:\n%s\n", R.Binding.str().c_str());
   std::printf("constraints:\n%s\n", R.Constraints.str().c_str());
   std::printf("augmented instruction:\n%s", R.AugmentedInstruction.c_str());
-  return 0;
-}
-
-int cmdExportScript(int argc, char **argv) {
-  if (argc < 4)
-    return usage();
-  const AnalysisCase *Case = findCase(argv[2]);
-  if (!Case) {
-    std::fprintf(stderr, "unknown case '%s'\n", argv[2]);
-    return 1;
-  }
-  bool Operator = !std::strcmp(argv[3], "operator");
-  if (!Operator && std::strcmp(argv[3], "instruction") != 0)
-    return usage();
-  std::printf("# %s side of %s (paper: %u steps)\n",
-              Operator ? "operator" : "instruction", Case->Id.c_str(),
-              Case->PaperSteps);
-  std::fputs(transform::printScript(Operator ? Case->OperatorScript
-                                             : Case->InstructionScript)
-                 .c_str(),
-             stdout);
   return 0;
 }
 
@@ -945,8 +919,6 @@ int main(int argc, char **argv) {
     return cmdCases();
   if (!std::strcmp(Cmd, "analyze"))
     return cmdAnalyze(argc, argv);
-  if (!std::strcmp(Cmd, "export-script"))
-    return cmdExportScript(argc, argv);
   if (!std::strcmp(Cmd, "replay"))
     return cmdReplay(argc, argv);
   if (!std::strcmp(Cmd, "search"))
