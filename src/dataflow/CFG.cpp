@@ -18,81 +18,59 @@ using namespace extra::isdl;
 
 namespace {
 
-void summarizeRoutineInto(const Description &D, const Routine &R,
-                          EffectSummary &Out,
-                          std::set<std::string> &InProgress);
-
-/// Collects reads (and call-induced writes) of \p E.
-void exprEffects(const Description &D, const Expr &E,
-                 std::set<std::string> &Reads, std::set<std::string> *Writes,
-                 std::set<std::string> &InProgress) {
+/// Reports the reads of \p E to \p Out, and each call by callee name. The
+/// name-set summaries below and CFG::Builder share this walk.
+template <typename Sink> void exprEffects(const Expr &E, Sink &Out) {
   forEachExpr(E, [&](const Expr &Sub) {
-    if (const auto *V = dyn_cast<VarRef>(&Sub)) {
-      Reads.insert(V->getName());
-    } else if (isa<MemRef>(&Sub)) {
-      Reads.insert(MemoryVar);
-    } else if (const auto *C = dyn_cast<CallExpr>(&Sub)) {
-      const Routine *Callee = D.findRoutine(C->getCallee());
-      if (!Callee) {
-        // Unknown callee: assume the worst.
-        Reads.insert(MemoryVar);
-        if (Writes)
-          Writes->insert(MemoryVar);
-        return;
-      }
-      EffectSummary Sum;
-      summarizeRoutineInto(D, *Callee, Sum, InProgress);
-      Reads.insert(Sum.Reads.begin(), Sum.Reads.end());
-      if (Writes)
-        Writes->insert(Sum.Writes.begin(), Sum.Writes.end());
-      else
-        Reads.insert(Sum.Writes.begin(), Sum.Writes.end());
-    }
+    if (const auto *V = dyn_cast<VarRef>(&Sub))
+      Out.read(V->getName());
+    else if (isa<MemRef>(&Sub))
+      Out.read(MemoryVar);
+    else if (const auto *C = dyn_cast<CallExpr>(&Sub))
+      Out.call(C->getCallee());
   });
 }
 
-void stmtEffects(const Description &D, const Stmt &S, EffectSummary &Out,
-                 std::set<std::string> &InProgress) {
+template <typename Sink> void stmtEffects(const Stmt &S, Sink &Out) {
   switch (S.getKind()) {
   case Stmt::Kind::Assign: {
     const auto *A = cast<AssignStmt>(&S);
-    exprEffects(D, *A->getValue(), Out.Reads, &Out.Writes, InProgress);
+    exprEffects(*A->getValue(), Out);
     if (const auto *M = dyn_cast<MemRef>(A->getTarget())) {
-      exprEffects(D, *M->getAddress(), Out.Reads, &Out.Writes, InProgress);
-      Out.Writes.insert(MemoryVar);
+      exprEffects(*M->getAddress(), Out);
+      Out.write(MemoryVar);
     } else {
-      Out.Writes.insert(cast<VarRef>(A->getTarget())->getName());
+      Out.write(cast<VarRef>(A->getTarget())->getName());
     }
     break;
   }
   case Stmt::Kind::If: {
     const auto *I = cast<IfStmt>(&S);
-    exprEffects(D, *I->getCond(), Out.Reads, &Out.Writes, InProgress);
+    exprEffects(*I->getCond(), Out);
     for (const StmtPtr &Sub : I->getThen())
-      stmtEffects(D, *Sub, Out, InProgress);
+      stmtEffects(*Sub, Out);
     for (const StmtPtr &Sub : I->getElse())
-      stmtEffects(D, *Sub, Out, InProgress);
+      stmtEffects(*Sub, Out);
     break;
   }
   case Stmt::Kind::Repeat:
     for (const StmtPtr &Sub : cast<RepeatStmt>(&S)->getBody())
-      stmtEffects(D, *Sub, Out, InProgress);
+      stmtEffects(*Sub, Out);
     break;
   case Stmt::Kind::ExitWhen:
-    exprEffects(D, *cast<ExitWhenStmt>(&S)->getCond(), Out.Reads, &Out.Writes,
-                InProgress);
+    exprEffects(*cast<ExitWhenStmt>(&S)->getCond(), Out);
     break;
   case Stmt::Kind::Input:
-    Out.Reads.insert(IoVar);
-    Out.Writes.insert(IoVar);
+    Out.read(IoVar);
+    Out.write(IoVar);
     for (const std::string &T : cast<InputStmt>(&S)->getTargets())
-      Out.Writes.insert(T);
+      Out.write(T);
     break;
   case Stmt::Kind::Output:
-    Out.Reads.insert(IoVar);
-    Out.Writes.insert(IoVar);
+    Out.read(IoVar);
+    Out.write(IoVar);
     for (const ExprPtr &V : cast<OutputStmt>(&S)->getValues())
-      exprEffects(D, *V, Out.Reads, &Out.Writes, InProgress);
+      exprEffects(*V, Out);
     break;
   case Stmt::Kind::Constrain:
   case Stmt::Kind::Assert:
@@ -103,6 +81,36 @@ void stmtEffects(const Description &D, const Stmt &S, EffectSummary &Out,
 
 void summarizeRoutineInto(const Description &D, const Routine &R,
                           EffectSummary &Out,
+                          std::set<std::string> &InProgress);
+
+/// Collects effects as name sets. A call adds its callee's transitive
+/// summary: to the writes, or without \p Writes to the reads.
+struct NameSink {
+  const Description &D;
+  std::set<std::string> &Reads;
+  std::set<std::string> *Writes;
+  std::set<std::string> &InProgress;
+
+  void read(const std::string &Name) { Reads.insert(Name); }
+  void write(const std::string &Name) { Writes->insert(Name); }
+  void call(const std::string &Name) {
+    const Routine *Callee = D.findRoutine(Name);
+    if (!Callee) {
+      // Unknown callee: assume the worst.
+      Reads.insert(MemoryVar);
+      if (Writes)
+        Writes->insert(MemoryVar);
+      return;
+    }
+    EffectSummary Sum;
+    summarizeRoutineInto(D, *Callee, Sum, InProgress);
+    Reads.insert(Sum.Reads.begin(), Sum.Reads.end());
+    (Writes ? *Writes : Reads).insert(Sum.Writes.begin(), Sum.Writes.end());
+  }
+};
+
+void summarizeRoutineInto(const Description &D, const Routine &R,
+                          EffectSummary &Out,
                           std::set<std::string> &InProgress) {
   if (!InProgress.insert(R.Name).second) {
     // Recursion guard: assume the worst for a cyclic call.
@@ -110,8 +118,9 @@ void summarizeRoutineInto(const Description &D, const Routine &R,
     Out.Writes.insert(MemoryVar);
     return;
   }
+  NameSink Sink{D, Out.Reads, &Out.Writes, InProgress};
   for (const StmtPtr &S : R.Body)
-    stmtEffects(D, *S, Out, InProgress);
+    stmtEffects(*S, Sink);
   InProgress.erase(R.Name);
 }
 
@@ -128,7 +137,8 @@ EffectSummary dataflow::summarizeRoutine(const Description &D,
 EffectSummary dataflow::summarizeStmt(const Description &D, const Stmt &S) {
   EffectSummary Out;
   std::set<std::string> InProgress;
-  stmtEffects(D, S, Out, InProgress);
+  NameSink Sink{D, Out.Reads, &Out.Writes, InProgress};
+  stmtEffects(S, Sink);
   return Out;
 }
 
@@ -136,7 +146,8 @@ void dataflow::collectExprEffects(const Description &D, const Expr &E,
                                   std::set<std::string> &ReadsOut,
                                   std::set<std::string> *WritesOut) {
   std::set<std::string> InProgress;
-  exprEffects(D, E, ReadsOut, WritesOut, InProgress);
+  NameSink Sink{D, ReadsOut, WritesOut, InProgress};
+  exprEffects(E, Sink);
 }
 
 static bool intersects(const std::set<std::string> &A,
@@ -171,95 +182,121 @@ bool dataflow::independent(const Description &D, const Stmt &A,
 // CFG construction
 //===----------------------------------------------------------------------===//
 
-int CFG::addNode(CFGNode N) {
-  Nodes.push_back(std::move(N));
-  return static_cast<int>(Nodes.size()) - 1;
-}
+/// One CFG::build: numbers each name on first sight, summarizes each
+/// callee once, and collects the effects of node \p N as bits.
+struct CFG::Builder {
+  const Description &D;
+  CFG &G;
+  CFGNode *N = nullptr;
+  /// Numbers of each callee's transitive reads and writes, by name.
+  std::map<std::string, std::pair<std::vector<int>, std::vector<int>>>
+      Callees = {};
 
-int CFG::buildList(const Description &D, const StmtList &Stmts, int Next,
-                   int LoopExit) {
-  int Entry = Next;
-  for (size_t I = Stmts.size(); I-- > 0;)
-    Entry = buildStmt(D, *Stmts[I], Entry, LoopExit);
-  return Entry;
-}
+  int var(const std::string &Name) {
+    return G.Vars.try_emplace(Name, static_cast<int>(G.Vars.size()))
+        .first->second;
+  }
+  static void set(std::vector<uint64_t> &Bits, int V) {
+    size_t Word = static_cast<size_t>(V) / 64;
+    if (Bits.size() <= Word)
+      Bits.resize(Word + 1);
+    Bits[Word] |= uint64_t(1) << (V % 64);
+  }
+  void read(const std::string &Name) { set(N->Reads, var(Name)); }
+  void write(const std::string &Name) { set(N->Writes, var(Name)); }
+  void call(const std::string &Name) {
+    auto [It, New] = Callees.try_emplace(Name);
+    if (New) {
+      EffectSummary Sum;
+      if (const Routine *Callee = D.findRoutine(Name))
+        Sum = summarizeRoutine(D, *Callee);
+      else // Unknown callee: assume the worst.
+        Sum.Reads = Sum.Writes = {MemoryVar};
+      for (const std::string &R : Sum.Reads)
+        It->second.first.push_back(var(R));
+      for (const std::string &W : Sum.Writes)
+        It->second.second.push_back(var(W));
+    }
+    for (int V : It->second.first)
+      set(N->Reads, V);
+    for (int V : It->second.second)
+      set(N->Writes, V);
+  }
 
-int CFG::buildStmt(const Description &D, const Stmt &S, int Next,
-                   int LoopExit) {
-  switch (S.getKind()) {
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(&S);
-    CFGNode Cond;
-    Cond.R = CFGNode::Role::IfCond;
-    Cond.S = &S;
-    std::set<std::string> InProgress;
-    collectExprEffects(D, *If->getCond(), Cond.Reads, &Cond.Writes);
-    int CondId = addNode(std::move(Cond));
-    Index[&S] = CondId;
-    int ThenEntry = buildList(D, If->getThen(), Next, LoopExit);
-    int ElseEntry = buildList(D, If->getElse(), Next, LoopExit);
-    Nodes[CondId].Succs = {ThenEntry, ElseEntry};
-    return CondId;
+  int list(const StmtList &Stmts, int Next, int LoopExit) {
+    int Entry = Next;
+    for (size_t I = Stmts.size(); I-- > 0;)
+      Entry = stmt(*Stmts[I], Entry, LoopExit);
+    return Entry;
   }
-  case Stmt::Kind::Repeat: {
-    const auto *Rep = cast<RepeatStmt>(&S);
-    CFGNode Header;
-    Header.R = CFGNode::Role::LoopHeader;
-    Header.S = &S;
-    int HeaderId = addNode(std::move(Header));
-    Index[&S] = HeaderId;
-    int BodyEntry = buildList(D, Rep->getBody(), HeaderId, Next);
-    Nodes[HeaderId].Succs = {BodyEntry};
-    return HeaderId;
-  }
-  case Stmt::Kind::ExitWhen: {
-    CFGNode N;
-    N.R = CFGNode::Role::ExitCond;
-    N.S = &S;
-    collectExprEffects(D, *cast<ExitWhenStmt>(&S)->getCond(), N.Reads,
-                       &N.Writes);
-    // A malformed exit_when outside a loop falls through only.
-    int Taken = LoopExit >= 0 ? LoopExit : Next;
-    N.TakenSucc = Taken;
-    N.Succs = {Taken, Next};
-    int Id = addNode(std::move(N));
-    Index[&S] = Id;
+
+  int stmt(const Stmt &S, int Next, int LoopExit) {
+    CFGNode Node;
+    Node.S = &S;
+    N = &Node;
+    switch (S.getKind()) {
+    case Stmt::Kind::If:
+      Node.R = CFGNode::Role::IfCond;
+      exprEffects(*cast<IfStmt>(&S)->getCond(), *this);
+      break;
+    case Stmt::Kind::Repeat:
+      Node.R = CFGNode::Role::LoopHeader;
+      break;
+    case Stmt::Kind::ExitWhen:
+      Node.R = CFGNode::Role::ExitCond;
+      exprEffects(*cast<ExitWhenStmt>(&S)->getCond(), *this);
+      // A malformed exit_when outside a loop falls through only.
+      Node.TakenSucc = LoopExit >= 0 ? LoopExit : Next;
+      Node.Succs = {Node.TakenSucc, Next};
+      break;
+    default:
+      stmtEffects(S, *this);
+      Node.Succs = {Next};
+      break;
+    }
+    int Id = static_cast<int>(G.Nodes.size());
+    G.Nodes.push_back(std::move(Node));
+    G.Index[&S] = Id;
+    if (const auto *If = dyn_cast<IfStmt>(&S)) {
+      int ThenEntry = list(If->getThen(), Next, LoopExit);
+      int ElseEntry = list(If->getElse(), Next, LoopExit);
+      G.Nodes[Id].Succs = {ThenEntry, ElseEntry};
+    } else if (const auto *Rep = dyn_cast<RepeatStmt>(&S)) {
+      int BodyEntry = list(Rep->getBody(), Id, Next);
+      G.Nodes[Id].Succs = {BodyEntry};
+    }
     return Id;
   }
-  default: {
-    CFGNode N;
-    N.R = CFGNode::Role::Plain;
-    N.S = &S;
-    EffectSummary Sum = summarizeStmt(D, S);
-    N.Reads = std::move(Sum.Reads);
-    N.Writes = std::move(Sum.Writes);
-    N.Succs = {Next};
-    int Id = addNode(std::move(N));
-    Index[&S] = Id;
-    return Id;
-  }
-  }
-}
+};
 
 CFG CFG::build(const Description &D, const Routine &R) {
   CFG G;
-  CFGNode Entry;
-  Entry.R = CFGNode::Role::Entry;
-  G.addNode(std::move(Entry)); // node 0
-  CFGNode Exit;
-  Exit.R = CFGNode::Role::Exit;
+  Builder B{D, G};
+  B.var(MemoryVar); // 0
+  B.var(IoVar);     // 1
+  G.Nodes.resize(2);
+  G.Nodes[G.entry()].R = CFGNode::Role::Entry;
+  G.Nodes[G.exit()].R = CFGNode::Role::Exit;
   // Final memory is observable, so the exit keeps @Mb live; liveness then
   // never lets a memory write be treated as dead.
-  Exit.Reads.insert(MemoryVar);
-  G.addNode(std::move(Exit)); // node 1
-  int First = G.buildList(D, R.Body, G.exit(), /*LoopExit=*/-1);
+  Builder::set(G.Nodes[G.exit()].Reads, 0);
+  int First = B.list(R.Body, G.exit(), /*LoopExit=*/-1);
   G.Nodes[G.entry()].Succs = {First};
+  for (CFGNode &N : G.Nodes) {
+    N.Reads.resize(G.words());
+    N.Writes.resize(G.words());
+  }
   return G;
 }
 
 int CFG::nodeFor(const Stmt *S) const {
   auto It = Index.find(S);
   return It == Index.end() ? -1 : It->second;
+}
+
+int CFG::varIndex(const std::string &Name) const {
+  auto It = Vars.find(Name);
+  return It == Vars.end() ? -1 : It->second;
 }
 
 std::vector<std::vector<int>> CFG::predecessors() const {

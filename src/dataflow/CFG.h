@@ -14,7 +14,10 @@
 ///
 /// Memory is modeled as the pseudo-variable `@Mb` and the input/output
 /// streams as `@io`, so ordinary set operations cover memory and I/O
-/// dependences.
+/// dependences. A graph numbers every name its routine reads or writes,
+/// once, and stores each node's reads and writes as bit-vectors over
+/// that numbering; the analyses in Liveness.h and ReachingDefs.h are
+/// bit-vector fixpoints over the same numbering.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +26,7 @@
 
 #include "isdl/AST.h"
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -80,8 +84,9 @@ struct CFGNode {
 
   Role R = Role::Plain;
   const isdl::Stmt *S = nullptr;
-  std::set<std::string> Reads;
-  std::set<std::string> Writes;
+  /// Variables read and written, one bit per CFG::varIndex number, in
+  /// CFG::words() words.
+  std::vector<uint64_t> Reads, Writes;
   std::vector<int> Succs;
   /// For ExitCond nodes: the successor taken when the condition holds
   /// (control leaves the loop). Also present in Succs.
@@ -105,16 +110,26 @@ public:
   /// Predecessor lists, derived from successor edges.
   std::vector<std::vector<int>> predecessors() const;
 
+  /// The number of \p Name in this graph's variable table, or -1 when the
+  /// routine neither reads nor writes it. `@Mb` and `@io` are always 0
+  /// and 1.
+  int varIndex(const std::string &Name) const;
+  size_t numVars() const { return Vars.size(); }
+  /// Words in each bit-vector over the variable table.
+  size_t words() const { return (Vars.size() + 63) / 64; }
+
 private:
-  int addNode(CFGNode N);
-  int buildList(const isdl::Description &D, const isdl::StmtList &Stmts,
-                int Next, int LoopExit);
-  int buildStmt(const isdl::Description &D, const isdl::Stmt &S, int Next,
-                int LoopExit);
+  struct Builder;
 
   std::vector<CFGNode> Nodes;
   std::map<const isdl::Stmt *, int> Index;
+  std::map<std::string, int> Vars;
 };
+
+/// True when bit \p I of the bit-vector \p Bits is set.
+inline bool testBit(const uint64_t *Bits, size_t I) {
+  return Bits[I / 64] >> (I % 64) & 1;
+}
 
 } // namespace dataflow
 } // namespace extra

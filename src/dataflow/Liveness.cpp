@@ -10,52 +10,39 @@ using namespace extra;
 using namespace extra::dataflow;
 using namespace extra::isdl;
 
-Liveness::Liveness(const CFG &G) : G(G) {
-  size_t N = G.nodes().size();
-  In.resize(N);
-  Out.resize(N);
-
-  bool Changed = true;
-  while (Changed) {
+Liveness::Liveness(const CFG &G)
+    : G(G), W(G.words()), In(G.nodes().size() * W), Out(In.size()) {
+  // IN = reads ∪ (OUT - writes), OUT = ∪ IN of the successors. A node
+  // both reading and writing a name (e.g. `x <- x + 1`) keeps it live.
+  // Reverse node order converges quickly: construction order is roughly
+  // reverse-topological within straight-line stretches.
+  for (bool Changed = true; Changed;) {
     Changed = false;
-    // Iterate in reverse node order; construction order is roughly
-    // reverse-topological within straight-line stretches, so this
-    // converges quickly for our small graphs.
-    for (size_t I = N; I-- > 0;) {
+    for (size_t I = G.nodes().size(); I-- > 0;) {
       const CFGNode &Node = G.nodes()[I];
-      std::set<std::string> NewOut;
-      for (int S : Node.Succs)
-        NewOut.insert(In[static_cast<size_t>(S)].begin(),
-                      In[static_cast<size_t>(S)].end());
-      std::set<std::string> NewIn = NewOut;
-      // IN = reads ∪ (OUT - writes). A node both reading and writing a
-      // name (e.g. `x <- x + 1`) keeps it live.
-      for (const std::string &W : Node.Writes)
-        NewIn.erase(W);
-      NewIn.insert(Node.Reads.begin(), Node.Reads.end());
-      if (NewIn != In[I] || NewOut != Out[I]) {
-        In[I] = std::move(NewIn);
-        Out[I] = std::move(NewOut);
-        Changed = true;
+      for (size_t K = 0; K < W; ++K) {
+        uint64_t O = 0;
+        for (int S : Node.Succs)
+          O |= In[S * W + K];
+        uint64_t NewIn = Node.Reads[K] | (O & ~Node.Writes[K]);
+        Changed |= NewIn != In[I * W + K];
+        In[I * W + K] = NewIn;
+        Out[I * W + K] = O;
       }
     }
   }
 }
 
-const std::set<std::string> &Liveness::liveAfter(const Stmt *S) const {
-  int Id = G.nodeFor(S);
-  if (Id < 0)
-    return Empty;
-  return Out[static_cast<size_t>(Id)];
+bool Liveness::deadAfter(const Stmt *S, const std::string &Name) const {
+  int Id = G.nodeFor(S), V = G.varIndex(Name);
+  return Id < 0 || V < 0 || !testBit(&Out[Id * W], V);
 }
 
-const std::set<std::string> &
-Liveness::liveAtExitOf(const ExitWhenStmt *S) const {
-  int Id = G.nodeFor(S);
-  if (Id < 0)
-    return Empty;
-  const CFGNode &Node = G.nodes()[static_cast<size_t>(Id)];
-  if (Node.TakenSucc < 0)
-    return Empty;
-  return In[static_cast<size_t>(Node.TakenSucc)];
+bool Liveness::liveOnExit(const ExitWhenStmt *S,
+                          const std::string &Name) const {
+  int Id = G.nodeFor(S), V = G.varIndex(Name);
+  if (Id < 0 || V < 0)
+    return false;
+  int Taken = G.nodes()[Id].TakenSucc;
+  return Taken >= 0 && testBit(&In[Taken * W], V);
 }

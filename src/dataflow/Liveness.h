@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Classic backward may-liveness over a routine CFG. Transformations use
-/// it to justify dead-variable elimination and code motion across loop
+/// Classic backward may-liveness over a routine CFG, as a bit-vector
+/// fixpoint over the graph's variable numbering. Transformations use it
+/// to justify dead-assignment elimination and code motion across loop
 /// exits ("the decrement may move past this exit_when because the counter
 /// is dead on the exit path").
 ///
@@ -20,32 +21,25 @@
 namespace extra {
 namespace dataflow {
 
-/// Per-node live-in/live-out sets for one routine.
+/// Live variables of one routine, queried by name.
 class Liveness {
 public:
   /// Runs the fixed point over \p G.
   explicit Liveness(const CFG &G);
 
-  const std::set<std::string> &liveIn(int Node) const { return In[Node]; }
-  const std::set<std::string> &liveOut(int Node) const { return Out[Node]; }
+  /// True if \p Name is dead immediately after \p S, or \p S is not in
+  /// the graph.
+  bool deadAfter(const isdl::Stmt *S, const std::string &Name) const;
 
-  /// Live-out of the node for statement \p S. Returns the empty set when
-  /// the statement is not in the graph.
-  const std::set<std::string> &liveAfter(const isdl::Stmt *S) const;
-
-  /// Variables live along the *taken* (loop-leaving) edge of an
-  /// exit_when: the live-in of the exit continuation.
-  const std::set<std::string> &liveAtExitOf(const isdl::ExitWhenStmt *S) const;
-
-  /// True if \p Name is dead immediately after \p S.
-  bool deadAfter(const isdl::Stmt *S, const std::string &Name) const {
-    return liveAfter(S).count(Name) == 0;
-  }
+  /// True if \p Name is live along the *taken* (loop-leaving) edge of the
+  /// exit_when \p S: in the live-in of the exit continuation.
+  bool liveOnExit(const isdl::ExitWhenStmt *S, const std::string &Name) const;
 
 private:
   const CFG &G;
-  std::vector<std::set<std::string>> In, Out;
-  std::set<std::string> Empty;
+  size_t W;
+  /// Live-in and live-out of node I: words [I * W, I * W + W).
+  std::vector<uint64_t> In, Out;
 };
 
 } // namespace dataflow

@@ -11,68 +11,56 @@ using namespace extra::dataflow;
 using namespace extra::isdl;
 
 ReachingDefs::ReachingDefs(const CFG &G) : G(G) {
-  size_t N = G.nodes().size();
-  In.resize(N);
-  std::vector<std::map<std::string, std::set<int>>> Out(N);
+  const std::vector<CFGNode> &Nodes = G.nodes();
+  size_t N = Nodes.size();
+  First.push_back(0);
+  for (size_t V = 0; V < G.numVars(); ++V) {
+    for (size_t I = 0; I < N; ++I)
+      if (testBit(Nodes[I].Writes.data(), V))
+        DefNode.push_back(static_cast<int>(I));
+    First.push_back(static_cast<int>(DefNode.size()));
+  }
+  W = (DefNode.size() + 63) / 64;
 
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t I = 0; I < N; ++I) {
-      const CFGNode &Node = G.nodes()[I];
-      // IN = union of predecessors' OUT. Recompute from scratch; graphs
-      // are tiny.
-      std::map<std::string, std::set<int>> NewIn;
-      for (size_t P = 0; P < N; ++P)
-        for (int S : G.nodes()[P].Succs)
-          if (static_cast<size_t>(S) == I)
-            for (const auto &[Var, Defs] : Out[P])
-              NewIn[Var].insert(Defs.begin(), Defs.end());
-
-      std::map<std::string, std::set<int>> NewOut = NewIn;
-      for (const std::string &W : Node.Writes) {
-        NewOut[W].clear();
-        NewOut[W].insert(static_cast<int>(I));
-      }
-
-      if (NewIn != In[I] || NewOut != Out[I]) {
-        In[I] = std::move(NewIn);
-        Out[I] = std::move(NewOut);
-        Changed = true;
-      }
+  // GEN is a node's own definitions; KILL is every definition of the
+  // variables it writes.
+  std::vector<uint64_t> Gen(N * W), Kill(N * W);
+  auto Set = [&](std::vector<uint64_t> &Bits, size_t Node, size_t D) {
+    Bits[Node * W + D / 64] |= uint64_t(1) << (D % 64);
+  };
+  for (size_t V = 0; V < G.numVars(); ++V)
+    for (int D = First[V]; D < First[V + 1]; ++D) {
+      Set(Gen, DefNode[D], D);
+      for (int K = First[V]; K < First[V + 1]; ++K)
+        Set(Kill, DefNode[D], K);
     }
+
+  std::vector<std::vector<int>> Preds = G.predecessors();
+  std::vector<uint64_t> Out(N * W);
+  In.assign(N * W, 0);
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (size_t I = 0; I < N; ++I)
+      for (size_t K = 0; K < W; ++K) {
+        uint64_t NewIn = 0;
+        for (int P : Preds[I])
+          NewIn |= Out[P * W + K];
+        uint64_t NewOut = Gen[I * W + K] | (NewIn & ~Kill[I * W + K]);
+        Changed |= NewOut != Out[I * W + K];
+        In[I * W + K] = NewIn;
+        Out[I * W + K] = NewOut;
+      }
   }
 }
 
-std::set<int> ReachingDefs::defsReaching(int Node,
-                                         const std::string &Var) const {
-  const auto &Map = In[static_cast<size_t>(Node)];
-  auto It = Map.find(Var);
-  return It == Map.end() ? std::set<int>() : It->second;
-}
-
-std::optional<int64_t> ReachingDefs::constantAt(int Node,
-                                                const std::string &Var) const {
-  std::set<int> Defs = defsReaching(Node, Var);
-  if (Defs.size() != 1)
-    return std::nullopt;
-  const CFGNode &DefNode = G.nodes()[static_cast<size_t>(*Defs.begin())];
-  const auto *A = dyn_cast<AssignStmt>(DefNode.S);
-  if (!A || A->targetVarName() != Var)
-    return std::nullopt;
-  // Multiple writes at one node (a call with effects) disqualify it.
-  if (DefNode.Writes.size() != 1)
-    return std::nullopt;
-  const auto *Lit = dyn_cast<IntLit>(A->getValue());
-  if (!Lit)
-    return std::nullopt;
-  return Lit->getValue();
-}
-
-std::optional<int64_t> ReachingDefs::constantAt(const Stmt *S,
-                                                const std::string &Var) const {
-  int Id = G.nodeFor(S);
-  if (Id < 0)
-    return std::nullopt;
-  return constantAt(Id, Var);
+std::vector<int> ReachingDefs::defsReaching(int Node,
+                                            const std::string &Var) const {
+  std::vector<int> Defs;
+  int V = G.varIndex(Var);
+  if (V < 0)
+    return Defs;
+  for (int D = First[V]; D < First[V + 1]; ++D)
+    if (testBit(&In[Node * W], D))
+      Defs.push_back(DefNode[D]);
+  return Defs;
 }

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Forward reaching-definitions analysis. Constant propagation asks: "at
-/// this use of `rf`, is the only reaching definition `rf <- 1`?" — the
-/// mechanism behind the paper's flag-fixing simplification of scasb (§4.1).
+/// Forward reaching-definitions analysis. Copy propagation asks: "at this
+/// use of `x`, is the only reaching definition the copy `x <- y`?" — one
+/// of the global transformations the paper gates on data flow conditions
+/// (§5).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,35 +17,29 @@
 
 #include "dataflow/CFG.h"
 
-#include <cstdint>
-#include <optional>
-
 namespace extra {
 namespace dataflow {
 
-/// Per-node reaching definition sets. A "definition" is a node index that
-/// writes the variable; input statements and call-site writes count as
-/// definitions with unknown value.
+/// Reaching definitions of one routine, queried by name. A "definition"
+/// is a node that writes the variable; input statements and call-site
+/// writes count as definitions with unknown value. The definition sites
+/// are numbered per variable, and the fixpoint runs over bit-vectors of
+/// those numbers.
 class ReachingDefs {
 public:
   explicit ReachingDefs(const CFG &G);
 
-  /// Definition nodes of \p Var reaching the entry of \p Node.
-  std::set<int> defsReaching(int Node, const std::string &Var) const;
-
-  /// If every path to \p Node gives \p Var the same literal value — the
-  /// unique reaching definition is `Var <- k` — returns k.
-  std::optional<int64_t> constantAt(int Node, const std::string &Var) const;
-
-  /// Convenience overload resolving the node for statement \p S (the use
-  /// site) first.
-  std::optional<int64_t> constantAt(const isdl::Stmt *S,
-                                    const std::string &Var) const;
+  /// Definition nodes of \p Var reaching the entry of \p Node, ascending.
+  std::vector<int> defsReaching(int Node, const std::string &Var) const;
 
 private:
   const CFG &G;
-  // IN[node] = set of (var, def-node) pairs, stored per variable.
-  std::vector<std::map<std::string, std::set<int>>> In;
+  /// The definitions of variable V are numbers First[V] .. First[V+1]-1,
+  /// in node order; DefNode maps a number to its node.
+  std::vector<int> First, DefNode;
+  size_t W = 0;
+  /// Definitions reaching the entry of node I: words [I * W, I * W + W).
+  std::vector<uint64_t> In;
 };
 
 } // namespace dataflow

@@ -128,23 +128,22 @@ private:
             size_t &NextPc) {
     const std::string &Op = S.Toks[0];
 
-    // Repeat-prefixed string instructions.
+    // Repeat-prefixed string instructions. The repeated mnemonic is
+    // resolved before cx is tested, so a line that names no string
+    // instruction fails with cx untouched, whatever cx holds.
     if ((Op == "rep" || Op == "repe" || Op == "repne") && S.Toks.size() == 2) {
       const std::string &Str = S.Toks[1];
-      for (;;) {
-        if ((R["cx"] & 0xFFFF) == 0)
-          break;
+      void (Machine::*Step)() = Str == "scasb"   ? &Machine::scasb
+                                : Str == "movsb" ? &Machine::movsb
+                                : Str == "cmpsb" ? &Machine::cmpsb
+                                : Str == "stosb" ? &Machine::stosb
+                                : Str == "lodsb" ? &Machine::lodsb
+                                                 : nullptr;
+      if (!Step)
+        return error(S, "unknown string instruction");
+      while ((R["cx"] & 0xFFFF) != 0) {
         R["cx"] = mask("cx", R["cx"] - 1);
-        if (Str == "scasb")
-          scasb();
-        else if (Str == "movsb")
-          movsb();
-        else if (Str == "cmpsb")
-          cmpsb();
-        else if (Str == "stosb")
-          stosb();
-        else
-          return error(S, "unknown string instruction");
+        (this->*Step)();
         if (Op == "repne" && Zf)
           break; // found
         if (Op == "repe" && !Zf)

@@ -75,9 +75,8 @@ bool mayCrossExit(const Description &D, Routine &R, const Stmt &S,
 
   CFG G = CFG::build(D, R);
   Liveness L(G);
-  const std::set<std::string> &LiveOnExit = L.liveAtExitOf(&Exit);
   for (const std::string &W : SEff.Writes)
-    if (LiveOnExit.count(W)) {
+    if (L.liveOnExit(&Exit, W)) {
       Reason = "'" + W + "' is live on the loop-exit path";
       return false;
     }

@@ -20,7 +20,6 @@
 
 #include "transform/RuleHelpers.h"
 
-#include "dataflow/CFG.h"
 #include "dataflow/Liveness.h"
 #include "dataflow/ReachingDefs.h"
 
@@ -39,6 +38,18 @@ void replaceReads(Stmt &S, const std::string &Var, const Expr &Replacement) {
       if (V->getName() == Var)
         Slot = Replacement.clone();
   });
+}
+
+/// True when \p R assigns \p Var a value satisfying \p Value somewhere:
+/// an exact pre-check that spares a rule the CFG when it cannot apply.
+bool hasAssignTo(const Routine &R, const std::string &Var,
+                 bool (*Value)(const Expr &)) {
+  bool Found = false;
+  forEachStmt(R.Body, [&](const Stmt &S) {
+    if (const auto *A = dyn_cast<AssignStmt>(&S))
+      Found = Found || (A->targetVarName() == Var && Value(*A->getValue()));
+  });
+  return Found;
 }
 
 ApplyResult globalConstantPropagate(TransformContext &Ctx) {
@@ -114,6 +125,10 @@ ApplyResult copyPropagate(TransformContext &Ctx) {
   if (Var.empty())
     return ApplyResult::failure(Reason);
   Description &D = Ctx.Desc;
+  std::string NoCopy = "no uses of '" + Var + "' with a unique reaching copy";
+  // Only a copy `var <- y` can be the unique reaching definition.
+  if (!hasAssignTo(*R, Var, [](const Expr &V) { return isa<VarRef>(&V); }))
+    return ApplyResult::failure(NoCopy);
 
   dataflow::CFG G = dataflow::CFG::build(D, *R);
   dataflow::ReachingDefs RD(G);
@@ -124,11 +139,11 @@ ApplyResult copyPropagate(TransformContext &Ctx) {
     int Node = G.nodeFor(&S);
     if (Node < 0 || !mentionsVar(S, Var))
       return;
-    std::set<int> Defs = RD.defsReaching(Node, Var);
+    std::vector<int> Defs = RD.defsReaching(Node, Var);
     if (Defs.size() != 1)
       return;
     const dataflow::CFGNode &DefNode =
-        G.nodes()[static_cast<size_t>(*Defs.begin())];
+        G.nodes()[static_cast<size_t>(Defs.front())];
     const auto *DefAssign = dyn_cast<AssignStmt>(DefNode.S);
     if (!DefAssign || DefAssign->targetVarName() != Var)
       return;
@@ -140,16 +155,14 @@ ApplyResult copyPropagate(TransformContext &Ctx) {
     // and this use).
     if (countWrites(D, Src->getName()) != 1)
       return;
-    std::set<int> SrcDefs = RD.defsReaching(*Defs.begin(), Src->getName());
-    if (SrcDefs.size() > 1)
+    if (RD.defsReaching(Defs.front(), Src->getName()).size() > 1)
       return;
     replaceReads(S, Var, *DefAssign->getValue());
     ++Replaced;
   });
 
   if (Replaced == 0)
-    return ApplyResult::failure("no uses of '" + Var +
-                                "' with a unique reaching copy");
+    return ApplyResult::failure(NoCopy);
   return ApplyResult::success(SemanticsEffect::Preserving,
                               "propagated copy into " +
                                   std::to_string(Replaced) + " statement(s)");
@@ -163,9 +176,13 @@ ApplyResult deadAssignElim(TransformContext &Ctx) {
   std::string Var = Ctx.arg("var", Reason);
   if (Var.empty())
     return ApplyResult::failure(Reason);
-  Description &D = Ctx.Desc;
+  std::string NoDead =
+      "no dead assignment to '" + Var + "' in routine '" + R->Name + "'";
+  // Only an assignment of a pure value is a candidate for removal.
+  if (!hasAssignTo(*R, Var, isPure))
+    return ApplyResult::failure(NoDead);
 
-  dataflow::CFG G = dataflow::CFG::build(D, *R);
+  dataflow::CFG G = dataflow::CFG::build(Ctx.Desc, *R);
   dataflow::Liveness L(G);
 
   unsigned Removed = 0;
@@ -191,8 +208,7 @@ ApplyResult deadAssignElim(TransformContext &Ctx) {
   Walk(R->Body);
 
   if (Removed == 0)
-    return ApplyResult::failure("no dead assignment to '" + Var +
-                                "' in routine '" + R->Name + "'");
+    return ApplyResult::failure(NoDead);
   return ApplyResult::success(SemanticsEffect::Preserving,
                               "removed " + std::to_string(Removed) +
                                   " dead assignment(s)");

@@ -624,7 +624,7 @@ ApplyResult countUpToDown(TransformContext &Ctx) {
   {
     dataflow::CFG G = dataflow::CFG::build(D, *R);
     dataflow::Liveness L(G);
-    if (L.liveAtExitOf(Exit0).count(N))
+    if (L.liveOnExit(Exit0, N))
       return ApplyResult::failure("bound '" + N + "' is read after the loop");
   }
 

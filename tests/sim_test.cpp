@@ -380,8 +380,11 @@ std::vector<std::pair<std::string, std::string>> trafficRuns() {
       run8086({"mov cx, 0", "rep movsb", "rep lodsb", "rep scasb",
                "repe cmpsb", "repne stosb"},
               Text));
+  Add("8086 asm rep lodsb", run8086({"mov cx, 2", "rep lodsb"}, Text));
   Add("8086 asm rep of a non-string instruction",
-      run8086({"mov cx, 2", "rep lodsb"}, Text));
+      run8086({"mov cx, 2", "rep inc"}, Text));
+  Add("8086 asm rep of a non-string instruction with cx zero",
+      run8086({"mov cx, 0", "rep inc"}, Text));
   Add("8086 asm inc of memory", run8086({"mov di, 10", "inc [di]"}, Text));
   Add("8086 asm literal-looking destination",
       run8086({"mov 5, 3", "add 5, 2", "mov ax, 5"}, Text));
@@ -486,9 +489,14 @@ TEST(SimTrafficTest, FrozenTable) {
        "ok n=4 uops=6 mem=20:a603d180822486c5 regs=cx=0 di=33 si=13 "},
       {"8086 asm rep with cx zero",
        "ok n=6 uops=1 mem=20:a603d180822486c5 regs=cx=0 "},
+      {"8086 asm rep lodsb",
+       "ok n=2 uops=3 mem=20:a603d180822486c5 regs=al=0 cx=0 si=2 "},
       {"8086 asm rep of a non-string instruction",
-       "fail 'unknown string instruction in 'rep lodsb'' n=2 uops=1 "
-       "mem=20:a603d180822486c5 regs=cx=1 "},
+       "fail 'unknown string instruction in 'rep inc'' n=2 uops=1 "
+       "mem=20:a603d180822486c5 regs=cx=2 "},
+      {"8086 asm rep of a non-string instruction with cx zero",
+       "fail 'unknown string instruction in 'rep inc'' n=2 uops=1 "
+       "mem=20:a603d180822486c5 regs=cx=0 "},
       {"8086 asm inc of memory",
        "fail 'inc/dec needs one register in 'inc [di]'' n=2 uops=1 "
        "mem=20:a603d180822486c5 regs=di=10 "},
