@@ -118,8 +118,8 @@ void printDiscoveryReport() {
               "ROADMAP.md.\n\n");
 
   // Suite-level machine-readable line (same shape as the per-benchmark
-  // BENCH_JSON lines from BenchSupport.h, so run_benches.sh and the
-  // perf-smoke gate parse it the same way). expansions_per_sec divides
+  // BENCH_JSON lines from BenchSupport.h, so run_benches.sh and
+  // `extra-cli benchdiff` parse it the same way). expansions_per_sec divides
   // total expanded states by summed *search* wall (not batch wall, which
   // depends on the thread count).
   double ExpPerSec =

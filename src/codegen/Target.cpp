@@ -8,6 +8,8 @@
 
 #include "support/StringUtil.h"
 
+#include <array>
+
 using namespace extra;
 using namespace extra::codegen;
 using constraint::CompileTimeFacts;
@@ -91,19 +93,29 @@ void CodeGenContext::emit(std::string Line) {
 }
 
 void CodeGenContext::load(const std::string &Reg, const Value &V,
-                          const std::string &MovMnemonic) {
+                          const char *Load) {
   std::string What = V.str();
   if (registerHolds(Reg, What))
     return; // §6: cascaded instructions reuse dedicated registers.
-  emit("  " + MovMnemonic + " " + Reg + ", " + What);
+  emit(asmLine(Load, Reg, What));
   setRegister(Reg, What);
+}
+
+std::string codegen::asmLine(const char *Pattern, std::string_view A,
+                             std::string_view B) {
+  std::string Out = "  ";
+  for (const char *P = Pattern; *P; ++P) {
+    if (P[0] == '%' && (P[1] == '0' || P[1] == '1'))
+      Out += *++P == '0' ? A : B;
+    else
+      Out += *P;
+  }
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
 // Code generation driver
 //===----------------------------------------------------------------------===//
-
-Target::~Target() = default;
 
 namespace {
 
@@ -209,7 +221,7 @@ CodeGenResult Target::generate(const Program &P) const {
     for (const InstructionBinding &B : Bindings) {
       if (B.Op != O.K)
         continue;
-      CompileTimeFacts BF = bindingFacts(B, O, P.Facts, wordMax());
+      CompileTimeFacts BF = bindingFacts(B, O, P.Facts, D.WordMax);
       SatResult R = B.Constraints.checkAll(BF, /*AllowRewriting=*/true);
       if (R == SatResult::Violated)
         continue;
@@ -257,6 +269,126 @@ CodeGenResult Target::generate(const Program &P) const {
 
   Result.Asm = peephole(Ctx.takeLines());
   return Result;
+}
+
+//===----------------------------------------------------------------------===//
+// Decomposition rules
+//===----------------------------------------------------------------------===//
+
+void Target::decompose(const HLOp &O, CodeGenContext &Ctx) const {
+  auto Emit = [&](const char *Pattern, std::string_view A,
+                  std::string_view B = {}) {
+    Ctx.emit(asmLine(Pattern, A, B));
+  };
+  auto Label = [&](const std::string &L) { Ctx.emit(L + ":"); };
+  // Loads the operands in the row's order; returns each one's register.
+  auto LoadAll = [&](const Dialect::Loads &Loads) {
+    std::array<const char *, 3> Reg{};
+    for (const auto &[R, Arg] : Loads) {
+      Ctx.load(R, O.Args[Arg], D.Load);
+      Reg[Arg] = R;
+    }
+    return Reg;
+  };
+  // Every loop's head: at L, leave for Exit once N is 0, else count down.
+  auto Head = [&](const std::string &L, const char *N,
+                  const std::string &Exit) {
+    Label(L);
+    Emit(D.TestZero, N);
+    Emit(D.BranchZero, Exit);
+    Emit(D.Dec, N);
+  };
+  std::string Top = Ctx.freshLabel("top"), Done = Ctx.freshLabel("done");
+
+  switch (O.K) {
+  case OpKind::StrIndex: {
+    std::string NotFound = Ctx.freshLabel("nf");
+    auto [Str, N, Ch] = LoadAll(D.IndexLoads);
+    Emit(D.Move, D.Save, Str);
+    Head(Top, N, NotFound);
+    Emit(D.LoadByte, D.Byte, Str);
+    Emit(D.Inc, Str);
+    Emit(D.Compare, D.Byte, Ch);
+    Emit(D.BranchNe, Top);
+    // Found: the index is the distance the pointer has moved.
+    if (std::string_view(D.Index) != Str)
+      Emit(D.Move, D.Index, Str);
+    Emit(D.Sub, D.Index, D.Save);
+    Emit(D.Jump, Done);
+    Label(NotFound);
+    Emit(D.Load, D.Index, "0");
+    Label(Done);
+    Emit(D.Move, O.Result, D.Index);
+    break;
+  }
+  case OpKind::StrMove:
+  case OpKind::BlockCopy: {
+    auto [Dst, Src, N] = LoadAll(D.MoveLoads);
+    // With the row's CopyEnd, BlockCopy is overlap-safe: it copies
+    // backward when the destination lies inside [src, src + len).
+    bool PickDirection = O.K == OpKind::BlockCopy && D.CopyEnd;
+    std::string Back = PickDirection ? Ctx.freshLabel("back") : "";
+    if (PickDirection) {
+      Emit(D.Move, D.CopyEnd, Src);
+      Ctx.emit(asmLine(D.Add, D.CopyEnd, N) + "        ; src + len");
+      Emit(D.Compare, Dst, Src);
+      Emit(D.BranchLe, Top);
+      Emit(D.Compare, Dst, D.CopyEnd);
+      Emit(D.BranchLt, Back);
+    }
+    Head(Top, N, Done);
+    Emit(D.LoadByte, D.Byte, Src);
+    Emit(D.Inc, Src);
+    Emit(D.StoreByte, D.Byte, Dst);
+    Emit(D.Inc, Dst);
+    Emit(D.Jump, Top);
+    if (PickDirection) {
+      std::string BackTop = Ctx.freshLabel("btop");
+      Label(Back);
+      Emit(D.Add, Src, N);
+      Emit(D.Add, Dst, N);
+      Head(BackTop, N, Done);
+      Emit(D.Dec, Src);
+      Emit(D.Dec, Dst);
+      Emit(D.LoadByte, D.Byte, Src);
+      Emit(D.StoreByte, D.Byte, Dst);
+      Emit(D.Jump, BackTop);
+    }
+    Label(Done);
+    break;
+  }
+  case OpKind::StrEqual: {
+    std::string Ne = Ctx.freshLabel("ne");
+    auto [A, B, N] = LoadAll(D.EqualLoads);
+    Head(Top, N, Done + "_eq");
+    Emit(D.LoadByte, D.Byte, A);
+    Emit(D.Inc, A);
+    Emit(D.LoadByte, D.Byte2, B);
+    Emit(D.Inc, B);
+    // The compare must come after both increments: the 8086's inc sets
+    // zf and would clobber the comparison result.
+    Emit(D.Compare, D.Byte, D.Byte2);
+    Emit(D.BranchNe, Ne);
+    Emit(D.Jump, Top);
+    Label(Done + "_eq");
+    Emit(D.Load, O.Result, "1");
+    Emit(D.Jump, Done);
+    Label(Ne);
+    Emit(D.Load, O.Result, "0");
+    Label(Done);
+    break;
+  }
+  case OpKind::BlockClear: {
+    auto [Dst, N, Unused] = LoadAll(D.ClearLoads);
+    Emit(D.Load, D.Byte, "0");
+    Head(Top, N, Done);
+    Emit(D.StoreByte, D.Byte, Dst);
+    Emit(D.Inc, Dst);
+    Emit(D.Jump, Top);
+    Label(Done);
+    break;
+  }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,7 +20,14 @@
 ///      (data-flow facts satisfy value/range constraints; rewriting rules
 ///      such as chunked moves force ranges; offsets are directives),
 ///   3. emits the exotic instruction with its augments — or falls back
-///      to the target's decomposition rules (a primitive byte loop).
+///      to the decomposition rules (a primitive byte loop).
+///
+/// The decomposition rules are machine-independent: Target::decompose
+/// writes each operator's loop once, over the primitive operations of
+/// the target's Dialect row. A machine is one const row — how it spells
+/// each primitive and which registers each loop uses — and the binding
+/// compiler reads the same row, so a machine's mnemonics and word width
+/// are written in one place.
 ///
 /// The §6 optimizations live here too: constant-value optimization of
 /// operand loads, dedicated-register preference when instructions are
@@ -38,10 +45,69 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace extra {
 namespace codegen {
+
+/// One machine, as the code generator sees it: how it spells the
+/// primitive operations and which registers each decomposition loop uses.
+/// Each primitive is an instruction pattern in which %0 and %1 stand for
+/// its operands.
+struct Dialect {
+  const char *Name;    ///< Display name, e.g. "Intel 8086".
+  const char *Machine; ///< Registry machine name: "i8086", "vax", "ibm370".
+  /// The largest value a machine word holds; range constraints reaching
+  /// it are trivially satisfied ("a trivial one to satisfy on the Intel
+  /// 8086 since the word size of the machine is 16 bits", §4.1). Narrower
+  /// constraints — VAX string lengths, the mvc length byte — need
+  /// compile-time facts or rewriting.
+  int64_t WordMax;
+
+  const char *Load;       ///< %0 <- operand or literal %1.
+  const char *Move;       ///< Register %0 <- register %1.
+  const char *TestZero;   ///< Sets the condition from %0 = 0 ...
+  const char *BranchZero; ///< ... and branches to %0 when it holds.
+  const char *Compare;    ///< Compares %0 with %1, then one of:
+  const char *BranchNe;   ///< branch to %0 when they differ,
+  const char *BranchLe;   ///< when %0 <= %1,
+  const char *BranchLt;   ///< when %0 < %1.
+  const char *Inc;        ///< %0 += 1.
+  const char *Dec;        ///< %0 -= 1.
+  const char *Add;        ///< %0 += %1.
+  const char *Sub;        ///< %0 -= %1.
+  const char *LoadByte;   ///< %0 <- the byte at address %1.
+  const char *StoreByte;  ///< The byte at address %1 <- %0.
+  const char *Jump;       ///< Branch to %0.
+
+  /// Operand registers as {register, operand index}, in load order.
+  using Loads = std::vector<std::pair<const char *, unsigned>>;
+  Loads IndexLoads; ///< StrIndex: str, len, ch.
+  Loads MoveLoads;  ///< StrMove, and BlockCopy: dst, src, len.
+  Loads EqualLoads; ///< StrEqual: a, b, len.
+  Loads ClearLoads; ///< BlockClear: dst, len.
+  const char *Byte;  ///< The byte a loop moves, compares or stores.
+  const char *Byte2; ///< StrEqual's byte of its second string.
+  /// StrIndex's copy of the string's start. The lowered index bindings
+  /// save the start of their scan in it too.
+  const char *Save;
+  /// Where StrIndex computes the index of the found byte: its pointer
+  /// register (VAX, 370), or one the pointer is first copied to (8086).
+  const char *Index;
+  /// With a scratch register here, BlockCopy picks its direction at run
+  /// time and is overlap-safe; null, it runs StrMove's forward loop.
+  const char *CopyEnd;
+};
+
+/// The built-in machine whose Dialect::Machine is \p Machine, or null.
+const Dialect *findDialect(std::string_view Machine);
+
+/// One indented line of assembly: \p Pattern, a Dialect primitive, with
+/// %0 and %1 replaced by \p A and \p B.
+std::string asmLine(const char *Pattern, std::string_view A,
+                    std::string_view B = {});
 
 /// Why a particular instruction selection was (or wasn't) made.
 struct SelectionNote {
@@ -75,10 +141,9 @@ public:
 
   /// Appends one line of assembly.
   void emit(std::string Line);
-  /// Loads \p V into \p Reg unless the register already holds it
-  /// (mov-style syntax is provided by the target).
-  void load(const std::string &Reg, const Value &V,
-            const std::string &MovMnemonic = "mov");
+  /// Loads \p V into \p Reg with the Dialect::Load pattern \p Load,
+  /// unless the register already holds it.
+  void load(const std::string &Reg, const Value &V, const char *Load);
 
   std::vector<std::string> takeLines() { return std::move(Lines); }
   const std::vector<std::string> &lines() const { return Lines; }
@@ -107,20 +172,13 @@ struct InstructionBinding {
       RewriteEmit;
 };
 
-/// A target machine: its binding table and decomposition rules.
+/// A target machine: its Dialect row and its binding table.
 class Target {
 public:
-  /// \p WordMax is the largest value a machine word holds; range
-  /// constraints reaching it are trivially satisfied ("a trivial one to
-  /// satisfy on the Intel 8086 since the word size of the machine is 16
-  /// bits", §4.1). Narrower constraints — VAX string lengths, the mvc
-  /// length byte — need compile-time facts or rewriting.
-  Target(std::string Name, int64_t WordMax)
-      : Name(std::move(Name)), WordMax(WordMax) {}
-  virtual ~Target();
+  explicit Target(const Dialect &D) : D(D) {}
+  Target(const Dialect &&) = delete; ///< D must outlive the target.
 
-  const std::string &name() const { return Name; }
-  int64_t wordMax() const { return WordMax; }
+  std::string name() const { return D.Name; }
   void addBinding(InstructionBinding B) { Bindings.push_back(std::move(B)); }
   const std::vector<InstructionBinding> &bindings() const { return Bindings; }
   /// Drops every binding, leaving a decomposition-only target. The
@@ -131,14 +189,13 @@ public:
   /// Emits the primitive-operation fallback for \p O ("the compiler must
   /// include decomposition rules to transform the high-level operator
   /// into a sequence of low-level operations", §6).
-  virtual void decompose(const HLOp &O, CodeGenContext &Ctx) const = 0;
+  void decompose(const HLOp &O, CodeGenContext &Ctx) const;
 
   /// Generates code for a whole program.
   CodeGenResult generate(const Program &P) const;
 
 private:
-  std::string Name;
-  int64_t WordMax;
+  const Dialect &D;
   std::vector<InstructionBinding> Bindings;
 };
 

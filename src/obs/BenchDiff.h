@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Joins two generations of `BENCH_JSON` summaries (the committed
-/// `BENCH_*.json` baseline and a fresh run) and names *what* moved:
-/// which benchmark, and which metric — `ns_per_op` or any embedded
-/// phase counter (`search.expansions_per_sec`, cache hit counts, ...).
-/// This is what turns a one-ratio perf-smoke failure into an
-/// attribution table.
+/// Joins two generations of `BENCH_JSON` summaries (two runs of
+/// `scripts/run_benches.sh`, say) and names *what* moved: which
+/// benchmark, and which metric — `ns_per_op` or any embedded phase
+/// counter (`search.expansions_per_sec`, cache hit counts, ...), as an
+/// attribution table rather than one ratio.
 ///
 /// A bench line is the one nested exception to the repo's flat-JSON
 /// rule: `{"bench":..,"name":..,"iterations":..,"ns_per_op":..,

@@ -9,6 +9,7 @@
 #include "isdl/Parser.h"
 #include "isdl/Printer.h"
 #include "support/Diagnostics.h"
+#include "support/StringUtil.h"
 #include "transform/ScriptIO.h"
 
 #include <cstdlib>
@@ -17,7 +18,9 @@
 
 using namespace extra;
 using namespace extra::registry;
+using codegen::asmLine;
 using codegen::CodeGenContext;
+using codegen::Dialect;
 using codegen::HLOp;
 using codegen::OpKind;
 using codegen::Value;
@@ -27,18 +30,6 @@ using constraint::ConstraintKind;
 using constraint::ConstraintSet;
 
 namespace {
-
-std::string trimmed(const std::string &S) {
-  size_t B = S.find_first_not_of(" \t");
-  if (B == std::string::npos)
-    return std::string();
-  size_t E = S.find_last_not_of(" \t");
-  return S.substr(B, E - B + 1);
-}
-
-bool startsWith(const std::string &S, const char *Prefix) {
-  return S.rfind(Prefix, 0) == 0;
-}
 
 std::optional<OpKind> opKindFromName(const std::string &Name) {
   if (Name == "StrIndex")
@@ -60,32 +51,6 @@ Fault parseFault(std::string Message) {
 
 Fault lowerFault(std::string Message) {
   return makeFault(FaultCategory::Validate, std::move(Message));
-}
-
-//===----------------------------------------------------------------------===//
-// Machine dialects (kernel knowledge: operand-convention vocabulary)
-//===----------------------------------------------------------------------===//
-
-struct Dialect {
-  const char *Mov;     ///< Register load / register move mnemonic.
-  const char *Jmp;     ///< Unconditional branch.
-  const char *Sub;     ///< Register subtract (for address-difference arms).
-  const char *Inc;     ///< Register increment (for index-bias epilogues).
-  const char *SaveReg; ///< Scratch register for the initial-address save.
-  int64_t WordMax;     ///< Word width: ranges at/above it are trivial.
-};
-
-const Dialect *dialectFor(const std::string &Machine) {
-  static const Dialect I8086{"mov", "jmp", "sub", "inc", "bx", 0xFFFF};
-  static const Dialect Vax{"movl", "brb", "subl", "incl", "r4", 0xFFFFFFFFLL};
-  static const Dialect Ibm370{"la", "j", "sr", "ahi", "r5", 0xFFFFFF};
-  if (Machine == "i8086")
-    return &I8086;
-  if (Machine == "vax")
-    return &Vax;
-  if (Machine == "ibm370")
-    return &Ibm370;
-  return nullptr;
 }
 
 /// 8086 status-flag operands: pinning one becomes setup code, not a
@@ -350,7 +315,7 @@ struct Lowered {
   KernelSpec Spec;
   AugmentPlan Plan;
   std::string Machine;
-  const Dialect *D = nullptr;
+  const Dialect *D = nullptr; ///< The machine's row of primitives.
   /// 8086 flag pins.
   std::optional<int64_t> PinZf, PinDf;
   bool RepPrefix = false; ///< rf pinned to 1.
@@ -379,25 +344,23 @@ void emitOutput(const Lowered &L, const OutputSpec &S, const HLOp &O,
   std::string Carrier = S.carrier();
   auto EmitArm = [&](const OutputArm &A) {
     if (A.K == OutputArm::Kind::RegMinusSave) {
-      Ctx.emit(std::string("  ") + D.Sub + " " + A.Reg + ", " + D.SaveReg +
+      Ctx.emit(asmLine(D.Sub, A.Reg, D.Save) +
                "   ; offset from saved initial address");
       for (int I = 0; I < L.Spec.CarrierBias; ++I)
-        Ctx.emit(std::string("  ") + D.Inc + " " + A.Reg +
-                 "   ; 1-based index");
+        Ctx.emit(asmLine(D.Inc, A.Reg) + "   ; 1-based index");
     } else {
       std::string Dst = Carrier.empty() ? O.Result : Carrier;
-      Ctx.emit(std::string("  ") + D.Mov + " " + Dst + ", " +
-               std::to_string(A.Lit));
+      Ctx.emit(asmLine(D.Load, Dst, std::to_string(A.Lit)));
     }
   };
   if (S.CondKind == OutputSpec::Cond::Flag) {
     // Fall through into the then-arm; branch away when the flag is clear.
     std::string Alt = Ctx.freshLabel("nf");
     std::string Done = Ctx.freshLabel("done");
-    Ctx.emit("  jnz " + Alt + "          ; " + S.CondReg +
+    Ctx.emit(asmLine(D.BranchNe, Alt) + "          ; " + S.CondReg +
              " clear: take else arm");
     EmitArm(S.Then);
-    Ctx.emit(std::string("  ") + D.Jmp + " " + Done);
+    Ctx.emit(asmLine(D.Jump, Done));
     Ctx.emit(Alt + ":");
     EmitArm(S.Else);
     Ctx.emit(Done + ":");
@@ -405,25 +368,17 @@ void emitOutput(const Lowered &L, const OutputSpec &S, const HLOp &O,
     // Fall through into the else-arm; branch away when the register is 0.
     std::string ThenL = Ctx.freshLabel("zr");
     std::string Done = Ctx.freshLabel("done");
-    if (L.Machine == "vax") {
-      Ctx.emit("  tstl " + S.CondReg);
-      Ctx.emit("  beql " + ThenL + "          ; " + S.CondReg + " = 0");
-    } else if (L.Machine == "i8086") {
-      Ctx.emit("  cmp " + S.CondReg + ", 0");
-      Ctx.emit("  jz " + ThenL + "          ; " + S.CondReg + " = 0");
-    } else {
-      Ctx.emit("  chi " + S.CondReg + ", 0");
-      Ctx.emit("  je " + ThenL + "          ; " + S.CondReg + " = 0");
-    }
+    Ctx.emit(asmLine(D.TestZero, S.CondReg));
+    Ctx.emit(asmLine(D.BranchZero, ThenL) + "          ; " + S.CondReg +
+             " = 0");
     EmitArm(S.Else);
-    Ctx.emit(std::string("  ") + D.Jmp + " " + Done);
+    Ctx.emit(asmLine(D.Jump, Done));
     Ctx.emit(ThenL + ":");
     EmitArm(S.Then);
     Ctx.emit(Done + ":");
   }
   if (!Carrier.empty())
-    Ctx.emit(std::string("  ") + D.Mov + " " + O.Result + ", " + Carrier +
-             "   ; final result");
+    Ctx.emit(asmLine(D.Move, O.Result, Carrier) + "   ; final result");
 }
 
 void emitLowered(const Lowered &L, const HLOp &O,
@@ -432,11 +387,11 @@ void emitLowered(const Lowered &L, const HLOp &O,
   const bool I86 = L.Machine == "i8086";
   auto ArgLoads = [&] {
     for (const auto &[Reg, Arg] : L.Spec.Loads)
-      Ctx.load(Reg, O.Args[static_cast<size_t>(Arg)], D.Mov);
+      Ctx.load(Reg, O.Args[static_cast<size_t>(Arg)], D.Load);
   };
   auto RegPinLoads = [&] {
     for (const auto &[Reg, V] : L.RegPins)
-      Ctx.load(Reg, Value::literal(V), D.Mov);
+      Ctx.load(Reg, Value::literal(V), D.Load);
   };
   // Pinned operands load first on the VAX (movc5's zero source) but last
   // on the 8086 (stosb's fill byte); either order is sound — we keep the
@@ -450,8 +405,8 @@ void emitLowered(const Lowered &L, const HLOp &O,
   }
 
   if (!L.Plan.SaveSrc.empty())
-    Ctx.emit(std::string("  ") + D.Mov + " " + D.SaveReg + ", " +
-             L.Plan.SaveSrc + "   ; save initial address");
+    Ctx.emit(asmLine(D.Move, D.Save, L.Plan.SaveSrc) +
+             "   ; save initial address");
 
   if (I86 && L.PinZf) {
     if (*L.PinZf == 0) {
@@ -540,8 +495,8 @@ bool rewriteMvcChunks(const Lowered &L, const HLOp &O,
   auto Len = literalOf(O.Args[2], Facts);
   if (!Len || *Len <= 0)
     return false;
-  Ctx.load("r1", O.Args[0], L.D->Mov);
-  Ctx.load("r2", O.Args[1], L.D->Mov);
+  Ctx.load("r1", O.Args[0], L.D->Load);
+  Ctx.load("r2", O.Args[1], L.D->Load);
   int64_t Remaining = *Len;
   while (Remaining > 0) {
     int64_t Chunk = Remaining > L.ChunkLimit ? L.ChunkLimit : Remaining;
@@ -574,14 +529,14 @@ registry::parseConstraintText(const std::string &Text) {
     std::string Line = Text.substr(
         Pos, Eol == std::string::npos ? std::string::npos : Eol - Pos);
     Pos = Eol == std::string::npos ? Text.size() : Eol + 1;
-    Line = trimmed(Line);
+    Line = std::string(trim(Line));
     if (Line.empty())
       continue;
     std::string Note;
     size_t Bang = Line.find("  ! ");
     if (Bang != std::string::npos) {
       Note = Line.substr(Bang + 4);
-      Line = trimmed(Line.substr(0, Bang));
+      Line = std::string(trim(Line.substr(0, Bang)));
     }
     if (startsWith(Line, "value: ")) {
       std::string Rest = Line.substr(7);
@@ -653,7 +608,7 @@ registry::compileBinding(const RegistryEntry &E) {
   if (!Kind)
     return lowerFault("operator '" + E.OperatorId +
                       "' maps to no code-generator operator kind");
-  const Dialect *D = dialectFor(E.Machine);
+  const Dialect *D = codegen::findDialect(E.Machine);
   if (!D)
     return lowerFault("unknown machine '" + E.Machine + "'");
   const KernelSpec *Spec = findKernel(E.Machine, E.Mnemonic, *Kind);

@@ -28,8 +28,10 @@
 ///    the arms;
 ///  * the *kernel* — which dedicated register carries which operand,
 ///    the core instruction syntax, what the instruction clobbers, and
-///    per-machine dialect (mov/branch mnemonics, how to force zf) — is
-///    a small per-(machine, mnemonic, operator-kind) table here. This
+///    how to force the 8086's zf — is a small per-(machine, mnemonic,
+///    operator-kind) table here. The machine's primitives (load, move,
+///    branch, subtract, ...) and word width come from its
+///    codegen::Dialect row, which the decomposition rules read too. This
 ///    mirrors the paper's division of labor: EXTRA discovers *that* and
 ///    *under which constraints* an instruction implements an operator;
 ///    the machine's operand conventions come from its description.

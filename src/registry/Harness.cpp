@@ -103,7 +103,7 @@ SideReport compileAndRun(MachineKind MK, Target &T, const Program &P,
                          const interp::Memory &Mem) {
   SideReport Side;
   CodeGenResult Code = T.generate(P);
-  Side.Asm = codegen::peephole(Code.Asm);
+  Side.Asm = std::move(Code.Asm);
   Side.Exotic = Code.ExoticCount;
   Side.Decomposed = Code.DecomposedCount;
   Side.CodeSize = sim::codeSize(Side.Asm, ';');

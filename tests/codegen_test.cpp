@@ -12,6 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <map>
+#include <set>
+#include <sstream>
+#include <tuple>
+
 using namespace extra;
 using namespace extra::codegen;
 using interp::Memory;
@@ -391,6 +397,239 @@ TEST(Ibm370CodegenTest, RangeBoundedLengthDecomposes) {
 }
 
 //===----------------------------------------------------------------------===//
+// Frozen listings
+//===----------------------------------------------------------------------===//
+
+/// A listing pinned as "<lines>:<FNV-1a of its text>", with every label
+/// renamed L0, L1, ... in order of first appearance, so two listings that
+/// differ only in label numbering pin alike.
+std::string listingDigest(const std::vector<std::string> &Asm) {
+  std::set<std::string> Labels;
+  for (const std::string &L : Asm)
+    if (!L.empty() && L[0] != ' ' && L[0] != ';' && L.back() == ':')
+      Labels.insert(L.substr(0, L.size() - 1));
+  auto IsWordChar = [](char C) {
+    return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
+  };
+  std::map<std::string, std::string> Renamed;
+  std::string Text;
+  for (const std::string &L : Asm) {
+    for (size_t I = 0; I < L.size();) {
+      if (!IsWordChar(L[I])) {
+        Text += L[I++];
+        continue;
+      }
+      size_t J = I;
+      while (J < L.size() && IsWordChar(L[J]))
+        ++J;
+      std::string Word = L.substr(I, J - I);
+      if (Labels.count(Word))
+        Word = Renamed.emplace(Word, "L" + std::to_string(Renamed.size()))
+                   .first->second;
+      Text += Word;
+      I = J;
+    }
+    Text += '\n';
+  }
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (unsigned char Ch : Text)
+    H = (H ^ Ch) * 0x100000001b3ULL;
+  std::ostringstream Out;
+  Out << Asm.size() << ":" << std::hex << H;
+  return Out.str();
+}
+
+TEST(FrozenListingTest, EveryDecompositionAndLoweredBinding) {
+  // Each machine x operator x operand shape, decomposed by the bare
+  // target and compiled by the corpus target. Then, compiled by the
+  // corpus target: the demo program; two-op programs whose second op
+  // finds a register the first loaded; and literal lengths past the mvc
+  // and movc3 ranges, which the rewriting rules chunk.
+  using V = Value;
+  const std::vector<HLOp> Literals = {
+      strIndex("i", V::literal(300), V::literal(16), V::literal('r')),
+      strMove(V::literal(300), V::literal(100), V::literal(16)),
+      strEqual("eq", V::literal(100), V::literal(300), V::literal(16)),
+      blockCopy(V::literal(300), V::literal(100), V::literal(16)),
+      blockClear(V::literal(400), V::literal(8))};
+  const std::vector<HLOp> Symbols = {
+      strIndex("i", V::symbol("s"), V::symbol("n"), V::symbol("c")),
+      strMove(V::symbol("d"), V::symbol("s"), V::symbol("n")),
+      strEqual("eq", V::symbol("a"), V::symbol("b"), V::symbol("n")),
+      blockCopy(V::symbol("d"), V::symbol("s"), V::symbol("n")),
+      blockClear(V::symbol("d"), V::symbol("n"))};
+  // {name, ops, whether the length symbol n has a known range}.
+  const std::vector<std::tuple<std::string, const std::vector<HLOp> *, bool>>
+      Shapes = {{"literals", &Literals, false},
+                {"symbols", &Symbols, false},
+                {"ranged", &Symbols, true}};
+  const std::vector<std::pair<std::string, std::vector<HLOp>>> Programs = {
+      {"index twice",
+       {strIndex("i", V::literal(300), V::literal(16), V::literal('r')),
+        strIndex("j", V::literal(400), V::literal(8), V::literal('r'))}},
+      {"move twice",
+       {strMove(V::literal(300), V::literal(100), V::literal(16)),
+        strMove(V::literal(300), V::literal(200), V::literal(8))}},
+      {"move then clear",
+       {strMove(V::literal(300), V::literal(100), V::literal(16)),
+        blockClear(V::literal(300), V::literal(8))}},
+      {"long move",
+       {strMove(V::literal(2000), V::literal(100), V::literal(600))}},
+      {"long copy",
+       {blockCopy(V::literal(200000), V::literal(0), V::literal(100000))}},
+  };
+  auto ProgramOf = [](std::vector<HLOp> Ops, bool Ranged) {
+    Program P;
+    P.Ops = std::move(Ops);
+    P.Facts.Axioms.insert("pascal.no-overlap");
+    if (Ranged)
+      P.Facts.KnownRanges["n"] = {1, 200};
+    return P;
+  };
+
+  std::vector<std::pair<std::string, std::string>> Listings;
+  for (MachineKind MK : registry::allMachines()) {
+    std::string M = registry::machineName(MK);
+    auto Bare = MK == MachineKind::I8086 ? makeI8086Target()
+                : MK == MachineKind::Vax   ? makeVaxTarget()
+                                           : makeIbm370Target();
+    auto Corpus = corpusTarget(MK);
+    for (const auto &[Shape, Ops, Ranged] : Shapes)
+      for (const HLOp &O : *Ops) {
+        std::string Tag = M + " " + opKindName(O.K) + " " + Shape;
+        CodeGenContext Ctx;
+        Bare->decompose(O, Ctx);
+        Listings.emplace_back(Tag + " decompose",
+                              listingDigest(Ctx.takeLines()));
+        Listings.emplace_back(
+            Tag + " corpus",
+            listingDigest(Corpus->generate(ProgramOf({O}, Ranged)).Asm));
+      }
+    Listings.emplace_back(
+        M + " demo",
+        listingDigest(Corpus->generate(registry::demoProgram()).Asm));
+    for (const auto &[Name, Ops] : Programs)
+      Listings.emplace_back(
+          M + " " + Name,
+          listingDigest(Corpus->generate(ProgramOf(Ops, false)).Asm));
+  }
+
+  static const std::vector<std::pair<std::string, std::string>> Frozen = {
+      {"i8086 StrIndex literals decompose", "19:3e8cb7c3894a53bc"},
+      {"i8086 StrIndex literals corpus", "16:f8ece34554a124db"},
+      {"i8086 StrMove literals decompose", "13:b0663adfb531e125"},
+      {"i8086 StrMove literals corpus", "6:74b41829cda64794"},
+      {"i8086 StrEqual literals decompose", "20:a35373f88d0fcc11"},
+      {"i8086 StrEqual literals corpus", "13:f1b05639e720245e"},
+      {"i8086 BlockCopy literals decompose", "31:704d4a16147989a9"},
+      {"i8086 BlockCopy literals corpus", "32:f730f4797c9eab40"},
+      {"i8086 BlockClear literals decompose", "11:8f3c10878c4c0416"},
+      {"i8086 BlockClear literals corpus", "6:5a4dd200e4396159"},
+      {"i8086 StrIndex symbols decompose", "19:f4bcf012bc986210"},
+      {"i8086 StrIndex symbols corpus", "16:7ff79446e9ed9ce3"},
+      {"i8086 StrMove symbols decompose", "13:acf2b567d6984205"},
+      {"i8086 StrMove symbols corpus", "6:ddb918b68e1d6574"},
+      {"i8086 StrEqual symbols decompose", "20:d5ff56dfd9c610d5"},
+      {"i8086 StrEqual symbols corpus", "13:8ec9226aaf462d04"},
+      {"i8086 BlockCopy symbols decompose", "31:1892cfb65afb6c89"},
+      {"i8086 BlockCopy symbols corpus", "32:270dcba4be28bee0"},
+      {"i8086 BlockClear symbols decompose", "11:61bebcded96f1698"},
+      {"i8086 BlockClear symbols corpus", "6:fd289cf8b7d5b89"},
+      {"i8086 StrIndex ranged decompose", "19:f4bcf012bc986210"},
+      {"i8086 StrIndex ranged corpus", "16:7ff79446e9ed9ce3"},
+      {"i8086 StrMove ranged decompose", "13:acf2b567d6984205"},
+      {"i8086 StrMove ranged corpus", "6:ddb918b68e1d6574"},
+      {"i8086 StrEqual ranged decompose", "20:d5ff56dfd9c610d5"},
+      {"i8086 StrEqual ranged corpus", "13:8ec9226aaf462d04"},
+      {"i8086 BlockCopy ranged decompose", "31:1892cfb65afb6c89"},
+      {"i8086 BlockCopy ranged corpus", "32:270dcba4be28bee0"},
+      {"i8086 BlockClear ranged decompose", "11:61bebcded96f1698"},
+      {"i8086 BlockClear ranged corpus", "6:fd289cf8b7d5b89"},
+      {"i8086 demo", "41:41ff95a067ae3bf5"},
+      {"i8086 index twice", "31:2b4ecb83c2a00d9e"},
+      {"i8086 move twice", "12:7f00fb31bc5b303b"},
+      {"i8086 move then clear", "12:8728a5b471f89a26"},
+      {"i8086 long move", "6:9a210cfffe88a454"},
+      {"i8086 long copy", "32:9b2804f15a6d26a0"},
+      {"vax StrIndex literals decompose", "18:3e543776622cfd9b"},
+      {"vax StrIndex literals corpus", "15:7608f53e1c870a49"},
+      {"vax StrMove literals decompose", "13:4dc23920288d9cc8"},
+      {"vax StrMove literals corpus", "5:5d453f2fde11e99e"},
+      {"vax StrEqual literals decompose", "20:ee5748af3f88bb32"},
+      {"vax StrEqual literals corpus", "12:763770ddab2659e5"},
+      {"vax BlockCopy literals decompose", "13:4dc23920288d9cc8"},
+      {"vax BlockCopy literals corpus", "5:5a6b4ac2ace885cf"},
+      {"vax BlockClear literals decompose", "11:b8677e17fe272e57"},
+      {"vax BlockClear literals corpus", "7:2f8db67282b8e6c2"},
+      {"vax StrIndex symbols decompose", "18:85e38a7c788a1ca9"},
+      {"vax StrIndex symbols corpus", "19:7f2fa68a0d5cd022"},
+      {"vax StrMove symbols decompose", "13:508e2577d3c19b96"},
+      {"vax StrMove symbols corpus", "14:be50ad302102fec9"},
+      {"vax StrEqual symbols decompose", "20:e6012b4d5e0caaf0"},
+      {"vax StrEqual symbols corpus", "21:e445e6854933e2e7"},
+      {"vax BlockCopy symbols decompose", "13:508e2577d3c19b96"},
+      {"vax BlockCopy symbols corpus", "14:1febaafcdccb3d07"},
+      {"vax BlockClear symbols decompose", "11:3eb389f0bf280539"},
+      {"vax BlockClear symbols corpus", "12:483443ef2768bd19"},
+      {"vax StrIndex ranged decompose", "18:85e38a7c788a1ca9"},
+      {"vax StrIndex ranged corpus", "15:9ef960f313ad365d"},
+      {"vax StrMove ranged decompose", "13:508e2577d3c19b96"},
+      {"vax StrMove ranged corpus", "5:a03f027bf3d56146"},
+      {"vax StrEqual ranged decompose", "20:e6012b4d5e0caaf0"},
+      {"vax StrEqual ranged corpus", "12:2249eff3db941db"},
+      {"vax BlockCopy ranged decompose", "13:508e2577d3c19b96"},
+      {"vax BlockCopy ranged corpus", "5:c2712bf39e6566f7"},
+      {"vax BlockClear ranged decompose", "11:3eb389f0bf280539"},
+      {"vax BlockClear ranged corpus", "7:7c978c5b4b5c5f3a"},
+      {"vax demo", "39:165206e0494b1853"},
+      {"vax index twice", "29:a57ede8d68df5371"},
+      {"vax move twice", "10:84d75934d004a673"},
+      {"vax move then clear", "11:1b9dacdfdb4c931"},
+      {"vax long move", "5:c550d47c9df13814"},
+      {"vax long copy", "9:77be88275901f62c"},
+      {"ibm370 StrIndex literals decompose", "18:a7a6660a59a22b6b"},
+      {"ibm370 StrIndex literals corpus", "19:bcfd83d41e9cb17e"},
+      {"ibm370 StrMove literals decompose", "13:b1678bb2de900027"},
+      {"ibm370 StrMove literals corpus", "4:cff3ea4dfa487ca8"},
+      {"ibm370 StrEqual literals decompose", "20:fb1e942fac85332b"},
+      {"ibm370 StrEqual literals corpus", "21:d9c7bbb699560b86"},
+      {"ibm370 BlockCopy literals decompose", "13:b1678bb2de900027"},
+      {"ibm370 BlockCopy literals corpus", "14:bafa32efb4e988bc"},
+      {"ibm370 BlockClear literals decompose", "11:4a8d44242f3ede56"},
+      {"ibm370 BlockClear literals corpus", "12:e24ee0d7ecd766dc"},
+      {"ibm370 StrIndex symbols decompose", "18:ce6bc5ac0ffab849"},
+      {"ibm370 StrIndex symbols corpus", "19:9918f1600bd7f00a"},
+      {"ibm370 StrMove symbols decompose", "13:a3cec3066f9d6ad5"},
+      {"ibm370 StrMove symbols corpus", "14:accf5a4368d1566c"},
+      {"ibm370 StrEqual symbols decompose", "20:216b900b4a583b73"},
+      {"ibm370 StrEqual symbols corpus", "21:4b4a501ebf40677c"},
+      {"ibm370 BlockCopy symbols decompose", "13:a3cec3066f9d6ad5"},
+      {"ibm370 BlockCopy symbols corpus", "14:3beb3dae73536b4e"},
+      {"ibm370 BlockClear symbols decompose", "11:473f569ba5327d90"},
+      {"ibm370 BlockClear symbols corpus", "12:1d4acedc1ba07770"},
+      {"ibm370 StrIndex ranged decompose", "18:ce6bc5ac0ffab849"},
+      {"ibm370 StrIndex ranged corpus", "19:9918f1600bd7f00a"},
+      {"ibm370 StrMove ranged decompose", "13:a3cec3066f9d6ad5"},
+      {"ibm370 StrMove ranged corpus", "14:accf5a4368d1566c"},
+      {"ibm370 StrEqual ranged decompose", "20:216b900b4a583b73"},
+      {"ibm370 StrEqual ranged corpus", "21:4b4a501ebf40677c"},
+      {"ibm370 BlockCopy ranged decompose", "13:a3cec3066f9d6ad5"},
+      {"ibm370 BlockCopy ranged corpus", "14:3beb3dae73536b4e"},
+      {"ibm370 BlockClear ranged decompose", "11:473f569ba5327d90"},
+      {"ibm370 BlockClear ranged corpus", "12:1d4acedc1ba07770"},
+      {"ibm370 demo", "56:669627fbf13b0f6f"},
+      {"ibm370 index twice", "38:65d0e27b437ed9df"},
+      {"ibm370 move twice", "7:d1651d9edefa16c0"},
+      {"ibm370 move then clear", "15:b541e5cb6416fe14"},
+      {"ibm370 long move", "10:595fe932b6fa69d3"},
+      {"ibm370 long copy", "14:9d8c899fe80188dc"},
+  };
+  ASSERT_EQ(Listings.size(), Frozen.size());
+  for (size_t I = 0; I < Frozen.size(); ++I)
+    EXPECT_EQ(Listings[I], Frozen[I]);
+}
+
+//===----------------------------------------------------------------------===//
 // Peephole (§6 integration optimization)
 //===----------------------------------------------------------------------===//
 
@@ -404,6 +643,7 @@ TEST(PeepholeTest, RemovesSelfMovesAndRepeatedCld) {
   ASSERT_EQ(Out.size(), 2u);
   EXPECT_NE(Out[0].find("cld"), std::string::npos);
   EXPECT_NE(Out[1].find("mov ax, bx"), std::string::npos);
+  EXPECT_EQ(peephole(Out), Out);
 }
 
 TEST(PeepholeTest, KeepsSeparatedSetup) {
@@ -413,6 +653,7 @@ TEST(PeepholeTest, KeepsSeparatedSetup) {
       "  cld",
   });
   EXPECT_EQ(Out.size(), 3u);
+  EXPECT_EQ(peephole(Out), Out);
 }
 
 } // namespace
