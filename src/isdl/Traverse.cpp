@@ -127,7 +127,8 @@ void isdl::forEachExprSlot(ExprPtr &Slot,
   Fn(Slot);
 }
 
-void isdl::forEachExprSlot(Stmt &S, const std::function<void(ExprPtr &)> &Fn) {
+void isdl::forEachOwnExprSlot(Stmt &S,
+                              const std::function<void(ExprPtr &)> &Fn) {
   switch (S.getKind()) {
   case Stmt::Kind::Assign: {
     auto *A = cast<AssignStmt>(&S);
@@ -148,13 +149,8 @@ void isdl::forEachExprSlot(Stmt &S, const std::function<void(ExprPtr &)> &Fn) {
     ExprPtr C = I->takeCond();
     forEachExprSlot(C, Fn);
     I->setCond(std::move(C));
-    forEachExprSlot(I->getThen(), Fn);
-    forEachExprSlot(I->getElse(), Fn);
     break;
   }
-  case Stmt::Kind::Repeat:
-    forEachExprSlot(cast<RepeatStmt>(&S)->getBody(), Fn);
-    break;
   case Stmt::Kind::ExitWhen: {
     auto *E = cast<ExitWhenStmt>(&S);
     ExprPtr C = E->takeCond();
@@ -162,17 +158,28 @@ void isdl::forEachExprSlot(Stmt &S, const std::function<void(ExprPtr &)> &Fn) {
     E->setCond(std::move(C));
     break;
   }
-  case Stmt::Kind::Input:
-    break;
   case Stmt::Kind::Output:
     for (ExprPtr &V : cast<OutputStmt>(&S)->getValues())
       forEachExprSlot(V, Fn);
+    break;
+  case Stmt::Kind::Repeat:
+  case Stmt::Kind::Input:
     break;
   case Stmt::Kind::Constrain:
   case Stmt::Kind::Assert:
     // Constraint/assertion predicates describe operand conditions; they are
     // rewritten only by dedicated constraint transformations.
     break;
+  }
+}
+
+void isdl::forEachExprSlot(Stmt &S, const std::function<void(ExprPtr &)> &Fn) {
+  forEachOwnExprSlot(S, Fn);
+  if (auto *I = dyn_cast<IfStmt>(&S)) {
+    forEachExprSlot(I->getThen(), Fn);
+    forEachExprSlot(I->getElse(), Fn);
+  } else if (auto *R = dyn_cast<RepeatStmt>(&S)) {
+    forEachExprSlot(R->getBody(), Fn);
   }
 }
 

@@ -46,6 +46,10 @@ void forEachStmt(const StmtList &Stmts,
 /// callback to replace the pointed-to expression.
 void forEachExprSlot(Stmt &S, const std::function<void(ExprPtr &)> &Fn);
 
+/// Visits the owning expression slots of \p S itself bottom-up, not those
+/// of its nested statements.
+void forEachOwnExprSlot(Stmt &S, const std::function<void(ExprPtr &)> &Fn);
+
 /// Visits every owning expression slot in \p Stmts bottom-up.
 void forEachExprSlot(StmtList &Stmts, const std::function<void(ExprPtr &)> &Fn);
 

@@ -72,7 +72,6 @@ ProfileReport obs::profileTrace(const std::vector<TraceRecord> &Trace) {
   }
 
   std::map<std::string, ProfileStat> ByLabel;
-  std::map<std::string, ProfileStat> ByRule;
   std::map<uint64_t, ProfileStat> ByDepth;
 
   for (const auto &[Id, Node] : Spans) {
@@ -102,38 +101,18 @@ ProfileReport obs::profileTrace(const std::vector<TraceRecord> &Trace) {
     }
   }
 
-  for (const TraceRecord &Rec : Trace) {
-    if (Rec.K != TraceRecord::Kind::Event)
-      continue;
-    ++R.Events;
-    if (Rec.Name != "rule-apply")
-      continue;
-    std::string Rule = Rec.field("rule");
-    if (Rule.empty())
-      Rule = "<unknown>";
-    ProfileStat &RS = ByRule[Rule];
-    RS.Key = Rule;
-    ++RS.Count;
-    // dur_ns is absent from traces recorded before the field existed;
-    // those rows keep counts and report zero time.
-    uint64_t Us = Rec.fieldU64("dur_ns") / 1000;
-    RS.TotalUs += Us;
-    RS.SelfUs += Us;
-  }
+  for (const TraceRecord &Rec : Trace)
+    R.Events += Rec.K == TraceRecord::Kind::Event;
 
-  auto Flatten = [](auto &M, std::vector<ProfileStat> &Out) {
-    Out.reserve(M.size());
-    for (auto &[K, S] : M) {
-      (void)K;
-      Out.push_back(std::move(S));
-    }
-    std::stable_sort(Out.begin(), Out.end(),
-                     [](const ProfileStat &A, const ProfileStat &B) {
-                       return A.SelfUs > B.SelfUs;
-                     });
-  };
-  Flatten(ByLabel, R.ByLabel);
-  Flatten(ByRule, R.ByRule);
+  R.ByLabel.reserve(ByLabel.size());
+  for (auto &[K, S] : ByLabel) {
+    (void)K;
+    R.ByLabel.push_back(std::move(S));
+  }
+  std::stable_sort(R.ByLabel.begin(), R.ByLabel.end(),
+                   [](const ProfileStat &A, const ProfileStat &B) {
+                     return A.SelfUs > B.SelfUs;
+                   });
   R.ByDepth.reserve(ByDepth.size());
   for (auto &[D, S] : ByDepth) {
     (void)D;
@@ -155,7 +134,6 @@ std::string ProfileReport::str() const {
   Out += Buf;
   appendTable(Out, "\nby span label (self-time order):", ByLabel,
               TracedWallUs);
-  appendTable(Out, "\nby rule (rule-apply events):", ByRule, TracedWallUs);
   appendTable(Out, "\nby beam depth:", ByDepth, TracedWallUs);
   return Out;
 }

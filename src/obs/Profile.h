@@ -12,10 +12,9 @@
 /// tree reproduces the root's wall time exactly — the invariant the
 /// profiler's accounting rests on.
 ///
-/// Three rollups come out of one pass: per span label (`search`,
-/// `round`, `depth`, `expand`, ...), per rule (from `rule-apply` events
-/// carrying `dur_ns`; traces recorded before that field degrade to
-/// counts), and per beam depth (from `depth` spans' `depth` payload).
+/// Two rollups come out of one pass: per span label (`search`, `round`,
+/// `depth`, `expand`, ...) and per beam depth (from `depth` spans'
+/// `depth` payload).
 /// `collapsed()` renders the classic semicolon-joined stack lines
 /// consumable by standard flamegraph tooling.
 ///
@@ -33,7 +32,7 @@
 namespace extra {
 namespace obs {
 
-/// One aggregate row: \p Key is a span label, rule name, or depth.
+/// One aggregate row: \p Key is a span label or a depth.
 struct ProfileStat {
   std::string Key;
   uint64_t Count = 0;
@@ -49,7 +48,6 @@ struct ProfileReport {
   uint64_t Spans = 0;
   uint64_t Events = 0;
   std::vector<ProfileStat> ByLabel; ///< Sorted by SelfUs, descending.
-  std::vector<ProfileStat> ByRule;  ///< rule-apply events; Self==Total.
   std::vector<ProfileStat> ByDepth; ///< Keyed by the depth number.
 
   /// Sum of ByLabel self times; equals TracedWallUs up to clamping.
@@ -62,8 +60,8 @@ struct ProfileReport {
   std::string collapsed() const;
 };
 
-/// Profiles a parsed trace. Works on any span/event mix; events other
-/// than `rule-apply` only contribute to the event count.
+/// Profiles a parsed trace. Works on any span/event mix; events only
+/// contribute to the event count.
 ProfileReport profileTrace(const std::vector<TraceRecord> &Trace);
 
 /// Full-fidelity collapsed stacks straight from the raw records: one

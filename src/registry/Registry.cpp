@@ -168,9 +168,3 @@ Expected<bool> Registry::save(const std::string &Path) const {
     Lines.push_back(E.toJsonLine());
   return support::writeVersionedFile(Path, registryFileFormat(), Lines);
 }
-
-Expected<bool> Registry::appendEntry(const std::string &Path,
-                                     const RegistryEntry &E) {
-  return support::appendVersionedLine(Path, registryFileFormat(),
-                                      E.toJsonLine());
-}

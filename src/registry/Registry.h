@@ -124,11 +124,6 @@ public:
   /// rename.
   Expected<bool> save(const std::string &Path) const;
 
-  /// Appends one entry to a registry file (open-append-close, header
-  /// stamped on first use) without loading it.
-  static Expected<bool> appendEntry(const std::string &Path,
-                                    const RegistryEntry &E);
-
 private:
   std::map<std::string, RegistryEntry> ByKey;
 };

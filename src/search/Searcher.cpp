@@ -741,9 +741,8 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
         // in place, never moved.)
         auto InitScratch = [&](transform::Engine &Scratch,
                                bool InlineVerify) {
-          // Metrics only — no trace: a rule-apply event per attempted
-          // candidate would swamp the trace with refusals; the searcher's
-          // own prune/frontier events carry the interesting outcomes.
+          // Metrics only: the searcher's own prune/frontier events carry
+          // the outcomes worth tracing.
           Scratch.setMetrics(Ctx.met());
           if (InlineVerify && Ctx.Limits.VerifyTrials > 0)
             Scratch.setVerifier(analysis::makeStepVerifier(

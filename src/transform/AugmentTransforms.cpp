@@ -188,24 +188,13 @@ void transform::registerAugmentTransforms(Registry &R) {
         // from inside a conditional); empty-if-elim can clean any shells
         // left behind.
         unsigned Removed = 0;
-        std::function<void(StmtList &)> Strip = [&](StmtList &List) {
-          for (size_t I = 0; I < List.size();) {
-            Stmt *S = List[I].get();
-            if (isa<OutputStmt>(S)) {
-              List.erase(List.begin() + static_cast<long>(I));
-              ++Removed;
-              continue;
-            }
-            if (auto *If = dyn_cast<IfStmt>(S)) {
-              Strip(If->getThen());
-              Strip(If->getElse());
-            } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-              Strip(Rep->getBody());
-            }
-            ++I;
+        walkStmts(Entry->Body, [&](StmtSite &Site) {
+          if (isa<OutputStmt>(&Site.stmt())) {
+            Site.splice({});
+            ++Removed;
           }
-        };
-        Strip(Entry->Body);
+          return Walk::Continue;
+        });
         if (Removed == 0)
           return ApplyResult::failure("entry routine has no output "
                                       "statement to replace");

@@ -83,6 +83,19 @@ bool mayCrossExit(const Description &D, Routine &R, const Stmt &S,
   return true;
 }
 
+/// Locates the unique assignment to \p Var in \p R together with its
+/// owning list.
+StmtLocus findAssign(Routine &R, const std::string &Var, std::string &Reason) {
+  bool Several = false;
+  StmtLocus Found = findUnique(
+      R.Body, [&](const Stmt &S) { return assignTo(S, Var) != nullptr; },
+      Several);
+  if (!Found.isValid())
+    Reason = std::string(Several ? "more than one" : "no") +
+             " assignment to '" + Var + "' in routine '" + R.Name + "'";
+  return Found;
+}
+
 /// Shared implementation of move-up / move-down / swap-statements.
 ApplyResult moveByOne(TransformContext &Ctx, bool Up) {
   std::string Reason;
@@ -93,7 +106,7 @@ ApplyResult moveByOne(TransformContext &Ctx, bool Up) {
   if (Var.empty())
     return ApplyResult::failure(Reason);
 
-  StmtLocus Locus = findUniqueAssign(*R, Var, Reason);
+  StmtLocus Locus = findAssign(*R, Var, Reason);
   if (!Locus.isValid())
     return ApplyResult::failure(Reason);
 
@@ -154,7 +167,7 @@ void transform::registerCodeMotionTransforms(Registry &R) {
         std::string Var = Ctx.arg("var", Reason);
         if (Var.empty())
           return ApplyResult::failure(Reason);
-        StmtLocus Locus = findUniqueAssign(*R, Var, Reason);
+        StmtLocus Locus = findAssign(*R, Var, Reason);
         if (!Locus.isValid())
           return ApplyResult::failure(Reason);
         StmtList &List = *Locus.List;

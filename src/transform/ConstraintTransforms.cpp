@@ -269,41 +269,22 @@ ApplyResult resolveIfByConstraint(TransformContext &Ctx) {
         "by a source-language axiom (record one with "
         "note-relational-constraint first)");
 
-  long Occurrence = 0;
-  if (Ctx.Args.count("occurrence")) {
-    auto N = Ctx.intArg("occurrence", Reason);
-    if (!N)
-      return ApplyResult::failure(Reason);
-    Occurrence = static_cast<long>(*N);
-  }
+  std::optional<long> Occurrence = Ctx.occurrence(Reason, 0);
+  if (!Occurrence)
+    return ApplyResult::failure(Reason);
 
   long Seen = 0;
-  bool Done = false;
-  std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-    for (size_t I = 0; !Done && I < List.size(); ++I) {
-      Stmt *S = List[I].get();
-      if (auto *If = dyn_cast<IfStmt>(S)) {
-        if (Seen++ == Occurrence) {
-          StmtList Chosen = Arm == "then" ? std::move(If->getThen())
-                                          : std::move(If->getElse());
-          List.erase(List.begin() + static_cast<long>(I));
-          for (size_t K = 0; K < Chosen.size(); ++K)
-            List.insert(List.begin() + static_cast<long>(I + K),
-                        std::move(Chosen[K]));
-          Done = true;
-          return;
-        }
-        Walk(If->getThen());
-        Walk(If->getElse());
-      } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-        Walk(Rep->getBody());
-      }
-    }
-  };
-  Walk(R->Body);
+  bool Done = !walkStmts(R->Body, [&](StmtSite &Site) {
+    auto *If = dyn_cast<IfStmt>(&Site.stmt());
+    if (!If || Seen++ != *Occurrence)
+      return Walk::Continue;
+    Site.splice(Arm == "then" ? std::move(If->getThen())
+                              : std::move(If->getElse()));
+    return Walk::Stop;
+  });
   if (!Done)
     return ApplyResult::failure("no if statement #" +
-                                std::to_string(Occurrence));
+                                std::to_string(*Occurrence));
   // The branch choice is justified by the recorded axiom; the
   // differential check validates it on axiom-respecting inputs.
   ApplyResult Res = ApplyResult::success(
@@ -324,68 +305,58 @@ ApplyResult liftConstrain(TransformContext &Ctx) {
   if (!Ctx.Constraints)
     return ApplyResult::failure("no constraint set attached to this session");
 
-  bool Done = false;
-  std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-    for (size_t I = 0; !Done && I < List.size(); ++I) {
-      Stmt *S = List[I].get();
-      if (auto *C = dyn_cast<ConstrainStmt>(S)) {
-        // Interpret the annotation by its tag and predicate shape.
-        const std::string &Tag = C->getTag();
-        const Expr *P = C->getPred();
-        if (Tag == "value") {
-          const auto *B = dyn_cast<BinaryExpr>(P);
-          const VarRef *V = B ? dyn_cast<VarRef>(B->getLHS()) : nullptr;
-          const IntLit *K = B ? dyn_cast<IntLit>(B->getRHS()) : nullptr;
-          if (!B || B->getOp() != BinaryOp::Eq || !V || !K)
-            return;
-          Ctx.Constraints->add(
-              Constraint::value(V->getName(), K->getValue(), "from text"));
-        } else if (Tag == "range") {
-          // lo <= v and v <= hi  |  v <= hi  |  v >= lo
-          int64_t Lo = INT64_MIN, Hi = INT64_MAX;
-          std::string Var;
-          std::function<bool(const Expr &)> Scan = [&](const Expr &E) {
-            const auto *B = dyn_cast<BinaryExpr>(&E);
-            if (!B)
-              return false;
-            if (B->getOp() == BinaryOp::And)
-              return Scan(*B->getLHS()) && Scan(*B->getRHS());
-            const auto *V = dyn_cast<VarRef>(B->getLHS());
-            const auto *K = dyn_cast<IntLit>(B->getRHS());
-            if (!V || !K)
-              return false;
-            if (!Var.empty() && Var != V->getName())
-              return false;
-            Var = V->getName();
-            if (B->getOp() == BinaryOp::Le)
-              Hi = K->getValue();
-            else if (B->getOp() == BinaryOp::Ge)
-              Lo = K->getValue();
-            else
-              return false;
-            return true;
-          };
-          if (!Scan(*P) || Var.empty())
-            return;
-          Ctx.Constraints->add(Constraint::range(
-              Var, Lo == INT64_MIN ? 0 : Lo, Hi, "from text"));
-        } else {
-          Ctx.Constraints->add(Constraint::relational(
-              P->clone(), Tag.empty() ? "unnamed" : Tag, "from text"));
-        }
-        List.erase(List.begin() + static_cast<long>(I));
-        Done = true;
-        return;
-      }
-      if (auto *If = dyn_cast<IfStmt>(S)) {
-        Walk(If->getThen());
-        Walk(If->getElse());
-      } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-        Walk(Rep->getBody());
-      }
+  // Lifts the first constrain statement whose tag and predicate shape it
+  // can interpret; one it cannot stays in place.
+  bool Done = !walkStmts(R->Body, [&](StmtSite &Site) {
+    const auto *C = dyn_cast<ConstrainStmt>(&Site.stmt());
+    if (!C)
+      return Walk::Continue;
+    const std::string &Tag = C->getTag();
+    const Expr *P = C->getPred();
+    if (Tag == "value") {
+      const auto *B = dyn_cast<BinaryExpr>(P);
+      const VarRef *V = B ? dyn_cast<VarRef>(B->getLHS()) : nullptr;
+      const IntLit *K = B ? dyn_cast<IntLit>(B->getRHS()) : nullptr;
+      if (!B || B->getOp() != BinaryOp::Eq || !V || !K)
+        return Walk::Continue;
+      Ctx.Constraints->add(
+          Constraint::value(V->getName(), K->getValue(), "from text"));
+    } else if (Tag == "range") {
+      // lo <= v and v <= hi  |  v <= hi  |  v >= lo
+      int64_t Lo = INT64_MIN, Hi = INT64_MAX;
+      std::string Var;
+      std::function<bool(const Expr &)> Scan = [&](const Expr &E) {
+        const auto *B = dyn_cast<BinaryExpr>(&E);
+        if (!B)
+          return false;
+        if (B->getOp() == BinaryOp::And)
+          return Scan(*B->getLHS()) && Scan(*B->getRHS());
+        const auto *V = dyn_cast<VarRef>(B->getLHS());
+        const auto *K = dyn_cast<IntLit>(B->getRHS());
+        if (!V || !K)
+          return false;
+        if (!Var.empty() && Var != V->getName())
+          return false;
+        Var = V->getName();
+        if (B->getOp() == BinaryOp::Le)
+          Hi = K->getValue();
+        else if (B->getOp() == BinaryOp::Ge)
+          Lo = K->getValue();
+        else
+          return false;
+        return true;
+      };
+      if (!Scan(*P) || Var.empty())
+        return Walk::Continue;
+      Ctx.Constraints->add(
+          Constraint::range(Var, Lo == INT64_MIN ? 0 : Lo, Hi, "from text"));
+    } else {
+      Ctx.Constraints->add(Constraint::relational(
+          P->clone(), Tag.empty() ? "unnamed" : Tag, "from text"));
     }
-  };
-  Walk(R->Body);
+    Site.splice({});
+    return Walk::Stop;
+  });
   if (!Done)
     return ApplyResult::failure("no liftable constrain statement");
   return ApplyResult::success(SemanticsEffect::Preserving,

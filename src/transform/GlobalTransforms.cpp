@@ -46,8 +46,8 @@ bool hasAssignTo(const Routine &R, const std::string &Var,
                  bool (*Value)(const Expr &)) {
   bool Found = false;
   forEachStmt(R.Body, [&](const Stmt &S) {
-    if (const auto *A = dyn_cast<AssignStmt>(&S))
-      Found = Found || (A->targetVarName() == Var && Value(*A->getValue()));
+    if (const AssignStmt *A = assignTo(S, Var))
+      Found = Found || Value(*A->getValue());
   });
   return Found;
 }
@@ -186,26 +186,14 @@ ApplyResult deadAssignElim(TransformContext &Ctx) {
   dataflow::Liveness L(G);
 
   unsigned Removed = 0;
-  std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-    for (size_t I = 0; I < List.size();) {
-      Stmt *S = List[I].get();
-      if (auto *A = dyn_cast<AssignStmt>(S)) {
-        if (A->targetVarName() == Var && isPure(*A->getValue()) &&
-            L.deadAfter(S, Var)) {
-          List.erase(List.begin() + static_cast<long>(I));
-          ++Removed;
-          continue;
-        }
-      } else if (auto *If = dyn_cast<IfStmt>(S)) {
-        Walk(If->getThen());
-        Walk(If->getElse());
-      } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-        Walk(Rep->getBody());
-      }
-      ++I;
+  walkStmts(R->Body, [&](StmtSite &Site) {
+    const AssignStmt *A = assignTo(Site.stmt(), Var);
+    if (A && isPure(*A->getValue()) && L.deadAfter(A, Var)) {
+      Site.splice({});
+      ++Removed;
     }
-  };
-  Walk(R->Body);
+    return Walk::Continue;
+  });
 
   if (Removed == 0)
     return ApplyResult::failure(NoDead);
@@ -233,79 +221,26 @@ ApplyResult deadVarElim(TransformContext &Ctx) {
             return ApplyResult::failure("'" + Var + "' is an input operand; "
                                         "fix or remove the operand first");
 
-  // Remove every assignment (all RHSs must be pure).
+  // Every assignment goes, so every right-hand side must be pure; check
+  // before the first removal (refusal purity, Transformation::apply).
+  for (const Routine *R : D.routines())
+    if (hasAssignTo(*R, Var, [](const Expr &V) { return !isPure(V); }))
+      return ApplyResult::failure("an assignment to '" + Var +
+                                  "' has an impure right-hand side");
   unsigned Removed = 0;
-  bool Impure = false;
-  for (Routine *R : D.routines()) {
-    std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-      for (size_t I = 0; I < List.size();) {
-        Stmt *S = List[I].get();
-        if (auto *A = dyn_cast<AssignStmt>(S)) {
-          if (A->targetVarName() == Var) {
-            if (!isPure(*A->getValue())) {
-              Impure = true;
-              ++I;
-              continue;
-            }
-            List.erase(List.begin() + static_cast<long>(I));
-            ++Removed;
-            continue;
-          }
-        } else if (auto *If = dyn_cast<IfStmt>(S)) {
-          Walk(If->getThen());
-          Walk(If->getElse());
-        } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-          Walk(Rep->getBody());
-        }
-        ++I;
+  for (Routine *R : D.routines())
+    walkStmts(R->Body, [&](StmtSite &Site) {
+      if (assignTo(Site.stmt(), Var)) {
+        Site.splice({});
+        ++Removed;
       }
-    };
-    Walk(R->Body);
-  }
-  if (Impure)
-    return ApplyResult::failure("an assignment to '" + Var +
-                                "' has an impure right-hand side");
+      return Walk::Continue;
+    });
   D.removeDecl(Var);
   return ApplyResult::success(SemanticsEffect::Preserving,
                               "eliminated dead variable '" + Var + "' (" +
                                   std::to_string(Removed) +
                                   " assignment(s) removed)");
-}
-
-ApplyResult foldConstants(TransformContext &Ctx) {
-  // Composite: run the folding subset of the local rules to a fixed
-  // point within the routine. The paper describes simplification as a
-  // mass of small steps; this composite is the labor-saving form, while
-  // scripts that want 1982-style granularity invoke the fine-grained
-  // rules directly.
-  static const char *FoldRules[] = {
-      "fold-add",  "fold-sub",     "fold-mul",          "fold-div",
-      "fold-and",  "fold-or",      "fold-compare",      "fold-not",
-      "fold-neg",  "add-zero",     "sub-zero",          "mul-one",
-      "mul-zero",  "neg-neg",      "and-true",          "and-false",
-      "or-false",  "or-true",      "not-not",           "if-true-elim",
-      "if-false-elim", "exit-when-false-elim", "empty-if-elim",
-      "dead-loop-elim"};
-  const Registry &Reg = Registry::instance();
-  unsigned Rounds = 0;
-  bool Any = false;
-  bool Changed = true;
-  while (Changed && Rounds < 64) {
-    Changed = false;
-    ++Rounds;
-    for (const char *Name : FoldRules) {
-      const Transformation *T = Reg.lookup(Name);
-      assert(T && "fold-constants refers to an unregistered rule");
-      TransformContext Sub{Ctx.Desc, Ctx.RoutineName, {}, Ctx.Constraints};
-      ApplyResult R = T->apply(Sub);
-      if (R.Applied)
-        Changed = Any = true;
-    }
-  }
-  if (!Any)
-    return ApplyResult::failure("nothing to fold");
-  return ApplyResult::success(SemanticsEffect::Preserving,
-                              "constant folding reached a fixed point");
 }
 
 } // namespace

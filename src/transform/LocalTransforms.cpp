@@ -15,6 +15,10 @@
 /// value is tested (e.g. `not not x -> x`) require the operand to be
 /// boolean-valued (flag, relational, or logical expression).
 ///
+/// The folding identities are written once, as rewrites of one site:
+/// each is a rule of its own, and `fold-constants` offers every node of a
+/// routine to all of them in one walk per round.
+///
 //===----------------------------------------------------------------------===//
 
 #include "transform/RuleHelpers.h"
@@ -38,66 +42,427 @@ const BinaryExpr *asBinary(const Expr &E, BinaryOp Op) {
   return B && B->getOp() == Op ? B : nullptr;
 }
 
-/// Registers a fold of `k1 op k2` into its value.
-void addConstFold(Registry &R, const char *Name, BinaryOp Op,
-                  const char *Doc) {
-  R.add(std::make_unique<ExprRule>(
-      Name, Doc,
-      [Op](const Expr &E, const Description &) {
-        const auto *B = asBinary(E, Op);
-        if (!B || !litValue(*B->getLHS()) || !litValue(*B->getRHS()))
-          return false;
-        if (Op == BinaryOp::Div && *litValue(*B->getRHS()) == 0)
-          return false;
-        return true;
-      },
-      [Op](ExprPtr &Slot, const Description &) {
-        const auto *B = cast<BinaryExpr>(Slot.get());
-        int64_t L = *litValue(*B->getLHS());
-        int64_t Rv = *litValue(*B->getRHS());
-        int64_t V = 0;
-        switch (Op) {
-        case BinaryOp::Add:
-          V = L + Rv;
-          break;
-        case BinaryOp::Sub:
-          V = L - Rv;
-          break;
-        case BinaryOp::Mul:
-          V = L * Rv;
-          break;
-        case BinaryOp::Div:
-          V = L / Rv;
-          break;
-        case BinaryOp::And:
-          V = (L != 0 && Rv != 0) ? 1 : 0;
-          break;
-        case BinaryOp::Or:
-          V = (L != 0 || Rv != 0) ? 1 : 0;
-          break;
-        case BinaryOp::Eq:
-          V = L == Rv;
-          break;
-        case BinaryOp::Ne:
-          V = L != Rv;
-          break;
-        case BinaryOp::Lt:
-          V = L < Rv;
-          break;
-        case BinaryOp::Le:
-          V = L <= Rv;
-          break;
-        case BinaryOp::Gt:
-          V = L > Rv;
-          break;
-        case BinaryOp::Ge:
-          V = L >= Rv;
-          break;
-        }
-        Slot = intLit(V);
-      }));
+/// `L op R` for literal operands; relations and logic give 0 or 1.
+int64_t foldValue(BinaryOp Op, int64_t L, int64_t R) {
+  switch (Op) {
+  case BinaryOp::Add:
+    return L + R;
+  case BinaryOp::Sub:
+    return L - R;
+  case BinaryOp::Mul:
+    return L * R;
+  case BinaryOp::Div:
+    return L / R;
+  case BinaryOp::And:
+    return L != 0 && R != 0;
+  case BinaryOp::Or:
+    return L != 0 || R != 0;
+  case BinaryOp::Eq:
+    return L == R;
+  case BinaryOp::Ne:
+    return L != R;
+  case BinaryOp::Lt:
+    return L < R;
+  case BinaryOp::Le:
+    return L <= R;
+  case BinaryOp::Gt:
+    return L > R;
+  case BinaryOp::Ge:
+    return L >= R;
+  }
+  return 0;
 }
 
+template <BinaryOp Op> bool is(BinaryOp O) { return O == Op; }
+
+/// An expression rule of this file: its name and documentation, whether
+/// fold-constants offers it to every node, and its rewrite of one site.
+struct ExprRow {
+  const char *Name;
+  const char *Doc;
+  bool Folds;
+  ExprMatch Match;
+  ExprRewrite Rewrite;
+};
+
+/// The fold of `k1 op k2` into its value, for the operators \p Applies
+/// accepts (k2 nonzero for a division).
+ExprRow constFold(const char *Name, const char *Doc,
+                  bool (*Applies)(BinaryOp)) {
+  return {Name, Doc, true,
+          [Applies](const Expr &E, const Description &) {
+            const auto *B = dyn_cast<BinaryExpr>(&E);
+            if (!B || !Applies(B->getOp()) || !litValue(*B->getLHS()) ||
+                !litValue(*B->getRHS()))
+              return false;
+            return B->getOp() != BinaryOp::Div || *litValue(*B->getRHS()) != 0;
+          },
+          [](ExprPtr &Slot, const Description &) {
+            const auto *B = cast<BinaryExpr>(Slot.get());
+            Slot = intLit(foldValue(B->getOp(), *litValue(*B->getLHS()),
+                                    *litValue(*B->getRHS())));
+          }};
+}
+
+/// The expression rules, in registration order.
+const std::vector<ExprRow> &exprRows() {
+  static const std::vector<ExprRow> Rows = {
+      //--- Constant folding -------------------------------------------------
+      constFold("fold-add", "fold k1 + k2 to its value", is<BinaryOp::Add>),
+      constFold("fold-sub", "fold k1 - k2 to its value", is<BinaryOp::Sub>),
+      constFold("fold-mul", "fold k1 * k2 to its value", is<BinaryOp::Mul>),
+      constFold("fold-div", "fold k1 / k2 to its value (k2 nonzero)",
+                is<BinaryOp::Div>),
+      constFold("fold-and", "fold k1 and k2 to 0 or 1", is<BinaryOp::And>),
+      constFold("fold-or", "fold k1 or k2 to 0 or 1", is<BinaryOp::Or>),
+      constFold("fold-compare", "fold a comparison of two literals to 0 or 1",
+                isRelational),
+      {"fold-not", "fold not k to 0 or 1", true,
+       [](const Expr &E, const Description &) {
+         const auto *U = dyn_cast<UnaryExpr>(&E);
+         return U && U->getOp() == UnaryOp::Not && litValue(*U->getOperand());
+       },
+       [](ExprPtr &Slot, const Description &) {
+         int64_t V = *litValue(*cast<UnaryExpr>(Slot.get())->getOperand());
+         Slot = intLit(V == 0 ? 1 : 0);
+       }},
+      {"fold-neg", "fold -k to its value", true,
+       [](const Expr &E, const Description &) {
+         const auto *U = dyn_cast<UnaryExpr>(&E);
+         return U && U->getOp() == UnaryOp::Neg && litValue(*U->getOperand());
+       },
+       [](ExprPtr &Slot, const Description &) {
+         Slot = intLit(-*litValue(*cast<UnaryExpr>(Slot.get())->getOperand()));
+       }},
+
+      //--- Arithmetic identities --------------------------------------------
+      {"add-zero", "x + 0 -> x and 0 + x -> x", true,
+       [](const Expr &E, const Description &) {
+         const auto *B = asBinary(E, BinaryOp::Add);
+         return B && (isLit(*B->getRHS(), 0) || isLit(*B->getLHS(), 0));
+       },
+       [](ExprPtr &Slot, const Description &) {
+         auto *B = cast<BinaryExpr>(Slot.get());
+         Slot = isLit(*B->getRHS(), 0) ? B->takeLHS() : B->takeRHS();
+       }},
+      {"sub-zero", "x - 0 -> x", true,
+       [](const Expr &E, const Description &) {
+         const auto *B = asBinary(E, BinaryOp::Sub);
+         return B && isLit(*B->getRHS(), 0);
+       },
+       [](ExprPtr &Slot, const Description &) {
+         Slot = cast<BinaryExpr>(Slot.get())->takeLHS();
+       }},
+      {"sub-self", "x - x -> 0 (x pure)", false,
+       [](const Expr &E, const Description &) {
+         const auto *B = asBinary(E, BinaryOp::Sub);
+         return B && isPure(*B->getLHS()) &&
+                exactEqual(*B->getLHS(), *B->getRHS());
+       },
+       [](ExprPtr &Slot, const Description &) { Slot = intLit(0); }},
+      {"mul-one", "x * 1 -> x and 1 * x -> x", true,
+       [](const Expr &E, const Description &) {
+         const auto *B = asBinary(E, BinaryOp::Mul);
+         return B && (isLit(*B->getRHS(), 1) || isLit(*B->getLHS(), 1));
+       },
+       [](ExprPtr &Slot, const Description &) {
+         auto *B = cast<BinaryExpr>(Slot.get());
+         Slot = isLit(*B->getRHS(), 1) ? B->takeLHS() : B->takeRHS();
+       }},
+      {"mul-zero", "x * 0 -> 0 (x pure)", true,
+       [](const Expr &E, const Description &) {
+         const auto *B = asBinary(E, BinaryOp::Mul);
+         if (!B)
+           return false;
+         if (isLit(*B->getRHS(), 0))
+           return isPure(*B->getLHS());
+         if (isLit(*B->getLHS(), 0))
+           return isPure(*B->getRHS());
+         return false;
+       },
+       [](ExprPtr &Slot, const Description &) { Slot = intLit(0); }},
+      {"neg-neg", "-(-x) -> x", true,
+       [](const Expr &E, const Description &) {
+         const auto *U = dyn_cast<UnaryExpr>(&E);
+         if (!U || U->getOp() != UnaryOp::Neg)
+           return false;
+         const auto *Inner = dyn_cast<UnaryExpr>(U->getOperand());
+         return Inner && Inner->getOp() == UnaryOp::Neg;
+       },
+       [](ExprPtr &Slot, const Description &) {
+         ExprPtr Inner = cast<UnaryExpr>(Slot.get())->takeOperand();
+         Slot = cast<UnaryExpr>(Inner.get())->takeOperand();
+       }},
+      {"fold-const-chain",
+       "(a +/- k1) +/- k2 -> a +/- k (combine literal addends)", false,
+       [](const Expr &E, const Description &) {
+         const auto *B = dyn_cast<BinaryExpr>(&E);
+         if (!B ||
+             (B->getOp() != BinaryOp::Add && B->getOp() != BinaryOp::Sub) ||
+             !litValue(*B->getRHS()))
+           return false;
+         const auto *Inner = dyn_cast<BinaryExpr>(B->getLHS());
+         return Inner &&
+                (Inner->getOp() == BinaryOp::Add ||
+                 Inner->getOp() == BinaryOp::Sub) &&
+                litValue(*Inner->getRHS());
+       },
+       [](ExprPtr &Slot, const Description &) {
+         auto *B = cast<BinaryExpr>(Slot.get());
+         int64_t K2 = *litValue(*B->getRHS());
+         if (B->getOp() == BinaryOp::Sub)
+           K2 = -K2;
+         ExprPtr InnerPtr = B->takeLHS();
+         auto *Inner = cast<BinaryExpr>(InnerPtr.get());
+         int64_t K1 = *litValue(*Inner->getRHS());
+         if (Inner->getOp() == BinaryOp::Sub)
+           K1 = -K1;
+         int64_t K = K1 + K2;
+         ExprPtr Base = Inner->takeLHS();
+         if (K == 0)
+           Slot = std::move(Base);
+         else if (K > 0)
+           Slot = binary(BinaryOp::Add, std::move(Base), intLit(K));
+         else
+           Slot = binary(BinaryOp::Sub, std::move(Base), intLit(-K));
+       }},
+      {"rel-shift-const",
+       "(a +/- k1) rel k2 -> a rel k2' (move a literal across a relation)",
+       false,
+       [](const Expr &E, const Description &) {
+         const auto *B = dyn_cast<BinaryExpr>(&E);
+         if (!B || !isRelational(B->getOp()) || !litValue(*B->getRHS()))
+           return false;
+         const auto *Inner = dyn_cast<BinaryExpr>(B->getLHS());
+         return Inner &&
+                (Inner->getOp() == BinaryOp::Add ||
+                 Inner->getOp() == BinaryOp::Sub) &&
+                litValue(*Inner->getRHS());
+       },
+       [](ExprPtr &Slot, const Description &) {
+         auto *B = cast<BinaryExpr>(Slot.get());
+         int64_t K2 = *litValue(*B->getRHS());
+         ExprPtr InnerPtr = B->takeLHS();
+         auto *Inner = cast<BinaryExpr>(InnerPtr.get());
+         int64_t K1 = *litValue(*Inner->getRHS());
+         int64_t NewK = Inner->getOp() == BinaryOp::Add ? K2 - K1 : K2 + K1;
+         Slot = binary(B->getOp(), Inner->takeLHS(), intLit(NewK));
+       }},
+
+      //--- Logical identities -----------------------------------------------
+      {"not-not", "not (not x) -> x (x boolean)", true,
+       [](const Expr &E, const Description &D) {
+         const auto *U = dyn_cast<UnaryExpr>(&E);
+         if (!U || U->getOp() != UnaryOp::Not)
+           return false;
+         const auto *Inner = dyn_cast<UnaryExpr>(U->getOperand());
+         return Inner && Inner->getOp() == UnaryOp::Not &&
+                isBooleanExpr(D, *Inner->getOperand());
+       },
+       [](ExprPtr &Slot, const Description &) {
+         ExprPtr Inner = cast<UnaryExpr>(Slot.get())->takeOperand();
+         Slot = cast<UnaryExpr>(Inner.get())->takeOperand();
+       }},
+      {"and-true", "x and 1 -> x and 1 and x -> x (x boolean)", true,
+       [](const Expr &E, const Description &D) {
+         const auto *B = asBinary(E, BinaryOp::And);
+         if (!B)
+           return false;
+         if (isLit(*B->getRHS(), 1))
+           return isBooleanExpr(D, *B->getLHS());
+         if (isLit(*B->getLHS(), 1))
+           return isBooleanExpr(D, *B->getRHS());
+         return false;
+       },
+       [](ExprPtr &Slot, const Description &) {
+         auto *B = cast<BinaryExpr>(Slot.get());
+         Slot = isLit(*B->getRHS(), 1) ? B->takeLHS() : B->takeRHS();
+       }},
+      {"and-false", "x and 0 -> 0 (x pure)", true,
+       [](const Expr &E, const Description &) {
+         const auto *B = asBinary(E, BinaryOp::And);
+         if (!B)
+           return false;
+         if (isLit(*B->getRHS(), 0))
+           return isPure(*B->getLHS());
+         if (isLit(*B->getLHS(), 0))
+           return isPure(*B->getRHS());
+         return false;
+       },
+       [](ExprPtr &Slot, const Description &) { Slot = intLit(0); }},
+      {"or-false", "x or 0 -> x and 0 or x -> x (x boolean)", true,
+       [](const Expr &E, const Description &D) {
+         const auto *B = asBinary(E, BinaryOp::Or);
+         if (!B)
+           return false;
+         if (isLit(*B->getRHS(), 0))
+           return isBooleanExpr(D, *B->getLHS());
+         if (isLit(*B->getLHS(), 0))
+           return isBooleanExpr(D, *B->getRHS());
+         return false;
+       },
+       [](ExprPtr &Slot, const Description &) {
+         auto *B = cast<BinaryExpr>(Slot.get());
+         Slot = isLit(*B->getRHS(), 0) ? B->takeLHS() : B->takeRHS();
+       }},
+      {"or-true", "x or 1 -> 1 (x pure)", true,
+       [](const Expr &E, const Description &) {
+         const auto *B = asBinary(E, BinaryOp::Or);
+         if (!B)
+           return false;
+         if (isLit(*B->getRHS(), 1))
+           return isPure(*B->getLHS());
+         if (isLit(*B->getLHS(), 1))
+           return isPure(*B->getRHS());
+         return false;
+       },
+       [](ExprPtr &Slot, const Description &) { Slot = intLit(1); }},
+      {"de-morgan-and", "not (a and b) -> (not a) or (not b)", false,
+       [](const Expr &E, const Description &) {
+         const auto *U = dyn_cast<UnaryExpr>(&E);
+         return U && U->getOp() == UnaryOp::Not &&
+                asBinary(*U->getOperand(), BinaryOp::And);
+       },
+       [](ExprPtr &Slot, const Description &) {
+         ExprPtr Inner = cast<UnaryExpr>(Slot.get())->takeOperand();
+         auto *B = cast<BinaryExpr>(Inner.get());
+         Slot = binary(BinaryOp::Or, unary(UnaryOp::Not, B->takeLHS()),
+                       unary(UnaryOp::Not, B->takeRHS()));
+       }},
+
+      //--- Comparison rewrites ----------------------------------------------
+      {"eq-to-diff-zero", "a = b -> (a - b) = 0 (also a <> b)", false,
+       [](const Expr &E, const Description &) {
+         const auto *B = dyn_cast<BinaryExpr>(&E);
+         return B &&
+                (B->getOp() == BinaryOp::Eq || B->getOp() == BinaryOp::Ne) &&
+                !isLit(*B->getRHS(), 0);
+       },
+       [](ExprPtr &Slot, const Description &) {
+         auto *B = cast<BinaryExpr>(Slot.get());
+         BinaryOp Op = B->getOp();
+         Slot = binary(Op, binary(BinaryOp::Sub, B->takeLHS(), B->takeRHS()),
+                       intLit(0));
+       }},
+      {"diff-zero-to-eq", "(a - b) = 0 -> a = b (also <>)", false,
+       [](const Expr &E, const Description &) {
+         const auto *B = dyn_cast<BinaryExpr>(&E);
+         return B &&
+                (B->getOp() == BinaryOp::Eq || B->getOp() == BinaryOp::Ne) &&
+                isLit(*B->getRHS(), 0) &&
+                asBinary(*B->getLHS(), BinaryOp::Sub);
+       },
+       [](ExprPtr &Slot, const Description &) {
+         auto *B = cast<BinaryExpr>(Slot.get());
+         BinaryOp Op = B->getOp();
+         ExprPtr Diff = B->takeLHS();
+         auto *Sub = cast<BinaryExpr>(Diff.get());
+         Slot = binary(Op, Sub->takeLHS(), Sub->takeRHS());
+       }},
+      {"ne-to-not-eq", "a <> b -> not (a = b)", false,
+       [](const Expr &E, const Description &) {
+         return asBinary(E, BinaryOp::Ne) != nullptr;
+       },
+       [](ExprPtr &Slot, const Description &) {
+         auto *B = cast<BinaryExpr>(Slot.get());
+         Slot = unary(UnaryOp::Not,
+                      binary(BinaryOp::Eq, B->takeLHS(), B->takeRHS()));
+       }},
+      {"swap-relational-operands", "a rel b -> b rel' a", false,
+       [](const Expr &E, const Description &) {
+         const auto *B = dyn_cast<BinaryExpr>(&E);
+         return B && isRelational(B->getOp());
+       },
+       [](ExprPtr &Slot, const Description &) {
+         auto *B = cast<BinaryExpr>(Slot.get());
+         ExprPtr L = B->takeLHS();
+         ExprPtr Rv = B->takeRHS();
+         Slot = binary(swapRelational(B->getOp()), std::move(Rv), std::move(L));
+       }},
+  };
+  return Rows;
+}
+
+/// A statement rule of fold-constants: its name, documentation and
+/// rewrite of one statement.
+struct StmtRow {
+  const char *Name;
+  const char *Doc;
+  StmtMatch Match;
+  StmtRewrite Rewrite;
+};
+
+/// The statement rules fold-constants offers every statement, in
+/// registration order.
+const std::vector<StmtRow> &foldStmtRows() {
+  static const std::vector<StmtRow> Rows = {
+      {"if-true-elim", "if 1 then A else B -> A (literal condition)",
+       [](const Stmt &S, const Description &) {
+         const auto *If = dyn_cast<IfStmt>(&S);
+         if (!If)
+           return false;
+         auto K = litValue(*If->getCond());
+         return K && *K != 0;
+       },
+       [](StmtPtr S, const Description &) {
+         return std::move(cast<IfStmt>(S.get())->getThen());
+       }},
+      {"if-false-elim", "if 0 then A else B -> B (literal condition)",
+       [](const Stmt &S, const Description &) {
+         const auto *If = dyn_cast<IfStmt>(&S);
+         if (!If)
+           return false;
+         auto K = litValue(*If->getCond());
+         return K && *K == 0;
+       },
+       [](StmtPtr S, const Description &) {
+         return std::move(cast<IfStmt>(S.get())->getElse());
+       }},
+      {"empty-if-elim", "delete an if with two empty arms and a pure condition",
+       [](const Stmt &S, const Description &) {
+         const auto *If = dyn_cast<IfStmt>(&S);
+         return If && If->getThen().empty() && If->getElse().empty() &&
+                isPure(*If->getCond());
+       },
+       [](StmtPtr, const Description &) { return StmtList(); }},
+      {"exit-when-false-elim", "delete exit_when (0)",
+       [](const Stmt &S, const Description &) {
+         const auto *E = dyn_cast<ExitWhenStmt>(&S);
+         if (!E)
+           return false;
+         auto K = litValue(*E->getCond());
+         return K && *K == 0;
+       },
+       [](StmtPtr, const Description &) { return StmtList(); }},
+  };
+  return Rows;
+}
+
+/// True when statement \p I of \p List is a repeat that exits before
+/// running anything: its first statement is exit_when of a nonzero
+/// literal, or `exit_when (v = 0)` directly preceded by `v <- 0`.
+bool isDeadLoop(const StmtList &List, size_t I) {
+  const auto *Rep = dyn_cast<RepeatStmt>(List[I].get());
+  if (!Rep || Rep->getBody().empty())
+    return false;
+  const auto *E = dyn_cast<ExitWhenStmt>(Rep->getBody().front().get());
+  if (!E)
+    return false;
+  auto K = litValue(*E->getCond());
+  if (K && *K != 0)
+    return true;
+  if (I == 0)
+    return false;
+  const auto *Cmp = dyn_cast<BinaryExpr>(E->getCond());
+  const auto *Prev = dyn_cast<AssignStmt>(List[I - 1].get());
+  if (!Cmp || !Prev || Cmp->getOp() != BinaryOp::Eq)
+    return false;
+  const auto *V = dyn_cast<VarRef>(Cmp->getLHS());
+  auto Zero = litValue(*Cmp->getRHS());
+  auto PrevVal = litValue(*Prev->getValue());
+  return V && Zero && *Zero == 0 && PrevVal && *PrevVal == 0 &&
+         Prev->targetVarName() == V->getName();
+}
 
 /// `swap-commutative`: a op b -> b op a. An optional `op` argument
 /// restricts matching to one operator spelling ("+", "*", "and", "or"),
@@ -115,13 +480,9 @@ public:
     if (!R)
       return ApplyResult::failure(Reason);
     std::string OpFilter = Ctx.argOr("op", "");
-    long Wanted = -1;
-    if (Ctx.Args.count("occurrence")) {
-      auto N = Ctx.intArg("occurrence", Reason);
-      if (!N)
-        return ApplyResult::failure(Reason);
-      Wanted = static_cast<long>(*N);
-    }
+    std::optional<long> Wanted = Ctx.occurrence(Reason);
+    if (!Wanted)
+      return ApplyResult::failure(Reason);
     long Seen = 0;
     unsigned Rewritten = 0;
     for (StmtPtr &S : R->Body)
@@ -145,7 +506,7 @@ public:
         if (!detail::isPure(*B->getLHS()) || !detail::isPure(*B->getRHS()))
           return;
         long Occurrence = Seen++;
-        if (Wanted >= 0 && Occurrence != Wanted)
+        if (*Wanted >= 0 && Occurrence != *Wanted)
           return;
         ExprPtr L = B->takeLHS();
         ExprPtr Rv = B->takeRHS();
@@ -163,350 +524,53 @@ public:
 
 } // namespace
 
-void transform::registerLocalTransforms(Registry &R) {
-  //--- Constant folding -----------------------------------------------------
-  addConstFold(R, "fold-add", BinaryOp::Add, "fold k1 + k2 to its value");
-  addConstFold(R, "fold-sub", BinaryOp::Sub, "fold k1 - k2 to its value");
-  addConstFold(R, "fold-mul", BinaryOp::Mul, "fold k1 * k2 to its value");
-  addConstFold(R, "fold-div", BinaryOp::Div,
-               "fold k1 / k2 to its value (k2 nonzero)");
-  addConstFold(R, "fold-and", BinaryOp::And, "fold k1 and k2 to 0 or 1");
-  addConstFold(R, "fold-or", BinaryOp::Or, "fold k1 or k2 to 0 or 1");
-
-  R.add(std::make_unique<ExprRule>(
-      "fold-compare", "fold a comparison of two literals to 0 or 1",
-      [](const Expr &E, const Description &) {
-        const auto *B = dyn_cast<BinaryExpr>(&E);
-        return B && isRelational(B->getOp()) && litValue(*B->getLHS()) &&
-               litValue(*B->getRHS());
-      },
-      [](ExprPtr &Slot, const Description &) {
-        const auto *B = cast<BinaryExpr>(Slot.get());
-        int64_t L = *litValue(*B->getLHS());
-        int64_t Rv = *litValue(*B->getRHS());
-        bool V = false;
-        switch (B->getOp()) {
-        case BinaryOp::Eq:
-          V = L == Rv;
-          break;
-        case BinaryOp::Ne:
-          V = L != Rv;
-          break;
-        case BinaryOp::Lt:
-          V = L < Rv;
-          break;
-        case BinaryOp::Le:
-          V = L <= Rv;
-          break;
-        case BinaryOp::Gt:
-          V = L > Rv;
-          break;
-        case BinaryOp::Ge:
-          V = L >= Rv;
-          break;
-        default:
-          break;
+ApplyResult detail::foldConstants(TransformContext &Ctx) {
+  // The paper describes simplification as a mass of small steps; this
+  // composite is the labor-saving form, while scripts that want
+  // 1982-style granularity invoke the fine-grained rules directly. Each
+  // round is one walk: a statement's own expressions are folded bottom-up,
+  // then the statement itself is offered to the statement rewrites.
+  // Every rewrite shrinks the routine, so the rounds end.
+  std::string Reason;
+  Routine *R = Ctx.routine(Reason);
+  if (!R)
+    return ApplyResult::failure("nothing to fold");
+  const Description &D = Ctx.Desc;
+  bool Any = false, Changed = true;
+  while (Changed) {
+    Changed = false;
+    walkStmts(R->Body, [&](StmtSite &Site) {
+      forEachOwnExprSlot(Site.stmt(), [&](ExprPtr &Slot) {
+        for (const ExprRow &Row : exprRows())
+          if (Row.Folds && Row.Match(*Slot, D)) {
+            Row.Rewrite(Slot, D);
+            Changed = true;
+          }
+      });
+      for (const StmtRow &Row : foldStmtRows())
+        if (Row.Match(Site.stmt(), D)) {
+          Site.splice(Row.Rewrite(std::move(Site.List[Site.Index]), D));
+          Changed = true;
+          return Walk::Continue;
         }
-        Slot = intLit(V ? 1 : 0);
-      }));
+      if (isDeadLoop(Site.List, Site.Index)) {
+        Site.splice({});
+        Changed = true;
+      }
+      return Walk::Continue;
+    });
+    Any = Any || Changed;
+  }
+  if (!Any)
+    return ApplyResult::failure("nothing to fold");
+  return ApplyResult::success(SemanticsEffect::Preserving,
+                              "constant folding reached a fixed point");
+}
 
-  R.add(std::make_unique<ExprRule>(
-      "fold-not", "fold not k to 0 or 1",
-      [](const Expr &E, const Description &) {
-        const auto *U = dyn_cast<UnaryExpr>(&E);
-        return U && U->getOp() == UnaryOp::Not && litValue(*U->getOperand());
-      },
-      [](ExprPtr &Slot, const Description &) {
-        int64_t V = *litValue(*cast<UnaryExpr>(Slot.get())->getOperand());
-        Slot = intLit(V == 0 ? 1 : 0);
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "fold-neg", "fold -k to its value",
-      [](const Expr &E, const Description &) {
-        const auto *U = dyn_cast<UnaryExpr>(&E);
-        return U && U->getOp() == UnaryOp::Neg && litValue(*U->getOperand());
-      },
-      [](ExprPtr &Slot, const Description &) {
-        Slot = intLit(-*litValue(*cast<UnaryExpr>(Slot.get())->getOperand()));
-      }));
-
-  //--- Arithmetic identities ------------------------------------------------
-  R.add(std::make_unique<ExprRule>(
-      "add-zero", "x + 0 -> x and 0 + x -> x",
-      [](const Expr &E, const Description &) {
-        const auto *B = asBinary(E, BinaryOp::Add);
-        return B && (isLit(*B->getRHS(), 0) || isLit(*B->getLHS(), 0));
-      },
-      [](ExprPtr &Slot, const Description &) {
-        auto *B = cast<BinaryExpr>(Slot.get());
-        Slot = isLit(*B->getRHS(), 0) ? B->takeLHS() : B->takeRHS();
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "sub-zero", "x - 0 -> x",
-      [](const Expr &E, const Description &) {
-        const auto *B = asBinary(E, BinaryOp::Sub);
-        return B && isLit(*B->getRHS(), 0);
-      },
-      [](ExprPtr &Slot, const Description &) {
-        Slot = cast<BinaryExpr>(Slot.get())->takeLHS();
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "sub-self", "x - x -> 0 (x pure)",
-      [](const Expr &E, const Description &) {
-        const auto *B = asBinary(E, BinaryOp::Sub);
-        return B && isPure(*B->getLHS()) &&
-               exactEqual(*B->getLHS(), *B->getRHS());
-      },
-      [](ExprPtr &Slot, const Description &) { Slot = intLit(0); }));
-
-  R.add(std::make_unique<ExprRule>(
-      "mul-one", "x * 1 -> x and 1 * x -> x",
-      [](const Expr &E, const Description &) {
-        const auto *B = asBinary(E, BinaryOp::Mul);
-        return B && (isLit(*B->getRHS(), 1) || isLit(*B->getLHS(), 1));
-      },
-      [](ExprPtr &Slot, const Description &) {
-        auto *B = cast<BinaryExpr>(Slot.get());
-        Slot = isLit(*B->getRHS(), 1) ? B->takeLHS() : B->takeRHS();
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "mul-zero", "x * 0 -> 0 (x pure)",
-      [](const Expr &E, const Description &) {
-        const auto *B = asBinary(E, BinaryOp::Mul);
-        if (!B)
-          return false;
-        if (isLit(*B->getRHS(), 0))
-          return isPure(*B->getLHS());
-        if (isLit(*B->getLHS(), 0))
-          return isPure(*B->getRHS());
-        return false;
-      },
-      [](ExprPtr &Slot, const Description &) { Slot = intLit(0); }));
-
-  R.add(std::make_unique<ExprRule>(
-      "neg-neg", "-(-x) -> x",
-      [](const Expr &E, const Description &) {
-        const auto *U = dyn_cast<UnaryExpr>(&E);
-        if (!U || U->getOp() != UnaryOp::Neg)
-          return false;
-        const auto *Inner = dyn_cast<UnaryExpr>(U->getOperand());
-        return Inner && Inner->getOp() == UnaryOp::Neg;
-      },
-      [](ExprPtr &Slot, const Description &) {
-        ExprPtr Inner = cast<UnaryExpr>(Slot.get())->takeOperand();
-        Slot = cast<UnaryExpr>(Inner.get())->takeOperand();
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "fold-const-chain",
-      "(a +/- k1) +/- k2 -> a +/- k (combine literal addends)",
-      [](const Expr &E, const Description &) {
-        const auto *B = dyn_cast<BinaryExpr>(&E);
-        if (!B ||
-            (B->getOp() != BinaryOp::Add && B->getOp() != BinaryOp::Sub) ||
-            !litValue(*B->getRHS()))
-          return false;
-        const auto *Inner = dyn_cast<BinaryExpr>(B->getLHS());
-        return Inner &&
-               (Inner->getOp() == BinaryOp::Add ||
-                Inner->getOp() == BinaryOp::Sub) &&
-               litValue(*Inner->getRHS());
-      },
-      [](ExprPtr &Slot, const Description &) {
-        auto *B = cast<BinaryExpr>(Slot.get());
-        int64_t K2 = *litValue(*B->getRHS());
-        if (B->getOp() == BinaryOp::Sub)
-          K2 = -K2;
-        ExprPtr InnerPtr = B->takeLHS();
-        auto *Inner = cast<BinaryExpr>(InnerPtr.get());
-        int64_t K1 = *litValue(*Inner->getRHS());
-        if (Inner->getOp() == BinaryOp::Sub)
-          K1 = -K1;
-        int64_t K = K1 + K2;
-        ExprPtr Base = Inner->takeLHS();
-        if (K == 0)
-          Slot = std::move(Base);
-        else if (K > 0)
-          Slot = binary(BinaryOp::Add, std::move(Base), intLit(K));
-        else
-          Slot = binary(BinaryOp::Sub, std::move(Base), intLit(-K));
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "rel-shift-const",
-      "(a +/- k1) rel k2 -> a rel k2' (move a literal across a relation)",
-      [](const Expr &E, const Description &) {
-        const auto *B = dyn_cast<BinaryExpr>(&E);
-        if (!B || !isRelational(B->getOp()) || !litValue(*B->getRHS()))
-          return false;
-        const auto *Inner = dyn_cast<BinaryExpr>(B->getLHS());
-        return Inner &&
-               (Inner->getOp() == BinaryOp::Add ||
-                Inner->getOp() == BinaryOp::Sub) &&
-               litValue(*Inner->getRHS());
-      },
-      [](ExprPtr &Slot, const Description &) {
-        auto *B = cast<BinaryExpr>(Slot.get());
-        int64_t K2 = *litValue(*B->getRHS());
-        ExprPtr InnerPtr = B->takeLHS();
-        auto *Inner = cast<BinaryExpr>(InnerPtr.get());
-        int64_t K1 = *litValue(*Inner->getRHS());
-        int64_t NewK = Inner->getOp() == BinaryOp::Add ? K2 - K1 : K2 + K1;
-        Slot = binary(B->getOp(), Inner->takeLHS(), intLit(NewK));
-      }));
-
-  //--- Logical identities ---------------------------------------------------
-  R.add(std::make_unique<ExprRule>(
-      "not-not", "not (not x) -> x (x boolean)",
-      [](const Expr &E, const Description &D) {
-        const auto *U = dyn_cast<UnaryExpr>(&E);
-        if (!U || U->getOp() != UnaryOp::Not)
-          return false;
-        const auto *Inner = dyn_cast<UnaryExpr>(U->getOperand());
-        return Inner && Inner->getOp() == UnaryOp::Not &&
-               isBooleanExpr(D, *Inner->getOperand());
-      },
-      [](ExprPtr &Slot, const Description &) {
-        ExprPtr Inner = cast<UnaryExpr>(Slot.get())->takeOperand();
-        Slot = cast<UnaryExpr>(Inner.get())->takeOperand();
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "and-true", "x and 1 -> x and 1 and x -> x (x boolean)",
-      [](const Expr &E, const Description &D) {
-        const auto *B = asBinary(E, BinaryOp::And);
-        if (!B)
-          return false;
-        if (isLit(*B->getRHS(), 1))
-          return isBooleanExpr(D, *B->getLHS());
-        if (isLit(*B->getLHS(), 1))
-          return isBooleanExpr(D, *B->getRHS());
-        return false;
-      },
-      [](ExprPtr &Slot, const Description &) {
-        auto *B = cast<BinaryExpr>(Slot.get());
-        Slot = isLit(*B->getRHS(), 1) ? B->takeLHS() : B->takeRHS();
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "and-false", "x and 0 -> 0 (x pure)",
-      [](const Expr &E, const Description &) {
-        const auto *B = asBinary(E, BinaryOp::And);
-        if (!B)
-          return false;
-        if (isLit(*B->getRHS(), 0))
-          return isPure(*B->getLHS());
-        if (isLit(*B->getLHS(), 0))
-          return isPure(*B->getRHS());
-        return false;
-      },
-      [](ExprPtr &Slot, const Description &) { Slot = intLit(0); }));
-
-  R.add(std::make_unique<ExprRule>(
-      "or-false", "x or 0 -> x and 0 or x -> x (x boolean)",
-      [](const Expr &E, const Description &D) {
-        const auto *B = asBinary(E, BinaryOp::Or);
-        if (!B)
-          return false;
-        if (isLit(*B->getRHS(), 0))
-          return isBooleanExpr(D, *B->getLHS());
-        if (isLit(*B->getLHS(), 0))
-          return isBooleanExpr(D, *B->getRHS());
-        return false;
-      },
-      [](ExprPtr &Slot, const Description &) {
-        auto *B = cast<BinaryExpr>(Slot.get());
-        Slot = isLit(*B->getRHS(), 0) ? B->takeLHS() : B->takeRHS();
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "or-true", "x or 1 -> 1 (x pure)",
-      [](const Expr &E, const Description &) {
-        const auto *B = asBinary(E, BinaryOp::Or);
-        if (!B)
-          return false;
-        if (isLit(*B->getRHS(), 1))
-          return isPure(*B->getLHS());
-        if (isLit(*B->getLHS(), 1))
-          return isPure(*B->getRHS());
-        return false;
-      },
-      [](ExprPtr &Slot, const Description &) { Slot = intLit(1); }));
-
-  R.add(std::make_unique<ExprRule>(
-      "de-morgan-and", "not (a and b) -> (not a) or (not b)",
-      [](const Expr &E, const Description &) {
-        const auto *U = dyn_cast<UnaryExpr>(&E);
-        return U && U->getOp() == UnaryOp::Not &&
-               asBinary(*U->getOperand(), BinaryOp::And);
-      },
-      [](ExprPtr &Slot, const Description &) {
-        ExprPtr Inner = cast<UnaryExpr>(Slot.get())->takeOperand();
-        auto *B = cast<BinaryExpr>(Inner.get());
-        Slot = binary(BinaryOp::Or, unary(UnaryOp::Not, B->takeLHS()),
-                      unary(UnaryOp::Not, B->takeRHS()));
-      }));
-
-  //--- Comparison rewrites ---------------------------------------------------
-  R.add(std::make_unique<ExprRule>(
-      "eq-to-diff-zero", "a = b -> (a - b) = 0 (also a <> b)",
-      [](const Expr &E, const Description &) {
-        const auto *B = dyn_cast<BinaryExpr>(&E);
-        return B &&
-               (B->getOp() == BinaryOp::Eq || B->getOp() == BinaryOp::Ne) &&
-               !isLit(*B->getRHS(), 0);
-      },
-      [](ExprPtr &Slot, const Description &) {
-        auto *B = cast<BinaryExpr>(Slot.get());
-        BinaryOp Op = B->getOp();
-        Slot = binary(Op, binary(BinaryOp::Sub, B->takeLHS(), B->takeRHS()),
-                      intLit(0));
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "diff-zero-to-eq", "(a - b) = 0 -> a = b (also <>)",
-      [](const Expr &E, const Description &) {
-        const auto *B = dyn_cast<BinaryExpr>(&E);
-        return B &&
-               (B->getOp() == BinaryOp::Eq || B->getOp() == BinaryOp::Ne) &&
-               isLit(*B->getRHS(), 0) && asBinary(*B->getLHS(), BinaryOp::Sub);
-      },
-      [](ExprPtr &Slot, const Description &) {
-        auto *B = cast<BinaryExpr>(Slot.get());
-        BinaryOp Op = B->getOp();
-        ExprPtr Diff = B->takeLHS();
-        auto *Sub = cast<BinaryExpr>(Diff.get());
-        Slot = binary(Op, Sub->takeLHS(), Sub->takeRHS());
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "ne-to-not-eq", "a <> b -> not (a = b)",
-      [](const Expr &E, const Description &) {
-        return asBinary(E, BinaryOp::Ne) != nullptr;
-      },
-      [](ExprPtr &Slot, const Description &) {
-        auto *B = cast<BinaryExpr>(Slot.get());
-        Slot = unary(UnaryOp::Not,
-                     binary(BinaryOp::Eq, B->takeLHS(), B->takeRHS()));
-      }));
-
-  R.add(std::make_unique<ExprRule>(
-      "swap-relational-operands", "a rel b -> b rel' a",
-      [](const Expr &E, const Description &) {
-        const auto *B = dyn_cast<BinaryExpr>(&E);
-        return B && isRelational(B->getOp());
-      },
-      [](ExprPtr &Slot, const Description &) {
-        auto *B = cast<BinaryExpr>(Slot.get());
-        ExprPtr L = B->takeLHS();
-        ExprPtr Rv = B->takeRHS();
-        Slot = binary(swapRelational(B->getOp()), std::move(Rv), std::move(L));
-      }));
-
+void transform::registerLocalTransforms(Registry &R) {
+  for (const ExprRow &Row : exprRows())
+    R.add(std::make_unique<ExprRule>(Row.Name, Row.Doc, Row.Match,
+                                     Row.Rewrite));
   R.add(std::make_unique<CommutativeSwapRule>());
 
   //--- Statement-level local rules -------------------------------------------
@@ -546,55 +610,9 @@ void transform::registerLocalTransforms(Registry &R) {
         return Out;
       }));
 
-  R.add(std::make_unique<StmtRule>(
-      "if-true-elim", Category::Local,
-      "if 1 then A else B -> A (literal condition)",
-      [](const Stmt &S, const Description &) {
-        const auto *If = dyn_cast<IfStmt>(&S);
-        if (!If)
-          return false;
-        auto K = litValue(*If->getCond());
-        return K && *K != 0;
-      },
-      [](StmtPtr S, const Description &) {
-        return std::move(cast<IfStmt>(S.get())->getThen());
-      }));
-
-  R.add(std::make_unique<StmtRule>(
-      "if-false-elim", Category::Local,
-      "if 0 then A else B -> B (literal condition)",
-      [](const Stmt &S, const Description &) {
-        const auto *If = dyn_cast<IfStmt>(&S);
-        if (!If)
-          return false;
-        auto K = litValue(*If->getCond());
-        return K && *K == 0;
-      },
-      [](StmtPtr S, const Description &) {
-        return std::move(cast<IfStmt>(S.get())->getElse());
-      }));
-
-  R.add(std::make_unique<StmtRule>(
-      "empty-if-elim", Category::Local,
-      "delete an if with two empty arms and a pure condition",
-      [](const Stmt &S, const Description &) {
-        const auto *If = dyn_cast<IfStmt>(&S);
-        return If && If->getThen().empty() && If->getElse().empty() &&
-               isPure(*If->getCond());
-      },
-      [](StmtPtr, const Description &) { return StmtList(); }));
-
-  R.add(std::make_unique<StmtRule>(
-      "exit-when-false-elim", Category::Local,
-      "delete exit_when (0)",
-      [](const Stmt &S, const Description &) {
-        const auto *E = dyn_cast<ExitWhenStmt>(&S);
-        if (!E)
-          return false;
-        auto K = litValue(*E->getCond());
-        return K && *K == 0;
-      },
-      [](StmtPtr, const Description &) { return StmtList(); }));
+  for (const StmtRow &Row : foldStmtRows())
+    R.add(std::make_unique<StmtRule>(Row.Name, Category::Local, Row.Doc,
+                                     Row.Match, Row.Rewrite));
 
   R.add(std::make_unique<LambdaRule>(
       "dead-loop-elim", Category::Local,
@@ -606,50 +624,12 @@ void transform::registerLocalTransforms(Registry &R) {
         Routine *R = Ctx.routine(Reason);
         if (!R)
           return ApplyResult::failure(Reason);
-        bool Done = false;
-        std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-          for (size_t I = 0; !Done && I < List.size(); ++I) {
-            Stmt *S = List[I].get();
-            if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-              bool Dead = false;
-              if (!Rep->getBody().empty()) {
-                const auto *E =
-                    dyn_cast<ExitWhenStmt>(Rep->getBody().front().get());
-                if (E) {
-                  auto K = litValue(*E->getCond());
-                  if (K && *K != 0)
-                    Dead = true;
-                  // exit_when (v = 0) with `v <- 0` immediately before
-                  // the loop: the first test fires on entry.
-                  if (!Dead && I > 0) {
-                    const auto *Cmp = dyn_cast<BinaryExpr>(E->getCond());
-                    const auto *Prev =
-                        dyn_cast<AssignStmt>(List[I - 1].get());
-                    if (Cmp && Prev && Cmp->getOp() == BinaryOp::Eq) {
-                      const auto *V = dyn_cast<VarRef>(Cmp->getLHS());
-                      auto Zero = litValue(*Cmp->getRHS());
-                      auto PrevVal = litValue(*Prev->getValue());
-                      if (V && Zero && *Zero == 0 && PrevVal &&
-                          *PrevVal == 0 &&
-                          Prev->targetVarName() == V->getName())
-                        Dead = true;
-                    }
-                  }
-                }
-              }
-              if (Dead) {
-                List.erase(List.begin() + static_cast<long>(I));
-                Done = true;
-                return;
-              }
-              Walk(Rep->getBody());
-            } else if (auto *If = dyn_cast<IfStmt>(S)) {
-              Walk(If->getThen());
-              Walk(If->getElse());
-            }
-          }
-        };
-        Walk(R->Body);
+        bool Done = !walkStmts(R->Body, [](StmtSite &Site) {
+          if (!isDeadLoop(Site.List, Site.Index))
+            return Walk::Continue;
+          Site.splice({});
+          return Walk::Stop;
+        });
         if (!Done)
           return ApplyResult::failure("no dead loop found");
         return ApplyResult::success(SemanticsEffect::Preserving,

@@ -47,31 +47,13 @@ bool intersects(const std::set<std::string> &A,
 
 /// Locates the unique repeat loop of \p R together with its owning list,
 /// so statements can be placed before/after it.
-StmtLocus findLoopLocus(Routine &R, std::string &Reason) {
-  StmtLocus Found;
-  bool Ambiguous = false;
-  std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-    for (size_t I = 0; I < List.size(); ++I) {
-      Stmt *S = List[I].get();
-      if (isa<RepeatStmt>(S)) {
-        if (Found.isValid())
-          Ambiguous = true;
-        else
-          Found = StmtLocus{&List, I};
-        Walk(cast<RepeatStmt>(S)->getBody());
-      } else if (auto *If = dyn_cast<IfStmt>(S)) {
-        Walk(If->getThen());
-        Walk(If->getElse());
-      }
-    }
-  };
-  Walk(R.Body);
+StmtLocus findLoop(Routine &R, std::string &Reason) {
+  bool Several = false;
+  StmtLocus Found = findUnique(
+      R.Body, [](const Stmt &S) { return isa<RepeatStmt>(&S); }, Several);
   if (!Found.isValid())
-    Reason = "routine '" + R.Name + "' contains no repeat loop";
-  else if (Ambiguous) {
-    Reason = "routine '" + R.Name + "' contains more than one repeat loop";
-    Found = StmtLocus();
-  }
+    Reason = "routine '" + R.Name + "' contains " +
+             (Several ? "more than one" : "no") + " repeat loop";
   return Found;
 }
 
@@ -184,7 +166,7 @@ ApplyResult recordExitCause(TransformContext &Ctx) {
     return ApplyResult::failure("flag '" + Flag +
                                 "' is already referenced; need a fresh flag");
 
-  StmtLocus LoopLocus = findLoopLocus(*R, Reason);
+  StmtLocus LoopLocus = findLoop(*R, Reason);
   if (!LoopLocus.isValid())
     return ApplyResult::failure(Reason);
   auto *Loop = cast<RepeatStmt>(LoopLocus.get());
@@ -438,7 +420,7 @@ ApplyResult rotateWhileToDoWhile(TransformContext &Ctx) {
   if (!R)
     return ApplyResult::failure(Reason);
 
-  StmtLocus LoopLocus = findLoopLocus(*R, Reason);
+  StmtLocus LoopLocus = findLoop(*R, Reason);
   if (!LoopLocus.isValid())
     return ApplyResult::failure(Reason);
   auto *Loop = cast<RepeatStmt>(LoopLocus.get());
@@ -482,7 +464,7 @@ ApplyResult shiftCounter(TransformContext &Ctx) {
     return ApplyResult::failure(Reason);
 
   Description &D = Ctx.Desc;
-  StmtLocus LoopLocus = findLoopLocus(*R, Reason);
+  StmtLocus LoopLocus = findLoop(*R, Reason);
   if (!LoopLocus.isValid())
     return ApplyResult::failure(Reason);
   auto *Loop = cast<RepeatStmt>(LoopLocus.get());
@@ -564,7 +546,7 @@ ApplyResult countUpToDown(TransformContext &Ctx) {
     return ApplyResult::failure("bound '" + N + "' is not declared");
   TypeRef NType = NDecl->Type;
 
-  StmtLocus LoopLocus = findLoopLocus(*R, Reason);
+  StmtLocus LoopLocus = findLoop(*R, Reason);
   if (!LoopLocus.isValid())
     return ApplyResult::failure(Reason);
   auto *Loop = cast<RepeatStmt>(LoopLocus.get());
@@ -698,30 +680,19 @@ void transform::registerLoopTransforms(Registry &R) {
         Routine *R = Ctx.routine(Reason);
         if (!R)
           return ApplyResult::failure(Reason);
-        bool Done = false;
-        std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-          for (size_t I = 0; !Done && I < List.size(); ++I) {
-            Stmt *S = List[I].get();
-            if (I + 1 < List.size() && isa<ExitWhenStmt>(S) &&
-                isa<ExitWhenStmt>(List[I + 1].get())) {
-              auto *A = cast<ExitWhenStmt>(S);
-              auto *B = cast<ExitWhenStmt>(List[I + 1].get());
-              if (isPure(*B->getCond())) {
-                A->setCond(binary(BinaryOp::Or, A->takeCond(), B->takeCond()));
-                List.erase(List.begin() + static_cast<long>(I) + 1);
-                Done = true;
-                return;
-              }
-            }
-            if (auto *If = dyn_cast<IfStmt>(S)) {
-              Walk(If->getThen());
-              Walk(If->getElse());
-            } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-              Walk(Rep->getBody());
-            }
-          }
-        };
-        Walk(R->Body);
+        bool Done = !walkStmts(R->Body, [](StmtSite &Site) {
+          StmtList &List = Site.List;
+          size_t I = Site.Index;
+          auto *A = dyn_cast<ExitWhenStmt>(List[I].get());
+          auto *B = I + 1 < List.size()
+                        ? dyn_cast<ExitWhenStmt>(List[I + 1].get())
+                        : nullptr;
+          if (!A || !B || !isPure(*B->getCond()))
+            return Walk::Continue;
+          A->setCond(binary(BinaryOp::Or, A->takeCond(), B->takeCond()));
+          List.erase(List.begin() + static_cast<long>(I) + 1);
+          return Walk::Stop;
+        });
         if (!Done)
           return ApplyResult::failure("no adjacent exit_when pair with a "
                                       "pure second condition");

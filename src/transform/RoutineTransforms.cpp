@@ -133,51 +133,38 @@ void transform::registerRoutineTransforms(Registry &R) {
           return ApplyResult::failure("temp name '" + Temp +
                                       "' is not fresh");
 
-        bool Done = false;
-        std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-          for (size_t I = 0; !Done && I < List.size(); ++I) {
-            Stmt *S = List[I].get();
-            bool HasCall = false;
-            forEachExpr(*S, [&](const Expr &E) {
-              if (const auto *C = dyn_cast<CallExpr>(&E))
-                if (C->getCallee() == Callee)
-                  HasCall = true;
-            });
-            // Skip the trivial form `x <- f()` with a plain variable
-            // target (nothing to extract); a memory-target store still
-            // benefits.
-            if (const auto *A = dyn_cast<AssignStmt>(S))
-              if (isa<VarRef>(A->getTarget()) &&
-                  isa<CallExpr>(A->getValue()) &&
-                  cast<CallExpr>(A->getValue())->getCallee() == Callee)
-                HasCall = false;
-            if (HasCall && firstImpureIsCall(*S, Callee)) {
-              bool Replaced = false;
-              forEachExprSlot(*S, [&](ExprPtr &Slot) {
-                if (Replaced)
-                  return;
-                if (const auto *C = dyn_cast<CallExpr>(Slot.get()))
-                  if (C->getCallee() == Callee) {
-                    Slot = varRef(Temp);
-                    Replaced = true;
-                  }
-              });
-              if (Replaced) {
-                List.insert(List.begin() + static_cast<long>(I),
-                            assign(Temp, call(Callee)));
-                Done = true;
-                return;
+        bool Done = !walkStmts(R->Body, [&](StmtSite &Site) {
+          Stmt &S = Site.stmt();
+          bool HasCall = false;
+          forEachExpr(S, [&](const Expr &E) {
+            if (const auto *C = dyn_cast<CallExpr>(&E))
+              if (C->getCallee() == Callee)
+                HasCall = true;
+          });
+          // Skip the trivial form `x <- f()` with a plain variable target
+          // (nothing to extract); a memory-target store still benefits.
+          if (const auto *A = dyn_cast<AssignStmt>(&S))
+            if (isa<VarRef>(A->getTarget()) && isa<CallExpr>(A->getValue()) &&
+                cast<CallExpr>(A->getValue())->getCallee() == Callee)
+              HasCall = false;
+          if (!HasCall || !firstImpureIsCall(S, Callee))
+            return Walk::Continue;
+          bool Replaced = false;
+          forEachExprSlot(S, [&](ExprPtr &Slot) {
+            if (Replaced)
+              return;
+            if (const auto *C = dyn_cast<CallExpr>(Slot.get()))
+              if (C->getCallee() == Callee) {
+                Slot = varRef(Temp);
+                Replaced = true;
               }
-            }
-            if (auto *If = dyn_cast<IfStmt>(S)) {
-              Walk(If->getThen());
-              Walk(If->getElse());
-            } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-              Walk(Rep->getBody());
-            }
-          }
-        };
-        Walk(R->Body);
+          });
+          if (!Replaced)
+            return Walk::Continue;
+          Site.List.insert(Site.List.begin() + static_cast<long>(Site.Index),
+                           assign(Temp, call(Callee)));
+          return Walk::Stop;
+        });
         if (!Done)
           return ApplyResult::failure(
               "no extractable call of '" + Callee +
@@ -211,35 +198,17 @@ void transform::registerRoutineTransforms(Registry &R) {
                                       "' is not fresh");
         // The callee must not itself contain calls of the enclosing
         // routine (no recursion in well-formed descriptions anyway).
-        bool Done = false;
-        std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-          for (size_t I = 0; !Done && I < List.size(); ++I) {
-            Stmt *S = List[I].get();
-            if (const auto *A = dyn_cast<AssignStmt>(S)) {
-              const auto *C = dyn_cast<CallExpr>(A->getValue());
-              if (C && C->getCallee() == Callee &&
-                  isa<VarRef>(A->getTarget())) {
-                std::string Target = A->targetVarName();
-                StmtList Inlined = cloneStmts(F->Body);
-                renameVar(Inlined, Callee, Temp);
-                Inlined.push_back(assign(Target, varRef(Temp)));
-                List.erase(List.begin() + static_cast<long>(I));
-                for (size_t K = 0; K < Inlined.size(); ++K)
-                  List.insert(List.begin() + static_cast<long>(I + K),
-                              std::move(Inlined[K]));
-                Done = true;
-                return;
-              }
-            }
-            if (auto *If = dyn_cast<IfStmt>(S)) {
-              Walk(If->getThen());
-              Walk(If->getElse());
-            } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-              Walk(Rep->getBody());
-            }
-          }
-        };
-        Walk(R->Body);
+        bool Done = !walkStmts(R->Body, [&](StmtSite &Site) {
+          const auto *A = dyn_cast<AssignStmt>(&Site.stmt());
+          const auto *C = A ? dyn_cast<CallExpr>(A->getValue()) : nullptr;
+          if (!C || C->getCallee() != Callee || !isa<VarRef>(A->getTarget()))
+            return Walk::Continue;
+          StmtList Inlined = cloneStmts(F->Body);
+          renameVar(Inlined, Callee, Temp);
+          Inlined.push_back(assign(A->targetVarName(), varRef(Temp)));
+          Site.splice(std::move(Inlined));
+          return Walk::Stop;
+        });
         if (!Done)
           return ApplyResult::failure("no `x <- " + Callee +
                                       "()` call statement to inline");
@@ -312,13 +281,9 @@ void transform::registerRoutineTransforms(Registry &R) {
           return ApplyResult::failure("no routine named '" + Name + "'");
         if (D.findDecl(NewName) || D.findRoutine(NewName))
           return ApplyResult::failure("'" + NewName + "' is not fresh");
-        long Occurrence = 0;
-        if (Ctx.Args.count("occurrence")) {
-          auto N = Ctx.intArg("occurrence", Reason);
-          if (!N)
-            return ApplyResult::failure(Reason);
-          Occurrence = static_cast<long>(*N);
-        }
+        std::optional<long> Occurrence = Ctx.occurrence(Reason, 0);
+        if (!Occurrence)
+          return ApplyResult::failure(Reason);
 
         // Retarget the chosen call site.
         long Seen = 0;
@@ -328,7 +293,7 @@ void transform::registerRoutineTransforms(Registry &R) {
             forEachExprSlot(*S, [&](ExprPtr &Slot) {
               if (auto *C = dyn_cast<CallExpr>(Slot.get()))
                 if (C->getCallee() == Name) {
-                  if (Seen++ == Occurrence && !Retargeted) {
+                  if (Seen++ == *Occurrence && !Retargeted) {
                     C->setCallee(NewName);
                     Retargeted = true;
                   }
@@ -336,7 +301,7 @@ void transform::registerRoutineTransforms(Registry &R) {
             });
         if (!Retargeted)
           return ApplyResult::failure("no call site #" +
-                                      std::to_string(Occurrence) + " of '" +
+                                      std::to_string(*Occurrence) + " of '" +
                                       Name + "'");
 
         // Clone the routine body under the new name.

@@ -1,4 +1,4 @@
-//===- RuleHelpers.cpp - Builders for pattern-rewrite rules -----*- C++ -*-===//
+//===- RuleHelpers.cpp - Shared machinery of the rewrite rules --*- C++ -*-===//
 //
 // Part of the EXTRA reproduction of Morgan & Rowe, SIGPLAN '82.
 //
@@ -8,10 +8,66 @@
 
 #include "isdl/Parser.h"
 
+#include <iterator>
+
 using namespace extra;
 using namespace extra::transform;
 using namespace extra::transform::detail;
 using namespace extra::isdl;
+
+void StmtSite::splice(StmtList With) {
+  List.erase(List.begin() + static_cast<long>(Index));
+  List.insert(List.begin() + static_cast<long>(Index),
+              std::make_move_iterator(With.begin()),
+              std::make_move_iterator(With.end()));
+  Spliced = With.size();
+}
+
+bool detail::walkStmts(StmtList &Body,
+                       const std::function<Walk(StmtSite &)> &Fn) {
+  for (size_t I = 0; I < Body.size();) {
+    StmtSite Site{Body, I, std::nullopt};
+    if (Fn(Site) == Walk::Stop)
+      return false;
+    if (Site.Spliced) {
+      I += *Site.Spliced;
+      continue;
+    }
+    Stmt *S = Body[I].get();
+    if (auto *If = dyn_cast<IfStmt>(S)) {
+      if (!walkStmts(If->getThen(), Fn) || !walkStmts(If->getElse(), Fn))
+        return false;
+    } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
+      if (!walkStmts(Rep->getBody(), Fn))
+        return false;
+    }
+    ++I;
+  }
+  return true;
+}
+
+StmtLocus detail::findUnique(StmtList &Body,
+                             const std::function<bool(const Stmt &)> &P,
+                             bool &Several) {
+  StmtLocus Found;
+  Several = false;
+  walkStmts(Body, [&](StmtSite &Site) {
+    if (!P(Site.stmt()))
+      return Walk::Continue;
+    if (Found.isValid()) {
+      Several = true;
+      return Walk::Stop;
+    }
+    Found = StmtLocus{&Site.List, Site.Index};
+    return Walk::Continue;
+  });
+  return Several ? StmtLocus() : Found;
+}
+
+const AssignStmt *detail::assignTo(const Stmt &S, const std::string &Var) {
+  const auto *A = dyn_cast<AssignStmt>(&S);
+  return A && A->targetVarName() == Var ? A : nullptr;
+}
 
 std::optional<int64_t> detail::litValue(const Expr &E) {
   if (const auto *I = dyn_cast<IntLit>(&E))
@@ -38,14 +94,9 @@ ApplyResult ExprRule::apply(TransformContext &Ctx) const {
   Routine *R = Ctx.routine(Reason);
   if (!R)
     return ApplyResult::failure(Reason);
-
-  long WantedOccurrence = -1;
-  if (Ctx.Args.count("occurrence")) {
-    auto N = Ctx.intArg("occurrence", Reason);
-    if (!N)
-      return ApplyResult::failure(Reason);
-    WantedOccurrence = static_cast<long>(*N);
-  }
+  std::optional<long> Wanted = Ctx.occurrence(Reason);
+  if (!Wanted)
+    return ApplyResult::failure(Reason);
 
   long Seen = 0;
   unsigned Rewritten = 0;
@@ -54,7 +105,7 @@ ApplyResult ExprRule::apply(TransformContext &Ctx) const {
     if (!Match(*Slot, D))
       return;
     long Occurrence = Seen++;
-    if (WantedOccurrence >= 0 && Occurrence != WantedOccurrence)
+    if (*Wanted >= 0 && Occurrence != *Wanted)
       return;
     Rewrite(Slot, D);
     ++Rewritten;
@@ -72,51 +123,23 @@ ApplyResult StmtRule::apply(TransformContext &Ctx) const {
   Routine *R = Ctx.routine(Reason);
   if (!R)
     return ApplyResult::failure(Reason);
-
-  long WantedOccurrence = -1;
-  if (Ctx.Args.count("occurrence")) {
-    auto N = Ctx.intArg("occurrence", Reason);
-    if (!N)
-      return ApplyResult::failure(Reason);
-    WantedOccurrence = static_cast<long>(*N);
-  }
+  std::optional<long> Wanted = Ctx.occurrence(Reason);
+  if (!Wanted)
+    return ApplyResult::failure(Reason);
 
   long Seen = 0;
   unsigned Rewritten = 0;
   const Description &D = Ctx.Desc;
-
-  // Walk all statement lists; splice rewrite results in place. Pre-order:
-  // a statement is offered to the rule before its children, and the
-  // rewrite result is not re-scanned (no self-recursion).
-  std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-    for (size_t I = 0; I < List.size(); ++I) {
-      Stmt *S = List[I].get();
-      bool Matched = Match(*S, D);
-      if (Matched) {
-        long Occurrence = Seen++;
-        if (WantedOccurrence < 0 || Occurrence == WantedOccurrence) {
-          StmtPtr Taken = std::move(List[I]);
-          StmtList Replacement = Rewrite(std::move(Taken), D);
-          List.erase(List.begin() + static_cast<long>(I));
-          for (size_t K = 0; K < Replacement.size(); ++K)
-            List.insert(List.begin() + static_cast<long>(I + K),
-                        std::move(Replacement[K]));
-          ++Rewritten;
-          // Do not descend into the replacement; continue after it.
-          I += Replacement.size();
-          --I; // compensate loop increment
-          continue;
-        }
-      }
-      if (auto *If = dyn_cast<IfStmt>(S)) {
-        Walk(If->getThen());
-        Walk(If->getElse());
-      } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-        Walk(Rep->getBody());
-      }
+  walkStmts(R->Body, [&](StmtSite &Site) {
+    if (!Match(Site.stmt(), D))
+      return Walk::Continue;
+    long Occurrence = Seen++;
+    if (*Wanted < 0 || Occurrence == *Wanted) {
+      Site.splice(Rewrite(std::move(Site.List[Site.Index]), D));
+      ++Rewritten;
     }
-  };
-  Walk(R->Body);
+    return Walk::Continue;
+  });
 
   if (Rewritten == 0)
     return ApplyResult::failure("no matching statement in routine '" +

@@ -111,6 +111,15 @@ std::optional<int64_t> TransformContext::intArg(const std::string &Key,
   return static_cast<int64_t>(V);
 }
 
+std::optional<long> TransformContext::occurrence(std::string &Reason,
+                                                 long Absent) const {
+  if (!Args.count("occurrence"))
+    return Absent;
+  if (std::optional<int64_t> N = intArg("occurrence", Reason))
+    return static_cast<long>(*N);
+  return std::nullopt;
+}
+
 //===----------------------------------------------------------------------===//
 // Registry
 //===----------------------------------------------------------------------===//
@@ -172,43 +181,30 @@ Engine::Engine(Description Initial) : Cur(DescHandle(std::move(Initial))) {}
 Engine::Engine(DescHandle Initial) : Cur(std::move(Initial)) {}
 
 ApplyResult Engine::apply(const Step &S) {
-  // Observability: time and classify every attempt. The disabled path
-  // costs the two null checks; the clock is read only when metrics or an
-  // enabled trace will consume the duration (the profiler's per-rule
-  // rollup needs dur_ns on the event).
+  // Observability: time and classify every attempt. Without metrics the
+  // clock is never read.
   using ObsClock = std::chrono::steady_clock;
-  bool Timing = Met || (Trace && Trace->enabled());
   ObsClock::time_point ObsStart;
-  if (Timing)
+  if (Met)
     ObsStart = ObsClock::now();
-  auto Finish = [&](const ApplyResult &R, const char *Outcome) {
-    uint64_t Ns = 0;
-    if (Timing)
-      Ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              ObsClock::now() - ObsStart)
-              .count());
-    if (Met) {
-      Met->histogram("transform.apply_ns").record(Ns);
-      Met->counter(std::string(R.Applied ? "rule.apply." : "rule.refuse.") +
-                   S.Rule)
-          .add();
-    }
-    if (Trace && Trace->enabled())
-      Trace->event("rule-apply", TraceSpan,
-                   obs::Payload()
-                       .add("rule", S.Rule)
-                       .add("applied", R.Applied)
-                       .add("outcome", Outcome)
-                       .add("dur_ns", Ns)
-                       .add("detail", R.Applied ? R.Note : R.Reason));
+  auto Finish = [&](const ApplyResult &R) {
+    if (!Met)
+      return;
+    Met->histogram("transform.apply_ns")
+        .record(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                ObsClock::now() - ObsStart)
+                .count()));
+    Met->counter(std::string(R.Applied ? "rule.apply." : "rule.refuse.") +
+                 S.Rule)
+        .add();
   };
 
   const Transformation *T = Registry::instance().lookup(S.Rule);
   if (!T) {
     ApplyResult R =
         ApplyResult::failure("unknown transformation '" + S.Rule + "'");
-    Finish(R, "unknown-rule");
+    Finish(R);
     return R;
   }
 
@@ -265,7 +261,7 @@ ApplyResult Engine::apply(const Step &S) {
     ApplyResult F = ApplyResult::failure("rule '" + S.Rule +
                                          "' faulted: " + FE.fault().Message);
     F.Category = FE.fault().Category;
-    Finish(F, "faulted");
+    Finish(F);
     return F;
   } catch (const std::exception &E) {
     if (Reusing)
@@ -273,7 +269,7 @@ ApplyResult Engine::apply(const Step &S) {
     ApplyResult F =
         ApplyResult::failure("rule '" + S.Rule + "' faulted: " + E.what());
     F.Category = FaultCategory::RuleApplication;
-    Finish(F, "faulted");
+    Finish(F);
     return F;
   }
   if (!R.Applied) {
@@ -282,7 +278,7 @@ ApplyResult Engine::apply(const Step &S) {
     // check compares name-sensitive structural identities.
     assert(!Reusing || isdl::Interner::local().identity(Work) ==
                            isdl::Interner::local().identity(Cur.get()));
-    Finish(R, "refused");
+    Finish(R);
     return R;
   }
 
@@ -295,7 +291,7 @@ ApplyResult Engine::apply(const Step &S) {
         SB.Valid = false;
       ApplyResult F = ApplyResult::failure(
           "step verification failed for '" + S.Rule + "': " + Error);
-      Finish(F, "verify-reject");
+      Finish(F);
       return F;
     }
   }
@@ -304,7 +300,7 @@ ApplyResult Engine::apply(const Step &S) {
   Cur = DescHandle(std::move(Work));
   if (Reusing)
     SB.Valid = false; // Moved out; the slot holds a husk.
-  Finish(R, "applied");
+  Finish(R);
   return R;
 }
 
@@ -355,60 +351,6 @@ bool detail::isBooleanExpr(const Description &D, const Expr &E) {
   default:
     return false;
   }
-}
-
-RepeatStmt *detail::findUniqueLoop(Routine &R, std::string &Reason) {
-  RepeatStmt *Found = nullptr;
-  bool Ambiguous = false;
-  forEachStmt(R.Body, [&](const Stmt &S) {
-    if (const auto *Rep = dyn_cast<RepeatStmt>(&S)) {
-      if (Found)
-        Ambiguous = true;
-      else
-        Found = const_cast<RepeatStmt *>(Rep);
-    }
-  });
-  if (!Found)
-    Reason = "routine '" + R.Name + "' contains no repeat loop";
-  else if (Ambiguous) {
-    Reason = "routine '" + R.Name + "' contains more than one repeat loop";
-    Found = nullptr;
-  }
-  return Found;
-}
-
-StmtLocus detail::findUniqueAssign(Routine &R, const std::string &Var,
-                                   std::string &Reason) {
-  // Search every statement list reachable from the body.
-  StmtLocus Found;
-  bool Ambiguous = false;
-  std::function<void(StmtList &)> Walk = [&](StmtList &List) {
-    for (size_t I = 0; I < List.size(); ++I) {
-      Stmt *S = List[I].get();
-      if (auto *A = dyn_cast<AssignStmt>(S)) {
-        if (A->targetVarName() == Var) {
-          if (Found.isValid())
-            Ambiguous = true;
-          else
-            Found = StmtLocus{&List, I};
-        }
-      } else if (auto *If = dyn_cast<IfStmt>(S)) {
-        Walk(If->getThen());
-        Walk(If->getElse());
-      } else if (auto *Rep = dyn_cast<RepeatStmt>(S)) {
-        Walk(Rep->getBody());
-      }
-    }
-  };
-  Walk(R.Body);
-  if (!Found.isValid())
-    Reason = "no assignment to '" + Var + "' in routine '" + R.Name + "'";
-  else if (Ambiguous) {
-    Reason = "more than one assignment to '" + Var + "' in routine '" +
-             R.Name + "'";
-    Found = StmtLocus();
-  }
-  return Found;
 }
 
 unsigned detail::countWrites(const Description &D, const std::string &Var) {

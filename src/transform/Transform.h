@@ -29,7 +29,6 @@
 #include "isdl/Intern.h"
 #include "isdl/Traverse.h"
 #include "obs/Metrics.h"
-#include "obs/Trace.h"
 #include "support/Error.h"
 
 #include <cstdint>
@@ -96,6 +95,10 @@ struct TransformContext {
   /// Required integer argument.
   std::optional<int64_t> intArg(const std::string &Key,
                                 std::string &Reason) const;
+  /// The `occurrence` argument, which picks one match (0-based, in walk
+  /// order): \p Absent when the step has none; nullopt + Reason when it
+  /// is not an integer.
+  std::optional<long> occurrence(std::string &Reason, long Absent = -1) const;
 };
 
 /// Outcome of one application attempt.
@@ -271,15 +274,10 @@ public:
   /// Installs a per-step verifier (differential semantic check).
   void setVerifier(StepVerifier V) { Verifier = std::move(V); }
 
-  /// Observability hooks, both optional and non-owning. With metrics
-  /// installed, apply() records per-rule apply/refuse counters and the
-  /// apply latency histogram; with a trace sink, every attempt emits a
-  /// "rule-apply" event under \p Span. Disabled hooks cost one branch.
+  /// Optional, non-owning metrics: apply() then records per-rule
+  /// apply/refuse counters and the apply latency histogram. Without
+  /// them the hook costs one branch.
   void setMetrics(obs::Metrics *M) { Met = M; }
-  void setTrace(obs::TraceSink *T, uint64_t Span = 0) {
-    Trace = T;
-    TraceSpan = Span;
-  }
 
 private:
   isdl::DescHandle Cur;
@@ -287,8 +285,6 @@ private:
   std::vector<LogEntry> Log;
   StepVerifier Verifier;
   obs::Metrics *Met = nullptr;
-  obs::TraceSink *Trace = nullptr;
-  uint64_t TraceSpan = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -300,15 +296,6 @@ namespace detail {
 /// True if \p E is boolean-valued: a relational or logical operator, a
 /// `not`, a literal 0/1, or a reference to a declared 1-bit flag.
 bool isBooleanExpr(const isdl::Description &D, const isdl::Expr &E);
-
-/// Finds the unique RepeatStmt in \p R at any nesting depth; null + Reason
-/// when absent or ambiguous.
-isdl::RepeatStmt *findUniqueLoop(isdl::Routine &R, std::string &Reason);
-
-/// Finds the unique assignment to variable \p Var in \p R; invalid locus +
-/// Reason when absent or ambiguous.
-isdl::StmtLocus findUniqueAssign(isdl::Routine &R, const std::string &Var,
-                                 std::string &Reason);
 
 /// Counts writes of \p Var across the whole description (assignment
 /// targets and input lists).

@@ -8,24 +8,22 @@
 #include "dataflow/Liveness.h"
 #include "dataflow/ReachingDefs.h"
 
+#include "CorpusSweep.h"
 #include "TestSources.h"
 #include "analysis/Derivations.h"
 #include "descriptions/Descriptions.h"
 #include "isdl/Parser.h"
-#include "isdl/Printer.h"
 #include "isdl/Traverse.h"
-#include "search/Searcher.h"
-#include "transform/Transform.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
-#include <sstream>
 
 using namespace extra;
 using namespace extra::dataflow;
 using namespace extra::isdl;
+using extra::testing::forEachCorpusVersion;
+using extra::testing::ruleTable;
 
 namespace {
 
@@ -501,72 +499,6 @@ size_t expectAgreement(const Description &D, const Routine &R,
     }
   }
   return Asked;
-}
-
-/// Calls \p Fn on every version along the recorded derivations: each
-/// side's library description, then its result after each script step.
-void forEachCorpusVersion(
-    const std::function<void(const analysis::AnalysisCase &, bool Instruction,
-                             size_t Step, const Description &)> &Fn) {
-  for (const analysis::AnalysisCase &C : analysis::corpus())
-    for (bool Inst : {false, true}) {
-      const std::string &Id = Inst ? C.InstructionId : C.OperatorId;
-      transform::Engine E(std::move(*descriptions::load(Id)));
-      const transform::Script &S =
-          Inst ? C.InstructionScript : C.OperatorScript;
-      Fn(C, Inst, 0, E.current());
-      for (size_t I = 0; I < S.size(); ++I) {
-        ASSERT_TRUE(E.apply(S[I]).Applied) << C.Id << " " << S[I].str();
-        Fn(C, Inst, I + 1, E.current());
-      }
-    }
-}
-
-/// What the six rules that read dataflow do along one case's derivation:
-/// for each rule, the attempts among the searcher's candidates on every
-/// version of both sides, the applications, and an FNV-1a digest over
-/// each attempt's step and its refusal reason or printed result.
-std::map<std::string, std::string> ruleTable() {
-  static const char *const Rules[] = {"copy-propagate",  "dead-assign-elim",
-                                      "move-up",         "move-down",
-                                      "fuse-load-store", "count-up-to-down"};
-  struct Tally {
-    unsigned Attempts = 0, Applied = 0;
-    uint64_t Hash = 0xcbf29ce484222325ULL;
-  };
-  std::map<std::string, std::map<std::string, Tally>> ByCase;
-  forEachCorpusVersion([&](const analysis::AnalysisCase &C, bool Inst, size_t,
-                           const Description &D) {
-    DescHandle Version(D.clone());
-    for (const transform::Step &S : search::enumerateCandidates(D, D, Inst)) {
-      if (std::find(std::begin(Rules), std::end(Rules), S.Rule) ==
-          std::end(Rules))
-        continue;
-      transform::Engine Scratch(Version);
-      transform::ApplyResult R = Scratch.apply(S);
-      Tally &T = ByCase[C.Id][S.Rule];
-      ++T.Attempts;
-      T.Applied += R.Applied;
-      std::string Text = S.str() + "\n" +
-                         (R.Applied ? printDescription(Scratch.current())
-                                    : R.Reason) +
-                         "\n";
-      for (unsigned char Ch : Text)
-        T.Hash = (T.Hash ^ Ch) * 0x100000001b3ULL;
-    }
-  });
-  std::map<std::string, std::string> Out;
-  for (const auto &[Case, ByRule] : ByCase) {
-    std::ostringstream Line;
-    for (const char *Rule : Rules) {
-      auto It = ByRule.find(Rule);
-      Tally T = It == ByRule.end() ? Tally() : It->second;
-      Line << (Line.tellp() ? " " : "") << Rule << "=" << T.Attempts << "/"
-           << T.Applied << ":" << std::hex << T.Hash << std::dec;
-    }
-    Out[Case] = Line.str();
-  }
-  return Out;
 }
 
 TEST(DataflowReferenceTest, AgreesOnEveryLibraryRoutine) {

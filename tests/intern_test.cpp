@@ -21,6 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CorpusSweep.h"
 #include "descriptions/Descriptions.h"
 #include "isdl/Intern.h"
 #include "isdl/Parser.h"
@@ -701,30 +702,48 @@ TEST(InternTest, RefusalsLeaveScratchBufferPure) {
   // successes interleaved on the same thread-local scratch slot — and
   // check each applied result against a fresh single-use engine. A rule
   // that mutated before refusing would corrupt the shared buffer and
-  // diverge the next applied candidate.
-  for (const std::string &Id : corpusIds()) {
-    auto D = descriptions::load(Id);
-    ASSERT_TRUE(D) << Id;
-    DescHandle Shared(D->clone());
-    std::string Before = printDescription(*D);
+  // diverge the next applied candidate. The sweep covers the library and
+  // every version along the recorded derivations.
+  auto Sweep = [](const std::string &Where, const Description &D,
+                  bool Instruction) {
+    DescHandle Shared(D.clone());
+    std::string Before = printDescription(D);
     Engine Reused(Shared);
-    for (const Step &S : search::enumerateCandidates(*D, *D)) {
+    for (const Step &S : search::enumerateCandidates(D, D, Instruction)) {
       bool Applied = Reused.apply(S).Applied;
       if (!Applied) {
         EXPECT_EQ(printDescription(Reused.current()), Before)
-            << Id << ": refusal of " << S.str() << " mutated engine state";
+            << Where << ": refusal of " << S.str() << " mutated engine state";
         continue;
       }
-      Engine Fresh(D->clone());
-      ASSERT_TRUE(Fresh.apply(S).Applied) << Id << " step " << S.str();
+      Engine Fresh(D.clone());
+      ASSERT_TRUE(Fresh.apply(S).Applied) << Where << " step " << S.str();
       EXPECT_EQ(printDescription(Reused.current()),
                 printDescription(Fresh.current()))
-          << Id << ": scratch buffer was dirty before " << S.str();
+          << Where << ": scratch buffer was dirty before " << S.str();
       // Back to the shared version so every candidate starts equal.
       ASSERT_TRUE(Reused.undo());
       ASSERT_TRUE(Reused.currentHandle().same(Shared));
     }
+  };
+  for (const std::string &Id : corpusIds()) {
+    auto D = descriptions::load(Id);
+    ASSERT_TRUE(D) << Id;
+    Sweep(Id, *D, true);
   }
+  size_t Versions = 0;
+  extra::testing::forEachCorpusVersion(
+      [&](const analysis::AnalysisCase &C, bool Inst, size_t Step,
+          const Description &D) {
+        ++Versions;
+        Sweep(C.Id + (Inst ? " instruction" : " operator") + " step " +
+                  std::to_string(Step),
+              D, Inst);
+      });
+  size_t Steps = 0;
+  for (const analysis::AnalysisCase &C : analysis::corpus())
+    Steps += C.OperatorScript.size() + C.InstructionScript.size();
+  EXPECT_EQ(Versions, 28 + Steps);
 }
 
 TEST(InternTest, UndoAfterShareRestoresExactText) {

@@ -169,10 +169,12 @@ TEST(RegistryFormat, TornTrailingLineIsSkipped) {
 TEST(RegistryFormat, LaterRecordWinsOnDuplicateKey) {
   TempFile F("registry_dup.jsonl");
   const RegistryEntry *Seed = recordedCorpus().entries()[0];
-  ASSERT_TRUE(Registry::appendEntry(F.Path, *Seed));
+  ASSERT_TRUE(support::appendVersionedLine(F.Path, registryFileFormat(),
+                                           Seed->toJsonLine()));
   RegistryEntry Updated = *Seed;
   Updated.Source = "memo";
-  ASSERT_TRUE(Registry::appendEntry(F.Path, Updated));
+  ASSERT_TRUE(support::appendVersionedLine(F.Path, registryFileFormat(),
+                                           Updated.toJsonLine()));
 
   auto R = Registry::load(F.Path);
   ASSERT_TRUE(R);

@@ -263,7 +263,11 @@ protected:
   support::FileFormat Fmt{"extra-widget", 3, "widget file"};
 
   void SetUp() override {
-    Path = testing::TempDir() + "/versioned_file_test.jsonl";
+    // ctest runs each case as its own process, in parallel: one file per
+    // case, so no case deletes or overwrites another's.
+    Path = testing::TempDir() + "/versioned_file_test." +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".jsonl";
     std::remove(Path.c_str());
   }
   void TearDown() override { std::remove(Path.c_str()); }

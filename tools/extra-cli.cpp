@@ -109,7 +109,7 @@ int usage() {
                "  profile <trace.jsonl> [--collapsed FILE]\n"
                "                          roll a (possibly rotated) JSONL\n"
                "                          trace into self/total-time tables\n"
-               "                          per span label, rule, and depth;\n"
+               "                          per span label and depth;\n"
                "                          --collapsed writes flamegraph\n"
                "                          collapsed-stack lines\n"
                "  benchdiff <old.json> <new.json> [--threshold PCT]\n"
