@@ -2,7 +2,8 @@
 # Gate perfbench's exact counts against a base commit.
 #
 # Builds perfbench at BASE_REF (exported with git archive into a
-# temporary directory) and at the checked-out tree, each with
+# temporary directory) and at the checked-out tree (labelled <hash>+dirty
+# when it has uncommitted edits), each with
 # perfbench/run.py into its own CARGO_TARGET_DIR, and runs every workload
 # of BENCHMARK.json on both builds with --seed 1 --seconds 1, once with
 # --trace 1 and once with --trace 0: a traced run prints the per-layer
@@ -25,8 +26,13 @@ trap 'rm -rf "${WORK}"' EXIT
 mkdir "${WORK}/base"
 git -C "${ROOT}" archive "${BASE_REF}" | tar -x -C "${WORK}/base"
 BASE_SHORT=$(git -C "${ROOT}" rev-parse --short "${BASE_REF}")
-echo "perfbench-counts: base ${BASE_SHORT}," \
-  "head $(git -C "${ROOT}" rev-parse --short HEAD)"
+# The head side builds the working tree as it is, so a tree with
+# uncommitted edits (or untracked files) is not HEAD: say so.
+HEAD_SHORT=$(git -C "${ROOT}" rev-parse --short HEAD)
+if [ -n "$(git -C "${ROOT}" status --porcelain)" ]; then
+  HEAD_SHORT="${HEAD_SHORT}+dirty"
+fi
+echo "perfbench-counts: base ${BASE_SHORT}, head ${HEAD_SHORT}"
 
 WORKLOADS=$(python3 -c 'import json, sys
 print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \

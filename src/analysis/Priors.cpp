@@ -9,6 +9,7 @@
 #include "analysis/Derivations.h"
 
 #include <algorithm>
+#include <numeric>
 
 using namespace extra;
 using namespace extra::analysis;
@@ -102,18 +103,22 @@ const Priors &Priors::instance() {
   return P;
 }
 
-unsigned Priors::bigram(const std::string &Prev, const std::string &Next) const {
-  auto It = Bigrams.find(Prev);
-  if (It == Bigrams.end())
-    return 0;
-  auto Jt = It->second.find(Next);
-  return Jt == It->second.end() ? 0 : Jt->second;
-}
-
-void Priors::orderBySuccessor(const std::string &Prev,
-                              std::vector<std::string> &Rules) const {
-  std::stable_sort(Rules.begin(), Rules.end(),
-                   [&](const std::string &A, const std::string &B) {
-                     return bigram(Prev, A) > bigram(Prev, B);
-                   });
+std::vector<uint32_t>
+Priors::successorOrder(std::string_view Prev,
+                       std::span<const std::string_view> Rules) const {
+  std::vector<uint32_t> Order(Rules.size());
+  std::iota(Order.begin(), Order.end(), 0u);
+  auto Next = Bigrams.find(Prev);
+  if (Next == Bigrams.end())
+    return Order;
+  std::vector<unsigned> Count(Rules.size(), 0);
+  for (size_t I = 0; I < Rules.size(); ++I) {
+    auto It = Next->second.find(Rules[I]);
+    if (It != Next->second.end())
+      Count[I] = It->second;
+  }
+  std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+    return Count[A] > Count[B];
+  });
+  return Order;
 }

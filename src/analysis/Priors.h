@@ -31,8 +31,12 @@
 
 #include "synth/Synth.h"
 
+#include <cstdint>
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace extra {
@@ -44,22 +48,24 @@ public:
   /// on first use. Immutable afterwards; safe to share across threads.
   static const Priors &instance();
 
-  /// How often rule \p Next follows rule \p Prev in a recorded script.
-  /// \p Prev empty means "at the start of a script".
-  unsigned bigram(const std::string &Prev, const std::string &Next) const;
-
-  /// Stable-sorts \p Rules by descending bigram count after \p Prev.
+  /// The positions of \p Rules, stable-sorted by how often each rule
+  /// follows rule \p Prev in a recorded script, most often first (\p Prev
+  /// empty means "at the start of a script"). Each rule is looked up once.
   /// Rules the corpus never saw after \p Prev keep their relative order,
   /// so orderings remain deterministic and total coverage is unchanged.
-  void orderBySuccessor(const std::string &Prev,
-                        std::vector<std::string> &Rules) const;
+  std::vector<uint32_t>
+  successorOrder(std::string_view Prev,
+                 std::span<const std::string_view> Rules) const;
 
   /// Naming conventions for synthesized arguments.
   const synth::Vocabulary &vocabulary() const { return Vocab; }
 
 private:
   Priors();
-  std::map<std::string, std::map<std::string, unsigned>> Bigrams;
+  /// Bigrams[Prev][Next]: how often rule Next follows rule Prev.
+  std::map<std::string, std::map<std::string, unsigned, std::less<>>,
+           std::less<>>
+      Bigrams;
   synth::Vocabulary Vocab;
 };
 

@@ -120,6 +120,17 @@ FeatureVec FeatureVec::of(const Description &D) {
 // Interner: arena and hash-consing
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Source of Interner::serial(). Constant-initialized, so an arena built
+/// during static initialization still draws a fresh number.
+std::atomic<uint64_t> NextSerial{0};
+
+} // namespace
+
+Interner::Interner()
+    : Serial(NextSerial.fetch_add(1, std::memory_order_relaxed)) {}
+
 Interner &Interner::local() {
   thread_local Interner I;
   return I;
@@ -550,7 +561,10 @@ private:
 } // namespace
 
 uint64_t Interner::canonicalFingerprint(const Description &D) {
-  uint64_t Id = identity(D);
+  return canonicalFingerprint(D, identity(D));
+}
+
+uint64_t Interner::canonicalFingerprint(const Description &D, uint64_t Id) {
   auto It = FpMemo.find(Id);
   if (It != FpMemo.end()) {
     ++MemoHits;
@@ -569,6 +583,9 @@ uint64_t isdl::canonicalFingerprint(const Description &D) {
 // DescHandle
 //===----------------------------------------------------------------------===//
 
+DescHandle::Payload::Payload(Description D)
+    : D(std::move(D)), IdOwner(Interner::local().serial()) {}
+
 Description DescHandle::take() && {
   assert(P && "take() on an empty handle");
   Description Out = P.use_count() == 1 ? std::move(P->D) : P->D.clone();
@@ -581,10 +598,25 @@ uint64_t DescHandle::fingerprint() const {
   if (P->FpReady.load(std::memory_order_acquire))
     return P->Fp.load(std::memory_order_relaxed);
   // Idempotent recompute: a racing thread lands on the same value.
-  uint64_t Fp = isdl::canonicalFingerprint(P->D);
+  uint64_t Fp = Interner::local().canonicalFingerprint(P->D, identity());
   P->Fp.store(Fp, std::memory_order_relaxed);
   P->FpReady.store(true, std::memory_order_release);
   return Fp;
+}
+
+uint64_t DescHandle::identity() const {
+  assert(P && "identity() on an empty handle");
+  Interner &I = Interner::local();
+  // Another thread's identities hash its own SymIds and NodeRefs: it
+  // computes one and leaves the owner's cache alone.
+  if (I.serial() != P->IdOwner)
+    return I.identity(P->D);
+  if (P->IdEpoch != I.epoch()) {
+    P->Id = I.identity(P->D);
+    // Read after the call: identity() itself may reset a full arena.
+    P->IdEpoch = I.epoch();
+  }
+  return P->Id;
 }
 
 const FeatureVec &DescHandle::features() const {

@@ -27,18 +27,23 @@
 ///  * `DescHandle` — a refcounted copy-on-write handle to an immutable
 ///    `Description` version. Search nodes hold handles, so a child shares
 ///    its untouched side with its parent as a pointer copy; the canonical
-///    fingerprint and the feature vector are computed once per version and
-///    cached on the payload. Mutation goes through `clone()` (materialize
-///    a private deep copy), never through the shared payload.
+///    fingerprint, the feature vector and the interned identity are
+///    computed once per version and cached on the payload. Mutation goes
+///    through `clone()` (materialize a private deep copy), never through
+///    the shared payload.
 ///
 /// Thread model: the interner is `thread_local` (each batch worker owns an
-/// arena; no locks on the hot path). `DescHandle` caches use atomics with
-/// idempotent-recompute races, so handles may be read from several threads,
-/// but the payload description itself is immutable once wrapped.
+/// arena; no locks on the hot path). The fingerprint and feature caches use
+/// atomics with idempotent-recompute races, so handles may be read from
+/// several threads, but the payload description itself is immutable once
+/// wrapped. The identity cache belongs to the arena of the thread that
+/// built the payload; any other thread recomputes in its own arena.
 ///
 /// Interner NodeRefs are transient: nothing outside a call chain stores
 /// them, so the arena can be reset when it grows past its soft cap without
-/// invalidating any cached fingerprint *values*.
+/// invalidating any cached fingerprint *values*. Identity values hash
+/// NodeRefs and SymIds, so a cached identity is stamped with its arena's
+/// epoch and recomputed after a reset.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -179,6 +184,8 @@ public:
   /// are registry dedup keys and appear in recorded traces, so they are
   /// frozen by tests/intern_test.cpp.
   uint64_t canonicalFingerprint(const Description &D);
+  /// The same, given \p Identity == identity(D) in this arena and epoch.
+  uint64_t canonicalFingerprint(const Description &D, uint64_t Identity);
 
   /// Nodes currently interned (tests and the soft-cap policy).
   size_t nodeCount() const { return Nodes.size(); }
@@ -187,11 +194,18 @@ public:
 
   /// Drops the arena, symbol table and memos and starts a new epoch.
   /// Cached fingerprint *values* held elsewhere stay valid; only transient
-  /// NodeRefs die. Called automatically past the soft cap.
+  /// NodeRefs die, and with them every identity of the old epoch. Called
+  /// automatically past the soft cap.
   void reset();
 
+  /// Process-unique number of this arena: no two interners, on live or
+  /// finished threads, share one.
+  uint64_t serial() const { return Serial; }
+  /// Resets so far.
+  uint64_t epoch() const { return Epoch; }
+
 private:
-  Interner() = default;
+  Interner();
 
   NodeRef internNode(Node::K Kind, uint8_t Op, int64_t Value,
                      std::vector<NodeRef> Kids);
@@ -206,6 +220,7 @@ private:
   /// Resets so far, mixed into every identity: identities hash symbol and
   /// node numbers that a reset hands out again.
   uint64_t Epoch = 0;
+  const uint64_t Serial;
 
   /// Soft cap on arena size; `intern` resets everything past it. Sized so
   /// a full 14-pairing batch never trips it in practice.
@@ -245,6 +260,11 @@ public:
   /// Canonical fingerprint, computed once per version (then a load).
   uint64_t fingerprint() const;
 
+  /// Interner::identity of this version in the calling thread's arena.
+  /// Computed once per version and arena epoch on the thread that built
+  /// the payload; a reset, or a read from another thread, recomputes.
+  uint64_t identity() const;
+
   /// Feature vector, computed once per version (then a load).
   const FeatureVec &features() const;
 
@@ -258,12 +278,17 @@ public:
 
 private:
   struct Payload {
-    explicit Payload(Description D) : D(std::move(D)) {}
+    explicit Payload(Description D);
     Description D;
     std::atomic<uint64_t> Fp{0};
     std::atomic<bool> FpReady{false};
     FeatureVec FV;
     std::atomic<bool> FVReady{false};
+    /// Serial of the arena that owns the identity cache: only its thread
+    /// reads or writes Id and IdEpoch, so they need no atomics.
+    const uint64_t IdOwner;
+    uint64_t Id = 0;
+    uint64_t IdEpoch = ~uint64_t(0);
   };
   std::shared_ptr<Payload> P;
 };

@@ -26,6 +26,8 @@
 ///                                verify-reject
 ///   search.verify.memo_hit       verifications answered by the
 ///                                deterministic verdict memo
+///   search.outcome.hit           candidate attempts answered by a side
+///                                version's expansion record
 ///   search.reopen.cheaper-line   transposition re-opens by a strictly
 ///                                shorter script
 ///   search.beam.children         children generated per depth

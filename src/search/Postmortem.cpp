@@ -306,24 +306,24 @@ PostmortemReport search::postmortem(const std::vector<TraceRecord> &Trace,
   // ----- Rank of the needed step in the candidate ordering. ------------
   const Description &Cur = NeededIsOp ? Op.Descs[I] : Inst.Descs[J];
   const Description &Oth = NeededIsOp ? Inst.Descs[J] : Op.Descs[I];
-  std::vector<Step> Cands =
+  const std::vector<Step> Cands =
       enumerateCandidates(Cur, Oth, /*CurrentIsInstruction=*/!NeededIsOp);
   const Script &PrefixScript =
       NeededIsOp ? Recorded.OperatorScript : Recorded.InstructionScript;
   size_t Prefix = NeededIsOp ? I : J;
-  const std::string Prev =
-      Prefix == 0 ? std::string() : PrefixScript[Prefix - 1].Rule;
-  const analysis::Priors &Priors = analysis::Priors::instance();
-  std::stable_sort(Cands.begin(), Cands.end(),
-                   [&](const Step &A, const Step &B) {
-                     return Priors.bigram(Prev, A.Rule) >
-                            Priors.bigram(Prev, B.Rule);
-                   });
+  std::string_view Prev =
+      Prefix == 0 ? std::string_view() : PrefixScript[Prefix - 1].Rule;
+  std::vector<std::string_view> Rules;
+  for (const Step &C : Cands)
+    Rules.push_back(C.Rule);
+  std::vector<uint32_t> Order =
+      analysis::Priors::instance().successorOrder(Prev, Rules);
   Rep.CandidatePool = static_cast<int>(Cands.size());
-  for (size_t K = 0; K < Cands.size(); ++K) {
-    if (Rep.NeededRank < 0 && sameStep(Cands[K], *Needed))
+  for (size_t K = 0; K < Order.size(); ++K) {
+    const Step &C = Cands[Order[K]];
+    if (Rep.NeededRank < 0 && sameStep(C, *Needed))
       Rep.NeededRank = static_cast<int>(K + 1);
-    if (Rep.NeededRuleRank < 0 && Cands[K].Rule == Needed->Rule)
+    if (Rep.NeededRuleRank < 0 && C.Rule == Needed->Rule)
       Rep.NeededRuleRank = static_cast<int>(K + 1);
   }
   return Rep;

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace extra;
 using namespace extra::search;
@@ -77,7 +78,7 @@ const char *PerRoutineRules[] = {
 /// (the closure half of the pin-and-simplify macro move below). Every
 /// rule here strictly shrinks the description or removes a `not`, so the
 /// closure terminates.
-const char *ClosureRules[] = {
+constexpr std::string_view ClosureRules[] = {
     "fold-not",      "fold-neg",      "fold-add",
     "fold-sub",      "fold-mul",      "fold-div",
     "fold-and",      "fold-or",       "fold-compare",
@@ -262,8 +263,40 @@ struct Node {
   int ViaSide = 0;
 };
 
+/// One candidate's result on one side version. The scratch engine that
+/// produced it started with no constraints, so Added is exactly what the
+/// step (or the pin-and-simplify chain) recorded.
+struct AppliedOutcome {
+  DescHandle After;
+  constraint::ConstraintSet Added;
+  /// The candidate, then the macro variant's pin-and-simplify chain.
+  Script Steps;
+  /// The candidate's effect and adapter, for the deferred check.
+  transform::SemanticsEffect Effect = transform::SemanticsEffect::Preserving;
+  transform::InputAdapter Adapter;
+};
+
+/// The expansion record of one side version: its candidate pool and what
+/// each candidate did to it. A side version reappears in many pairs (a
+/// child shares its untouched side with its parent), and a rule attempt
+/// and its inline verification read that side only, so a repeat is
+/// answered here instead of re-running the rules. Sound for the reason
+/// VerifyMemo is: rules are deterministic and refusal-pure, and the
+/// scratch constraint set is a pure function of (before, step).
+struct ExpansionRecord {
+  enum : uint32_t { NotTried, Refused, VerifyRejected, FirstApplied };
+  std::vector<Step> Cands;
+  /// Per candidate and variant, at 2 * candidate + variant: NotTried,
+  /// Refused, VerifyRejected, or FirstApplied + an index into Applied.
+  std::vector<uint32_t> Outcome;
+  std::vector<AppliedOutcome> Applied;
+};
+
 /// Shared mutable context of one searchDerivation call.
 struct SearchContext {
+  SearchContext(const SearchLimits &Limits, Clock::time_point Deadline)
+      : Limits(Limits), Deadline(Deadline) {}
+
   const SearchLimits &Limits;
   SearchStats Stats;
   Clock::time_point Deadline;
@@ -283,14 +316,14 @@ struct SearchContext {
     int ViaSide = 0;
   } Best;
 
-  /// Candidate/proposal enumeration caches. Keyed by the *name-sensitive*
-  /// structural identity from the interner (isdl::Interner::identity), not
+  /// Expansion records (recordKey) and synthesized proposals. Keyed by
+  /// the *name-sensitive* structural identity (DescHandle::identity), not
   /// the rename-invariant fingerprint: enumerated steps carry concrete
   /// routine and operand names, and with score-aware re-opening two
-  /// fingerprint-equal states can differ in fresh-name choices. Widening
-  /// rounds re-expand the same early states, so these hit constantly.
-  std::unordered_map<uint64_t, std::shared_ptr<const std::vector<Step>>>
-      CandCache;
+  /// fingerprint-equal states can differ in fresh-name choices. A record
+  /// lives while its side is on the frontier (evictRecords); proposals
+  /// read both sides, are few, and stay for the whole search.
+  std::unordered_map<uint64_t, ExpansionRecord> Records;
   std::unordered_map<uint64_t,
                      std::shared_ptr<const std::vector<synth::Proposal>>>
       SynthCache;
@@ -300,7 +333,9 @@ struct SearchContext {
   /// the verifier is deterministic — fixed seed, and the constraint set a
   /// single-step scratch engine hands the verifier is a pure function of
   /// (before, step). Widening rounds re-reach and re-verify the same
-  /// rewrites; this answers them without re-running the trials.
+  /// rewrites; this answers them without re-running the trials. Kept for
+  /// the whole search, unlike the records: an entry is a few bytes, and
+  /// verdicts outlive the frontier their parent was on.
   std::unordered_map<uint64_t, bool> VerifyMemo;
 
   /// The trace sink (the shared no-op sink when tracing is off, so call
@@ -382,8 +417,6 @@ obs::Payload statePayload(const Node &N, unsigned Depth, unsigned Round) {
 void simplifyToFixpoint(transform::Engine &E, Script &Recorded,
                         const SearchContext *Ctx = nullptr) {
   const analysis::Priors &P = analysis::Priors::instance();
-  const std::vector<std::string> Closure(std::begin(ClosureRules),
-                                         std::end(ClosureRules));
   const unsigned MaxSteps = 24;
   for (unsigned Count = 0; Count < MaxSteps;) {
     // Deadline checkpoint: a macro-move closure runs up to MaxSteps full
@@ -392,12 +425,11 @@ void simplifyToFixpoint(transform::Engine &E, Script &Recorded,
     // beam expansions.
     if (Ctx && Ctx->deadlinePassed())
       return;
-    std::vector<std::string> Ordered = Closure;
-    P.orderBySuccessor(Recorded.empty() ? std::string() : Recorded.back().Rule,
-                       Ordered);
     bool Progress = false;
-    for (const std::string &Rule : Ordered) {
-      Step S{Rule, "", {}};
+    for (uint32_t I : P.successorOrder(
+             Recorded.empty() ? std::string_view() : Recorded.back().Rule,
+             ClosureRules)) {
+      Step S{std::string(ClosureRules[I]), "", {}};
       if (E.apply(S).Applied) {
         Recorded.push_back(std::move(S));
         ++Count;
@@ -466,6 +498,90 @@ void pinAndSimplify(transform::Engine &E, const Step &Fix, Script &Recorded,
       Recorded.push_back(std::move(DeadDecl));
     simplifyToFixpoint(E, Recorded, Ctx);
   }
+}
+
+/// Readies \p Scratch, a per-attempt engine that shares its side's version
+/// until a rule applies; the engine checks the rule's own applicability
+/// conditions. With \p InlineVerify the verifier hook differentially tests
+/// every applied step on random inputs as it lands. (The verifier closes
+/// over the engine's own constraint set, so it is installed on the engine
+/// in place, never moved.)
+void initScratch(transform::Engine &Scratch, const SearchContext &Ctx,
+                 bool InlineVerify) {
+  // Metrics only: the searcher's own prune/frontier events carry the
+  // outcomes worth tracing.
+  Scratch.setMetrics(Ctx.met());
+  if (InlineVerify && Ctx.Limits.VerifyTrials > 0)
+    Scratch.setVerifier(
+        analysis::makeStepVerifier(Scratch.constraints(), Ctx.VerifyOpts));
+}
+
+/// The expansion-record key of side \p Side (0 = operator) of \p N:
+/// everything its candidate pool depends on — the side's text, which side
+/// it is, and whether the other side still has an output.
+uint64_t recordKey(const Node &N, int Side) {
+  const DescHandle &Cur = Side == 0 ? N.Op : N.Inst;
+  const DescHandle &Oth = Side == 0 ? N.Inst : N.Op;
+  return pairKey(Cur.identity(),
+                 (Side == 1 ? 2u : 0u) | (hasOutput(*Oth) ? 1u : 0u));
+}
+
+/// Drops every expansion record whose side is not a side of \p Frontier.
+/// The next depth expands exactly these sides, so it loses no repeat, and
+/// the table stays as small as the beam.
+void evictRecords(SearchContext &Ctx, const std::vector<Node> &Frontier) {
+  std::unordered_set<uint64_t> Live;
+  for (const Node &N : Frontier) {
+    Live.insert(recordKey(N, 0));
+    Live.insert(recordKey(N, 1));
+  }
+  std::erase_if(Ctx.Records,
+                [&](const auto &Entry) { return !Live.count(Entry.first); });
+}
+
+/// What candidate \p C's \p Variant does to side version \p Cur, as an
+/// ExpansionRecord code: read from \p Rec when this version already tried
+/// it, else computed on a scratch engine. Variant 1 is the
+/// pin-and-simplify macro move; it verifies every step inline, while the
+/// plain variant leaves its differential check to the caller. A computed
+/// applied outcome is appended to Rec.Applied, but it answers later
+/// repeats only when it is a pure function of (version, step): a fault
+/// belongs to the attempt, and past the deadline the closure and the
+/// inline trials stop early.
+uint32_t resolveOutcome(ExpansionRecord &Rec, size_t C, int Variant,
+                        const DescHandle &Cur, SearchContext &Ctx) {
+  uint32_t &Known = Rec.Outcome[2 * C + Variant];
+  if (Known != ExpansionRecord::NotTried) {
+    ++Ctx.Stats.OutcomeHits;
+    if (Ctx.met())
+      Ctx.met()->counter("search.outcome.hit").add();
+    return Known;
+  }
+  const Step &S = Rec.Cands[C];
+  bool InlineVerify = Variant == 1;
+  transform::Engine Scratch(Cur);
+  initScratch(Scratch, Ctx, InlineVerify);
+  transform::ApplyResult R = Scratch.apply(S);
+  uint32_t Code;
+  if (!R.Applied) {
+    // A candidate that *applied* but failed the differential verifier is
+    // a pruned state, not a mere refusal: the rewrite exists, it just is
+    // not semantics-preserving here.
+    Code = startsWith(R.Reason, "step verification failed")
+               ? ExpansionRecord::VerifyRejected
+               : ExpansionRecord::Refused;
+  } else {
+    Script Steps{S};
+    if (Variant == 1)
+      pinAndSimplify(Scratch, S, Steps, &Ctx);
+    Code = ExpansionRecord::FirstApplied +
+           static_cast<uint32_t>(Rec.Applied.size());
+    Rec.Applied.push_back({Scratch.currentHandle(), Scratch.constraints(),
+                           std::move(Steps), R.Effect, std::move(R.Adapter)});
+  }
+  if (!Scratch.faulted() && !(InlineVerify && Ctx.deadlinePassed()))
+    Known = Code;
+  return Code;
 }
 
 /// Confirms a fingerprint-equal state and assembles the success outcome.
@@ -562,31 +678,39 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
         const DescHandle &Cur = Side == 0 ? N.Op : N.Inst;
         const DescHandle &Oth = Side == 0 ? N.Inst : N.Op;
 
-        // Verification deferred out of the engine for single-step
-        // candidates: the step and its apply result, checked in MakeChild
-        // only after the transposition lookup keeps the child.
-        struct DeferredVerify {
-          const Step &S;
-          const transform::ApplyResult &R;
-        };
         // Set by MakeChild when the deferred verifier rejected the child;
         // the caller must not retry the macro variant (it would fail the
         // same differential check).
         bool ChildVerifyRejected = false;
 
-        // Turns a successfully applied candidate sequence into a beam
-        // child; returns true when the child is the goal (Out filled).
-        auto MakeChild = [&](transform::Engine &Scratch, Script AppliedSteps,
-                             const DeferredVerify *DV) -> bool {
-          // The engine's current version as a shared handle: no deep copy
-          // leaves the engine, and the fingerprint computed here is cached
-          // on the version for every later re-reach.
-          DescHandle NewH = Scratch.currentHandle();
+        auto NoteVerifyReject = [&](const std::string &Rule) {
+          if (Ctx.met())
+            Ctx.met()->counter("search.prune.verify-reject").add();
+          if (T.enabled())
+            T.event("prune", ExpandSpan.id(),
+                    obs::Payload()
+                        .add("reason", "verify-reject")
+                        .add("depth", Depth)
+                        .add("round", RoundIdx)
+                        .addHex("fp_op", N.FpOp)
+                        .addHex("fp_inst", N.FpInst)
+                        .add("rule", Rule)
+                        .add("side", Side == 0 ? "operator" : "instruction"));
+        };
+
+        // Turns an applied candidate sequence into a beam child; returns
+        // true when the child is the goal (Out filled). With DeferVerify,
+        // the single step A.Steps[0] is differentially checked here.
+        auto MakeChild = [&](const AppliedOutcome &A,
+                             bool DeferVerify) -> bool {
+          // The fingerprint is cached on the version for every later
+          // re-reach (and every repeat of the outcome).
+          const DescHandle &NewH = A.After;
           uint64_t NewFp = NewH.fingerprint();
           uint64_t Key = Side == 0 ? pairKey(NewFp, N.FpInst)
                                    : pairKey(N.FpOp, NewFp);
           unsigned NewLen = static_cast<unsigned>(
-              N.OpScript.size() + N.InstScript.size() + AppliedSteps.size());
+              N.OpScript.size() + N.InstScript.size() + A.Steps.size());
           // Score-aware transposition check: fingerprint-equal states have
           // equal structural distance, so "strictly cheaper" reduces to a
           // strictly shorter total script. Equal-or-longer re-reaches are
@@ -605,9 +729,7 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
                           .add("round", RoundIdx)
                           .addHex("fp_op", Side == 0 ? NewFp : N.FpOp)
                           .addHex("fp_inst", Side == 0 ? N.FpInst : NewFp)
-                          .add("rule", AppliedSteps.empty()
-                                           ? std::string("?")
-                                           : AppliedSteps.front().Rule)
+                          .add("rule", A.Steps.front().Rule)
                           .add("side",
                                Side == 0 ? "operator" : "instruction"));
             return false;
@@ -616,9 +738,10 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           // lookup: a duplicate child never pays the trials (they decide
           // nothing — the child is discarded either way), and a rejected
           // child never touches the table, exactly as when the verifier
-          // ran inside the engine. Only single-step candidates defer (DV
-          // set); synthesized proposals verified inline, step by step.
-          if (DV && Ctx.Limits.VerifyTrials > 0) {
+          // ran inside the engine. Only single-step candidates defer;
+          // macro moves and synthesized proposals verified inline, step
+          // by step.
+          if (DeferVerify && Ctx.Limits.VerifyTrials > 0) {
             // The verifier is deterministic (fixed trial seed) and the
             // scratch engine's constraint set is a pure function of
             // (before, step), so the verdict for a (before, after, step)
@@ -627,11 +750,10 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
             // those without re-running the trials. Keyed by interned
             // identities (name-sensitive, unlike the rename-invariant
             // fingerprints).
+            const Step &S = A.Steps.front();
             bool Verdict;
-            Interner &I = Interner::local();
-            uint64_t VKey =
-                pairKey(pairKey(I.identity(*Cur), I.identity(*NewH)),
-                        std::hash<std::string>{}(DV->S.str()));
+            uint64_t VKey = pairKey(pairKey(Cur.identity(), NewH.identity()),
+                                    std::hash<std::string>{}(S.str()));
             auto MemoIt = Ctx.VerifyMemo.find(VKey);
             if (MemoIt != Ctx.VerifyMemo.end()) {
               Verdict = MemoIt->second;
@@ -639,10 +761,10 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
               if (Ctx.met())
                 Ctx.met()->counter("search.verify.memo_hit").add();
             } else {
-              transform::StepVerifier Verify = analysis::makeStepVerifier(
-                  Scratch.constraints(), Ctx.VerifyOpts);
-              transform::StepObservation Obs{DV->S, *Cur, *NewH, DV->R.Effect,
-                                             DV->R.Adapter};
+              transform::StepVerifier Verify =
+                  analysis::makeStepVerifier(A.Added, Ctx.VerifyOpts);
+              transform::StepObservation Obs{S, *Cur, *NewH, A.Effect,
+                                             A.Adapter};
               std::string Error;
               Verdict = Verify(Obs, Error);
               Ctx.VerifyMemo.emplace(VKey, Verdict);
@@ -650,19 +772,7 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
             if (!Verdict) {
               ChildVerifyRejected = true;
               ++Ctx.Stats.DeadEnds;
-              if (Ctx.met())
-                Ctx.met()->counter("search.prune.verify-reject").add();
-              if (T.enabled())
-                T.event("prune", ExpandSpan.id(),
-                        obs::Payload()
-                            .add("reason", "verify-reject")
-                            .add("depth", Depth)
-                            .add("round", RoundIdx)
-                            .addHex("fp_op", N.FpOp)
-                            .addHex("fp_inst", N.FpInst)
-                            .add("rule", DV->S.Rule)
-                            .add("side",
-                                 Side == 0 ? "operator" : "instruction"));
+              NoteVerifyReject(S.Rule);
               return false;
             }
           }
@@ -681,9 +791,7 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
                           .addHex("fp_op", Side == 0 ? NewFp : N.FpOp)
                           .addHex("fp_inst", Side == 0 ? N.FpInst : NewFp)
                           .add("steps", NewLen)
-                          .add("rule", AppliedSteps.empty()
-                                           ? std::string("?")
-                                           : AppliedSteps.front().Rule)
+                          .add("rule", A.Steps.front().Rule)
                           .add("side",
                                Side == 0 ? "operator" : "instruction"));
           }
@@ -693,13 +801,13 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           // The untouched side is shared with the parent: a handle copy,
           // and its cached fingerprint and features ride along.
           if (Side == 0) {
-            Child.Op = std::move(NewH);
+            Child.Op = NewH;
             Child.Inst = N.Inst;
             Child.FpOp = NewFp;
             Child.FpInst = N.FpInst;
           } else {
             Child.Op = N.Op;
-            Child.Inst = std::move(NewH);
+            Child.Inst = NewH;
             Child.FpOp = N.FpOp;
             Child.FpInst = NewFp;
           }
@@ -707,11 +815,10 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           Child.InstScript = N.InstScript;
           {
             Script &Tail = Side == 0 ? Child.OpScript : Child.InstScript;
-            Tail.insert(Tail.end(), AppliedSteps.begin(), AppliedSteps.end());
+            Tail.insert(Tail.end(), A.Steps.begin(), A.Steps.end());
           }
           Child.Constraints = N.Constraints;
-          for (const constraint::Constraint &C :
-               Scratch.constraints().items())
+          for (const constraint::Constraint &C : A.Added.items())
             Child.Constraints.add(C);
           Child.Distance = DescHandle::distance(Child.Op, Child.Inst);
           Child.Score = Child.Distance +
@@ -719,10 +826,8 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
                             (Child.OpScript.size() + Child.InstScript.size());
           // Rule attribution before noteBest and unconditionally: the
           // best-line report carries it even with tracing off.
-          if (!AppliedSteps.empty()) {
-            Child.ViaRule = AppliedSteps.front().Rule;
-            Child.ViaSide = Side;
-          }
+          Child.ViaRule = A.Steps.front().Rule;
+          Child.ViaSide = Side;
           Ctx.noteBest(Child, Depth, RoundIdx);
 
           if (Child.FpOp == Child.FpInst &&
@@ -732,61 +837,30 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           return false;
         };
 
-        // A fresh scratch engine per attempt, sharing this side's
-        // version until a rule actually applies; the engine checks the
-        // rule's own applicability conditions. With InlineVerify the
-        // verifier hook differentially tests every applied step on
-        // random inputs as it lands. (The verifier closes over the
-        // engine's own constraint set, so it is installed on the engine
-        // in place, never moved.)
-        auto InitScratch = [&](transform::Engine &Scratch,
-                               bool InlineVerify) {
-          // Metrics only: the searcher's own prune/frontier events carry
-          // the outcomes worth tracing.
-          Scratch.setMetrics(Ctx.met());
-          if (InlineVerify && Ctx.Limits.VerifyTrials > 0)
-            Scratch.setVerifier(analysis::makeStepVerifier(
-                Scratch.constraints(), Ctx.VerifyOpts));
-        };
-
-        // Single-step candidates. Enumeration depends only on this side's
-        // concrete text, the side flag, and whether the other side still
-        // has an output, so the pool is cached across re-reaches and
-        // widening rounds, keyed by name-sensitive structural identity
-        // (the steps carry concrete routine/operand names, so the
-        // rename-invariant fingerprint would be an unsound key).
-        uint64_t CandKey =
-            pairKey(Interner::local().identity(*Cur),
-                    (Side == 1 ? 2u : 0u) | (hasOutput(*Oth) ? 1u : 0u));
-        auto CandIt = Ctx.CandCache.find(CandKey);
-        if (CandIt == Ctx.CandCache.end())
-          CandIt = Ctx.CandCache
-                       .emplace(CandKey,
-                                std::make_shared<const std::vector<Step>>(
-                                    enumerateCandidates(
-                                        *Cur, *Oth,
-                                        /*CurrentIsInstruction=*/Side == 1)))
-                       .first;
-        std::shared_ptr<const std::vector<Step>> Cands = CandIt->second;
+        // Single-step candidates, from this side's expansion record: the
+        // pool is enumerated once per record, and a candidate this version
+        // already tried (in another pair) is answered from the record.
+        auto [RecIt, NewRecord] = Ctx.Records.try_emplace(recordKey(N, Side));
+        ExpansionRecord &Rec = RecIt->second;
+        if (NewRecord) {
+          Rec.Cands = enumerateCandidates(*Cur, *Oth,
+                                          /*CurrentIsInstruction=*/Side == 1);
+          Rec.Outcome.assign(2 * Rec.Cands.size(), ExpansionRecord::NotTried);
+        }
         // Try in the order the recorded derivations make likeliest after
-        // this side's previous rule. The pool is shared, so sort an index
-        // over it rather than copying the steps.
-        std::vector<const Step *> Ordered;
-        Ordered.reserve(Cands->size());
-        for (const Step &S : *Cands)
-          Ordered.push_back(&S);
+        // this side's previous rule.
+        std::vector<uint32_t> Order;
         {
           const Script &Prior = Side == 0 ? N.OpScript : N.InstScript;
-          const std::string Prev =
-              Prior.empty() ? std::string() : Prior.back().Rule;
-          std::stable_sort(Ordered.begin(), Ordered.end(),
-                           [&](const Step *A, const Step *B) {
-                             return Priors.bigram(Prev, A->Rule) >
-                                    Priors.bigram(Prev, B->Rule);
-                           });
+          std::vector<std::string_view> Rules;
+          Rules.reserve(Rec.Cands.size());
+          for (const Step &S : Rec.Cands)
+            Rules.push_back(S.Rule);
+          Order = Priors.successorOrder(
+              Prior.empty() ? std::string_view() : Prior.back().Rule, Rules);
         }
-        for (const Step *SP : Ordered) {
-          const Step &S = *SP;
+        for (uint32_t C : Order) {
+          const Step &S = Rec.Cands[C];
           ++Ctx.Stats.CandidatesTried;
           // In-expansion deadline checkpoint (every 8 candidates): a
           // single frontier node tries hundreds of candidates, each one
@@ -802,44 +876,20 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           int Variants = S.Rule == "fix-operand-value" ? 2 : 1;
           ChildVerifyRejected = false;
           for (int Variant = 0; Variant < Variants; ++Variant) {
-            // The plain variant defers differential verification into
-            // MakeChild (after the transposition lookup); the macro
-            // variant keeps applying steps through the engine, so it
-            // verifies inline as each lands. Survival is order-independent
-            // (a child enters the beam iff it verifies and is not a
-            // duplicate), so deferring changes cost, not outcomes.
-            bool InlineVerify = Variant == 1;
-            transform::Engine Scratch(Cur);
-            InitScratch(Scratch, InlineVerify);
-            transform::ApplyResult R = Scratch.apply(S);
-            if (!R.Applied) {
+            uint32_t Code = resolveOutcome(Rec, C, Variant, Cur, Ctx);
+            if (Code < ExpansionRecord::FirstApplied) {
               ++Ctx.Stats.DeadEnds;
-              // A candidate that *applied* but failed the differential
-              // verifier is a pruned state, not a mere refusal: the
-              // rewrite exists, it just is not semantics-preserving here.
-              if (startsWith(R.Reason, "step verification failed")) {
-                if (Ctx.met())
-                  Ctx.met()->counter("search.prune.verify-reject").add();
-                if (T.enabled())
-                  T.event("prune", ExpandSpan.id(),
-                          obs::Payload()
-                              .add("reason", "verify-reject")
-                              .add("depth", Depth)
-                              .add("round", RoundIdx)
-                              .addHex("fp_op", N.FpOp)
-                              .addHex("fp_inst", N.FpInst)
-                              .add("rule", S.Rule)
-                              .add("side", Side == 0 ? "operator"
-                                                     : "instruction"));
-              }
+              if (Code == ExpansionRecord::VerifyRejected)
+                NoteVerifyReject(S.Rule);
               break; // The macro variant would fail identically.
             }
-            Script AppliedSteps{S};
-            if (Variant == 1)
-              pinAndSimplify(Scratch, S, AppliedSteps, &Ctx);
-            DeferredVerify DV{S, R};
-            if (MakeChild(Scratch, std::move(AppliedSteps),
-                          InlineVerify ? nullptr : &DV)) {
+            // The plain variant's differential check runs in MakeChild,
+            // after the transposition lookup. Survival is
+            // order-independent (a child enters the beam iff it verifies
+            // and is not a duplicate), so deferring changes cost, not
+            // outcomes.
+            if (MakeChild(Rec.Applied[Code - ExpansionRecord::FirstApplied],
+                          /*DeferVerify=*/Variant == 0)) {
               Goal = true;
               break;
             }
@@ -859,9 +909,8 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
         // a synthesized candidate enters the beam only verified.
         // Synthesis reads both sides, so the cache key combines both
         // identities (again name-sensitive: proposals carry names).
-        Interner &I = Interner::local();
-        uint64_t SynthKey = pairKey(
-            pairKey(I.identity(*Cur), I.identity(*Oth)), Side == 1 ? 1 : 0);
+        uint64_t SynthKey = pairKey(pairKey(Cur.identity(), Oth.identity()),
+                                    Side == 1 ? 1 : 0);
         auto SynthIt = Ctx.SynthCache.find(SynthKey);
         if (SynthIt == Ctx.SynthCache.end())
           SynthIt =
@@ -883,8 +932,8 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           if ((Ctx.Stats.CandidatesTried & 7) == 0 && Ctx.exhausted())
             return false;
           transform::Engine Scratch(Cur);
-          InitScratch(Scratch, /*InlineVerify=*/true);
-          Script AppliedSteps;
+          initScratch(Scratch, Ctx, /*InlineVerify=*/true);
+          AppliedOutcome A;
           bool AllApplied = true;
           bool Augmenting = false;
           for (const Step &S : Prop.Steps) {
@@ -894,7 +943,7 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
             }
             Augmenting = Augmenting || S.Rule == "add-prologue" ||
                          S.Rule == "replace-output";
-            AppliedSteps.push_back(S);
+            A.Steps.push_back(S);
           }
           if (Ctx.met())
             Ctx.met()->counter(AllApplied ? "synth.accept" : "synth.reject")
@@ -907,8 +956,10 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
           // (stripping outputs can empty an if arm); close over the
           // cleanup rules so the child lands on the tidy form.
           if (Augmenting)
-            simplifyToFixpoint(Scratch, AppliedSteps, &Ctx);
-          if (MakeChild(Scratch, std::move(AppliedSteps), nullptr)) {
+            simplifyToFixpoint(Scratch, A.Steps, &Ctx);
+          A.After = Scratch.currentHandle();
+          A.Added = Scratch.constraints();
+          if (MakeChild(A, /*DeferVerify=*/false)) {
             Goal = true;
             break;
           }
@@ -952,6 +1003,7 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
     if (Children.size() > Kept)
       Children.resize(Kept);
     Frontier = std::move(Children);
+    evictRecords(Ctx, Frontier);
   }
   return false;
 }
@@ -972,9 +1024,7 @@ SearchOutcome search::searchDerivation(const Description &Operator,
                                        const Description &Instruction,
                                        const SearchLimits &Limits) {
   SearchOutcome Out;
-  SearchContext Ctx{Limits, SearchStats(),
-                    deadlineAfter(Limits.TimeBudgetMs),
-                    analysis::DiffOptions()};
+  SearchContext Ctx(Limits, deadlineAfter(Limits.TimeBudgetMs));
   Ctx.VerifyOpts.Trials = Limits.VerifyTrials;
   Ctx.VerifyOpts.Metrics = Limits.Metrics;
   // Deadline enforcement inside differential verification: each per-node

@@ -23,9 +23,12 @@
 /// distance, so comparing total script length is comparing score) — the
 /// cheapest line to each canonical state survives, not the first one.
 /// Search states hold copy-on-write isdl::DescHandles: a child shares its
-/// untouched side with its parent, fingerprints and feature vectors are
-/// cached per description version, and the per-candidate scratch engine
-/// clones only when a rule actually applies. Every applied candidate
+/// untouched side with its parent, fingerprints, feature vectors and
+/// interned identities are cached per description version, and the
+/// per-candidate scratch engine clones only when a rule actually applies.
+/// A side version's rule attempts are made once while it stays on the
+/// frontier: a repeat of the version in another pair reads the outcomes
+/// from its expansion record. Every applied candidate
 /// passes the engine's applicability
 /// checks and (optionally) a cheap per-node differential verification;
 /// a discovered script is then re-verified end to end through
@@ -114,6 +117,10 @@ struct SearchStats {
   /// Per-node verifications answered by the deterministic verdict memo
   /// instead of fresh differential trials.
   uint64_t VerifyMemoHits = 0;
+  /// Candidate attempts answered by a side version's expansion record
+  /// instead of re-running the rule (the version was expanded before in
+  /// another pair). Work done all the same, only not repeated.
+  uint64_t OutcomeHits = 0;
   /// States re-reached by a strictly shorter script and re-opened instead
   /// of pruned (the score-aware transposition table keeps the cheapest
   /// line to each canonical state).
@@ -218,8 +225,8 @@ DiscoveryResult discoverAndVerify(const std::string &OperatorId,
 /// occurrence-parameterized rewrites, and per-routine variants).
 /// \p Other is the description on the opposite side of the search, used
 /// only to aim proposals: the pool depends on it only through whether it
-/// has an `output` statement (the searcher's candidate cache is keyed on
-/// that).
+/// has an `output` statement (the searcher's expansion records are keyed
+/// on that).
 /// \p CurrentIsInstruction gates operand pinning: fixing an operand is
 /// an encoding condition on the *instruction* (the recorded sessions
 /// never pin an operator operand — that would shrink the language

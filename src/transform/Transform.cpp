@@ -258,6 +258,7 @@ ApplyResult Engine::apply(const Step &S) {
     // The rule may have died mid-rewrite: the buffer is unusable.
     if (Reusing)
       SB.Valid = false;
+    Faulted = true;
     ApplyResult F = ApplyResult::failure("rule '" + S.Rule +
                                          "' faulted: " + FE.fault().Message);
     F.Category = FE.fault().Category;
@@ -266,6 +267,7 @@ ApplyResult Engine::apply(const Step &S) {
   } catch (const std::exception &E) {
     if (Reusing)
       SB.Valid = false;
+    Faulted = true;
     ApplyResult F =
         ApplyResult::failure("rule '" + S.Rule + "' faulted: " + E.what());
     F.Category = FaultCategory::RuleApplication;

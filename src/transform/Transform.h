@@ -254,6 +254,9 @@ public:
   isdl::Description takeDescription() { return std::move(Cur).take(); }
   const constraint::ConstraintSet &constraints() const { return Constraints; }
   size_t stepsApplied() const { return Log.size(); }
+  /// True once an apply() on this engine faulted (a rule threw) rather
+  /// than applied or refused.
+  bool faulted() const { return Faulted; }
 
   struct LogEntry {
     Step S;
@@ -285,6 +288,7 @@ private:
   std::vector<LogEntry> Log;
   StepVerifier Verifier;
   obs::Metrics *Met = nullptr;
+  bool Faulted = false;
 };
 
 //===----------------------------------------------------------------------===//

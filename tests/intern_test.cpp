@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <thread>
 #include <vector>
 
 using namespace extra;
@@ -535,8 +536,63 @@ end
   EXPECT_EQ(I.identity(*Plus), I.identity(Plus->clone()));
 }
 
+TEST(InternTest, HandleIdentityIsTheInternersOnEveryCorpusVersion) {
+  // The searcher keys its expansion records, verify memo and proposal
+  // cache by the identity cached on each version's handle.
+  Interner &I = Interner::local();
+  size_t Versions = 0;
+  extra::testing::forEachCorpusVersion(
+      [&](const analysis::AnalysisCase &C, bool Inst, size_t Step,
+          const Description &D) {
+        ++Versions;
+        DescHandle H(D.clone());
+        uint64_t Id = H.identity();
+        EXPECT_EQ(Id, I.identity(D))
+            << C.Id << (Inst ? " instruction" : " operator") << " step "
+            << Step;
+        EXPECT_EQ(H.identity(), Id); // Now from the cache.
+      });
+  EXPECT_GT(Versions, 28u);
+}
+
+TEST(InternTest, HandleIdentityIsRecomputedAfterResetAndOnAnotherThread) {
+  // A cached identity hashes one arena's SymIds and NodeRefs at one
+  // epoch: after a reset, or read from a thread with its own arena, it
+  // must be recomputed there, never reused.
+  auto D = descriptions::load("vax.movc3");
+  auto Other = descriptions::load("pc2.clear");
+  ASSERT_TRUE(D && Other);
+  DescHandle H(D->clone());
+  Interner &I = Interner::local();
+  uint64_t Before = H.identity();
+  I.reset();
+  uint64_t After = H.identity();
+  EXPECT_NE(After, Before);
+  EXPECT_EQ(After, I.identity(*H));
+
+  // Two fresh arenas, both at epoch 0, that number the description
+  // differently: the second interned another description first.
+  DescHandle Built;
+  uint64_t Owners = 0;
+  std::thread([&] {
+    Built = DescHandle(D->clone());
+    Owners = Built.identity();
+  }).join();
+  uint64_t Theirs = 0, TheirsDirect = 0;
+  std::thread([&] {
+    Interner::local().identity(*Other);
+    Theirs = Built.identity();
+    TheirsDirect = Interner::local().identity(*Built);
+  }).join();
+  ASSERT_NE(TheirsDirect, Owners);
+  EXPECT_EQ(Theirs, TheirsDirect);
+  EXPECT_EQ(Built.identity(), I.identity(*Built));
+  // Reads elsewhere left this thread's cache as it was.
+  EXPECT_EQ(H.identity(), After);
+}
+
 TEST(InternTest, IdentityIncludesDeclarationTypes) {
-  // The candidate cache and the verify memo are keyed by identity, and
+  // The expansion records and the verify memo are keyed by identity, and
   // both depend on declared types: on scasb, `record-exit-cause flag=rf`
   // and `invert-flag var=rf` are proposed only while rf is a one-bit
   // flag. Widening rf must therefore change the identity, although the
@@ -790,14 +846,16 @@ TEST(InternTest, TakeOnSharedHandleLeavesSiblingIntact) {
 
 //===----------------------------------------------------------------------===//
 // Frozen whole searches: the representation may not change what the
-// search explores (same scripts, same node traffic). Recorded at
+// search explores (same scripts, same node traffic, and the same share of
+// candidate attempts answered by expansion records). Recorded at
 // VerifyTrials = 0, which keeps the tests fast; replay is not under test.
 //===----------------------------------------------------------------------===//
 
 struct FrozenSearch {
   const char *Operator, *Instruction;
   std::vector<std::string> OperatorScript, InstructionScript;
-  uint64_t Expanded, Generated, HashHits, Reopened, Tried, DeadEnds;
+  uint64_t Expanded, Generated, HashHits, Reopened, Tried, DeadEnds,
+      OutcomeHits;
 };
 
 void expectFrozenSearch(const FrozenSearch &F) {
@@ -824,6 +882,7 @@ void expectFrozenSearch(const FrozenSearch &F) {
   EXPECT_EQ(O.Stats.Reopened, F.Reopened);
   EXPECT_EQ(O.Stats.CandidatesTried, F.Tried);
   EXPECT_EQ(O.Stats.DeadEnds, F.DeadEnds);
+  EXPECT_EQ(O.Stats.OutcomeHits, F.OutcomeHits);
 }
 
 TEST(InternTest, FrozenSearchTrafficMovc3) {
@@ -837,7 +896,8 @@ TEST(InternTest, FrozenSearchTrafficMovc3) {
                       /*HashHits=*/99,
                       /*Reopened=*/0,
                       /*Tried=*/1595,
-                      /*DeadEnds=*/1315});
+                      /*DeadEnds=*/1315,
+                      /*OutcomeHits=*/660});
 }
 
 TEST(InternTest, FrozenSearchTrafficSkpc) {
@@ -854,7 +914,8 @@ TEST(InternTest, FrozenSearchTrafficSkpc) {
                       /*HashHits=*/114,
                       /*Reopened=*/0,
                       /*Tried=*/2977,
-                      /*DeadEnds=*/2588});
+                      /*DeadEnds=*/2588,
+                      /*OutcomeHits=*/1780});
 }
 
 } // namespace

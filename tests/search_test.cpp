@@ -9,9 +9,12 @@
 #include "search/Searcher.h"
 
 #include "analysis/Derivations.h"
+#include "analysis/Priors.h"
 #include "descriptions/Descriptions.h"
 #include "isdl/Equiv.h"
 #include "isdl/Traverse.h"
+#include "obs/Metrics.h"
+#include "support/FaultInjection.h"
 #include "transform/Transform.h"
 
 #include <algorithm>
@@ -325,6 +328,95 @@ TEST(SearcherTest, UnrepresentableTimeBudgetMeansNoClock) {
   EXPECT_EQ(O.Stats.NodesExpanded, 3u);
   EXPECT_TRUE(O.Stats.BudgetExhausted);
   EXPECT_FALSE(O.Stats.TimedOut) << O.FailureReason;
+}
+
+/// Rule applications (applied, refused or faulted) that \p M counted.
+uint64_t ruleAttempts(const obs::Metrics &M) {
+  uint64_t N = 0;
+  for (const auto &[Name, V] : M.counters())
+    if (Name.rfind("rule.apply.", 0) == 0 || Name.rfind("rule.refuse.", 0) == 0)
+      N += V;
+  return N;
+}
+
+TEST(SearcherTest, FaultedAttemptIsRetriedWhenItsVersionRepeats) {
+  // A side version's expansion record answers a candidate it already
+  // tried, but a rule that faulted said nothing about the version, so
+  // that outcome must not be kept. Inject one fault, into the root
+  // operator's first candidate that refuses when it runs clean: the
+  // search must then run exactly as without the fault, except that the
+  // first repeat of the root operator re-attempts that candidate instead
+  // of reading it from the record.
+  auto Op = descriptions::load("pc2.copy");
+  auto Inst = descriptions::load("vax.movc3");
+  ASSERT_TRUE(Op && Inst);
+  // The root operator's candidates are the search's first rule attempts,
+  // one `rule-apply` check each, in prior order.
+  uint64_t Target = 0;
+  {
+    std::vector<transform::Step> Cands =
+        enumerateCandidates(*Op, *Inst, /*CurrentIsInstruction=*/false);
+    std::vector<std::string_view> Rules;
+    for (const transform::Step &S : Cands)
+      Rules.push_back(S.Rule);
+    std::vector<uint32_t> Order =
+        analysis::Priors::instance().successorOrder("", Rules);
+    transform::Engine E(Op->clone());
+    while (Target < Order.size() && E.apply(Cands[Order[Target]]).Applied) {
+      E.undo();
+      ++Target;
+    }
+    ASSERT_LT(Target, Order.size());
+  }
+  SearchLimits Limits;
+  Limits.VerifyTrials = 0;
+  obs::Metrics Clean;
+  Limits.Metrics = &Clean;
+  SearchOutcome Base = searchDerivation(*Op, *Inst, Limits);
+  ASSERT_TRUE(Base.Found);
+  uint64_t Attempts = ruleAttempts(Clean);
+
+  // A seed whose `rule-apply` decision stream, in this scope, fires on
+  // check Target and on no other of the first 4 * Attempts.
+  struct Reset {
+    ~Reset() { FaultInjector::instance().reset(); }
+  } Guard;
+  FaultInjector &FI = FaultInjector::instance();
+  ASSERT_TRUE(
+      FI.configure("rule-apply=" + std::to_string(1.0 / (4.0 * Attempts))));
+  const char *Scope = "expansion-record-fault";
+  auto FiresOnlyAtTarget = [&](uint64_t Seed) {
+    FI.setSeed(Seed);
+    FaultScope Probe(Scope);
+    for (uint64_t N = 0; N < 4 * Attempts; ++N)
+      if (FI.shouldFail("rule-apply") != (N == Target))
+        return false;
+    return true;
+  };
+  uint64_t Seed = 0;
+  while (Seed < 10000000 && !FiresOnlyAtTarget(Seed))
+    ++Seed;
+  ASSERT_LT(Seed, 10000000u);
+  FI.setSeed(Seed);
+  uint64_t FiredBefore = FI.injectedTotal();
+
+  obs::Metrics Faulty;
+  Limits.Metrics = &Faulty;
+  SearchOutcome O;
+  {
+    FaultScope Run(Scope);
+    O = searchDerivation(*Op, *Inst, Limits);
+  }
+  EXPECT_EQ(FI.injectedTotal() - FiredBefore, 1u);
+  ASSERT_TRUE(O.Found);
+  EXPECT_EQ(O.OperatorScript.size(), Base.OperatorScript.size());
+  EXPECT_EQ(O.InstructionScript.size(), Base.InstructionScript.size());
+  EXPECT_EQ(O.Stats.NodesExpanded, Base.Stats.NodesExpanded);
+  EXPECT_EQ(O.Stats.NodesGenerated, Base.Stats.NodesGenerated);
+  EXPECT_EQ(O.Stats.CandidatesTried, Base.Stats.CandidatesTried);
+  EXPECT_EQ(O.Stats.DeadEnds, Base.Stats.DeadEnds);
+  EXPECT_EQ(O.Stats.OutcomeHits + 1, Base.Stats.OutcomeHits);
+  EXPECT_EQ(ruleAttempts(Faulty), Attempts + 1);
 }
 
 TEST(SearcherTest, UnknownDescriptionIdIsTypedFault) {
