@@ -9,7 +9,7 @@
 // augmented scasb — which this binary regenerates by replaying the
 // recorded derivation through the engine.
 //
-// Benchmarks: the simplification prefix and full derivation replay.
+// Exits 1 when a step of the derivation is not applied.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,9 +17,6 @@
 #include "descriptions/Descriptions.h"
 #include "isdl/Printer.h"
 
-#include "BenchSupport.h"
-
-#include <benchmark/benchmark.h>
 #include <cstdio>
 
 using namespace extra;
@@ -36,7 +33,8 @@ size_t augmentPhaseStart(const transform::Script &S) {
   return S.size();
 }
 
-void printFigures() {
+/// Prints the figures; false when a derivation step is not applied.
+bool printFigures() {
   const AnalysisCase *Case = findCase("i8086.scasb/rigel.index");
   std::printf("==== Figure 2: Rigel Index Operator (library source) "
               "====\n%s\n",
@@ -48,11 +46,10 @@ void printFigures() {
   auto Scasb = descriptions::load("i8086.scasb");
   transform::Engine E(std::move(*Scasb));
   size_t Split = augmentPhaseStart(Case->InstructionScript);
-  std::string Error;
   for (size_t I = 0; I < Split; ++I)
     if (!E.apply(Case->InstructionScript[I]).Applied) {
       std::fprintf(stderr, "derivation failed\n");
-      return;
+      return false;
     }
   std::printf("==== Figure 4: Simplified Intel 8086 Scasb (regenerated, "
               "%zu steps) ====\n%s\n",
@@ -60,40 +57,16 @@ void printFigures() {
   for (size_t I = Split; I < Case->InstructionScript.size(); ++I)
     if (!E.apply(Case->InstructionScript[I]).Applied) {
       std::fprintf(stderr, "derivation failed\n");
-      return;
+      return false;
     }
   std::printf("==== Figure 5: Augmented Intel 8086 Scasb (regenerated, "
               "%zu steps) ====\n%s\n",
               E.stepsApplied(), isdl::printDescription(E.current()).c_str());
   std::printf("constraints uncovered along the way:\n%s\n",
               E.constraints().str().c_str());
+  return true;
 }
-
-void BM_SimplifyScasb(benchmark::State &State) {
-  const AnalysisCase *Case = findCase("i8086.scasb/rigel.index");
-  size_t Split = augmentPhaseStart(Case->InstructionScript);
-  auto Scasb = descriptions::load("i8086.scasb");
-  for (auto _ : State) {
-    transform::Engine E(Scasb->clone());
-    for (size_t I = 0; I < Split; ++I)
-      benchmark::DoNotOptimize(E.apply(Case->InstructionScript[I]).Applied);
-  }
-}
-BENCHMARK(BM_SimplifyScasb);
-
-void BM_FullScasbDerivation(benchmark::State &State) {
-  const AnalysisCase *Case = findCase("i8086.scasb/rigel.index");
-  auto Scasb = descriptions::load("i8086.scasb");
-  for (auto _ : State) {
-    transform::Engine E(Scasb->clone());
-    benchmark::DoNotOptimize(E.applyScript(Case->InstructionScript));
-  }
-}
-BENCHMARK(BM_FullScasbDerivation);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  printFigures();
-  return extra_bench::runBenchmarks(argc, argv);
-}
+int main() { return printFigures() ? 0 : 1; }

@@ -11,7 +11,7 @@
 // the generated code on the 8086 simulator against the reference
 // interpretation of the Rigel index description.
 //
-// Benchmarks: code generation and simulated execution.
+// Exits 1 when the generated code and the description disagree.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,9 +20,6 @@
 #include "registry/Harness.h"
 #include "sim/Sim8086.h"
 
-#include "BenchSupport.h"
-
-#include <benchmark/benchmark.h>
 #include <cstdio>
 
 using namespace extra;
@@ -53,7 +50,8 @@ CodeGenResult generateIndex() {
   return T->generate(P);
 }
 
-void printListings() {
+/// Prints the listings; true when every cross-check agrees.
+bool printListings() {
   std::printf("==== §4.1: the paper's hand translation ====\n%s\n",
               PaperListing);
   CodeGenResult R = generateIndex();
@@ -86,40 +84,9 @@ void printListings() {
   }
   std::printf("%s\n\n", AllAgree ? "all cases agree."
                                  : "DIVERGENCE DETECTED.");
+  return AllAgree;
 }
-
-void BM_GenerateIndex(benchmark::State &State) {
-  auto T = registry::corpusTarget(registry::MachineKind::I8086);
-  Program P;
-  P.Ops.push_back(strIndex("result", Value::symbol("string"),
-                           Value::symbol("length"), Value::symbol("char")));
-  for (auto _ : State)
-    benchmark::DoNotOptimize(T->generate(P));
-}
-BENCHMARK(BM_GenerateIndex);
-
-void BM_SimulateGeneratedIndex(benchmark::State &State) {
-  CodeGenResult R = generateIndex();
-  interp::Memory M;
-  interp::storeBytes(M, 100, "validate me");
-  for (auto _ : State)
-    benchmark::DoNotOptimize(sim::run8086(
-        R.Asm, M, {{"string", 100}, {"length", 11}, {"char", 'q'}}));
-}
-BENCHMARK(BM_SimulateGeneratedIndex);
-
-void BM_InterpretIndexDescription(benchmark::State &State) {
-  auto Index = descriptions::load("rigel.index");
-  interp::Memory M;
-  interp::storeBytes(M, 100, "validate me");
-  for (auto _ : State)
-    benchmark::DoNotOptimize(interp::run(*Index, {100, 11, 'q'}, M));
-}
-BENCHMARK(BM_InterpretIndexDescription);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  printListings();
-  return extra_bench::runBenchmarks(argc, argv);
-}
+int main() { return printListings() ? 0 : 1; }

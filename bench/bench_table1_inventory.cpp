@@ -11,24 +11,18 @@
 // catalog), the counts match the paper by construction, and the 8086/
 // Eclipse/370/VAX rows list the manuals' actual instructions.
 //
-// Benchmarks: parsing and validating the full description library.
+// Exits 1 unless the total is the paper's 67.
 //
 //===----------------------------------------------------------------------===//
 
 #include "descriptions/Descriptions.h"
 
-#include "isdl/Parser.h"
-#include "isdl/Validate.h"
-#include "support/StringUtil.h"
-
-#include "BenchSupport.h"
-
-#include <benchmark/benchmark.h>
 #include <cstdio>
 
 using namespace extra;
 
-static void printTable1() {
+/// Prints the table; true when its total matches the paper's.
+static bool printTable1() {
   std::printf("==== Table 1: Exotic Instruction Statistics ====\n\n");
   std::printf("  %-18s %s\n", "Machine", "Number of Exotic Instructions");
   std::printf("  %-18s %s\n", "-------", "------------------------------");
@@ -51,33 +45,7 @@ static void printTable1() {
     std::printf("%s%s ", E.Mnemonic.c_str(), E.FromManual ? "" : "*");
   }
   std::printf("\n\n");
+  return Total == 67;
 }
 
-static void BM_ParseDescriptionLibrary(benchmark::State &State) {
-  for (auto _ : State) {
-    for (const descriptions::Entry &E : descriptions::allEntries()) {
-      DiagnosticEngine Diags;
-      auto D = isdl::parseDescription(E.Source, Diags);
-      benchmark::DoNotOptimize(D);
-    }
-  }
-}
-BENCHMARK(BM_ParseDescriptionLibrary);
-
-static void BM_ValidateDescriptionLibrary(benchmark::State &State) {
-  std::vector<std::unique_ptr<isdl::Description>> Parsed;
-  for (const descriptions::Entry &E : descriptions::allEntries())
-    Parsed.push_back(descriptions::load(E.Id));
-  for (auto _ : State) {
-    for (const auto &D : Parsed) {
-      DiagnosticEngine Diags;
-      benchmark::DoNotOptimize(isdl::validate(*D, Diags));
-    }
-  }
-}
-BENCHMARK(BM_ValidateDescriptionLibrary);
-
-int main(int argc, char **argv) {
-  printTable1();
-  return extra_bench::runBenchmarks(argc, argv);
-}
+int main() { return printTable1() ? 0 : 1; }

@@ -241,6 +241,9 @@ struct KernelSpec {
   std::vector<std::pair<const char *, int>> Loads;
   const char *Core;        ///< Core instruction text (sans repeat prefix).
   const char *CoreComment; ///< Emitted after the core line.
+  /// Every register the emitted code changes, except r0: the core
+  /// instruction's outputs (movc3 also zeroes r2, r4 and r5) and the
+  /// augments' scratch registers. The chunked rewrite reads them too.
   std::vector<const char *> Clobbers;
   const char *R0After = nullptr; ///< setRegister("r0", ...) value, or null.
   int CarrierBias = 0;           ///< locc leaves r1 AT the match: +1.
@@ -278,11 +281,13 @@ const std::vector<KernelSpec> &kernelTable() {
       {"vax", "movc3", OpKind::BlockCopy,
        {{"r0", 2}, {"r1", 1}, {"r3", 0}},
        "movc3 r0, r1, r3", "overlap-safe block move",
-       {"r1", "r3"}, "0", 0, {}, false, K::Rewrite::VaxLiteralChunks},
+       {"r1", "r2", "r3", "r4", "r5"}, "0", 0, {}, false,
+       K::Rewrite::VaxLiteralChunks},
       {"vax", "movc3", OpKind::StrMove,
        {{"r0", 2}, {"r1", 1}, {"r3", 0}},
        "movc3 r0, r1, r3", "string assignment (no overlap by axiom)",
-       {"r1", "r3"}, "0", 0, {}, false, K::Rewrite::VaxLiteralChunks},
+       {"r1", "r2", "r3", "r4", "r5"}, "0", 0, {}, false,
+       K::Rewrite::VaxLiteralChunks},
       {"vax", "cmpc3", OpKind::StrEqual,
        {{"r0", 2}, {"r1", 0}, {"r3", 1}},
        "cmpc3 r0, r1, r3", "compare characters",
@@ -381,6 +386,15 @@ void emitOutput(const Lowered &L, const OutputSpec &S, const HLOp &O,
     Ctx.emit(asmLine(D.Move, O.Result, Carrier) + "   ; final result");
 }
 
+/// Tells the register tracker which registers the row's code changed,
+/// and what it left in r0 where the row says.
+void trackClobbers(const KernelSpec &K, CodeGenContext &Ctx) {
+  for (const char *Reg : K.Clobbers)
+    Ctx.clobberRegister(Reg);
+  if (K.R0After)
+    Ctx.setRegister("r0", K.R0After);
+}
+
 void emitLowered(const Lowered &L, const HLOp &O,
                  const CompileTimeFacts &Facts, CodeGenContext &Ctx) {
   const Dialect &D = *L.D;
@@ -444,10 +458,7 @@ void emitLowered(const Lowered &L, const HLOp &O,
   if (L.Plan.Output)
     emitOutput(L, *L.Plan.Output, O, Ctx);
 
-  for (const char *Reg : L.Spec.Clobbers)
-    Ctx.clobberRegister(Reg);
-  if (L.Spec.R0After)
-    Ctx.setRegister("r0", L.Spec.R0After);
+  trackClobbers(L.Spec, Ctx);
   if (!O.Result.empty())
     Ctx.setRegister(O.Result, "");
 }
@@ -480,9 +491,7 @@ bool rewriteVaxChunks(const Lowered &L, const HLOp &O,
              "-byte substring");
     Done += Chunk;
   }
-  Ctx.clobberRegister("r1");
-  Ctx.clobberRegister("r3");
-  Ctx.setRegister("r0", "0");
+  trackClobbers(L.Spec, Ctx);
   return true;
 }
 

@@ -70,7 +70,6 @@ std::vector<BatchResult> search::runBatch(const std::vector<BatchCase> &Cases,
       // in the shared job-execution layer (JobRunner.cpp).
       JobPolicy Policy;
       Policy.Limits = Opts.Limits;
-      Policy.Watchdog = Opts.Watchdog;
       Policy.DegradedRetry = Opts.DegradedRetry;
       JobExecution E = executeJob(C, Policy);
 

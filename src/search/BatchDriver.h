@@ -54,9 +54,6 @@ struct BatchOptions {
   bool Resume = false;
   /// Retry a TimedOut/Faulted case once at half beam and half nodes.
   bool DegradedRetry = true;
-  /// Per-case watchdog over the cooperative cancel flag; disable only in
-  /// tests that want deterministic timing-free behavior.
-  bool Watchdog = true;
 };
 
 /// The outcome of one batch entry.

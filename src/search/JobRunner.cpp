@@ -19,12 +19,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One contained attempt: discoverAndVerify under a catch-all, with an
-/// optional watchdog thread that trips the search's cooperative cancel
-/// flag when the case overshoots its time budget by half (plus fixed
-/// slack for replay verification). The watchdog is a backstop: the
-/// searcher polls its own deadline, but a single very long expansion (or
-/// an injected hang) can starve those checks.
+/// One contained attempt: discoverAndVerify under a catch-all, with a
+/// watchdog thread that trips the search's cooperative cancel flag when
+/// the case overshoots its time budget by half (plus fixed slack for
+/// replay verification). The watchdog is a backstop: the searcher polls
+/// its own deadline, but a single very long expansion (or an injected
+/// hang) can starve those checks.
 struct Attempt {
   DiscoveryResult Discovery;
   CaseOutcome Outcome = CaseOutcome::Faulted;
@@ -33,35 +33,31 @@ struct Attempt {
   double WallMs = 0;
 };
 
-Attempt runAttempt(const BatchCase &C, const SearchLimits &Limits,
-                   bool Watchdog) {
+Attempt runAttempt(const BatchCase &C, const SearchLimits &Limits) {
   Attempt A;
   SearchLimits L = Limits;
 
   std::atomic<bool> Cancel{false};
   std::atomic<bool> Done{false};
   std::atomic<bool> WatchdogFired{false};
-  std::thread Monitor;
-  if (Watchdog) {
-    L.Cancel = &Cancel;
-    // Saturating, like the searcher's own deadline: a budget near the top
-    // of the range must not wrap the watchdog into the past.
-    uint64_t Slack = L.TimeBudgetMs / 2 + 1000;
-    uint64_t DeadlineMs = L.TimeBudgetMs > UINT64_MAX - Slack
-                              ? UINT64_MAX
-                              : L.TimeBudgetMs + Slack;
-    Monitor = std::thread([&Cancel, &Done, &WatchdogFired, DeadlineMs]() {
-      Clock::time_point Deadline = deadlineAfter(DeadlineMs);
-      while (!Done.load(std::memory_order_acquire)) {
-        if (Clock::now() >= Deadline) {
-          WatchdogFired.store(true, std::memory_order_release);
-          Cancel.store(true, std::memory_order_release);
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  L.Cancel = &Cancel;
+  // Saturating, like the searcher's own deadline: a budget near the top
+  // of the range must not wrap the watchdog into the past.
+  uint64_t Slack = L.TimeBudgetMs / 2 + 1000;
+  uint64_t DeadlineMs = L.TimeBudgetMs > UINT64_MAX - Slack
+                            ? UINT64_MAX
+                            : L.TimeBudgetMs + Slack;
+  std::thread Monitor([&Cancel, &Done, &WatchdogFired, DeadlineMs]() {
+    Clock::time_point Deadline = deadlineAfter(DeadlineMs);
+    while (!Done.load(std::memory_order_acquire)) {
+      if (Clock::now() >= Deadline) {
+        WatchdogFired.store(true, std::memory_order_release);
+        Cancel.store(true, std::memory_order_release);
+        break;
       }
-    });
-  }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
 
   Clock::time_point Start = Clock::now();
   bool Caught = false;
@@ -84,8 +80,7 @@ Attempt runAttempt(const BatchCase &C, const SearchLimits &Limits,
       std::chrono::duration<double, std::milli>(Clock::now() - Start).count();
 
   Done.store(true, std::memory_order_release);
-  if (Monitor.joinable())
-    Monitor.join();
+  Monitor.join();
 
   // Classify. The lattice is ordered: a caught or recorded fault beats
   // a timeout beats plain exhaustion, and success levels need no tie
@@ -125,7 +120,7 @@ JobExecution search::executeJob(const BatchCase &C, const JobPolicy &Policy) {
   bool Retried = false;
   {
     FaultScope Scope(C.Id);
-    Kept = runAttempt(C, L, Policy.Watchdog);
+    Kept = runAttempt(C, L);
   }
   if (Policy.DegradedRetry &&
       (Kept.Outcome == CaseOutcome::TimedOut ||
@@ -139,7 +134,7 @@ JobExecution search::executeJob(const BatchCase &C, const JobPolicy &Policy) {
     Degraded.MaxNodes = std::max<uint64_t>(1000, L.MaxNodes / 2);
     Retried = true;
     FaultScope Scope(C.Id + "#retry1");
-    Attempt Again = runAttempt(C, Degraded, Policy.Watchdog);
+    Attempt Again = runAttempt(C, Degraded);
     Again.WallMs += Kept.WallMs;
     if (caseOutcomeRank(Again.Outcome) > caseOutcomeRank(Kept.Outcome))
       Kept = std::move(Again);

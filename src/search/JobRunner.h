@@ -45,9 +45,6 @@ struct BatchCase {
 /// Execution policy for one job (a slice of BatchOptions).
 struct JobPolicy {
   SearchLimits Limits;
-  /// Per-case watchdog over the cooperative cancel flag; disable only in
-  /// tests that want deterministic timing-free behavior.
-  bool Watchdog = true;
   /// Retry a TimedOut/Faulted case once at half beam and half nodes.
   bool DegradedRetry = true;
 };

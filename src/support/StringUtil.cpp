@@ -7,8 +7,6 @@
 #include "support/StringUtil.h"
 
 #include <cctype>
-#include <cmath>
-#include <cstdlib>
 
 using namespace extra;
 
@@ -76,20 +74,5 @@ std::optional<uint64_t> extra::parseUnsigned(std::string_view S,
       return std::nullopt;
     V = V * 10 + Digit;
   }
-  return V;
-}
-
-std::optional<double> extra::parseDecimal(std::string_view S) {
-  auto Digits = [](std::string_view Part) {
-    return !Part.empty() &&
-           Part.find_first_not_of("0123456789") == std::string_view::npos;
-  };
-  size_t Dot = S.find('.');
-  if (!Digits(S.substr(0, Dot)) ||
-      (Dot != std::string_view::npos && !Digits(S.substr(Dot + 1))))
-    return std::nullopt;
-  double V = std::strtod(std::string(S).c_str(), nullptr);
-  if (!std::isfinite(V))
-    return std::nullopt;
   return V;
 }

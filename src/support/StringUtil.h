@@ -41,11 +41,6 @@ std::string padRight(std::string_view S, size_t Width);
 std::optional<uint64_t> parseUnsigned(std::string_view S,
                                       uint64_t Max = UINT64_MAX);
 
-/// Parses all of \p S as a non-negative decimal number: digits with an
-/// optional fractional part ("10", "2.5"). Empty on anything else,
-/// including exponents, signs and non-finite values.
-std::optional<double> parseDecimal(std::string_view S);
-
 } // namespace extra
 
 #endif // EXTRA_SUPPORT_STRINGUTIL_H

@@ -344,7 +344,6 @@ TEST(BatchRobustnessTest, UnrepresentableTimeBudgetDoesNotTripWatchdog) {
   Cases.resize(1); // vax.movc3/pc2.copy needs 10 nodes.
   BatchOptions Opts;
   Opts.Threads = 1;
-  Opts.Watchdog = true;
   Opts.Limits.TimeBudgetMs = UINT64_MAX;
   Opts.Limits.MaxNodes = 3;
   std::vector<BatchResult> Results = runBatch(Cases, Opts);

@@ -301,6 +301,34 @@ TEST(VaxCodegenTest, ClearAndEqualRunCorrectly) {
   EXPECT_EQ(S.reg("eq"), 1);
 }
 
+TEST(VaxCodegenTest, Movc3ForgetsTheCharacterLoccLoaded) {
+  // movc3 zeroes r2, r4 and r5 besides r0, r1 and r3, so a second locc
+  // of the same character must reload r2. A short move takes the binding
+  // row; a 70000-byte one takes the chunked rewrite. Both copy rows too.
+  Memory M;
+  storeBytes(M, 100, "reproduction!!");
+  for (const char *Move :
+       {"move(400, 100, 14);", "move(100000, 100, 70000);",
+        "copy(400, 100, 14);", "copy(100000, 100, 70000);"}) {
+    DiagnosticEngine Diags;
+    auto P = parseProgram(std::string("assume pascal.no-overlap;\n"
+                                      "found := index(100, 14, 'e');\n") +
+                              Move + "\nsame := index(100, 14, 'e');\n",
+                          Diags);
+    ASSERT_TRUE(P) << Diags.str();
+    auto Check = [&](const Target &T, const char *Side) {
+      CodeGenResult R = T.generate(*P);
+      sim::SimResult S = sim::runVax(R.Asm, M);
+      ASSERT_TRUE(S.Ok) << Side << ", " << Move << ": " << S.Error;
+      EXPECT_EQ(S.reg("found"), 2) << Side << ", " << Move;
+      EXPECT_EQ(S.reg("same"), 2) << Side << ", " << Move << "\n"
+                                  << joined(R.Asm);
+    };
+    Check(*corpusTarget(MachineKind::Vax), "registry");
+    Check(*makeVaxTarget(), "decomposition");
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // IBM 370
 //===----------------------------------------------------------------------===//

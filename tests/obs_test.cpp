@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/BenchDiff.h"
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
@@ -503,83 +502,6 @@ TEST(ObsProfile, CollapsedStacksKeepTreePaths) {
                        "search;round 100\n"
                        "search;round;depth 500\n"
                        "search;verify 200\n");
-}
-
-//===----------------------------------------------------------------------===//
-// Bench regression attribution
-//===----------------------------------------------------------------------===//
-
-TEST(ObsBenchDiff, ParsesLineWithNestedCounters) {
-  std::string Err;
-  auto R = obs::parseBenchLine(
-      "{\"bench\":\"bench_search_discovery\",\"name\":\"discoveryReport/"
-      "suite\",\"iterations\":3,\"ns_per_op\":250.5,"
-      "\"counters\":{\"search.expansions_per_sec\":1200,"
-      "\"search.hash_hits\":7}}",
-      &Err);
-  ASSERT_TRUE(R.has_value()) << Err;
-  EXPECT_EQ(R->Bench, "bench_search_discovery");
-  EXPECT_EQ(R->Name, "discoveryReport/suite");
-  EXPECT_EQ(R->Iterations, 3u);
-  EXPECT_DOUBLE_EQ(R->NsPerOp, 250.5);
-  EXPECT_DOUBLE_EQ(R->Counters.at("search.expansions_per_sec"), 1200.0);
-  EXPECT_DOUBLE_EQ(R->Counters.at("search.hash_hits"), 7.0);
-  EXPECT_EQ(R->key(), "bench_search_discovery/discoveryReport/suite");
-
-  EXPECT_FALSE(obs::parseBenchLine("{\"bench\":\"b\"}", &Err).has_value());
-  EXPECT_FALSE(Err.empty());
-}
-
-namespace {
-
-obs::BenchRecord benchFixture(const char *Name, double NsPerOp,
-                              double ExpPerSec) {
-  obs::BenchRecord R;
-  R.Bench = "bench_search_discovery";
-  R.Name = Name;
-  R.Iterations = 10;
-  R.NsPerOp = NsPerOp;
-  R.Counters["search.expansions_per_sec"] = ExpPerSec;
-  return R;
-}
-
-} // namespace
-
-TEST(ObsBenchDiff, NamesTheBenchmarkAndMetricThatMoved) {
-  std::vector<obs::BenchRecord> Old = {benchFixture("suite", 100, 1000),
-                                       benchFixture("cow", 50, 4000),
-                                       benchFixture("gone", 10, 1)};
-  std::vector<obs::BenchRecord> New = {
-      benchFixture("suite", 130, 1020), // ns_per_op +30%, counter +2%.
-      benchFixture("cow", 51, 4010),    // Within threshold on both.
-      benchFixture("fresh", 10, 1)};
-
-  obs::BenchDiffReport D = obs::diffBenches(Old, New, 0.10);
-  EXPECT_TRUE(D.anyMovement());
-  EXPECT_EQ(D.Compared, 2u);
-  ASSERT_EQ(D.Moved.size(), 1u);
-  EXPECT_EQ(D.Moved[0].Key, "bench_search_discovery/suite");
-  EXPECT_EQ(D.Moved[0].Metric, "ns_per_op");
-  EXPECT_DOUBLE_EQ(D.Moved[0].Old, 100.0);
-  EXPECT_DOUBLE_EQ(D.Moved[0].New, 130.0);
-  EXPECT_NEAR(D.Moved[0].ratio(), 1.3, 1e-9);
-  ASSERT_EQ(D.OnlyOld.size(), 1u);
-  EXPECT_EQ(D.OnlyOld[0], "bench_search_discovery/gone");
-  ASSERT_EQ(D.OnlyNew.size(), 1u);
-  EXPECT_EQ(D.OnlyNew[0], "bench_search_discovery/fresh");
-
-  std::string Table = D.str();
-  EXPECT_NE(Table.find("ns_per_op"), std::string::npos);
-  EXPECT_NE(Table.find("bench_search_discovery/suite"), std::string::npos);
-
-  // A looser threshold swallows the 30% move.
-  obs::BenchDiffReport Loose = obs::diffBenches(Old, New, 0.50);
-  EXPECT_TRUE(Loose.Moved.empty());
-  EXPECT_EQ(Loose.Compared, 2u);
-
-  obs::BenchDiffReport Same = obs::diffBenches(Old, Old, 0.10);
-  EXPECT_FALSE(Same.anyMovement());
-  EXPECT_NE(Same.str().find("no movement"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -99,17 +99,6 @@ TEST(StringUtilTest, ParseUnsignedHonorsMax) {
   EXPECT_FALSE(parseUnsigned("20", 19));
 }
 
-TEST(StringUtilTest, ParseDecimalTakesWholeArgument) {
-  EXPECT_EQ(parseDecimal("10"), 10.0);
-  EXPECT_EQ(parseDecimal("2.5"), 2.5);
-  EXPECT_EQ(parseDecimal("0"), 0.0);
-  for (const char *Bad : {"", "abc", "10%", "-1", "+1", " 1", "1.", ".5",
-                          "1.2.3", "1e3", "inf", "nan", "0x10"})
-    EXPECT_FALSE(parseDecimal(Bad)) << '"' << Bad << '"';
-  // Too large for a double.
-  EXPECT_FALSE(parseDecimal(std::string(400, '9')));
-}
-
 //===----------------------------------------------------------------------===//
 // Typed faults and Expected<T>
 //===----------------------------------------------------------------------===//

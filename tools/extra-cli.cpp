@@ -21,7 +21,6 @@
 //   extra-cli postmortem <trace.jsonl> --against <case-id>
 //                                      why the beam lost the recorded line
 //   extra-cli profile <trace.jsonl>    self/total-time rollups from a trace
-//   extra-cli benchdiff <old> <new>    attribute movement between bench runs
 //   extra-cli registry build --out F   build a binding registry
 //   extra-cli registry inspect <file>  list a registry's entries
 //   extra-cli compile --registry <file>
@@ -30,7 +29,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Derivations.h"
-#include "obs/BenchDiff.h"
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
@@ -112,11 +110,6 @@ int usage() {
                "                          per span label and depth;\n"
                "                          --collapsed writes flamegraph\n"
                "                          collapsed-stack lines\n"
-               "  benchdiff <old.json> <new.json> [--threshold PCT]\n"
-               "                          join two BENCH_*.json files and\n"
-               "                          name which benchmark and which\n"
-               "                          counter moved (default threshold\n"
-               "                          10%%)\n"
                "  registry build --out FILE [--recorded]\n"
                "                 [--from-scripts DIR]\n"
                "                 [--from-checkpoint FILE]\n"
@@ -705,46 +698,6 @@ int cmdProfile(int argc, char **argv) {
   return 0;
 }
 
-int cmdBenchdiff(int argc, char **argv) {
-  if (argc < 4 || argv[2][0] == '-' || argv[3][0] == '-')
-    return usage();
-  double Threshold = 0.10;
-  for (int I = 4; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--threshold") != 0 || I + 1 >= argc)
-      return usage();
-    std::optional<double> Pct = parseDecimal(argv[++I]);
-    if (!Pct) {
-      std::fprintf(stderr, "--threshold expects a percentage such as 10 "
-                           "or 2.5, got '%s'\n",
-                   argv[I]);
-      return usage();
-    }
-    Threshold = *Pct / 100.0;
-  }
-  auto ReadSide = [](const char *Path)
-      -> std::optional<std::vector<obs::BenchRecord>> {
-    std::ifstream In(Path);
-    if (!In) {
-      std::fprintf(stderr, "cannot open '%s'\n", Path);
-      return std::nullopt;
-    }
-    std::string Err;
-    auto R = obs::readBenchFile(In, &Err);
-    if (!R)
-      std::fprintf(stderr, "%s: %s\n", Path, Err.c_str());
-    return R;
-  };
-  auto Old = ReadSide(argv[2]);
-  if (!Old)
-    return 2;
-  auto New = ReadSide(argv[3]);
-  if (!New)
-    return 2;
-  obs::BenchDiffReport Rep = obs::diffBenches(*Old, *New, Threshold);
-  std::fputs(Rep.str().c_str(), stdout);
-  return 0;
-}
-
 //===----------------------------------------------------------------------===//
 // registry build | inspect, compile --registry
 //===----------------------------------------------------------------------===//
@@ -929,8 +882,6 @@ int main(int argc, char **argv) {
     return cmdPostmortem(argc, argv);
   if (!std::strcmp(Cmd, "profile"))
     return cmdProfile(argc, argv);
-  if (!std::strcmp(Cmd, "benchdiff"))
-    return cmdBenchdiff(argc, argv);
   if (!std::strcmp(Cmd, "registry"))
     return cmdRegistry(argc, argv);
   if (!std::strcmp(Cmd, "compile"))
