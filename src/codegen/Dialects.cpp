@@ -58,8 +58,8 @@ const std::vector<Dialect> &rows() {
        .ClearLoads = {{"r3", 0}, {"r0", 1}},
        .Byte = "r5", .Byte2 = "r6", .Save = "r4", .Index = "r1",
        // Forward only: wrong for an overlapping copy whose destination
-       // lies above its source (ROADMAP item 1). Naming a register here
-       // also needs the simulator to run bleq and blss.
+       // lies above its source (ROADMAP item 1). The simulator already
+       // runs the bleq and blss that the direction pick needs.
        .CopyEnd = nullptr},
       {.Name = "IBM 370", .Machine = "ibm370", .WordMax = 0xFFFFFF,
        .Load = "la %0, %1", .Move = "lr %0, %1",
@@ -75,8 +75,8 @@ const std::vector<Dialect> &rows() {
        .EqualLoads = {{"r1", 0}, {"r2", 1}, {"r3", 2}},
        .ClearLoads = {{"r1", 0}, {"r3", 1}},
        .Byte = "r6", .Byte2 = "r7", .Save = "r5", .Index = "r2",
-       // Forward only, as on the VAX (ROADMAP item 1). Naming a register
-       // here also needs the simulator to run jle.
+       // Forward only, as on the VAX (ROADMAP item 1). The simulator
+       // already runs the jle that the direction pick needs.
        .CopyEnd = nullptr},
   };
   return Rows;

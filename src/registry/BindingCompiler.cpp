@@ -244,12 +244,12 @@ struct KernelSpec {
   /// Every register the emitted code changes, except r0: the core
   /// instruction's outputs (movc3 also zeroes r2, r4 and r5) and the
   /// augments' scratch registers. The chunked rewrite reads them too.
-  std::vector<const char *> Clobbers;
+  std::vector<const char *> Clobbers{};
   const char *R0After = nullptr; ///< setRegister("r0", ...) value, or null.
   int CarrierBias = 0;           ///< locc leaves r1 AT the match: +1.
   /// Pin-name aliases for pins whose operand name is not the register
   /// (movc5's fill byte travels in r2).
-  std::vector<std::pair<const char *, const char *>> PinAlias;
+  std::vector<std::pair<const char *, const char *>> PinAlias{};
   bool MvcStyle = false; ///< Length encoded into the core text, not a reg.
   enum class Rewrite { None, VaxLiteralChunks, MvcChunks } RewriteKind =
       Rewrite::None;
@@ -258,48 +258,50 @@ struct KernelSpec {
 const std::vector<KernelSpec> &kernelTable() {
   using K = KernelSpec;
   static const std::vector<KernelSpec> Table = {
-      {"i8086", "scasb", OpKind::StrIndex,
-       {{"di", 0}, {"cx", 1}, {"al", 2}},
-       "scasb", "search string",
-       {"di", "cx", "si", "bx"}},
-      {"i8086", "movsb", OpKind::StrMove,
-       {{"si", 1}, {"di", 0}, {"cx", 2}},
-       "movsb", "block move",
-       {"si", "di", "cx"}},
-      {"i8086", "cmpsb", OpKind::StrEqual,
-       {{"si", 0}, {"di", 1}, {"cx", 2}},
-       "cmpsb", "compare while equal",
-       {"si", "di", "cx"}},
-      {"i8086", "stosb", OpKind::BlockClear,
-       {{"di", 0}, {"cx", 1}},
-       "stosb", "block clear",
-       {"di", "cx"}},
-      {"vax", "locc", OpKind::StrIndex,
-       {{"r1", 0}, {"r0", 1}, {"r2", 2}},
-       "locc r2, r0, r1", "locate character",
-       {"r1", "r4"}, "", /*CarrierBias=*/1},
-      {"vax", "movc3", OpKind::BlockCopy,
-       {{"r0", 2}, {"r1", 1}, {"r3", 0}},
-       "movc3 r0, r1, r3", "overlap-safe block move",
-       {"r1", "r2", "r3", "r4", "r5"}, "0", 0, {}, false,
-       K::Rewrite::VaxLiteralChunks},
-      {"vax", "movc3", OpKind::StrMove,
-       {{"r0", 2}, {"r1", 1}, {"r3", 0}},
-       "movc3 r0, r1, r3", "string assignment (no overlap by axiom)",
-       {"r1", "r2", "r3", "r4", "r5"}, "0", 0, {}, false,
-       K::Rewrite::VaxLiteralChunks},
-      {"vax", "cmpc3", OpKind::StrEqual,
-       {{"r0", 2}, {"r1", 0}, {"r3", 1}},
-       "cmpc3 r0, r1, r3", "compare characters",
-       {"r1", "r3"}, ""},
-      {"vax", "movc5", OpKind::BlockClear,
-       {{"r4", 1}, {"r5", 0}},
-       "movc5 r0, r1, r2, r4, r5", "block clear",
-       {"r4", "r5", "r3"}, "0", 0, {{"fill", "r2"}}},
-      {"ibm370", "mvc", OpKind::StrMove,
-       {{"r1", 0}, {"r2", 1}},
-       "mvc (r1), (r2)", "storage-to-storage move",
-       {}, nullptr, 0, {}, /*MvcStyle=*/true, K::Rewrite::MvcChunks},
+      {.Machine = "i8086", .Mnemonic = "scasb", .Op = OpKind::StrIndex,
+       .Loads = {{"di", 0}, {"cx", 1}, {"al", 2}},
+       .Core = "scasb", .CoreComment = "search string",
+       .Clobbers = {"di", "cx", "si", "bx"}},
+      {.Machine = "i8086", .Mnemonic = "movsb", .Op = OpKind::StrMove,
+       .Loads = {{"si", 1}, {"di", 0}, {"cx", 2}},
+       .Core = "movsb", .CoreComment = "block move",
+       .Clobbers = {"si", "di", "cx"}},
+      {.Machine = "i8086", .Mnemonic = "cmpsb", .Op = OpKind::StrEqual,
+       .Loads = {{"si", 0}, {"di", 1}, {"cx", 2}},
+       .Core = "cmpsb", .CoreComment = "compare while equal",
+       .Clobbers = {"si", "di", "cx"}},
+      {.Machine = "i8086", .Mnemonic = "stosb", .Op = OpKind::BlockClear,
+       .Loads = {{"di", 0}, {"cx", 1}},
+       .Core = "stosb", .CoreComment = "block clear",
+       .Clobbers = {"di", "cx"}},
+      {.Machine = "vax", .Mnemonic = "locc", .Op = OpKind::StrIndex,
+       .Loads = {{"r1", 0}, {"r0", 1}, {"r2", 2}},
+       .Core = "locc r2, r0, r1", .CoreComment = "locate character",
+       .Clobbers = {"r1", "r4"}, .R0After = "", .CarrierBias = 1},
+      {.Machine = "vax", .Mnemonic = "movc3", .Op = OpKind::BlockCopy,
+       .Loads = {{"r0", 2}, {"r1", 1}, {"r3", 0}},
+       .Core = "movc3 r0, r1, r3", .CoreComment = "overlap-safe block move",
+       .Clobbers = {"r1", "r2", "r3", "r4", "r5"}, .R0After = "0",
+       .RewriteKind = K::Rewrite::VaxLiteralChunks},
+      {.Machine = "vax", .Mnemonic = "movc3", .Op = OpKind::StrMove,
+       .Loads = {{"r0", 2}, {"r1", 1}, {"r3", 0}},
+       .Core = "movc3 r0, r1, r3",
+       .CoreComment = "string assignment (no overlap by axiom)",
+       .Clobbers = {"r1", "r2", "r3", "r4", "r5"}, .R0After = "0",
+       .RewriteKind = K::Rewrite::VaxLiteralChunks},
+      {.Machine = "vax", .Mnemonic = "cmpc3", .Op = OpKind::StrEqual,
+       .Loads = {{"r0", 2}, {"r1", 0}, {"r3", 1}},
+       .Core = "cmpc3 r0, r1, r3", .CoreComment = "compare characters",
+       .Clobbers = {"r1", "r3"}, .R0After = ""},
+      {.Machine = "vax", .Mnemonic = "movc5", .Op = OpKind::BlockClear,
+       .Loads = {{"r4", 1}, {"r5", 0}},
+       .Core = "movc5 r0, r1, r2, r4, r5", .CoreComment = "block clear",
+       .Clobbers = {"r4", "r5", "r3"}, .R0After = "0",
+       .PinAlias = {{"fill", "r2"}}},
+      {.Machine = "ibm370", .Mnemonic = "mvc", .Op = OpKind::StrMove,
+       .Loads = {{"r1", 0}, {"r2", 1}},
+       .Core = "mvc (r1), (r2)", .CoreComment = "storage-to-storage move",
+       .MvcStyle = true, .RewriteKind = K::Rewrite::MvcChunks},
   };
   return Table;
 }

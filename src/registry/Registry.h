@@ -7,7 +7,7 @@
 /// \file
 /// The deployment format that closes the paper's §6 loop: a discovered,
 /// verified operator/instruction binding leaves the discovery pipeline
-/// (a search run, a checkpoint, the recorded corpus) as one registry
+/// (a search run, a scripts directory, the recorded corpus) as one registry
 /// entry — pairing key, canonical fingerprints, constraint set,
 /// derivation scripts, and provenance — and re-enters a production code
 /// generator through the BindingCompiler, which lowers entries back into
@@ -72,8 +72,7 @@ struct RegistryEntry {
   std::string Binding;     ///< isdl::NameBinding text ("name <-> reg").
 
   //===--- Provenance -----------------------------------------------------===//
-  std::string Source; ///< "recorded" / "scripts" / "checkpoint" /
-                      ///< "search".
+  std::string Source; ///< "recorded" / "scripts" / "search".
   unsigned BeamWidth = 0; ///< Discovery budgets (0 for replayed sources).
   unsigned MaxDepth = 0;
   unsigned Widenings = 0;

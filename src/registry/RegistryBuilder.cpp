@@ -8,7 +8,6 @@
 
 #include "descriptions/Descriptions.h"
 #include "search/Canon.h"
-#include "search/Checkpoint.h"
 #include "transform/ScriptIO.h"
 
 #include <algorithm>
@@ -193,25 +192,4 @@ Expected<unsigned> RegistryBuilder::importScriptsDir(const std::string &Dir) {
   }
   ::closedir(D);
   return admitScriptFiles(Files, "scripts");
-}
-
-Expected<unsigned> RegistryBuilder::importCheckpoint(const std::string &Path) {
-  auto Records = search::readCheckpointsChecked(Path);
-  if (!Records)
-    return Records.fault();
-  unsigned Admitted = 0;
-  for (const search::CheckpointRecord &R : *Records) {
-    if (R.Outcome != search::CaseOutcome::Verified)
-      continue;
-    // Checkpoint records carry no scripts; replay the library derivation
-    // for the case id to regenerate the payload.
-    const analysis::AnalysisCase *Case = analysis::findCase(R.Case);
-    if (!Case) {
-      Notes.push_back({R.Case, "no recorded derivation for this case id"});
-      continue;
-    }
-    if (admitCase(*Case, "checkpoint"))
-      ++Admitted;
-  }
-  return Admitted;
 }

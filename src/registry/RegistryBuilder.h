@@ -10,7 +10,6 @@
 ///  * the recorded derivation corpus, the `scripts/` files compiled into
 ///    the binary (Table 2, the extended cases, §4.3);
 ///  * a directory of script files in the same layout (`--from-scripts`);
-///  * a batch checkpoint file;
 ///  * a search's own verified results (`extra-cli search --registry`).
 ///
 /// Every admitted pairing has been replayed through
@@ -27,7 +26,7 @@
 
 #include "analysis/Derivations.h"
 #include "registry/Registry.h"
-#include "search/JobRunner.h"
+#include "search/BatchDriver.h"
 
 #include <optional>
 #include <string>
@@ -60,11 +59,6 @@ public:
   /// its name and the parser's diagnostics. Returns the number admitted.
   unsigned admitScriptFiles(const analysis::ScriptFiles &Files,
                             const std::string &Source);
-
-  /// Imports Verified records from a batch checkpoint file. Checkpoint
-  /// records carry no scripts, so the library derivation for each case id
-  /// is replayed to regenerate the payload.
-  Expected<unsigned> importCheckpoint(const std::string &Path);
 
   /// Admits a search result as a "search" entry, filled from the
   /// search's own end-to-end replay (no second replay). \p L and

@@ -19,7 +19,148 @@ using namespace extra;
 using namespace extra::search;
 
 namespace {
+
 using Clock = std::chrono::steady_clock;
+
+/// One contained attempt: discoverAndVerify under a catch-all, with a
+/// watchdog thread that trips the search's cooperative cancel flag when
+/// the case overshoots its time budget by half (plus fixed slack for
+/// replay verification). The watchdog is a backstop: the searcher polls
+/// its own deadline, but a single very long expansion (or an injected
+/// hang) can starve those checks. Fills the result's Discovery and
+/// WallMs, and the outcome and fault of its Record.
+BatchResult runAttempt(const BatchCase &C, SearchLimits L) {
+  BatchResult R;
+  R.Case = C;
+  CheckpointRecord &Rec = R.Record;
+
+  std::atomic<bool> Cancel{false};
+  std::atomic<bool> Done{false};
+  std::atomic<bool> WatchdogFired{false};
+  L.Cancel = &Cancel;
+  // Saturating, like the searcher's own deadline: a budget near the top
+  // of the range must not wrap the watchdog into the past.
+  uint64_t Slack = L.TimeBudgetMs / 2 + 1000;
+  uint64_t DeadlineMs = L.TimeBudgetMs > UINT64_MAX - Slack
+                            ? UINT64_MAX
+                            : L.TimeBudgetMs + Slack;
+  std::thread Monitor([&Cancel, &Done, &WatchdogFired, DeadlineMs]() {
+    Clock::time_point Deadline = deadlineAfter(DeadlineMs);
+    while (!Done.load(std::memory_order_acquire)) {
+      if (Clock::now() >= Deadline) {
+        WatchdogFired.store(true, std::memory_order_release);
+        Cancel.store(true, std::memory_order_release);
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+
+  Clock::time_point Start = Clock::now();
+  bool Caught = false;
+  try {
+    R.Discovery = discoverAndVerify(C.OperatorId, C.InstructionId, L, C.M);
+  } catch (const FaultError &FE) {
+    Caught = true;
+    Rec.Category = FE.fault().Category;
+    Rec.FaultMessage = FE.fault().Message;
+  } catch (const std::exception &E) {
+    Caught = true;
+    Rec.Category = FaultCategory::Internal;
+    Rec.FaultMessage = E.what();
+  } catch (...) {
+    Caught = true;
+    Rec.Category = FaultCategory::Internal;
+    Rec.FaultMessage = "unknown exception";
+  }
+  R.WallMs =
+      std::chrono::duration<double, std::milli>(Clock::now() - Start).count();
+
+  Done.store(true, std::memory_order_release);
+  Monitor.join();
+
+  // Classify. The lattice is ordered: a caught or recorded fault beats
+  // a timeout beats plain exhaustion, and success levels need no tie
+  // breaking (a found derivation cannot also have faulted).
+  const SearchOutcome &O = R.Discovery.Outcome;
+  if (R.Discovery.Verified) {
+    Rec.Outcome = CaseOutcome::Verified;
+  } else if (O.Found) {
+    Rec.Outcome = CaseOutcome::Discovered;
+  } else if (Caught || O.SearchFault.isFault()) {
+    Rec.Outcome = CaseOutcome::Faulted;
+    if (!Caught) {
+      Rec.Category = O.SearchFault.Category;
+      Rec.FaultMessage = O.SearchFault.Message;
+    }
+  } else if (O.Stats.TimedOut || WatchdogFired.load()) {
+    Rec.Outcome = CaseOutcome::TimedOut;
+  } else {
+    Rec.Outcome = CaseOutcome::Exhausted;
+  }
+  return R;
+}
+
+/// Runs \p C to a typed outcome under containment, with one degraded
+/// retry, and fills in its canonical checkpoint record.
+BatchResult runCase(const BatchCase &C, const BatchOptions &Opts) {
+  // The trace label defaults to the case id, so all cases can share one
+  // sink and still be told apart in the postmortem.
+  SearchLimits L = Opts.Limits;
+  if (L.TraceLabel.empty())
+    L.TraceLabel = C.Id;
+
+  // The injection scope is the case id, so whether a site fires in this
+  // case depends only on (seed, site, case, per-case counter) — never on
+  // which worker ran it or in what order.
+  BatchResult Kept;
+  bool Retried = false;
+  {
+    FaultScope Scope(C.Id);
+    Kept = runAttempt(C, L);
+  }
+  if (Opts.DegradedRetry && (Kept.Record.Outcome == CaseOutcome::TimedOut ||
+                             Kept.Record.Outcome == CaseOutcome::Faulted)) {
+    // One automatic retry at half beam and half nodes: a cheaper probe
+    // that often still lands the short derivations, under a distinct
+    // injection scope so a deterministically injected first-attempt
+    // fault does not deterministically recur. The retry is kept only
+    // when its outcome strictly outranks the first attempt's.
+    SearchLimits Degraded = L;
+    Degraded.BeamWidth = std::max(1u, L.BeamWidth / 2);
+    Degraded.MaxNodes = std::max<uint64_t>(1000, L.MaxNodes / 2);
+    Retried = true;
+    FaultScope Scope(C.Id + "#retry1");
+    BatchResult Again = runAttempt(C, Degraded);
+    double TotalMs = Kept.WallMs + Again.WallMs;
+    if (caseOutcomeRank(Again.Record.Outcome) >
+        caseOutcomeRank(Kept.Record.Outcome))
+      Kept = std::move(Again);
+    Kept.WallMs = TotalMs; // Total spent either way.
+  }
+
+  CheckpointRecord &Rec = Kept.Record;
+  Rec.Case = C.Id;
+  Rec.M = C.M;
+  const SearchOutcome &O = Kept.Discovery.Outcome;
+  Rec.Found = O.Found;
+  Rec.Verified = Kept.Discovery.Verified;
+  Rec.Retried = Retried;
+  if (O.Found) {
+    Rec.OpSteps = O.OperatorScript.size();
+    Rec.InstSteps = O.InstructionScript.size();
+  } else if (O.Partial.Valid) {
+    Rec.OpSteps = O.Partial.OperatorScript.size();
+    Rec.InstSteps = O.Partial.InstructionScript.size();
+  }
+  Rec.Nodes = O.Stats.NodesExpanded;
+  Rec.PartialDistance = (!O.Found && O.Partial.Valid)
+                            ? static_cast<int64_t>(O.Partial.Distance)
+                            : -1;
+  Rec.WallMs = Kept.WallMs;
+  return Kept;
+}
+
 } // namespace
 
 std::vector<BatchResult> search::runBatch(const std::vector<BatchCase> &Cases,
@@ -65,18 +206,7 @@ std::vector<BatchResult> search::runBatch(const std::vector<BatchCase> &Cases,
          I = Next.fetch_add(1)) {
       if (Skip[I])
         continue;
-      const BatchCase &C = Cases[I];
-      // Containment, injection scopes, and the degraded retry all live
-      // in the shared job-execution layer (JobRunner.cpp).
-      JobPolicy Policy;
-      Policy.Limits = Opts.Limits;
-      Policy.DegradedRetry = Opts.DegradedRetry;
-      JobExecution E = executeJob(C, Policy);
-
-      Results[I].Record = executionRecord(C, E);
-      Results[I].WallMs = E.WallMs;
-      Results[I].Discovery = std::move(E.Discovery);
-
+      Results[I] = runCase(Cases[I], Opts);
       if (!Opts.CheckpointPath.empty()) {
         std::lock_guard<std::mutex> Lock(CheckpointMu);
         appendCheckpoint(Opts.CheckpointPath, Results[I].Record);

@@ -15,11 +15,14 @@
 ///
 /// Resilience (the robustness layer):
 ///
-///  * **Fault containment and degraded retry** live in the shared
-///    job-execution layer (JobRunner.h): each case runs under a
-///    catch-all with a watchdog thread and gets one degraded retry —
-///    see executeJob for the exact semantics. The batch always
-///    completes and reports every case.
+///  * **Fault containment and degraded retry.** Each case runs inside
+///    `FaultScope(case-id)` under a catch-all; a watchdog thread raises
+///    the searcher's cooperative cancel flag when the case overshoots
+///    1.5x its time budget plus slack. A TimedOut/Faulted case is
+///    retried once at half beam width and half node budget under scope
+///    `"<case-id>#retry1"`; the retry is kept only when its outcome
+///    strictly outranks the first attempt's. The batch always completes
+///    and reports every case.
 ///  * **Checkpoint/resume.** With a checkpoint path set, every finished
 ///    case appends one CheckpointRecord line; a resumed run skips the
 ///    recorded cases and reconstructs their report lines from the file,
@@ -31,7 +34,6 @@
 #define EXTRA_SEARCH_BATCHDRIVER_H
 
 #include "search/Checkpoint.h"
-#include "search/JobRunner.h"
 #include "search/Searcher.h"
 
 #include <string>
@@ -39,6 +41,15 @@
 
 namespace extra {
 namespace search {
+
+/// One pairing to discover, named by description-library ids (the
+/// recorded derivation scripts are never consulted).
+struct BatchCase {
+  std::string Id; ///< Report label, conventionally "<inst-id>/<op-id>".
+  std::string OperatorId;
+  std::string InstructionId;
+  analysis::Mode M = analysis::Mode::Base;
+};
 
 /// Worker-pool configuration.
 struct BatchOptions {

@@ -15,7 +15,8 @@
 ///   ahi R, imm        add halfword immediate
 ///   ldb R, (Rm) / stb R, (Rm)
 ///   chi R, imm / cr R, R2      compare (condition code)
-///   j/je/jne/jl/jg label
+///   j label                    always
+///   je/jne/jl/jle/jg label     on the last compare
 ///   mvc (Rd), (Rs), L          move L+1 bytes (the §4.2 encoding)
 ///
 /// Comments start with ';'.

@@ -8,8 +8,6 @@
 
 #include "support/StringUtil.h"
 
-#include <cctype>
-
 using namespace extra;
 using namespace extra::sim;
 
@@ -78,4 +76,86 @@ unsigned sim::codeSize(const std::vector<std::string> &Lines,
       ++N;
   }
   return N;
+}
+
+bool Core::fail(const AsmStmt &S, const std::string &Why) {
+  Res.Error = Why + " in '" + S.Raw + "'";
+  return false;
+}
+
+namespace {
+
+bool holds(const Core &C, Cond When) {
+  switch (When) {
+  case Cond::Always:
+    return true;
+  case Cond::Zero:
+    return C.Zf;
+  case Cond::NonZero:
+    return !C.Zf;
+  case Cond::Eq:
+    return C.Diff == 0;
+  case Cond::Ne:
+    return C.Diff != 0;
+  case Cond::Lt:
+    return C.Diff < 0;
+  case Cond::Le:
+    return C.Diff <= 0;
+  case Cond::Gt:
+    return C.Diff > 0;
+  case Cond::Ge:
+    return C.Diff >= 0;
+  }
+  return false;
+}
+
+} // namespace
+
+SimResult sim::simulate(const std::vector<std::string> &Asm,
+                        const interp::Memory &InitialMemory,
+                        const std::map<std::string, int64_t> &InitialRegs,
+                        uint64_t MaxSteps, std::span<const Branch> Branches,
+                        ExecFn Exec) {
+  std::vector<AsmStmt> Prog;
+  std::map<std::string, size_t> Labels;
+  Core C;
+  if (!assemble(Asm, ';', Prog, Labels, C.Res.Error))
+    return std::move(C.Res);
+  C.Res.Regs = InitialRegs;
+  C.Res.Mem = InitialMemory;
+
+  for (size_t Pc = 0; Pc < Prog.size();) {
+    if (++C.Res.Instructions > MaxSteps) {
+      C.Res.Error = "step limit exceeded";
+      break;
+    }
+    const AsmStmt &S = Prog[Pc++];
+    const std::string_view Op = S.Toks[0];
+    const Branch *B = nullptr;
+    for (const Branch &Row : Branches)
+      if (Row.Mnemonic == Op) {
+        B = &Row;
+        break;
+      }
+    if (!B) {
+      if (!Exec(C, S))
+        break;
+      continue;
+    }
+    // A branch that is not taken passes whatever its operands.
+    if (!holds(C, B->When))
+      continue;
+    if (S.Toks.size() != 2) {
+      C.fail(S, "unknown instruction '" + S.Toks[0] + "'");
+      break;
+    }
+    auto It = Labels.find(S.Toks[1]);
+    if (It == Labels.end()) {
+      C.fail(S, "unknown label '" + S.Toks[1] + "'");
+      break;
+    }
+    Pc = It->second;
+  }
+  C.Res.Ok = C.Res.Error.empty();
+  return std::move(C.Res);
 }

@@ -8,8 +8,11 @@
 /// Executes the VAX dialect the code generator emits:
 ///
 ///   movl/addl/subl R, X      (dst first; X in {reg, imm})
-///   incl/decl R,  tstl R,  cmpl A, B
-///   brb/beql/bneq label
+///   incl/decl R,  tstl R     (set Z)
+///   cmpl A, B                (sets Z and records A - B)
+///   brb/jmp label
+///   beql/bneq label          on Z
+///   bleq/blss label          on the last cmpl: A <= B, A < B
 ///   ldb R, (Rm)  /  stb R, (Rm)     byte load/store
 ///   movc3 len, src, dst             overlap-safe block move
 ///   movc5 sl, sa, fill, dl, da      move with fill

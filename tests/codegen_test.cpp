@@ -658,6 +658,76 @@ TEST(FrozenListingTest, EveryDecompositionAndLoweredBinding) {
 }
 
 //===----------------------------------------------------------------------===//
+// Dialect rows against the simulators: every primitive a row names runs on
+// that machine's simulator and does what the row says it does
+//===----------------------------------------------------------------------===//
+
+sim::SimResult runOnRowMachine(const Dialect &D,
+                               const std::vector<std::string> &Lines) {
+  std::string_view M = D.Machine;
+  if (M == "i8086")
+    return sim::run8086(Lines);
+  if (M == "vax")
+    return sim::runVax(Lines);
+  return sim::run370(Lines);
+}
+
+TEST(DialectSimTest, EveryPrimitiveRunsOnItsSimulator) {
+  for (const char *Machine : {"i8086", "vax", "ibm370"}) {
+    SCOPED_TRACE(Machine);
+    const Dialect *D = findDialect(Machine);
+    ASSERT_NE(D, nullptr);
+    // Two of the row's own registers: A takes the results, B a second
+    // operand or an address.
+    const std::string A = D->Save, B = D->Index;
+    auto Load = [&](const std::string &Reg, int64_t V) {
+      return asmLine(D->Load, Reg, std::to_string(V));
+    };
+    auto ValueOfA = [&](const std::vector<std::string> &Lines) {
+      sim::SimResult R = runOnRowMachine(*D, Lines);
+      EXPECT_TRUE(R.Ok) << R.Error;
+      return R.reg(A);
+    };
+
+    EXPECT_EQ(ValueOfA({Load(A, 5)}), 5);
+    EXPECT_EQ(ValueOfA({Load(B, 7), asmLine(D->Move, A, B)}), 7);
+    EXPECT_EQ(ValueOfA({Load(A, 5), asmLine(D->Inc, A)}), 6);
+    EXPECT_EQ(ValueOfA({Load(A, 5), asmLine(D->Dec, A)}), 4);
+    EXPECT_EQ(ValueOfA({Load(A, 5), Load(B, 3), asmLine(D->Add, A, B)}), 8);
+    EXPECT_EQ(ValueOfA({Load(A, 5), Load(B, 3), asmLine(D->Sub, A, B)}), 2);
+
+    sim::SimResult Bytes = runOnRowMachine(
+        *D, {Load(A, 65), Load(B, 100), asmLine(D->StoreByte, A, B),
+             Load(A, 0), asmLine(D->LoadByte, A, B)});
+    ASSERT_TRUE(Bytes.Ok) << Bytes.Error;
+    EXPECT_EQ(Bytes.Mem.get(100), 65);
+    EXPECT_EQ(Bytes.reg(A), 65);
+
+    // After \p Setup, \p Branch to a label that leaves 1 in A; falling
+    // through leaves 0.
+    auto Taken = [&](std::vector<std::string> Setup, const char *Branch) {
+      Setup.insert(Setup.end(),
+                   {asmLine(Branch, "hit"), Load(A, 0),
+                    asmLine(D->Jump, "done"), "hit:", Load(A, 1), "done:"});
+      return ValueOfA(Setup) == 1;
+    };
+    for (int64_t V : {0, 1, 2})
+      EXPECT_EQ(Taken({Load(A, V), asmLine(D->TestZero, A)}, D->BranchZero),
+                V == 0)
+          << V;
+    for (int64_t VA : {0, 1, 2})
+      for (int64_t VB : {0, 1, 2}) {
+        std::vector<std::string> Cmp = {Load(A, VA), Load(B, VB),
+                                        asmLine(D->Compare, A, B)};
+        EXPECT_EQ(Taken(Cmp, D->BranchNe), VA != VB) << VA << " " << VB;
+        EXPECT_EQ(Taken(Cmp, D->BranchLe), VA <= VB) << VA << " " << VB;
+        EXPECT_EQ(Taken(Cmp, D->BranchLt), VA < VB) << VA << " " << VB;
+      }
+    EXPECT_TRUE(Taken({}, D->Jump));
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Peephole (§6 integration optimization)
 //===----------------------------------------------------------------------===//
 

@@ -152,8 +152,9 @@ TEST(ParserRobustnessTest, MalformedInputCorpus) {
   for (const char *Src : Corpus) {
     DiagnosticEngine Diags;
     auto D = isdl::parseDescription(Src, Diags);
-    if (!D)
+    if (!D) {
       EXPECT_TRUE(Diags.hasErrors()) << "silent failure on: " << Src;
+    }
     // The checked wrapper is stricter: any diagnosed error is a typed
     // Parse fault, even when recovery produced a tree.
     auto E = isdl::parseDescriptionChecked(Src);

@@ -59,8 +59,9 @@ TEST(RegistryBuilder, RecordedCorpusAdmitsAllFourteenPairings) {
     EXPECT_FALSE(E->Key.empty());
     EXPECT_FALSE(E->Constraints.empty()) << E->AnalysisId;
     EXPECT_FALSE(E->Binding.empty()) << E->AnalysisId;
-    if (E->Mnemonic != "mvc") // mvc matches with no instruction rewriting.
+    if (E->Mnemonic != "mvc") { // mvc matches with no instruction rewriting.
       EXPECT_FALSE(E->InstScript.empty()) << E->AnalysisId;
+    }
     EXPECT_EQ(E->Source, "recorded");
     EXPECT_FALSE(E->Machine.empty()) << E->InstructionId;
   }
@@ -106,26 +107,6 @@ TEST(RegistryBuilder, UnparsableScriptFileIsNotedByName) {
   EXPECT_EQ(B.notes()[0].Detail,
             "vax.movc3_pc2.copy.operator.script:2:36: error: "
             "unterminated quoted value");
-}
-
-TEST(RegistryBuilder, CheckpointImportReplaysVerifiedCasesOnly) {
-  TempFile F("registry_ckpt.jsonl");
-  search::CheckpointRecord Good;
-  Good.Case = "i8086.scasb/rigel.index";
-  Good.Outcome = search::CaseOutcome::Verified;
-  search::CheckpointRecord Bad;
-  Bad.Case = "vax.locc/clu.search";
-  Bad.Outcome = search::CaseOutcome::TimedOut;
-  ASSERT_TRUE(search::appendCheckpoint(F.Path, Good));
-  ASSERT_TRUE(search::appendCheckpoint(F.Path, Bad));
-
-  RegistryBuilder B;
-  auto N = B.importCheckpoint(F.Path);
-  ASSERT_TRUE(N) << N.fault().Message;
-  EXPECT_EQ(*N, 1u);
-  EXPECT_EQ(B.registry().size(), 1u);
-  EXPECT_EQ(B.registry().entries()[0]->AnalysisId, "i8086.scasb/rigel.index");
-  EXPECT_EQ(B.registry().entries()[0]->Source, "checkpoint");
 }
 
 //===----------------------------------------------------------------------===//

@@ -112,7 +112,6 @@ int usage() {
                "                          collapsed-stack lines\n"
                "  registry build --out FILE [--recorded]\n"
                "                 [--from-scripts DIR]\n"
-               "                 [--from-checkpoint FILE]\n"
                "                          build a binding registry from\n"
                "                          discovery artifacts (default: the\n"
                "                          recorded corpus); later sources\n"
@@ -729,9 +728,9 @@ int cmdRegistry(int argc, char **argv) {
   if (Sub == "build") {
     std::string Out;
     bool Recorded = false;
-    // (kind, path) in command-line order: later imports supersede
-    // earlier ones per pairing key.
-    std::vector<std::pair<std::string, std::string>> Sources;
+    // In command-line order: later imports supersede earlier ones per
+    // pairing key.
+    std::vector<std::string> ScriptDirs;
     for (int I = 3; I < argc; ++I) {
       std::string Arg = argv[I];
       if (Arg == "--out" && I + 1 < argc)
@@ -739,15 +738,13 @@ int cmdRegistry(int argc, char **argv) {
       else if (Arg == "--recorded")
         Recorded = true;
       else if (Arg == "--from-scripts" && I + 1 < argc)
-        Sources.push_back({"scripts", argv[++I]});
-      else if (Arg == "--from-checkpoint" && I + 1 < argc)
-        Sources.push_back({"checkpoint", argv[++I]});
+        ScriptDirs.push_back(argv[++I]);
       else
         return usage();
     }
     if (Out.empty())
       return usage();
-    if (Sources.empty())
+    if (ScriptDirs.empty())
       Recorded = true; // No artifact named: the built-in corpus.
 
     RegistryBuilder B;
@@ -762,12 +759,9 @@ int cmdRegistry(int argc, char **argv) {
     };
     if (Recorded && !Report("recorded", B.addRecordedCases()))
       return 1;
-    for (const auto &[Kind, Path] : Sources) {
-      Expected<unsigned> N = Kind == "scripts" ? B.importScriptsDir(Path)
-                                               : B.importCheckpoint(Path);
-      if (!Report(Kind.c_str(), N))
+    for (const std::string &Dir : ScriptDirs)
+      if (!Report("scripts", B.importScriptsDir(Dir)))
         return 1;
-    }
     printBuildNotes(B.notes());
     auto Saved = B.registry().save(Out);
     if (!Saved) {
