@@ -376,23 +376,10 @@ ExprPtr isdl::binary(BinaryOp Op, ExprPtr L, ExprPtr R) {
 StmtPtr isdl::assign(std::string Var, ExprPtr Value) {
   return std::make_unique<AssignStmt>(varRef(std::move(Var)), std::move(Value));
 }
-StmtPtr isdl::assignMem(ExprPtr Address, ExprPtr Value) {
-  return std::make_unique<AssignStmt>(memRef(std::move(Address)),
-                                      std::move(Value));
-}
 StmtPtr isdl::ifStmt(ExprPtr Cond, StmtList Then, StmtList Else) {
   return std::make_unique<IfStmt>(std::move(Cond), std::move(Then),
                                   std::move(Else));
 }
-StmtPtr isdl::repeatStmt(StmtList Body) {
-  return std::make_unique<RepeatStmt>(std::move(Body));
-}
 StmtPtr isdl::exitWhen(ExprPtr Cond) {
   return std::make_unique<ExitWhenStmt>(std::move(Cond));
-}
-StmtPtr isdl::inputStmt(std::vector<std::string> Targets) {
-  return std::make_unique<InputStmt>(std::move(Targets));
-}
-StmtPtr isdl::outputStmt(std::vector<ExprPtr> Values) {
-  return std::make_unique<OutputStmt>(std::move(Values));
 }

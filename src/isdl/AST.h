@@ -233,7 +233,6 @@ public:
       : Expr(Kind::Binary), Op(Op), LHS(std::move(LHS)), RHS(std::move(RHS)) {}
 
   BinaryOp getOp() const { return Op; }
-  void setOp(BinaryOp O) { Op = O; }
   const Expr *getLHS() const { return LHS.get(); }
   Expr *getLHS() { return LHS.get(); }
   const Expr *getRHS() const { return RHS.get(); }
@@ -604,12 +603,8 @@ ExprPtr unary(UnaryOp Op, ExprPtr E);
 ExprPtr binary(BinaryOp Op, ExprPtr L, ExprPtr R);
 
 StmtPtr assign(std::string Var, ExprPtr Value);
-StmtPtr assignMem(ExprPtr Address, ExprPtr Value);
 StmtPtr ifStmt(ExprPtr Cond, StmtList Then, StmtList Else = {});
-StmtPtr repeatStmt(StmtList Body);
 StmtPtr exitWhen(ExprPtr Cond);
-StmtPtr inputStmt(std::vector<std::string> Targets);
-StmtPtr outputStmt(std::vector<ExprPtr> Values);
 
 } // namespace isdl
 } // namespace extra

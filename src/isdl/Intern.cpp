@@ -1,4 +1,4 @@
-//===- Intern.cpp - Hash-consed AST arena and COW handles -------*- C++ -*-===//
+//===- Intern.cpp - Description keys and COW handles ------------*- C++ -*-===//
 //
 // Part of the EXTRA reproduction of Morgan & Rowe, SIGPLAN '82.
 //
@@ -9,6 +9,8 @@
 #include "isdl/Traverse.h"
 
 #include <cassert>
+#include <string>
+#include <vector>
 
 using namespace extra;
 using namespace extra::isdl;
@@ -117,225 +119,65 @@ FeatureVec FeatureVec::of(const Description &D) {
 }
 
 //===----------------------------------------------------------------------===//
-// Interner: arena and hash-consing
+// The two keys, one direct walk each
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Source of Interner::serial(). Constant-initialized, so an arena built
-/// during static initialization still draws a fresh number.
-std::atomic<uint64_t> NextSerial{0};
+// Tag values are part of every fingerprint: never renumber them.
+enum class Tag : uint64_t {
+  NoEntry = 1,
+  RoutineBody,
+  End,
+  Assign,
+  AssignToMem,
+  If,
+  Else,
+  Repeat,
+  ExitWhen,
+  Input,
+  Output,
+  Constrain,
+  Assert,
+  IntLit,
+  CharLit,
+  VarRef,
+  MemRef,
+  Call,
+  Unary,
+  Binary,
+  DeclaredVar,
+  UndeclaredVar,
+  RoutineName,
+  // Identity only.
+  Decl,
+  Routine,
+};
 
-} // namespace
+/// FNV-1a over a stream of 64-bit tokens, one byte at a time.
+struct Fnv {
+  uint64_t H = 14695981039346656037ULL; // FNV offset basis.
 
-Interner::Interner()
-    : Serial(NextSerial.fetch_add(1, std::memory_order_relaxed)) {}
-
-Interner &Interner::local() {
-  thread_local Interner I;
-  return I;
-}
-
-Interner::SymId Interner::symbol(const std::string &S) {
-  auto [It, Inserted] = Syms.emplace(S, static_cast<SymId>(SymNames.size()));
-  if (Inserted)
-    SymNames.push_back(S);
-  return It->second;
-}
-
-namespace {
-
-uint64_t fnvMix(uint64_t H, uint64_t V) {
-  for (int I = 0; I < 8; ++I) {
-    H ^= (V >> (I * 8)) & 0xFF;
+  void mixByte(uint8_t B) {
+    H ^= B;
     H *= 1099511628211ULL;
   }
-  return H;
-}
-
-constexpr uint64_t FnvBasis = 14695981039346656037ULL;
-
-} // namespace
-
-Interner::NodeRef Interner::internNode(Node::K Kind, uint8_t Op, int64_t Value,
-                                       std::vector<NodeRef> Kids) {
-  // Shallow structural hash: children are already interned, so their refs
-  // stand in for their whole subtrees. O(1) per node.
-  uint64_t H = fnvMix(FnvBasis, static_cast<uint64_t>(Kind));
-  H = fnvMix(H, Op);
-  H = fnvMix(H, static_cast<uint64_t>(Value));
-  H = fnvMix(H, Kids.size());
-  for (NodeRef K : Kids)
-    H = fnvMix(H, K);
-
-  auto [It, Inserted] = Buckets.try_emplace(H, NoNode);
-  if (!Inserted) {
-    for (NodeRef R = It->second; R != NoNode; R = Nodes[R].Next) {
-      const Node &N = Nodes[R];
-      if (N.Hash == H && N.Kind == Kind && N.Op == Op && N.Value == Value &&
-          N.Kids == Kids)
-        return R;
-    }
+  void mix(uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      mixByte(static_cast<uint8_t>(V >> (I * 8)));
   }
-  NodeRef R = static_cast<NodeRef>(Nodes.size());
-  Nodes.push_back(Node{Kind, Op, Value, H, It->second, std::move(Kids)});
-  It->second = R;
-  return R;
-}
+  void mix(Tag T) { mix(static_cast<uint64_t>(T)); }
+};
 
-Interner::NodeRef Interner::intern(const Expr &E) {
-  switch (E.getKind()) {
-  case Expr::Kind::IntLit:
-    return internNode(Node::K::IntLit, 0, cast<IntLit>(&E)->getValue(), {});
-  case Expr::Kind::CharLit:
-    return internNode(Node::K::CharLit, 0, cast<CharLit>(&E)->getValue(), {});
-  case Expr::Kind::VarRef:
-    return internNode(Node::K::VarRef, 0,
-                      symbol(cast<VarRef>(&E)->getName()), {});
-  case Expr::Kind::MemRef:
-    return internNode(Node::K::MemRef, 0, 0,
-                      {intern(*cast<MemRef>(&E)->getAddress())});
-  case Expr::Kind::Call:
-    return internNode(Node::K::CallE, 0,
-                      symbol(cast<CallExpr>(&E)->getCallee()), {});
-  case Expr::Kind::Unary: {
-    const auto *U = cast<UnaryExpr>(&E);
-    return internNode(Node::K::Unary, static_cast<uint8_t>(U->getOp()), 0,
-                      {intern(*U->getOperand())});
-  }
-  case Expr::Kind::Binary: {
-    const auto *B = cast<BinaryExpr>(&E);
-    NodeRef L = intern(*B->getLHS());
-    NodeRef R = intern(*B->getRHS());
-    return internNode(Node::K::Binary, static_cast<uint8_t>(B->getOp()), 0,
-                      {L, R});
-  }
-  }
-  assert(false && "unknown expression kind");
-  return NoNode;
-}
-
-Interner::NodeRef Interner::intern(const Stmt &S) {
-  switch (S.getKind()) {
-  case Stmt::Kind::Assign: {
-    const auto *A = cast<AssignStmt>(&S);
-    NodeRef T = intern(*A->getTarget());
-    NodeRef V = intern(*A->getValue());
-    return internNode(Node::K::AssignS, 0, 0, {T, V});
-  }
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(&S);
-    NodeRef C = intern(*If->getCond());
-    NodeRef T = intern(If->getThen());
-    NodeRef E = intern(If->getElse());
-    return internNode(Node::K::IfS, 0, 0, {C, T, E});
-  }
-  case Stmt::Kind::Repeat:
-    return internNode(Node::K::RepeatS, 0, 0,
-                      {intern(cast<RepeatStmt>(&S)->getBody())});
-  case Stmt::Kind::ExitWhen:
-    return internNode(Node::K::ExitWhenS, 0, 0,
-                      {intern(*cast<ExitWhenStmt>(&S)->getCond())});
-  case Stmt::Kind::Input: {
-    const auto *In = cast<InputStmt>(&S);
-    std::vector<NodeRef> Targets;
-    Targets.reserve(In->getTargets().size());
-    for (const std::string &T : In->getTargets())
-      Targets.push_back(symbol(T)); // SymIds, per the Node contract.
-    return internNode(Node::K::InputS, 0, 0, std::move(Targets));
-  }
-  case Stmt::Kind::Output: {
-    const auto *Out = cast<OutputStmt>(&S);
-    std::vector<NodeRef> Values;
-    Values.reserve(Out->getValues().size());
-    for (const ExprPtr &V : Out->getValues())
-      Values.push_back(intern(*V));
-    return internNode(Node::K::OutputS, 0, 0, std::move(Values));
-  }
-  case Stmt::Kind::Constrain: {
-    const auto *C = cast<ConstrainStmt>(&S);
-    return internNode(Node::K::ConstrainS, 0, symbol(C->getTag()),
-                      {intern(*C->getPred())});
-  }
-  case Stmt::Kind::Assert:
-    return internNode(Node::K::AssertS, 0, 0,
-                      {intern(*cast<AssertStmt>(&S)->getPred())});
-  }
-  assert(false && "unknown statement kind");
-  return NoNode;
-}
-
-Interner::NodeRef Interner::intern(const StmtList &L) {
-  std::vector<NodeRef> Kids;
-  Kids.reserve(L.size());
-  for (const StmtPtr &S : L)
-    Kids.push_back(intern(*S));
-  return internNode(Node::K::List, 0, 0, std::move(Kids));
-}
-
-uint64_t Interner::identity(const Description &D) {
-  // Arena soft cap, checked only at this entry point: a reset during a
-  // recursive intern would invalidate sibling NodeRefs held by callers.
-  // NodeRefs are transient by contract, so resetting here only costs warm
-  // caches, never correctness.
-  if (Nodes.size() > SoftNodeCap)
-    reset();
-  // Everything the caches keyed by identity can observe: the entry
-  // routine choice, every routine's name, result type and (interned) body
-  // in order, and every declaration's name and type. The canonical
-  // fingerprint needs only the names, but candidate enumeration does not
-  // (flag rules need a one-bit type) and neither does a verify verdict
-  // (register widths and routine result types mask values). Including
-  // dead text the matcher never sees over-approximates identity, which
-  // only costs memo hits, never correctness.
-  uint64_t H = fnvMix(FnvBasis, Epoch);
-  auto MixType = [&H](const TypeRef &T) {
-    H = fnvMix(H, static_cast<uint64_t>(T.K));
-    H = fnvMix(H, static_cast<uint64_t>(static_cast<uint32_t>(T.Hi)));
-    H = fnvMix(H, static_cast<uint64_t>(static_cast<uint32_t>(T.Lo)));
-  };
-  const Routine *Entry = D.entryRoutine();
-  H = fnvMix(H, Entry ? symbol(Entry->Name) + 1 : 0);
-  for (const Section &Sec : D.getSections())
-    for (const SectionItem &It : Sec.Items) {
-      if (It.K == SectionItem::Kind::Decl) {
-        H = fnvMix(H, 0x9E3779B97F4A7C15ULL);
-        H = fnvMix(H, symbol(It.D.Name));
-        MixType(It.D.Type);
-      } else {
-        H = fnvMix(H, 0xC2B2AE3D27D4EB4FULL);
-        H = fnvMix(H, symbol(It.R->Name));
-        MixType(It.R->ResultType);
-        H = fnvMix(H, intern(It.R->Body));
-      }
-    }
-  return H;
-}
-
-void Interner::reset() {
-  ++Epoch;
-  Nodes.clear();
-  Buckets.clear();
-  Syms.clear();
-  SymNames.clear();
-  FpMemo.clear();
-}
-
-//===----------------------------------------------------------------------===//
-// Canonical fingerprint over the interned DAG
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Streams the canonical token stream of a description over interned nodes,
-/// with a flat vector keyed by SymId as the rename map. The token layout
+/// Streams the canonical token stream of a description. The token layout
 /// mirrors the lockstep order of isdl::matchStmts/matchExpr, so two
 /// matchable descriptions emit identical streams. The values are
 /// persistent registry keys: tests/intern_test.cpp freezes them and checks
-/// this walk against the map-based reference Canonicalizer kept there.
-class DagCanonicalizer {
+/// this walk against the map-based reference Canonicalizer kept there,
+/// from which it differs only in its name table.
+class Canonicalizer : Fnv {
 public:
-  DagCanonicalizer(Interner &I, const Description &D) : I(I), D(D) {}
+  explicit Canonicalizer(const Description &D) : D(D) {}
 
   uint64_t run() {
     const Routine *Entry = D.entryRoutine();
@@ -343,248 +185,316 @@ public:
       mix(Tag::NoEntry);
       return H;
     }
-    // Pre-intern every routine body and classify every declared name; the
-    // walk below then never consults the description again.
-    for (const Routine *R : D.routines()) {
-      Interner::SymId S = I.symbol(R->Name);
-      // First routine with a name wins, like Description::findRoutine.
-      if (kindOf(S) == NameKind::Unknown) {
-        setKind(S, NameKind::RoutineName);
-        RoutineBody.emplace_back(S, I.intern(R->Body));
-      }
-    }
-    for (const Decl *Dl : D.decls()) {
-      Interner::SymId S = I.symbol(Dl->Name);
-      if (kindOf(S) == NameKind::Unknown)
-        setKind(S, NameKind::DeclaredVar);
-    }
-
-    nameId(I.symbol(Entry->Name));
-    while (NextToExpand < Mentioned.size()) {
-      Interner::SymId S = Mentioned[NextToExpand++];
-      const Interner::NodeRef *Body = bodyOf(S);
-      if (!Body)
+    nameId(Entry->Name);
+    // Expand routines in first-mention order. Matching binds routines at
+    // call sites; because both sides of a successful match mention bound
+    // routines in the same lockstep order, first-mention expansion is
+    // isomorphism-invariant (unlike alphabetical order, which depends on
+    // the very names we are abstracting away).
+    for (size_t Next = 0; Next < Mentioned.size(); ++Next) {
+      const Routine *R = Mentioned[Next].R;
+      if (!R)
         continue;
       mix(Tag::RoutineBody);
-      walkList(*Body);
+      walk(R->Body);
       mix(Tag::End);
     }
     return H;
   }
 
 private:
-  // Tag values are part of every fingerprint: never renumber them.
-  enum class Tag : uint64_t {
-    NoEntry = 1,
-    RoutineBody,
-    End,
-    Assign,
-    AssignToMem,
-    If,
-    Else,
-    Repeat,
-    ExitWhen,
-    Input,
-    Output,
-    Constrain,
-    Assert,
-    IntLit,
-    CharLit,
-    VarRef,
-    MemRef,
-    Call,
-    Unary,
-    Binary,
-    DeclaredVar,
-    UndeclaredVar,
-    RoutineName,
+  /// Canonical index of a name, assigned at first mention. The first
+  /// mention also records what kind of thing the name is on this side
+  /// (routine / declared variable / undeclared), because the matcher
+  /// insists the two sides agree on that.
+  void nameId(const std::string &Name) {
+    size_t Id = 0;
+    while (Id < Mentioned.size() && *Mentioned[Id].Name != Name)
+      ++Id;
+    if (Id == Mentioned.size()) {
+      const Routine *R = D.findRoutine(Name);
+      Mentioned.push_back({&Name, R});
+      if (R)
+        mix(Tag::RoutineName);
+      else
+        mix(D.findDecl(Name) ? Tag::DeclaredVar : Tag::UndeclaredVar);
+    }
+    mix(Id);
+  }
+
+  void walk(const Expr &E) {
+    switch (E.getKind()) {
+    case Expr::Kind::IntLit:
+      mix(Tag::IntLit);
+      mix(static_cast<uint64_t>(cast<IntLit>(&E)->getValue()));
+      return;
+    case Expr::Kind::CharLit:
+      mix(Tag::CharLit);
+      mix(cast<CharLit>(&E)->getValue());
+      return;
+    case Expr::Kind::VarRef:
+      mix(Tag::VarRef);
+      nameId(cast<VarRef>(&E)->getName());
+      return;
+    case Expr::Kind::MemRef:
+      mix(Tag::MemRef);
+      walk(*cast<MemRef>(&E)->getAddress());
+      return;
+    case Expr::Kind::Call:
+      mix(Tag::Call);
+      nameId(cast<CallExpr>(&E)->getCallee());
+      return;
+    case Expr::Kind::Unary: {
+      const auto *U = cast<UnaryExpr>(&E);
+      mix(Tag::Unary);
+      mix(static_cast<uint64_t>(U->getOp()));
+      walk(*U->getOperand());
+      return;
+    }
+    case Expr::Kind::Binary: {
+      const auto *B = cast<BinaryExpr>(&E);
+      mix(Tag::Binary);
+      mix(static_cast<uint64_t>(B->getOp()));
+      walk(*B->getLHS());
+      walk(*B->getRHS());
+      return;
+    }
+    }
+  }
+
+  void walk(const Stmt &S) {
+    switch (S.getKind()) {
+    case Stmt::Kind::Assign: {
+      const auto *A = cast<AssignStmt>(&S);
+      mix(isa<MemRef>(A->getTarget()) ? Tag::AssignToMem : Tag::Assign);
+      walk(*A->getTarget());
+      walk(*A->getValue());
+      return;
+    }
+    case Stmt::Kind::If: {
+      const auto *If = cast<IfStmt>(&S);
+      mix(Tag::If);
+      walk(*If->getCond());
+      walk(If->getThen());
+      mix(Tag::Else);
+      walk(If->getElse());
+      mix(Tag::End);
+      return;
+    }
+    case Stmt::Kind::Repeat:
+      mix(Tag::Repeat);
+      walk(cast<RepeatStmt>(&S)->getBody());
+      mix(Tag::End);
+      return;
+    case Stmt::Kind::ExitWhen:
+      mix(Tag::ExitWhen);
+      walk(*cast<ExitWhenStmt>(&S)->getCond());
+      return;
+    case Stmt::Kind::Input: {
+      const auto *In = cast<InputStmt>(&S);
+      mix(Tag::Input);
+      mix(In->getTargets().size());
+      for (const std::string &T : In->getTargets())
+        nameId(T);
+      return;
+    }
+    case Stmt::Kind::Output: {
+      const auto *Out = cast<OutputStmt>(&S);
+      mix(Tag::Output);
+      mix(Out->getValues().size());
+      for (const ExprPtr &V : Out->getValues())
+        walk(*V);
+      return;
+    }
+    case Stmt::Kind::Constrain: {
+      const auto *C = cast<ConstrainStmt>(&S);
+      mix(Tag::Constrain);
+      for (char Ch : C->getTag())
+        mix(static_cast<uint64_t>(Ch));
+      walk(*C->getPred());
+      return;
+    }
+    case Stmt::Kind::Assert:
+      mix(Tag::Assert);
+      walk(*cast<AssertStmt>(&S)->getPred());
+      return;
+    }
+  }
+
+  void walk(const StmtList &Stmts) {
+    for (const StmtPtr &S : Stmts)
+      walk(*S);
+  }
+
+  /// A name mentioned so far, and the routine it names (null for none).
+  struct Mention {
+    const std::string *Name;
+    const Routine *R;
   };
 
-  enum class NameKind : uint8_t { Unknown, RoutineName, DeclaredVar };
-
-  void mix(uint64_t V) {
-    for (int I = 0; I < 8; ++I) {
-      H ^= (V >> (I * 8)) & 0xFF;
-      H *= 1099511628211ULL;
-    }
-  }
-  void mix(Tag T) { mix(static_cast<uint64_t>(T)); }
-
-  /// Flat-vector accessors, grown on demand: SymIds are small dense ints,
-  /// so the rename map and the kind table are plain indexed loads instead
-  /// of ordered string lookups.
-  void growTo(Interner::SymId S) {
-    if (S >= CanonId.size()) {
-      CanonId.resize(S + 1, NoId);
-      Kind.resize(S + 1, NameKind::Unknown);
-    }
-  }
-  NameKind kindOf(Interner::SymId S) {
-    growTo(S);
-    return Kind[S];
-  }
-  void setKind(Interner::SymId S, NameKind K) {
-    growTo(S);
-    Kind[S] = K;
-  }
-  const Interner::NodeRef *bodyOf(Interner::SymId S) const {
-    for (const auto &[Sym, Body] : RoutineBody)
-      if (Sym == S)
-        return &Body;
-    return nullptr;
-  }
-
-  void nameId(Interner::SymId S) {
-    growTo(S);
-    if (CanonId[S] == NoId) {
-      CanonId[S] = static_cast<uint32_t>(Mentioned.size());
-      Mentioned.push_back(S);
-      switch (Kind[S]) {
-      case NameKind::RoutineName:
-        mix(Tag::RoutineName);
-        break;
-      case NameKind::DeclaredVar:
-        mix(Tag::DeclaredVar);
-        break;
-      case NameKind::Unknown:
-        mix(Tag::UndeclaredVar);
-        break;
-      }
-    }
-    mix(CanonId[S]);
-  }
-
-  void walk(Interner::NodeRef R) {
-    const Interner::Node &N = I.node(R);
-    using K = Interner::Node::K;
-    switch (N.Kind) {
-    case K::IntLit:
-      mix(Tag::IntLit);
-      mix(static_cast<uint64_t>(N.Value));
-      return;
-    case K::CharLit:
-      mix(Tag::CharLit);
-      mix(static_cast<uint64_t>(N.Value));
-      return;
-    case K::VarRef:
-      mix(Tag::VarRef);
-      nameId(static_cast<Interner::SymId>(N.Value));
-      return;
-    case K::MemRef:
-      mix(Tag::MemRef);
-      walk(N.Kids[0]);
-      return;
-    case K::CallE:
-      mix(Tag::Call);
-      nameId(static_cast<Interner::SymId>(N.Value));
-      return;
-    case K::Unary:
-      mix(Tag::Unary);
-      mix(N.Op);
-      walk(N.Kids[0]);
-      return;
-    case K::Binary:
-      mix(Tag::Binary);
-      mix(N.Op);
-      walk(N.Kids[0]);
-      walk(N.Kids[1]);
-      return;
-    case K::AssignS:
-      mix(I.node(N.Kids[0]).Kind == K::MemRef ? Tag::AssignToMem
-                                              : Tag::Assign);
-      walk(N.Kids[0]);
-      walk(N.Kids[1]);
-      return;
-    case K::IfS:
-      mix(Tag::If);
-      walk(N.Kids[0]);
-      walkList(N.Kids[1]);
-      mix(Tag::Else);
-      walkList(N.Kids[2]);
-      mix(Tag::End);
-      return;
-    case K::RepeatS:
-      mix(Tag::Repeat);
-      walkList(N.Kids[0]);
-      mix(Tag::End);
-      return;
-    case K::ExitWhenS:
-      mix(Tag::ExitWhen);
-      walk(N.Kids[0]);
-      return;
-    case K::InputS:
-      mix(Tag::Input);
-      mix(N.Kids.size());
-      for (Interner::NodeRef T : N.Kids)
-        nameId(static_cast<Interner::SymId>(T));
-      return;
-    case K::OutputS:
-      mix(Tag::Output);
-      mix(N.Kids.size());
-      for (Interner::NodeRef V : N.Kids)
-        walk(V);
-      return;
-    case K::ConstrainS:
-      mix(Tag::Constrain);
-      for (char Ch : I.symbolName(static_cast<Interner::SymId>(N.Value)))
-        mix(static_cast<uint64_t>(Ch));
-      walk(N.Kids[0]);
-      return;
-    case K::AssertS:
-      mix(Tag::Assert);
-      walk(N.Kids[0]);
-      return;
-    case K::List:
-      walkList(R);
-      return;
-    }
-  }
-
-  void walkList(Interner::NodeRef R) {
-    const Interner::Node &N = I.node(R);
-    for (Interner::NodeRef S : N.Kids)
-      walk(S);
-  }
-
-  static constexpr uint32_t NoId = ~uint32_t(0);
-
-  Interner &I;
   const Description &D;
-  uint64_t H = FnvBasis;
-  std::vector<uint32_t> CanonId;
-  std::vector<NameKind> Kind;
-  std::vector<Interner::SymId> Mentioned;
-  std::vector<std::pair<Interner::SymId, Interner::NodeRef>> RoutineBody;
-  size_t NextToExpand = 0;
+  /// Names in first-mention order; a name's index is its canonical id.
+  std::vector<Mention> Mentioned;
+};
+
+/// Streams a description's identity tokens: every node kind tagged, every
+/// list and name prefixed with its length, so two descriptions that
+/// differ anywhere the walk looks stream differently.
+class IdentityWalk : Fnv {
+public:
+  uint64_t run(const Description &D) {
+    // Everything the caches keyed by identity can observe. The canonical
+    // fingerprint needs only the names, but candidate enumeration does not
+    // (flag rules need a one-bit type) and neither does a verify verdict
+    // (register widths and routine result types mask values). Including
+    // dead text the matcher never sees over-approximates identity, which
+    // only costs memo hits, never correctness.
+    const Routine *Entry = D.entryRoutine();
+    mix(Entry != nullptr);
+    if (Entry)
+      text(Entry->Name);
+    for (const Section &Sec : D.getSections())
+      for (const SectionItem &It : Sec.Items) {
+        if (It.K == SectionItem::Kind::Decl) {
+          mix(Tag::Decl);
+          text(It.D.Name);
+          type(It.D.Type);
+        } else {
+          mix(Tag::Routine);
+          text(It.R->Name);
+          type(It.R->ResultType);
+          walk(It.R->Body);
+        }
+      }
+    return H;
+  }
+
+private:
+  void text(const std::string &S) {
+    mix(S.size());
+    for (char Ch : S)
+      mixByte(static_cast<uint8_t>(Ch));
+  }
+
+  void type(const TypeRef &T) {
+    mix(static_cast<uint64_t>(T.K));
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(T.Hi)));
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(T.Lo)));
+  }
+
+  void walk(const Expr &E) {
+    switch (E.getKind()) {
+    case Expr::Kind::IntLit:
+      mix(Tag::IntLit);
+      mix(static_cast<uint64_t>(cast<IntLit>(&E)->getValue()));
+      return;
+    case Expr::Kind::CharLit:
+      mix(Tag::CharLit);
+      mix(cast<CharLit>(&E)->getValue());
+      return;
+    case Expr::Kind::VarRef:
+      mix(Tag::VarRef);
+      text(cast<VarRef>(&E)->getName());
+      return;
+    case Expr::Kind::MemRef:
+      mix(Tag::MemRef);
+      walk(*cast<MemRef>(&E)->getAddress());
+      return;
+    case Expr::Kind::Call:
+      mix(Tag::Call);
+      text(cast<CallExpr>(&E)->getCallee());
+      return;
+    case Expr::Kind::Unary: {
+      const auto *U = cast<UnaryExpr>(&E);
+      mix(Tag::Unary);
+      mix(static_cast<uint64_t>(U->getOp()));
+      walk(*U->getOperand());
+      return;
+    }
+    case Expr::Kind::Binary: {
+      const auto *B = cast<BinaryExpr>(&E);
+      mix(Tag::Binary);
+      mix(static_cast<uint64_t>(B->getOp()));
+      walk(*B->getLHS());
+      walk(*B->getRHS());
+      return;
+    }
+    }
+  }
+
+  void walk(const Stmt &S) {
+    switch (S.getKind()) {
+    case Stmt::Kind::Assign: {
+      const auto *A = cast<AssignStmt>(&S);
+      mix(Tag::Assign);
+      walk(*A->getTarget());
+      walk(*A->getValue());
+      return;
+    }
+    case Stmt::Kind::If: {
+      const auto *If = cast<IfStmt>(&S);
+      mix(Tag::If);
+      walk(*If->getCond());
+      walk(If->getThen());
+      walk(If->getElse());
+      return;
+    }
+    case Stmt::Kind::Repeat:
+      mix(Tag::Repeat);
+      walk(cast<RepeatStmt>(&S)->getBody());
+      return;
+    case Stmt::Kind::ExitWhen:
+      mix(Tag::ExitWhen);
+      walk(*cast<ExitWhenStmt>(&S)->getCond());
+      return;
+    case Stmt::Kind::Input: {
+      const auto *In = cast<InputStmt>(&S);
+      mix(Tag::Input);
+      mix(In->getTargets().size());
+      for (const std::string &T : In->getTargets())
+        text(T);
+      return;
+    }
+    case Stmt::Kind::Output: {
+      const auto *Out = cast<OutputStmt>(&S);
+      mix(Tag::Output);
+      mix(Out->getValues().size());
+      for (const ExprPtr &V : Out->getValues())
+        walk(*V);
+      return;
+    }
+    case Stmt::Kind::Constrain: {
+      const auto *C = cast<ConstrainStmt>(&S);
+      mix(Tag::Constrain);
+      text(C->getTag());
+      walk(*C->getPred());
+      return;
+    }
+    case Stmt::Kind::Assert:
+      mix(Tag::Assert);
+      walk(*cast<AssertStmt>(&S)->getPred());
+      return;
+    }
+  }
+
+  void walk(const StmtList &Stmts) {
+    mix(Stmts.size());
+    for (const StmtPtr &S : Stmts)
+      walk(*S);
+  }
 };
 
 } // namespace
 
-uint64_t Interner::canonicalFingerprint(const Description &D) {
-  return canonicalFingerprint(D, identity(D));
-}
-
-uint64_t Interner::canonicalFingerprint(const Description &D, uint64_t Id) {
-  auto It = FpMemo.find(Id);
-  if (It != FpMemo.end()) {
-    ++MemoHits;
-    return It->second;
-  }
-  uint64_t Fp = DagCanonicalizer(*this, D).run();
-  FpMemo.emplace(Id, Fp);
-  return Fp;
-}
-
 uint64_t isdl::canonicalFingerprint(const Description &D) {
-  return Interner::local().canonicalFingerprint(D);
+  return Canonicalizer(D).run();
 }
+
+uint64_t isdl::identity(const Description &D) { return IdentityWalk().run(D); }
 
 //===----------------------------------------------------------------------===//
 // DescHandle
 //===----------------------------------------------------------------------===//
-
-DescHandle::Payload::Payload(Description D)
-    : D(std::move(D)), IdOwner(Interner::local().serial()) {}
 
 Description DescHandle::take() && {
   assert(P && "take() on an empty handle");
@@ -595,35 +505,18 @@ Description DescHandle::take() && {
 
 uint64_t DescHandle::fingerprint() const {
   assert(P && "fingerprint() on an empty handle");
-  if (P->FpReady.load(std::memory_order_acquire))
-    return P->Fp.load(std::memory_order_relaxed);
-  // Idempotent recompute: a racing thread lands on the same value.
-  uint64_t Fp = Interner::local().canonicalFingerprint(P->D, identity());
-  P->Fp.store(Fp, std::memory_order_relaxed);
-  P->FpReady.store(true, std::memory_order_release);
-  return Fp;
+  std::call_once(P->FpOnce, [this] { P->Fp = canonicalFingerprint(P->D); });
+  return P->Fp;
 }
 
 uint64_t DescHandle::identity() const {
   assert(P && "identity() on an empty handle");
-  Interner &I = Interner::local();
-  // Another thread's identities hash its own SymIds and NodeRefs: it
-  // computes one and leaves the owner's cache alone.
-  if (I.serial() != P->IdOwner)
-    return I.identity(P->D);
-  if (P->IdEpoch != I.epoch()) {
-    P->Id = I.identity(P->D);
-    // Read after the call: identity() itself may reset a full arena.
-    P->IdEpoch = I.epoch();
-  }
+  std::call_once(P->IdOnce, [this] { P->Id = isdl::identity(P->D); });
   return P->Id;
 }
 
 const FeatureVec &DescHandle::features() const {
   assert(P && "features() on an empty handle");
-  if (!P->FVReady.load(std::memory_order_acquire)) {
-    P->FV = FeatureVec::of(P->D);
-    P->FVReady.store(true, std::memory_order_release);
-  }
+  std::call_once(P->FVOnce, [this] { P->FV = FeatureVec::of(P->D); });
   return P->FV;
 }

@@ -1,4 +1,4 @@
-//===- Intern.h - Hash-consed AST arena and COW description handles -*- C++ -*-===//
+//===- Intern.h - Description keys and COW description handles --*- C++ -*-===//
 //
 // Part of the EXTRA reproduction of Morgan & Rowe, SIGPLAN '82.
 //
@@ -6,16 +6,16 @@
 ///
 /// \file
 /// The searcher's hot path pays `clone + apply + fingerprint` per candidate
-/// (ROADMAP, "hot-path raw speed"). This module is the raw-speed layer under
-/// it:
+/// (ROADMAP, "hot-path raw speed"). This module holds what it reads of a
+/// description version besides the text itself:
 ///
-///  * `Interner` — a thread-local arena that hash-conses expression and
-///    statement subtrees: structurally equal subtrees are interned to one
-///    shared node, each node's structural hash is memoized at construction,
-///    and a whole-description canonical fingerprint memo answers repeat
-///    fingerprints of structurally identical descriptions without
-///    re-walking them (widening rounds and transposition re-reaches hit
-///    this constantly).
+///  * `canonicalFingerprint` and `identity` — the two 64-bit keys of a
+///    description, each one direct FNV-1a walk over the AST. The
+///    fingerprint is rename-invariant: it is the paper's §3 test,
+///    "identical except for variable and register names", as a hash, and
+///    the registry's pairing keys are built from it. The identity is
+///    name-sensitive and keys the searcher's caches. Both are pure
+///    functions of the description.
 ///
 ///  * `FeatureVec` — the structural-distance feature vector as a fixed
 ///    array instead of a `std::map<std::string,int>`: building one is a
@@ -26,24 +26,15 @@
 ///
 ///  * `DescHandle` — a refcounted copy-on-write handle to an immutable
 ///    `Description` version. Search nodes hold handles, so a child shares
-///    its untouched side with its parent as a pointer copy; the canonical
-///    fingerprint, the feature vector and the interned identity are
-///    computed once per version and cached on the payload. Mutation goes
-///    through `clone()` (materialize a private deep copy), never through
-///    the shared payload.
+///    its untouched side with its parent as a pointer copy; the
+///    fingerprint, the identity and the feature vector are computed once
+///    per version and cached on the payload. Mutation goes through
+///    `clone()` (materialize a private deep copy), never through the
+///    shared payload.
 ///
-/// Thread model: the interner is `thread_local` (each batch worker owns an
-/// arena; no locks on the hot path). The fingerprint and feature caches use
-/// atomics with idempotent-recompute races, so handles may be read from
-/// several threads, but the payload description itself is immutable once
-/// wrapped. The identity cache belongs to the arena of the thread that
-/// built the payload; any other thread recomputes in its own arena.
-///
-/// Interner NodeRefs are transient: nothing outside a call chain stores
-/// them, so the arena can be reset when it grows past its soft cap without
-/// invalidating any cached fingerprint *values*. Identity values hash
-/// NodeRefs and SymIds, so a cached identity is stamped with its arena's
-/// epoch and recomputed after a reset.
+/// Thread model: a handle may be read from several threads. Each cache is
+/// filled once, under a `std::once_flag`, by the first read on any thread,
+/// and the payload description itself is immutable once wrapped.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,15 +43,27 @@
 
 #include "isdl/AST.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_map>
-#include <vector>
+#include <mutex>
 
 namespace extra {
 namespace isdl {
+
+/// Rename-invariant canonical fingerprint of \p D: the entry routine and
+/// every routine reachable from it, with each name replaced by its
+/// first-mention index. Values are registry dedup keys and appear in
+/// recorded traces, so tests/intern_test.cpp freezes them and checks them
+/// against a map-based reference walk. search::fingerprint delegates here.
+uint64_t canonicalFingerprint(const Description &D);
+
+/// Name-sensitive structural identity of \p D: the entry routine, every
+/// declaration's name and type, and every routine's name, result type and
+/// body, in section order. Equal identities imply equal canonical
+/// fingerprints, candidate pools and verify verdicts. 64-bit, the same
+/// collision tolerance as the transposition table; the values are not
+/// persistent.
+uint64_t identity(const Description &D);
 
 //===----------------------------------------------------------------------===//
 // FeatureVec
@@ -120,114 +123,6 @@ struct FeatureVec {
 };
 
 //===----------------------------------------------------------------------===//
-// Interner
-//===----------------------------------------------------------------------===//
-
-/// Thread-local hash-consing arena over ISDL subtrees, plus the canonical
-/// fingerprint memo keyed by whole-description structural identity.
-class Interner {
-public:
-  using NodeRef = uint32_t;
-  using SymId = uint32_t;
-  static constexpr NodeRef NoNode = ~NodeRef(0);
-
-  /// This thread's arena.
-  static Interner &local();
-
-  /// Interned symbol id of \p S (stable for the arena's lifetime).
-  SymId symbol(const std::string &S);
-  const std::string &symbolName(SymId Id) const { return SymNames[Id]; }
-
-  /// Arena node. `Kids` holds child NodeRefs, except for Input nodes
-  /// where the entries are SymIds of the target names.
-  struct Node {
-    enum class K : uint8_t {
-      IntLit,
-      CharLit,
-      VarRef,
-      MemRef,
-      CallE,
-      Unary,
-      Binary,
-      AssignS,
-      IfS,
-      RepeatS,
-      ExitWhenS,
-      InputS,
-      OutputS,
-      ConstrainS,
-      AssertS,
-      List,
-    };
-    K Kind;
-    uint8_t Op = 0;        ///< Unary/binary operator, when applicable.
-    int64_t Value = 0;     ///< Literal value or SymId payload.
-    uint64_t Hash = 0;     ///< Structural hash, memoized at construction.
-    NodeRef Next = NoNode; ///< Hash-bucket chain.
-    std::vector<NodeRef> Kids;
-  };
-
-  /// Interns a subtree; structurally equal subtrees return the same ref.
-  NodeRef intern(const Expr &E);
-  NodeRef intern(const Stmt &S);
-  NodeRef intern(const StmtList &L);
-
-  const Node &node(NodeRef R) const { return Nodes[R]; }
-
-  /// Structural identity of the whole description (names and declared
-  /// types included): equal identities imply equal canonical fingerprints,
-  /// candidate pools and verify verdicts. 64-bit, same collision tolerance
-  /// as the transposition table.
-  uint64_t identity(const Description &D);
-
-  /// Rename-invariant canonical fingerprint, memoized by `identity`. Values
-  /// are registry dedup keys and appear in recorded traces, so they are
-  /// frozen by tests/intern_test.cpp.
-  uint64_t canonicalFingerprint(const Description &D);
-  /// The same, given \p Identity == identity(D) in this arena and epoch.
-  uint64_t canonicalFingerprint(const Description &D, uint64_t Identity);
-
-  /// Nodes currently interned (tests and the soft-cap policy).
-  size_t nodeCount() const { return Nodes.size(); }
-  /// Canonical-fingerprint memo entries answered without a re-walk.
-  uint64_t memoHits() const { return MemoHits; }
-
-  /// Drops the arena, symbol table and memos and starts a new epoch.
-  /// Cached fingerprint *values* held elsewhere stay valid; only transient
-  /// NodeRefs die, and with them every identity of the old epoch. Called
-  /// automatically past the soft cap.
-  void reset();
-
-  /// Process-unique number of this arena: no two interners, on live or
-  /// finished threads, share one.
-  uint64_t serial() const { return Serial; }
-  /// Resets so far.
-  uint64_t epoch() const { return Epoch; }
-
-private:
-  Interner();
-
-  NodeRef internNode(Node::K Kind, uint8_t Op, int64_t Value,
-                     std::vector<NodeRef> Kids);
-
-  std::vector<Node> Nodes;
-  std::unordered_map<uint64_t, NodeRef> Buckets;
-  std::unordered_map<std::string, SymId> Syms;
-  std::vector<std::string> SymNames;
-  /// identity -> canonical fingerprint.
-  std::unordered_map<uint64_t, uint64_t> FpMemo;
-  uint64_t MemoHits = 0;
-  /// Resets so far, mixed into every identity: identities hash symbol and
-  /// node numbers that a reset hands out again.
-  uint64_t Epoch = 0;
-  const uint64_t Serial;
-
-  /// Soft cap on arena size; `intern` resets everything past it. Sized so
-  /// a full 14-pairing batch never trips it in practice.
-  static constexpr size_t SoftNodeCap = 1u << 22;
-};
-
-//===----------------------------------------------------------------------===//
 // DescHandle
 //===----------------------------------------------------------------------===//
 
@@ -260,9 +155,8 @@ public:
   /// Canonical fingerprint, computed once per version (then a load).
   uint64_t fingerprint() const;
 
-  /// Interner::identity of this version in the calling thread's arena.
-  /// Computed once per version and arena epoch on the thread that built
-  /// the payload; a reset, or a read from another thread, recomputes.
+  /// isdl::identity of this version, computed once per version (then a
+  /// load).
   uint64_t identity() const;
 
   /// Feature vector, computed once per version (then a load).
@@ -278,24 +172,15 @@ public:
 
 private:
   struct Payload {
-    explicit Payload(Description D);
+    explicit Payload(Description D) : D(std::move(D)) {}
     Description D;
-    std::atomic<uint64_t> Fp{0};
-    std::atomic<bool> FpReady{false};
-    FeatureVec FV;
-    std::atomic<bool> FVReady{false};
-    /// Serial of the arena that owns the identity cache: only its thread
-    /// reads or writes Id and IdEpoch, so they need no atomics.
-    const uint64_t IdOwner;
+    std::once_flag FpOnce, IdOnce, FVOnce;
+    uint64_t Fp = 0;
     uint64_t Id = 0;
-    uint64_t IdEpoch = ~uint64_t(0);
+    FeatureVec FV;
   };
   std::shared_ptr<Payload> P;
 };
-
-/// Rename-invariant canonical fingerprint of \p D through the thread-local
-/// interner (memoized). search::fingerprint delegates here.
-uint64_t canonicalFingerprint(const Description &D);
 
 } // namespace isdl
 } // namespace extra

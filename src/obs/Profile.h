@@ -40,7 +40,7 @@ struct ProfileStat {
   uint64_t SelfUs = 0;  ///< Sum of wall time minus direct children.
 };
 
-/// The rollup of one trace (possibly spanning several rotated files).
+/// The rollup of one trace.
 struct ProfileReport {
   /// Sum of the wall times of root spans (spans with no parent in the
   /// trace) — the denominator the self-time accounting must reproduce.

@@ -9,7 +9,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <ctime>
-#include <fstream>
 #include <sstream>
 
 using namespace extra;
@@ -135,15 +134,10 @@ TraceSink &TraceSink::noop() {
 //===----------------------------------------------------------------------===//
 
 JsonlTraceSink::JsonlTraceSink(std::ostream &OS)
-    : TraceSink(/*Enabled=*/true), OS(&OS),
+    : TraceSink(/*Enabled=*/true), OS(OS),
       Epoch(std::chrono::steady_clock::now()) {}
 
-JsonlTraceSink::JsonlTraceSink()
-    : TraceSink(/*Enabled=*/true), Epoch(std::chrono::steady_clock::now()) {}
-
-JsonlTraceSink::~JsonlTraceSink() { closeOpenSpans(); }
-
-void JsonlTraceSink::closeOpenSpans() {
+JsonlTraceSink::~JsonlTraceSink() {
   // Spans still open when the sink dies (e.g. an exception unwound past
   // the instrumented region) are closed so the trace stays complete.
   std::unique_lock<std::mutex> Lock(Mu);
@@ -153,11 +147,6 @@ void JsonlTraceSink::closeOpenSpans() {
     endSpan(Id);
     Lock.lock();
   }
-}
-
-void JsonlTraceSink::emit(const std::string &Line) {
-  if (OS)
-    *OS << Line;
 }
 
 uint64_t JsonlTraceSink::nowUs() const {
@@ -198,7 +187,7 @@ void JsonlTraceSink::endSpan(uint64_t Id) {
        << ",\"wall_us\":" << (End >= S.StartTsUs ? End - S.StartTsUs : 0)
        << ",\"cpu_us\":" << (Cpu >= S.StartCpuUs ? Cpu - S.StartCpuUs : 0)
        << S.P.rendered() << "}\n";
-  emit(Line.str());
+  OS << Line.str();
   ++Emitted;
   Open.erase(It);
 }
@@ -209,62 +198,6 @@ void JsonlTraceSink::event(std::string_view Name, uint64_t Span, Payload P) {
   Line << "{\"t\":\"event\",\"seq\":" << ++Seq << ",\"span\":" << Span
        << ",\"name\":\"" << jsonEscape(Name) << "\",\"ts_us\":" << nowUs()
        << P.rendered() << "}\n";
-  emit(Line.str());
+  OS << Line.str();
   ++Emitted;
-}
-
-//===----------------------------------------------------------------------===//
-// RotatingTraceSink
-//===----------------------------------------------------------------------===//
-
-std::string obs::rotatedTraceName(const std::string &Path, unsigned Index) {
-  if (Index == 0)
-    return Path;
-  size_t Dot = Path.rfind('.');
-  size_t Slash = Path.rfind('/');
-  if (Dot == std::string::npos ||
-      (Slash != std::string::npos && Dot < Slash))
-    return Path + "." + std::to_string(Index);
-  return Path.substr(0, Dot) + "." + std::to_string(Index) +
-         Path.substr(Dot);
-}
-
-RotatingTraceSink::RotatingTraceSink(std::string Path)
-    : RotatingTraceSink(std::move(Path), Options()) {}
-
-RotatingTraceSink::RotatingTraceSink(std::string Path, Options Opts)
-    : Path(std::move(Path)), Opts(Opts),
-      Out(std::make_unique<std::ofstream>(this->Path,
-                                          std::ios::out | std::ios::trunc)) {}
-
-RotatingTraceSink::~RotatingTraceSink() {
-  // Drain before Out dies: the base destructor would dispatch emit() to
-  // the base (stream-less) implementation and drop the final spans.
-  closeOpenSpans();
-}
-
-bool RotatingTraceSink::ok() const { return Out && Out->good(); }
-
-void RotatingTraceSink::emit(const std::string &Line) {
-  if (!Out || !Out->is_open())
-    return;
-  if (Opts.MaxBytes > 0 && Bytes > 0 && Bytes + Line.size() > Opts.MaxBytes)
-    rotate();
-  *Out << Line;
-  Bytes += Line.size();
-}
-
-void RotatingTraceSink::rotate() {
-  Out->close();
-  std::remove(rotatedTraceName(Path, Opts.MaxRotated).c_str());
-  for (unsigned I = Opts.MaxRotated; I > 1; --I)
-    std::rename(rotatedTraceName(Path, I - 1).c_str(),
-                rotatedTraceName(Path, I).c_str());
-  if (Opts.MaxRotated > 0)
-    std::rename(Path.c_str(), rotatedTraceName(Path, 1).c_str());
-  else
-    std::remove(Path.c_str());
-  Out->open(Path, std::ios::out | std::ios::trunc);
-  Bytes = 0;
-  ++Rotations;
 }

@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -123,8 +122,7 @@ private:
 };
 
 /// Writes one JSON object per record to an ostream. Thread-safe; the
-/// stream must outlive the sink. Subclasses may redirect the rendered
-/// lines elsewhere by overriding emit() (see RotatingTraceSink).
+/// stream must outlive the sink.
 class JsonlTraceSink : public TraceSink {
 public:
   explicit JsonlTraceSink(std::ostream &OS);
@@ -138,19 +136,6 @@ public:
   /// Records emitted so far (spans are counted when they end).
   uint64_t recordCount() const;
 
-protected:
-  /// For subclasses that own their output and override emit().
-  JsonlTraceSink();
-
-  /// Writes one complete record line (newline included). Called with the
-  /// sink mutex held, so implementations need no locking of their own.
-  virtual void emit(const std::string &Line);
-
-  /// Drains still-open spans through endSpan. Subclass destructors MUST
-  /// call this before their output stream dies — by the time the base
-  /// destructor runs, the override of emit() is gone.
-  void closeOpenSpans();
-
 private:
   struct OpenSpan {
     std::string Name;
@@ -163,60 +148,13 @@ private:
   uint64_t nowUs() const;
 
   mutable std::mutex Mu;
-  std::ostream *OS = nullptr;
+  std::ostream &OS;
   std::map<uint64_t, OpenSpan> Open;
   uint64_t NextId = 1;
   uint64_t Seq = 0;
   uint64_t Emitted = 0;
   std::chrono::steady_clock::time_point Epoch;
 };
-
-/// A file-owning JSONL sink with size-capped rotation, so a long traced
-/// batch cannot fill the disk. When the active file
-/// (`trace.jsonl`) would exceed MaxBytes, it is shifted to
-/// `trace.1.jsonl` (older generations move to `.2`, `.3`, ... and the
-/// oldest beyond MaxRotated is deleted) and a fresh active file is
-/// opened. Rotation happens at line granularity — every record line
-/// lands whole in exactly one file, and `seq` stays monotonic across
-/// the set — so obs::readTraceSet can reassemble the full trace.
-class RotatingTraceSink final : public JsonlTraceSink {
-public:
-  struct Options {
-    /// Rotation threshold for the active file. 0 disables rotation (the
-    /// off switch): the file grows without bound, as before.
-    uint64_t MaxBytes = DefaultMaxBytes;
-    /// Rotated generations kept (`.1` .. `.N`); older ones are deleted.
-    unsigned MaxRotated = DefaultMaxRotated;
-  };
-  /// Defaults documented in DESIGN.md §11: 64 MiB per file, 4 rotated
-  /// generations -> at most ~320 MiB of trace on disk per sink.
-  static constexpr uint64_t DefaultMaxBytes = 64ull << 20;
-  static constexpr unsigned DefaultMaxRotated = 4;
-
-  explicit RotatingTraceSink(std::string Path);
-  RotatingTraceSink(std::string Path, Options Opts);
-  ~RotatingTraceSink() override;
-
-  /// False when the active file could not be opened.
-  bool ok() const;
-  /// Rotations performed so far.
-  uint64_t rotations() const { return Rotations; }
-
-private:
-  void emit(const std::string &Line) override;
-  void rotate();
-
-  std::string Path;
-  Options Opts;
-  std::unique_ptr<std::ofstream> Out;
-  uint64_t Bytes = 0;
-  uint64_t Rotations = 0;
-};
-
-/// The name of rotated generation \p Index for \p Path: the index is
-/// inserted before the extension (`trace.jsonl` -> `trace.1.jsonl`).
-/// Index 0 returns \p Path itself.
-std::string rotatedTraceName(const std::string &Path, unsigned Index);
 
 /// RAII span: begins on construction, ends on destruction. Safe to use
 /// on a disabled sink (id stays 0 and nothing is emitted).

@@ -6,11 +6,7 @@
 
 #include "obs/TraceFile.h"
 
-#include "obs/Trace.h"
-
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
 
 using namespace extra;
 using namespace extra::obs;
@@ -205,40 +201,4 @@ std::optional<std::vector<TraceRecord>> obs::readTrace(std::istream &In,
     Out.push_back(std::move(R));
   }
   return Out;
-}
-
-std::optional<std::vector<TraceRecord>>
-obs::readTraceSet(const std::string &Path, std::string *Error) {
-  // Rotation keeps generations contiguous (.1 .. .N), so probe upward
-  // until the first gap to find the oldest file.
-  unsigned Highest = 0;
-  for (unsigned I = 1;; ++I) {
-    std::ifstream Probe(rotatedTraceName(Path, I));
-    if (!Probe.good())
-      break;
-    Highest = I;
-  }
-
-  std::vector<TraceRecord> All;
-  for (unsigned I = Highest;; --I) {
-    std::string Name = rotatedTraceName(Path, I);
-    std::ifstream In(Name);
-    if (!In.good()) {
-      if (Error)
-        *Error = "cannot open trace file " + Name;
-      return std::nullopt;
-    }
-    std::string Why;
-    auto Part = readTrace(In, &Why);
-    if (!Part) {
-      if (Error)
-        *Error = Name + ": " + Why;
-      return std::nullopt;
-    }
-    All.insert(All.end(), std::make_move_iterator(Part->begin()),
-               std::make_move_iterator(Part->end()));
-    if (I == 0)
-      break;
-  }
-  return All;
 }

@@ -64,15 +64,6 @@ parseJsonObjectLine(std::string_view Line);
 std::optional<std::vector<TraceRecord>> readTrace(std::istream &In,
                                                   std::string *Error = nullptr);
 
-/// Reads a trace that may have been split by RotatingTraceSink: loads
-/// `<base>.N` generations oldest-first (highest index down to `.1`),
-/// then the active file, and concatenates the records. A plain
-/// un-rotated file reads identically to readTrace. Fails when the
-/// active file is missing or any present file is malformed (\p Error
-/// names the file).
-std::optional<std::vector<TraceRecord>>
-readTraceSet(const std::string &Path, std::string *Error = nullptr);
-
 } // namespace obs
 } // namespace extra
 

@@ -49,12 +49,11 @@ namespace search {
 /// collisions, which the searcher tolerates (a collision can at worst
 /// prune one reachable state).
 ///
-/// Computed through the thread-local isdl::Interner: the description is
-/// hash-consed into the arena and repeat fingerprints of structurally
-/// identical descriptions are answered from a memo without re-walking.
-/// Values are persistent registry keys. tests/intern_test.cpp freezes
-/// them for the whole library and checks them against a map-based
-/// reference walk kept there.
+/// One direct walk over \p D (isdl::canonicalFingerprint); a search reads
+/// it once per version from the version's isdl::DescHandle. Values are
+/// persistent registry keys. tests/intern_test.cpp freezes them for the
+/// whole library and checks them against a map-based reference walk kept
+/// there.
 uint64_t fingerprint(const isdl::Description &D);
 
 /// Combines the two side fingerprints of a search state into one

@@ -747,9 +747,8 @@ bool beamRound(const DescHandle &Operator, const DescHandle &Instruction,
             // (before, step), so the verdict for a (before, after, step)
             // triple never changes — memo it. Widening rounds re-derive
             // the same rewrites from re-expanded parents; the memo answers
-            // those without re-running the trials. Keyed by interned
-            // identities (name-sensitive, unlike the rename-invariant
-            // fingerprints).
+            // those without re-running the trials. Keyed by identities
+            // (name-sensitive, unlike the rename-invariant fingerprints).
             const Step &S = A.Steps.front();
             bool Verdict;
             uint64_t VKey = pairKey(pairKey(Cur.identity(), NewH.identity()),

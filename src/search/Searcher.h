@@ -24,7 +24,7 @@
 /// cheapest line to each canonical state survives, not the first one.
 /// Search states hold copy-on-write isdl::DescHandles: a child shares its
 /// untouched side with its parent, fingerprints, feature vectors and
-/// interned identities are cached per description version, and the
+/// identities are cached per description version, and the
 /// per-candidate scratch engine clones only when a rule actually applies.
 /// A side version's rule attempts are made once while it stays on the
 /// frontier: a repeat of the version in another pair reads the outcomes

@@ -27,11 +27,11 @@ bool exec(Core &C, const AsmStmt &S) {
   }
   if (Op == "chi" && N == 3) {
     int64_t V = C.value(S.Toks[2]);
-    C.Diff = C.reg(S.Toks[1]) - V;
+    C.Cc = C.reg(S.Toks[1]) - V;
     return true;
   }
   if (Op == "cr" && N == 3) {
-    C.Diff = C.reg(S.Toks[1]) - C.reg(S.Toks[2]);
+    C.Cc = C.reg(S.Toks[1]) - C.reg(S.Toks[2]);
     return true;
   }
   if (C.loadStoreByte(S))

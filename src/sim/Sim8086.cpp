@@ -26,6 +26,15 @@ int64_t mask(const std::string &Reg, int64_t V) {
   return V;
 }
 
+/// \p V read as a signed number at \p Reg's width.
+int64_t signedAt(const std::string &Reg, int64_t V) {
+  if (Regs16.count(Reg))
+    return static_cast<int16_t>(V);
+  if (Regs8.count(Reg))
+    return static_cast<int8_t>(V);
+  return V;
+}
+
 std::string memReg(const std::string &T) {
   return Core::indirect(T, '[', ']');
 }
@@ -50,7 +59,7 @@ void advance(Core &C, const std::string &Reg) {
 }
 
 void scasb(Core &C) {
-  C.Zf = (C.reg("al") & 0xFF) == C.byteAt(C.reg("di"));
+  C.Cc = (C.reg("al") & 0xFF) - C.byteAt(C.reg("di"));
   advance(C, "di");
 }
 void movsb(Core &C) {
@@ -59,7 +68,7 @@ void movsb(Core &C) {
   advance(C, "di");
 }
 void cmpsb(Core &C) {
-  C.Zf = C.byteAt(C.reg("si")) == C.byteAt(C.reg("di"));
+  C.Cc = C.byteAt(C.reg("si")) - C.byteAt(C.reg("di"));
   advance(C, "si");
   advance(C, "di");
 }
@@ -98,9 +107,9 @@ bool exec(Core &C, const AsmStmt &S) {
       Cx = (Cx - 1) & 0xFFFF;
       Step(C);
       ++C.Res.MicroOps;
-      if (Op == "repne" && C.Zf)
+      if (Op == "repne" && C.Cc == 0)
         break; // found
-      if (Op == "repe" && !C.Zf)
+      if (Op == "repe" && C.Cc != 0)
         break; // mismatch
     }
     return true;
@@ -122,7 +131,7 @@ bool exec(Core &C, const AsmStmt &S) {
       return C.fail(S, "inc/dec needs one register");
     int64_t &V = C.reg(S.Toks[1]);
     V = mask(S.Toks[1], V + (Op == "inc" ? 1 : -1));
-    C.Zf = V == 0;
+    C.Cc = signedAt(S.Toks[1], V); // dec cx from 0 leaves -1
     ++C.Res.MicroOps;
     return true;
   }
@@ -147,16 +156,15 @@ bool exec(Core &C, const AsmStmt &S) {
     return true;
   }
   if (Op == "cmp") {
-    C.Diff = VA - VB;
-    C.Zf = C.Diff == 0;
+    C.Cc = VA - VB;
     return true;
   }
   return C.fail(S, "unknown instruction '" + Op + "'");
 }
 
 const Branch Branches[] = {
-    {"jmp", Cond::Always}, {"jz", Cond::Zero}, {"jnz", Cond::NonZero},
-    {"jl", Cond::Lt},      {"jle", Cond::Le},  {"jg", Cond::Gt},
+    {"jmp", Cond::Always}, {"jz", Cond::Eq},  {"jnz", Cond::Ne},
+    {"jl", Cond::Lt},      {"jle", Cond::Le}, {"jg", Cond::Gt},
     {"jge", Cond::Ge}};
 
 } // namespace

@@ -89,22 +89,18 @@ bool holds(const Core &C, Cond When) {
   switch (When) {
   case Cond::Always:
     return true;
-  case Cond::Zero:
-    return C.Zf;
-  case Cond::NonZero:
-    return !C.Zf;
   case Cond::Eq:
-    return C.Diff == 0;
+    return C.Cc == 0;
   case Cond::Ne:
-    return C.Diff != 0;
+    return C.Cc != 0;
   case Cond::Lt:
-    return C.Diff < 0;
+    return C.Cc < 0;
   case Cond::Le:
-    return C.Diff <= 0;
+    return C.Cc <= 0;
   case Cond::Gt:
-    return C.Diff > 0;
+    return C.Cc > 0;
   case Cond::Ge:
-    return C.Diff >= 0;
+    return C.Cc >= 0;
   }
   return false;
 }

@@ -79,9 +79,9 @@ bool assemble(const std::vector<std::string> &Lines, char CommentChar,
 /// "space" measure of §1.
 unsigned codeSize(const std::vector<std::string> &Lines, char CommentChar);
 
-/// When a branch is taken: always, on the zero flag, or on the difference
-/// the last compare left.
-enum class Cond { Always, Zero, NonZero, Eq, Ne, Lt, Le, Gt, Ge };
+/// When a branch is taken: always, or when the condition value
+/// (Core::Cc) compares so with zero.
+enum class Cond { Always, Eq, Ne, Lt, Le, Gt, Ge };
 
 /// One row of a machine's branch table.
 struct Branch {
@@ -95,9 +95,12 @@ struct Branch {
 /// statement reads.
 struct Core {
   SimResult Res;
-  bool Zf = false;  ///< Zero flag (8086 zf, VAX Z).
-  int64_t Diff = 0; ///< The last compare's first operand minus its second.
-  bool Df = false;  ///< 8086 direction flag: strings run downward.
+  /// The condition value: the signed result of the last instruction that
+  /// sets the condition codes (a compare's first operand minus its
+  /// second, a tested or counted value). Zero is the zero flag; its sign
+  /// is the sign flag.
+  int64_t Cc = 0;
+  bool Df = false; ///< 8086 direction flag: strings run downward.
 
   int64_t &reg(const std::string &Name) { return Res.Regs[Name]; }
 

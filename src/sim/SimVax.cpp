@@ -29,17 +29,16 @@ bool exec(Core &C, const AsmStmt &S) {
   if ((Op == "incl" || Op == "decl") && N == 2) {
     int64_t &V = C.reg(S.Toks[1]);
     V += Op == "incl" ? 1 : -1;
-    C.Zf = V == 0;
+    C.Cc = V;
     return true;
   }
   if (Op == "tstl" && N == 2) {
-    C.Zf = C.reg(S.Toks[1]) == 0;
+    C.Cc = C.reg(S.Toks[1]);
     return true;
   }
   if (Op == "cmpl" && N == 3) {
     int64_t A = Value(1);
-    C.Diff = A - Value(2);
-    C.Zf = C.Diff == 0;
+    C.Cc = A - Value(2);
     return true;
   }
   if (C.loadStoreByte(S))
@@ -86,7 +85,7 @@ bool exec(Core &C, const AsmStmt &S) {
     }
     C.reg("r0") = Len - I;
     C.reg("r1") = Addr + I;
-    C.Zf = I == Len;
+    C.Cc = Len - I;
     return true;
   }
   if (Op == "cmpc3" && N == 4) {
@@ -100,15 +99,16 @@ bool exec(Core &C, const AsmStmt &S) {
     C.reg("r0") = Len - I;
     C.reg("r1") = A + I;
     C.reg("r3") = B + I;
-    C.Zf = I == Len;
+    // The first unequal pair's difference; 0 for equal strings.
+    C.Cc = I == Len ? 0 : C.byteAt(A + I) - C.byteAt(B + I);
     return true;
   }
   return C.fail(S, "unknown instruction '" + Op + "'");
 }
 
 const Branch Branches[] = {
-    {"brb", Cond::Always}, {"jmp", Cond::Always}, {"beql", Cond::Zero},
-    {"bneq", Cond::NonZero}, {"bleq", Cond::Le},  {"blss", Cond::Lt}};
+    {"brb", Cond::Always}, {"jmp", Cond::Always}, {"beql", Cond::Eq},
+    {"bneq", Cond::Ne},    {"bleq", Cond::Le},    {"blss", Cond::Lt}};
 
 } // namespace
 

@@ -278,8 +278,7 @@ ApplyResult Engine::apply(const Step &S) {
     // Refusal-purity contract: the working copy still equals the current
     // version, so the slot stays valid for the next attempt. The debug
     // check compares name-sensitive structural identities.
-    assert(!Reusing || isdl::Interner::local().identity(Work) ==
-                           isdl::Interner::local().identity(Cur.get()));
+    assert(!Reusing || isdl::identity(Work) == isdl::identity(Cur.get()));
     Finish(R);
     return R;
   }

@@ -1,23 +1,23 @@
-//===- intern_test.cpp - Hash-consed AST / COW handle tests -----*- C++ -*-===//
+//===- intern_test.cpp - Description keys / COW handle tests ----*- C++ -*-===//
 //
 // Part of the EXTRA reproduction of Morgan & Rowe, SIGPLAN '82.
 //
 //===----------------------------------------------------------------------===//
 //
-// Tests for the interned hot path: the hash-consed arena, memoized
-// canonical fingerprints, FeatureVec distances and copy-on-write engine
-// state.
+// Tests for the searcher's hot path: the canonical fingerprint and the
+// identity of a description, FeatureVec distances and copy-on-write
+// engine state.
 //
 // Two kinds of oracle. The reference implementations below are the
-// straightforward map-based walks the interned code replaced (the
+// straightforward map-based walks the hot path once replaced (the
 // "Legacy" in the parity tests' names); they live only here, and the
 // parity tests compare against them on the whole description library
 // and on derived states. The frozen tables pin values that must never
 // move: every library description's fingerprint and every recorded
 // pairing's key (both are persistent registry keys), and the scripts and
 // node traffic of two whole searches. Run under ASan/UBSan in the
-// sanitizers CI job, these tests also exercise the arena and the
-// sharing/undo aliasing edges.
+// sanitizers CI job, these tests also exercise the sharing/undo aliasing
+// edges.
 //
 //===----------------------------------------------------------------------===//
 
@@ -465,81 +465,68 @@ TEST(InternTest, FrozenPairingKeys) {
   }
 }
 
-TEST(InternTest, FingerprintMemoAnswersRepeats) {
-  Interner &I = Interner::local();
-  I.reset();
-  auto D = descriptions::load("i8086.movsb");
-  ASSERT_TRUE(D);
-  uint64_t First = I.canonicalFingerprint(*D);
-  uint64_t HitsBefore = I.memoHits();
-  // A structurally identical clone must be answered from the memo.
-  auto Clone = D->clone();
-  EXPECT_EQ(I.canonicalFingerprint(Clone), First);
-  EXPECT_GT(I.memoHits(), HitsBefore);
-}
+TEST(InternTest, IdentityIsAPureFunctionOfTheDescription) {
+  // Both keys are one walk over the description and nothing else: a
+  // clone keys as its original does, and a handle's identity is the same
+  // value on whichever thread computes or reads it.
+  std::vector<std::string> Where;
+  std::vector<Description> Versions;
+  extra::testing::forEachCorpusVersion(
+      [&](const analysis::AnalysisCase &C, bool Inst, size_t Step,
+          const Description &D) {
+        Where.push_back(C.Id + (Inst ? " instruction" : " operator") +
+                        " step " + std::to_string(Step));
+        Description Clone = D.clone();
+        EXPECT_EQ(isdl::identity(Clone), isdl::identity(D)) << Where.back();
+        EXPECT_EQ(canonicalFingerprint(Clone), canonicalFingerprint(D))
+            << Where.back();
+        Versions.push_back(std::move(Clone));
+      });
+  ASSERT_GT(Versions.size(), 28u);
 
-TEST(InternTest, InternSharesEqualSubtrees) {
-  Interner &I = Interner::local();
-  I.reset();
-  auto D = descriptions::load("i8086.movsb");
-  ASSERT_TRUE(D);
-  uint64_t IdA = I.identity(*D);
-  size_t NodesAfterFirst = I.nodeCount();
-  EXPECT_GT(NodesAfterFirst, 0u);
-  // Interning a structural clone creates no new nodes: every subtree is
-  // already in the arena.
-  auto Clone = D->clone();
-  EXPECT_EQ(I.identity(Clone), IdA);
-  EXPECT_EQ(I.nodeCount(), NodesAfterFirst);
-}
+  // One thread builds every handle and reads half of them; another reads
+  // them all, half from the first thread's cache and half afresh.
+  std::vector<DescHandle> Handles;
+  std::thread([&] {
+    for (size_t I = 0; I < Versions.size(); ++I) {
+      Handles.emplace_back(Versions[I].clone());
+      if (I % 2 == 0)
+        Handles.back().identity();
+    }
+  }).join();
+  std::vector<uint64_t> Read;
+  std::thread([&] {
+    for (const DescHandle &H : Handles)
+      Read.push_back(H.identity());
+  }).join();
+  for (size_t I = 0; I < Versions.size(); ++I)
+    EXPECT_EQ(Read[I], isdl::identity(Versions[I])) << Where[I];
 
-TEST(InternTest, ResetInvalidatesNothingButNodes) {
-  Interner &I = Interner::local();
-  auto D = descriptions::load("vax.locc");
-  ASSERT_TRUE(D);
-  uint64_t Fp = I.canonicalFingerprint(*D);
-  I.reset();
-  EXPECT_EQ(I.nodeCount(), 0u);
-  // Values recomputed after a reset are identical.
-  EXPECT_EQ(I.canonicalFingerprint(*D), Fp);
-}
-
-TEST(InternTest, IdentityDiffersAcrossReset) {
-  // Identities hash arena-relative symbol and node numbers. Interned
-  // first into a fresh arena, these two bodies get the same numbers, and
-  // the searcher's memos keyed by identity outlive the reset that the
-  // arena's soft cap triggers: a stale verify memo hit would admit an
-  // unverified step.
+  // Different bodies key differently; a renamed variable changes the
+  // identity but not the rename-invariant fingerprint.
   DiagnosticEngine Diags;
-  auto Parse = [&Diags](const char *Stmt) {
-    return parseDescription(std::string(R"(
-t.op := begin
-  ** S **
-    a: integer,
-    t.execute := begin
-      )") + Stmt + R"(
-    end
-end
-)",
+  auto Parse = [&Diags](const std::string &Var, const std::string &Stmt) {
+    return parseDescription("t.op := begin\n"
+                            "  ** S **\n"
+                            "    " + Var + ": integer,\n"
+                            "    t.execute := begin\n"
+                            "      " + Stmt + "\n"
+                            "    end\n"
+                            "end\n",
                             Diags);
   };
-  auto Plus = Parse("a <- a + 1;"), Minus = Parse("a <- a - 7;");
-  ASSERT_TRUE(Plus && Minus && !Diags.hasErrors()) << Diags.str();
-  ASSERT_NE(search::fingerprint(*Plus), search::fingerprint(*Minus));
-
-  Interner &I = Interner::local();
-  I.reset();
-  uint64_t Before = I.identity(*Plus);
-  I.reset();
-  EXPECT_NE(I.identity(*Minus), Before);
-  // Within one epoch identity stays a pure function of the description.
-  EXPECT_EQ(I.identity(*Plus), I.identity(Plus->clone()));
+  auto Plus = Parse("a", "a <- a + 1;"), Minus = Parse("a", "a <- a - 7;"),
+       Renamed = Parse("b", "b <- b + 1;");
+  ASSERT_TRUE(Plus && Minus && Renamed && !Diags.hasErrors()) << Diags.str();
+  EXPECT_NE(isdl::identity(*Plus), isdl::identity(*Minus));
+  EXPECT_NE(canonicalFingerprint(*Plus), canonicalFingerprint(*Minus));
+  EXPECT_NE(isdl::identity(*Plus), isdl::identity(*Renamed));
+  EXPECT_EQ(canonicalFingerprint(*Plus), canonicalFingerprint(*Renamed));
 }
 
 TEST(InternTest, HandleIdentityIsTheInternersOnEveryCorpusVersion) {
   // The searcher keys its expansion records, verify memo and proposal
   // cache by the identity cached on each version's handle.
-  Interner &I = Interner::local();
   size_t Versions = 0;
   extra::testing::forEachCorpusVersion(
       [&](const analysis::AnalysisCase &C, bool Inst, size_t Step,
@@ -547,48 +534,12 @@ TEST(InternTest, HandleIdentityIsTheInternersOnEveryCorpusVersion) {
         ++Versions;
         DescHandle H(D.clone());
         uint64_t Id = H.identity();
-        EXPECT_EQ(Id, I.identity(D))
+        EXPECT_EQ(Id, isdl::identity(D))
             << C.Id << (Inst ? " instruction" : " operator") << " step "
             << Step;
         EXPECT_EQ(H.identity(), Id); // Now from the cache.
       });
   EXPECT_GT(Versions, 28u);
-}
-
-TEST(InternTest, HandleIdentityIsRecomputedAfterResetAndOnAnotherThread) {
-  // A cached identity hashes one arena's SymIds and NodeRefs at one
-  // epoch: after a reset, or read from a thread with its own arena, it
-  // must be recomputed there, never reused.
-  auto D = descriptions::load("vax.movc3");
-  auto Other = descriptions::load("pc2.clear");
-  ASSERT_TRUE(D && Other);
-  DescHandle H(D->clone());
-  Interner &I = Interner::local();
-  uint64_t Before = H.identity();
-  I.reset();
-  uint64_t After = H.identity();
-  EXPECT_NE(After, Before);
-  EXPECT_EQ(After, I.identity(*H));
-
-  // Two fresh arenas, both at epoch 0, that number the description
-  // differently: the second interned another description first.
-  DescHandle Built;
-  uint64_t Owners = 0;
-  std::thread([&] {
-    Built = DescHandle(D->clone());
-    Owners = Built.identity();
-  }).join();
-  uint64_t Theirs = 0, TheirsDirect = 0;
-  std::thread([&] {
-    Interner::local().identity(*Other);
-    Theirs = Built.identity();
-    TheirsDirect = Interner::local().identity(*Built);
-  }).join();
-  ASSERT_NE(TheirsDirect, Owners);
-  EXPECT_EQ(Theirs, TheirsDirect);
-  EXPECT_EQ(Built.identity(), I.identity(*Built));
-  // Reads elsewhere left this thread's cache as it was.
-  EXPECT_EQ(H.identity(), After);
 }
 
 TEST(InternTest, IdentityIncludesDeclarationTypes) {
@@ -607,8 +558,7 @@ TEST(InternTest, IdentityIncludesDeclarationTypes) {
   auto Byte = parseDescription(Text, Diags);
   ASSERT_TRUE(Byte && !Diags.hasErrors()) << Diags.str();
 
-  Interner &I = Interner::local();
-  EXPECT_NE(I.identity(*Flag), I.identity(*Byte));
+  EXPECT_NE(isdl::identity(*Flag), isdl::identity(*Byte));
   EXPECT_EQ(search::fingerprint(*Flag), search::fingerprint(*Byte));
 
   auto Pool = [](const Description &D) {
@@ -732,8 +682,9 @@ TEST(InternTest, CowApplyMatchesOwnedApplyOnWholeCorpus) {
       ASSERT_EQ(ROwned.Applied, RCow.Applied) << Id << " step " << S.str();
       if (!ROwned.Applied)
         continue;
-      // Byte-identical text, equal fingerprints (interned and reference),
-      // and equal structural distance against the untouched original.
+      // Byte-identical text, equal fingerprints (by the fingerprint walk
+      // and by the reference), and equal structural distance against the
+      // untouched original.
       EXPECT_EQ(printDescription(Owned.current()),
                 printDescription(Cow.current()))
           << Id << " step " << S.str();

@@ -24,9 +24,7 @@
 #include "search/Searcher.h"
 #include "transform/Transform.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
 #include <thread>
@@ -502,91 +500,6 @@ TEST(ObsProfile, CollapsedStacksKeepTreePaths) {
                        "search;round 100\n"
                        "search;round;depth 500\n"
                        "search;verify 200\n");
-}
-
-//===----------------------------------------------------------------------===//
-// Rotating trace sink
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Temp path helper for rotation tests; removes the whole rotated set.
-struct TempTrace {
-  std::string Path;
-  explicit TempTrace(const std::string &Name)
-      : Path(::testing::TempDir() + Name) {
-    cleanup();
-  }
-  ~TempTrace() { cleanup(); }
-  void cleanup() {
-    std::remove(Path.c_str());
-    for (unsigned I = 1; I <= 16; ++I)
-      std::remove(obs::rotatedTraceName(Path, I).c_str());
-  }
-};
-
-} // namespace
-
-TEST(ObsRotation, RotatedNamesInsertBeforeExtension) {
-  EXPECT_EQ(obs::rotatedTraceName("trace.jsonl", 0), "trace.jsonl");
-  EXPECT_EQ(obs::rotatedTraceName("trace.jsonl", 1), "trace.1.jsonl");
-  EXPECT_EQ(obs::rotatedTraceName("/tmp/t.d/trace.jsonl", 2),
-            "/tmp/t.d/trace.2.jsonl");
-  EXPECT_EQ(obs::rotatedTraceName("noext", 3), "noext.3");
-}
-
-TEST(ObsRotation, RotatesAtCapAndReadTraceSetReassembles) {
-  TempTrace F("obs_rotation_test.jsonl");
-  uint64_t Emitted = 0;
-  uint64_t Rotations = 0;
-  {
-    obs::RotatingTraceSink::Options Opts;
-    Opts.MaxBytes = 512; // Tiny cap: a handful of records per file.
-    Opts.MaxRotated = 16;
-    obs::RotatingTraceSink Sink(F.Path, Opts);
-    ASSERT_TRUE(Sink.ok());
-    uint64_t Root = Sink.beginSpan("search", 0, obs::Payload());
-    for (unsigned I = 0; I < 40; ++I)
-      Sink.event("frontier", Root, obs::Payload().add("round", uint64_t(I)));
-    Sink.endSpan(Root);
-    Emitted = Sink.recordCount();
-    Rotations = Sink.rotations();
-    EXPECT_GE(Rotations, 2u);
-  }
-  EXPECT_EQ(Emitted, 41u);
-
-  // The rotated generations exist on disk.
-  EXPECT_TRUE(std::ifstream(obs::rotatedTraceName(F.Path, 1)).good());
-  EXPECT_TRUE(std::ifstream(obs::rotatedTraceName(F.Path, Rotations)).good());
-
-  // readTraceSet stitches oldest-first; seq stays strictly monotonic
-  // across file boundaries and nothing is lost.
-  std::string Err;
-  auto Trace = obs::readTraceSet(F.Path, &Err);
-  ASSERT_TRUE(Trace.has_value()) << Err;
-  ASSERT_EQ(Trace->size(), Emitted);
-  for (size_t I = 0; I < Trace->size(); ++I)
-    EXPECT_EQ((*Trace)[I].Seq, I + 1);
-  EXPECT_EQ(Trace->back().Name, "search");
-  EXPECT_EQ(Trace->back().K, obs::TraceRecord::Kind::Span);
-}
-
-TEST(ObsRotation, MaxBytesZeroIsTheOffSwitch) {
-  TempTrace F("obs_rotation_off_test.jsonl");
-  {
-    obs::RotatingTraceSink::Options Opts;
-    Opts.MaxBytes = 0;
-    obs::RotatingTraceSink Sink(F.Path, Opts);
-    ASSERT_TRUE(Sink.ok());
-    for (unsigned I = 0; I < 200; ++I)
-      Sink.event("frontier", 0, obs::Payload().add("round", uint64_t(I)));
-    EXPECT_EQ(Sink.rotations(), 0u);
-  }
-  EXPECT_FALSE(std::ifstream(obs::rotatedTraceName(F.Path, 1)).good());
-  std::string Err;
-  auto Trace = obs::readTraceSet(F.Path, &Err);
-  ASSERT_TRUE(Trace.has_value()) << Err;
-  EXPECT_EQ(Trace->size(), 200u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -312,6 +312,37 @@ TEST(Sim370Test, ByteLoadStoreLoop) {
 }
 
 //===----------------------------------------------------------------------===//
+// Branch conditions
+//===----------------------------------------------------------------------===//
+
+TEST(SimCommonTest, SignedBranchesTestTheLastFlagSetter) {
+  // A signed branch tests the result of the last instruction that set
+  // the condition codes. Each program first leaves a compare whose sign
+  // disagrees with that result, so a branch that read the compare would
+  // go the other way.
+  auto Vax = [](std::vector<std::string> Prog) {
+    Prog.insert(Prog.end(), {"brb done", "yes:", "movl took, 1", "done:"});
+    SimResult R = runVax(Prog);
+    EXPECT_TRUE(R.Ok) << R.Error;
+    return R.reg("took") == 1;
+  };
+  EXPECT_FALSE(Vax({"cmpl 1, 2", "movl r1, 0", "tstl r1", "blss yes"}));
+  EXPECT_TRUE(Vax({"cmpl 2, 1", "movl r1, -1", "tstl r1", "blss yes"}));
+  EXPECT_TRUE(Vax({"cmpl 2, 1", "movl r1, 0", "decl r1", "bleq yes"}));
+
+  auto I86 = [](std::vector<std::string> Prog) {
+    Prog.insert(Prog.end(), {"jmp done", "yes:", "mov took, 1", "done:"});
+    SimResult R = run8086(Prog);
+    EXPECT_TRUE(R.Ok) << R.Error;
+    return R.reg("took") == 1;
+  };
+  // dec cx 5 -> 4 is positive; 0 -> -1 wraps to 0xffff, negative at 16
+  // bits.
+  EXPECT_FALSE(I86({"cmp ax, 1", "mov cx, 5", "dec cx", "jl yes"}));
+  EXPECT_TRUE(I86({"mov ax, 2", "cmp ax, 1", "mov cx, 0", "dec cx", "jl yes"}));
+}
+
+//===----------------------------------------------------------------------===//
 // Frozen traffic: every mnemonic of the three simulators, the exotic
 // instructions in both directions and with both outcomes, and the
 // failures. Each run pins its status, error text, dispatches, micro-ops,

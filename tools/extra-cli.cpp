@@ -16,8 +16,6 @@
 //                    [--registry <file>]
 //                                      discover derivation scripts (and
 //                                      keep the verified bindings)
-//   extra-cli trace <case-id> [--out trace.jsonl]
-//                                      traced single-case discovery
 //   extra-cli postmortem <trace.jsonl> --against <case-id>
 //                                      why the beam lost the recorded line
 //   extra-cli profile <trace.jsonl>    self/total-time rollups from a trace
@@ -74,9 +72,6 @@ int usage() {
                "    options: -x (extension mode), --threads N, --beam W,\n"
                "             --depth D, --nodes N, --time-ms T,\n"
                "             --trace FILE (JSONL span/event trace),\n"
-               "             --trace-cap-bytes N (rotate the trace past N\n"
-               "             bytes into FILE.1, FILE.2, ...; default 64\n"
-               "             MiB, 0 disables rotation),\n"
                "             --metrics FILE (counter/histogram JSON),\n"
                "             --min-verified N (fail below N verified),\n"
                "             --checkpoint FILE (JSONL record per case),\n"
@@ -88,11 +83,6 @@ int usage() {
                "             injection; also env EXTRA_INJECT),\n"
                "             --inject-seed N, --no-retry (disable the\n"
                "             degraded retry of timed-out/faulted cases)\n"
-               "  trace <case-id> [--out trace.jsonl]\n"
-               "                          run one traced discovery (search\n"
-               "                          options above apply); succeeds\n"
-               "                          even when discovery fails — the\n"
-               "                          trace is the product\n"
                "  postmortem <trace.jsonl> --against <case-id>\n"
                "                          replay the recorded derivation\n"
                "                          against a trace: first depth the\n"
@@ -105,8 +95,8 @@ int usage() {
                "                          divergence) — no recorded script\n"
                "                          needed\n"
                "  profile <trace.jsonl> [--collapsed FILE]\n"
-               "                          roll a (possibly rotated) JSONL\n"
-               "                          trace into self/total-time tables\n"
+               "                          roll a JSONL trace into\n"
+               "                          self/total-time tables\n"
                "                          per span label and depth;\n"
                "                          --collapsed writes flamegraph\n"
                "                          collapsed-stack lines\n"
@@ -344,7 +334,6 @@ int cmdSearch(int argc, char **argv) {
   bool All = false;
   std::string CaseId, OperatorId, InstructionId;
   std::string TracePath, MetricsPath, RegistryPath;
-  uint64_t TraceCapBytes = obs::RotatingTraceSink::DefaultMaxBytes;
   uint64_t MinVerified = 0;
   bool HaveMinVerified = false;
 
@@ -369,8 +358,6 @@ int cmdSearch(int argc, char **argv) {
       Opts.Limits.TimeBudgetMs = V;
     else if (Arg == "--trace" && I + 1 < argc)
       TracePath = argv[++I];
-    else if (Arg == "--trace-cap-bytes" && unsignedArg(argc, argv, I, V))
-      TraceCapBytes = V;
     else if (Arg == "--metrics" && I + 1 < argc)
       MetricsPath = argv[++I];
     else if (Arg == "--min-verified" && unsignedArg(argc, argv, I, V)) {
@@ -443,16 +430,16 @@ int cmdSearch(int argc, char **argv) {
     Discovered.registry() = std::move(*Prior);
   }
 
-  std::unique_ptr<obs::RotatingTraceSink> Sink;
+  std::ofstream TraceOut;
+  std::unique_ptr<obs::JsonlTraceSink> Sink;
   if (!TracePath.empty()) {
-    obs::RotatingTraceSink::Options SinkOpts;
-    SinkOpts.MaxBytes = TraceCapBytes;
-    Sink = std::make_unique<obs::RotatingTraceSink>(TracePath, SinkOpts);
-    if (!Sink->ok()) {
+    TraceOut.open(TracePath);
+    if (!TraceOut) {
       std::fprintf(stderr, "cannot open '%s' for writing\n",
                    TracePath.c_str());
       return 1;
     }
+    Sink = std::make_unique<obs::JsonlTraceSink>(TraceOut);
     Opts.Limits.Trace = Sink.get();
   }
   obs::Metrics Met;
@@ -531,11 +518,9 @@ int cmdSearch(int argc, char **argv) {
   }
 
   if (Sink) {
-    unsigned Rotations = Sink->rotations();
-    std::printf("trace: %llu record(s) -> %s%s\n",
+    std::printf("trace: %llu record(s) -> %s\n",
                 static_cast<unsigned long long>(Sink->recordCount()),
-                TracePath.c_str(),
-                Rotations ? " (rotated)" : "");
+                TracePath.c_str());
     Sink.reset(); // Flush open spans before the stream closes.
   }
   if (!MetricsPath.empty()) {
@@ -559,56 +544,20 @@ int cmdSearch(int argc, char **argv) {
   return All ? 0 : Rc; // --all is a survey, not an assertion.
 }
 
-int cmdTrace(int argc, char **argv) {
-  if (argc < 3 || argv[2][0] == '-')
-    return usage();
-  const AnalysisCase *Case = findCase(argv[2]);
-  if (!Case) {
-    std::fprintf(stderr, "unknown case '%s' (try `extra-cli cases`)\n",
-                 argv[2]);
-    return 1;
+/// Reads the JSONL trace at \p Path, saying on stderr why when it cannot.
+std::optional<std::vector<obs::TraceRecord>>
+loadTrace(const std::string &Path) {
+  std::ifstream In(Path);
+  if (!In) {
+    std::fprintf(stderr, "bad trace: cannot open trace file %s\n",
+                 Path.c_str());
+    return std::nullopt;
   }
-  std::string Out = "trace.jsonl";
-  uint64_t TraceCapBytes = obs::RotatingTraceSink::DefaultMaxBytes;
-  extra::search::SearchLimits Limits;
-  for (int I = 3; I < argc; ++I) {
-    std::string Arg = argv[I];
-    uint64_t V = 0;
-    if (Arg == "--out" && I + 1 < argc)
-      Out = argv[++I];
-    else if (Arg == "--trace-cap-bytes" && unsignedArg(argc, argv, I, V))
-      TraceCapBytes = V;
-    else if (Arg == "--beam" && unsignedArg(argc, argv, I, V, UINT_MAX))
-      Limits.BeamWidth = static_cast<unsigned>(V);
-    else if (Arg == "--depth" && unsignedArg(argc, argv, I, V, UINT_MAX))
-      Limits.MaxDepth = static_cast<unsigned>(V);
-    else if (Arg == "--nodes" && unsignedArg(argc, argv, I, V))
-      Limits.MaxNodes = V;
-    else if (Arg == "--time-ms" && unsignedArg(argc, argv, I, V))
-      Limits.TimeBudgetMs = V;
-    else
-      return usage();
-  }
-
-  obs::RotatingTraceSink::Options SinkOpts;
-  SinkOpts.MaxBytes = TraceCapBytes;
-  obs::RotatingTraceSink Sink(Out, SinkOpts);
-  if (!Sink.ok()) {
-    std::fprintf(stderr, "cannot open '%s' for writing\n", Out.c_str());
-    return 1;
-  }
-  Limits.Trace = &Sink;
-  Limits.TraceLabel = Case->Id;
-  extra::search::DiscoveryResult R = extra::search::discoverAndVerify(
-      Case->OperatorId, Case->InstructionId, Limits,
-      Case->RequiresExtension ? Mode::Extension : Mode::Base);
-  // A failed discovery is the expected use of this command — the trace
-  // is the product, so only I/O failures change the exit code.
-  reportDiscovery(Case->Id, R, /*Verbose=*/false);
-  std::printf("trace: %llu record(s) -> %s%s\n",
-              static_cast<unsigned long long>(Sink.recordCount()),
-              Out.c_str(), Sink.rotations() ? " (rotated)" : "");
-  return Sink.ok() ? 0 : 1;
+  std::string Err;
+  auto Trace = obs::readTrace(In, &Err);
+  if (!Trace)
+    std::fprintf(stderr, "bad trace: %s: %s\n", Path.c_str(), Err.c_str());
+  return Trace;
 }
 
 int cmdPostmortem(int argc, char **argv) {
@@ -627,13 +576,10 @@ int cmdPostmortem(int argc, char **argv) {
   }
   if (Against.empty() && !Partial)
     return usage();
+  auto Trace = loadTrace(TracePath);
+  if (!Trace)
+    return 1;
   if (Partial) {
-    std::string Err;
-    auto Trace = obs::readTraceSet(TracePath, &Err);
-    if (!Trace) {
-      std::fprintf(stderr, "bad trace: %s\n", Err.c_str());
-      return 1;
-    }
     std::fputs(extra::search::summarizePartial(*Trace).str().c_str(),
                stdout);
     if (Against.empty())
@@ -643,12 +589,6 @@ int cmdPostmortem(int argc, char **argv) {
   if (!Case) {
     std::fprintf(stderr, "unknown case '%s' (try `extra-cli cases`)\n",
                  Against.c_str());
-    return 1;
-  }
-  std::string Err;
-  auto Trace = obs::readTraceSet(TracePath, &Err);
-  if (!Trace) {
-    std::fprintf(stderr, "bad trace: %s\n", Err.c_str());
     return 1;
   }
   extra::search::PostmortemOptions PO;
@@ -676,12 +616,9 @@ int cmdProfile(int argc, char **argv) {
     else
       return usage();
   }
-  std::string Err;
-  auto Trace = obs::readTraceSet(TracePath, &Err);
-  if (!Trace) {
-    std::fprintf(stderr, "bad trace: %s\n", Err.c_str());
+  auto Trace = loadTrace(TracePath);
+  if (!Trace)
     return 1;
-  }
   obs::ProfileReport Rep = obs::profileTrace(*Trace);
   std::fputs(Rep.str().c_str(), stdout);
   if (!CollapsedPath.empty()) {
@@ -870,8 +807,6 @@ int main(int argc, char **argv) {
     return cmdReplay(argc, argv);
   if (!std::strcmp(Cmd, "search"))
     return cmdSearch(argc, argv);
-  if (!std::strcmp(Cmd, "trace"))
-    return cmdTrace(argc, argv);
   if (!std::strcmp(Cmd, "postmortem"))
     return cmdPostmortem(argc, argv);
   if (!std::strcmp(Cmd, "profile"))
