@@ -37,11 +37,11 @@ evalPred(const Expr &E, const std::map<std::string, int64_t> &Values) {
   case Expr::Kind::Call:
     return std::nullopt;
   case Expr::Kind::Unary: {
-    auto V = evalPred(*cast<UnaryExpr>(&E)->getOperand(), Values);
+    const auto *U = cast<UnaryExpr>(&E);
+    auto V = evalPred(*U->getOperand(), Values);
     if (!V)
       return std::nullopt;
-    return cast<UnaryExpr>(&E)->getOp() == UnaryOp::Not ? (*V == 0 ? 1 : 0)
-                                                        : -*V;
+    return applyUnary(U->getOp(), *V);
   }
   case Expr::Kind::Binary: {
     const auto *B = cast<BinaryExpr>(&E);
@@ -49,33 +49,7 @@ evalPred(const Expr &E, const std::map<std::string, int64_t> &Values) {
     auto R = evalPred(*B->getRHS(), Values);
     if (!L || !R)
       return std::nullopt;
-    switch (B->getOp()) {
-    case BinaryOp::Add:
-      return *L + *R;
-    case BinaryOp::Sub:
-      return *L - *R;
-    case BinaryOp::Mul:
-      return *L * *R;
-    case BinaryOp::Div:
-      return *R == 0 ? std::optional<int64_t>() : *L / *R;
-    case BinaryOp::And:
-      return (*L != 0 && *R != 0) ? 1 : 0;
-    case BinaryOp::Or:
-      return (*L != 0 || *R != 0) ? 1 : 0;
-    case BinaryOp::Eq:
-      return *L == *R;
-    case BinaryOp::Ne:
-      return *L != *R;
-    case BinaryOp::Lt:
-      return *L < *R;
-    case BinaryOp::Le:
-      return *L <= *R;
-    case BinaryOp::Gt:
-      return *L > *R;
-    case BinaryOp::Ge:
-      return *L >= *R;
-    }
-    return std::nullopt;
+    return applyBinary(B->getOp(), *L, *R);
   }
   }
   return std::nullopt;

@@ -218,7 +218,7 @@ private:
       int64_t V = eval(*U->getOperand());
       if (failed())
         return 0;
-      return U->getOp() == UnaryOp::Not ? (V == 0 ? 1 : 0) : -V;
+      return applyUnary(U->getOp(), V);
     }
     case Expr::Kind::Binary: {
       const auto *B = cast<BinaryExpr>(&E);
@@ -231,36 +231,9 @@ private:
       int64_t R = eval(*B->getRHS());
       if (failed())
         return 0;
-      switch (B->getOp()) {
-      case BinaryOp::Add:
-        return L + R;
-      case BinaryOp::Sub:
-        return L - R;
-      case BinaryOp::Mul:
-        return L * R;
-      case BinaryOp::Div:
-        if (R == 0) {
-          fail("division by zero");
-          return 0;
-        }
-        return L / R;
-      case BinaryOp::And:
-        return (L != 0 && R != 0) ? 1 : 0;
-      case BinaryOp::Or:
-        return (L != 0 || R != 0) ? 1 : 0;
-      case BinaryOp::Eq:
-        return L == R;
-      case BinaryOp::Ne:
-        return L != R;
-      case BinaryOp::Lt:
-        return L < R;
-      case BinaryOp::Le:
-        return L <= R;
-      case BinaryOp::Gt:
-        return L > R;
-      case BinaryOp::Ge:
-        return L >= R;
-      }
+      if (auto V = applyBinary(B->getOp(), L, R))
+        return *V;
+      fail("division by zero");
       return 0;
     }
     }

@@ -25,6 +25,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -225,6 +226,48 @@ BinaryOp swapRelational(BinaryOp Op);
 /// The source spelling of an operator ("+", "and", "=", ...).
 const char *spelling(BinaryOp Op);
 const char *spelling(UnaryOp Op);
+
+/// The value of `L op R`, the one statement of ISDL's operator semantics
+/// that the interpreter, the constant folds and the constraint-satisfying
+/// input draws share. Relations and logic give 0 or 1, and `and`/`or`
+/// read any nonzero operand as true. Nullopt for a division by zero.
+inline std::optional<int64_t> applyBinary(BinaryOp Op, int64_t L,
+                                          int64_t R) {
+  switch (Op) {
+  case BinaryOp::Add:
+    return L + R;
+  case BinaryOp::Sub:
+    return L - R;
+  case BinaryOp::Mul:
+    return L * R;
+  case BinaryOp::Div:
+    if (R == 0)
+      return std::nullopt;
+    return L / R;
+  case BinaryOp::And:
+    return L != 0 && R != 0;
+  case BinaryOp::Or:
+    return L != 0 || R != 0;
+  case BinaryOp::Eq:
+    return L == R;
+  case BinaryOp::Ne:
+    return L != R;
+  case BinaryOp::Lt:
+    return L < R;
+  case BinaryOp::Le:
+    return L <= R;
+  case BinaryOp::Gt:
+    return L > R;
+  case BinaryOp::Ge:
+    return L >= R;
+  }
+  return 0;
+}
+
+/// The value of `not V` (0 or 1) or `-V`.
+inline int64_t applyUnary(UnaryOp Op, int64_t V) {
+  return Op == UnaryOp::Not ? V == 0 : -V;
+}
 
 /// Binary expression.
 class BinaryExpr : public Expr {

@@ -492,6 +492,14 @@ uint64_t isdl::canonicalFingerprint(const Description &D) {
 
 uint64_t isdl::identity(const Description &D) { return IdentityWalk().run(D); }
 
+uint64_t isdl::pairKey(uint64_t OperatorKey, uint64_t InstructionKey) {
+  // Asymmetric mix (boost::hash_combine style) so (A, B) and (B, A) are
+  // distinct states.
+  uint64_t H = OperatorKey;
+  H ^= InstructionKey + 0x9E3779B97F4A7C15ULL + (H << 12) + (H >> 4);
+  return H;
+}
+
 //===----------------------------------------------------------------------===//
 // DescHandle
 //===----------------------------------------------------------------------===//

@@ -54,7 +54,13 @@ namespace isdl {
 /// every routine reachable from it, with each name replaced by its
 /// first-mention index. Values are registry dedup keys and appear in
 /// recorded traces, so tests/intern_test.cpp freezes them and checks them
-/// against a map-based reference walk. search::fingerprint delegates here.
+/// against a map-based reference walk.
+///
+/// Guarantee: if `matchDescriptions(A, B).Matched` then the fingerprints
+/// are equal, so the searcher's goal test is an integer compare confirmed
+/// by a full match. The converse holds modulo 64-bit collisions, which the
+/// searcher tolerates (a collision can at worst prune one reachable
+/// state).
 uint64_t canonicalFingerprint(const Description &D);
 
 /// Name-sensitive structural identity of \p D: the entry routine, every
@@ -64,6 +70,12 @@ uint64_t canonicalFingerprint(const Description &D);
 /// collision tolerance as the transposition table; the values are not
 /// persistent.
 uint64_t identity(const Description &D);
+
+/// Combines the keys of a search state's two sides (fingerprints or
+/// identities) into one. Not commutative: the operator and the
+/// instruction side play different roles. The registry's pairing keys
+/// are built with it, so its values are persistent too.
+uint64_t pairKey(uint64_t OperatorKey, uint64_t InstructionKey);
 
 //===----------------------------------------------------------------------===//
 // FeatureVec

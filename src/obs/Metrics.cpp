@@ -6,13 +6,14 @@
 
 #include "obs/Metrics.h"
 
-#include "obs/Trace.h"
+#include "support/Json.h"
 
 #include <bit>
 #include <cstdio>
 
 using namespace extra;
 using namespace extra::obs;
+using support::jsonEscape;
 
 //===----------------------------------------------------------------------===//
 // Histogram

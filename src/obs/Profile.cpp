@@ -23,10 +23,56 @@ uint64_t ProfileReport::selfTotalUs() const {
 
 namespace {
 
+/// One span of a trace and the wall time of its direct children.
 struct SpanNode {
   const TraceRecord *Rec = nullptr;
   uint64_t ChildWallUs = 0;
+
+  /// Wall time minus the direct children's, clamped at zero against
+  /// clock skew.
+  uint64_t selfUs() const {
+    return Rec->WallUs > ChildWallUs ? Rec->WallUs - ChildWallUs : 0;
+  }
 };
+
+using SpanIndex = std::unordered_map<uint64_t, SpanNode>;
+
+/// The one pass both rollups start from: indexes the spans of \p Trace by
+/// id and charges each span's wall time to its parent, so self time falls
+/// out in one subtraction.
+SpanIndex indexSpans(const std::vector<TraceRecord> &Trace) {
+  SpanIndex Spans;
+  Spans.reserve(Trace.size());
+  for (const TraceRecord &Rec : Trace)
+    if (Rec.K == TraceRecord::Kind::Span && Rec.Id)
+      Spans[Rec.Id].Rec = &Rec;
+  for (const auto &[Id, Node] : Spans) {
+    (void)Id;
+    if (!Node.Rec->Parent)
+      continue;
+    auto It = Spans.find(Node.Rec->Parent);
+    if (It != Spans.end())
+      It->second.ChildWallUs += Node.Rec->WallUs;
+  }
+  return Spans;
+}
+
+/// The semicolon-joined labels from the root span down to \p Rec,
+/// memoized per span id in \p Paths.
+const std::string &stackPath(const TraceRecord &Rec, const SpanIndex &Spans,
+                             std::unordered_map<uint64_t, std::string> &Paths) {
+  auto It = Paths.find(Rec.Id);
+  if (It != Paths.end())
+    return It->second;
+  std::string Path;
+  auto Parent = Spans.find(Rec.Parent);
+  if (Rec.Parent && Parent != Spans.end()) {
+    Path = stackPath(*Parent->second.Rec, Spans, Paths);
+    Path += ';';
+  }
+  Path += Rec.Name.empty() ? "<anon>" : Rec.Name;
+  return Paths.emplace(Rec.Id, std::move(Path)).first->second;
+}
 
 void appendTable(std::string &Out, const char *Title,
                  const std::vector<ProfileStat> &Rows, uint64_t Denom) {
@@ -55,22 +101,7 @@ void appendTable(std::string &Out, const char *Title,
 ProfileReport obs::profileTrace(const std::vector<TraceRecord> &Trace) {
   ProfileReport R;
 
-  // Pass 1: index spans and charge each span's wall to its parent so
-  // self time falls out in one subtraction.
-  std::unordered_map<uint64_t, SpanNode> Spans;
-  Spans.reserve(Trace.size());
-  for (const TraceRecord &Rec : Trace)
-    if (Rec.K == TraceRecord::Kind::Span && Rec.Id)
-      Spans[Rec.Id].Rec = &Rec;
-  for (const auto &[Id, Node] : Spans) {
-    (void)Id;
-    if (!Node.Rec->Parent)
-      continue;
-    auto It = Spans.find(Node.Rec->Parent);
-    if (It != Spans.end())
-      It->second.ChildWallUs += Node.Rec->WallUs;
-  }
-
+  SpanIndex Spans = indexSpans(Trace);
   std::map<std::string, ProfileStat> ByLabel;
   std::map<uint64_t, ProfileStat> ByDepth;
 
@@ -78,9 +109,7 @@ ProfileReport obs::profileTrace(const std::vector<TraceRecord> &Trace) {
     (void)Id;
     const TraceRecord &Rec = *Node.Rec;
     ++R.Spans;
-    uint64_t Self = Rec.WallUs > Node.ChildWallUs
-                        ? Rec.WallUs - Node.ChildWallUs
-                        : 0;
+    uint64_t Self = Node.selfUs();
     bool IsRoot = !Rec.Parent || !Spans.count(Rec.Parent);
     if (IsRoot)
       R.TracedWallUs += Rec.WallUs;
@@ -138,67 +167,13 @@ std::string ProfileReport::str() const {
   return Out;
 }
 
-namespace {
-
-/// Recomputes the per-span self time and stack path for collapsed
-/// output. Kept separate from profileTrace so the report stays small.
-struct CollapsedBuilder {
-  std::unordered_map<uint64_t, const TraceRecord *> ById;
-  std::unordered_map<uint64_t, uint64_t> ChildWall;
-  std::unordered_map<uint64_t, std::string> PathCache;
-
-  const std::string &pathOf(const TraceRecord &Rec) {
-    auto It = PathCache.find(Rec.Id);
-    if (It != PathCache.end())
-      return It->second;
-    std::string Path;
-    auto Parent = ById.find(Rec.Parent);
-    if (Rec.Parent && Parent != ById.end()) {
-      Path = pathOf(*Parent->second);
-      Path += ';';
-    }
-    Path += Rec.Name.empty() ? "<anon>" : Rec.Name;
-    return PathCache.emplace(Rec.Id, std::move(Path)).first->second;
-  }
-};
-
-} // namespace
-
-std::string ProfileReport::collapsed() const {
-  // The report only keeps aggregates; collapsed stacks come from the
-  // per-label rollup when the caller did not keep the raw trace. The
-  // CLI path uses collapsedStacks() below on the raw records instead.
-  std::string Out;
-  for (const ProfileStat &S : ByLabel) {
-    Out += S.Key.empty() ? "<anon>" : S.Key;
-    Out += ' ';
-    Out += std::to_string(S.SelfUs);
-    Out += '\n';
-  }
-  return Out;
-}
-
-namespace extra {
-namespace obs {
-
-std::string collapsedStacks(const std::vector<TraceRecord> &Trace) {
-  CollapsedBuilder B;
-  for (const TraceRecord &Rec : Trace)
-    if (Rec.K == TraceRecord::Kind::Span && Rec.Id)
-      B.ById[Rec.Id] = &Rec;
-  for (const auto &[Id, Rec] : B.ById) {
-    (void)Id;
-    if (Rec->Parent && B.ById.count(Rec->Parent))
-      B.ChildWall[Rec->Parent] += Rec->WallUs;
-  }
+std::string obs::collapsedStacks(const std::vector<TraceRecord> &Trace) {
+  SpanIndex Spans = indexSpans(Trace);
+  std::unordered_map<uint64_t, std::string> Paths;
   std::map<std::string, uint64_t> Stacks;
-  for (const auto &[Id, Rec] : B.ById) {
-    uint64_t Children = 0;
-    auto It = B.ChildWall.find(Id);
-    if (It != B.ChildWall.end())
-      Children = It->second;
-    uint64_t Self = Rec->WallUs > Children ? Rec->WallUs - Children : 0;
-    Stacks[B.pathOf(*Rec)] += Self;
+  for (const auto &[Id, Node] : Spans) {
+    (void)Id;
+    Stacks[stackPath(*Node.Rec, Spans, Paths)] += Node.selfUs();
   }
   std::string Out;
   for (const auto &[Path, Us] : Stacks) {
@@ -209,6 +184,3 @@ std::string collapsedStacks(const std::vector<TraceRecord> &Trace) {
   }
   return Out;
 }
-
-} // namespace obs
-} // namespace extra

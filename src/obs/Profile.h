@@ -12,11 +12,12 @@
 /// tree reproduces the root's wall time exactly — the invariant the
 /// profiler's accounting rests on.
 ///
-/// Two rollups come out of one pass: per span label (`search`, `round`,
-/// `depth`, `expand`, ...) and per beam depth (from `depth` spans'
-/// `depth` payload).
-/// `collapsed()` renders the classic semicolon-joined stack lines
-/// consumable by standard flamegraph tooling.
+/// Self time is computed once, by one pass that indexes the spans and
+/// charges each to its parent. Two rollups come out of it: per span label
+/// (`search`, `round`, `depth`, `expand`, ...) and per beam depth (from
+/// `depth` spans' `depth` payload), and `collapsedStacks` renders the
+/// classic semicolon-joined stack lines consumable by standard flamegraph
+/// tooling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,18 +56,15 @@ struct ProfileReport {
 
   /// Human-readable tables.
   std::string str() const;
-  /// Collapsed-stack lines (`a;b;c <self_us>`), one per distinct stack,
-  /// sorted by path — feed to flamegraph.pl or speedscope.
-  std::string collapsed() const;
 };
 
 /// Profiles a parsed trace. Works on any span/event mix; events only
 /// contribute to the event count.
 ProfileReport profileTrace(const std::vector<TraceRecord> &Trace);
 
-/// Full-fidelity collapsed stacks straight from the raw records: one
-/// `parent;child;leaf <self_us>` line per distinct stack path. The
-/// report's collapsed() collapses to labels only; this keeps the tree.
+/// Collapsed stacks straight from the raw records: one
+/// `parent;child;leaf <self_us>` line per distinct stack path, sorted by
+/// path — feed to flamegraph.pl or speedscope.
 std::string collapsedStacks(const std::vector<TraceRecord> &Trace);
 
 } // namespace obs

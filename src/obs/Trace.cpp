@@ -6,6 +6,8 @@
 
 #include "obs/Trace.h"
 
+#include "support/Json.h"
+
 #include <cinttypes>
 #include <cstdio>
 #include <ctime>
@@ -13,40 +15,7 @@
 
 using namespace extra;
 using namespace extra::obs;
-
-std::string obs::jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
+using support::jsonEscape;
 
 //===----------------------------------------------------------------------===//
 // Payload

@@ -52,10 +52,6 @@
 namespace extra {
 namespace obs {
 
-/// Escapes \p S for inclusion inside a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string jsonEscape(std::string_view S);
-
 /// A typed key-value payload for spans and events. Values are rendered
 /// into JSON immediately on add(), so a Payload is cheap to move and the
 /// sink never re-inspects types. Only build one behind an `enabled()`

@@ -6,29 +6,29 @@
 ///
 /// \file
 /// The reading half of obs::JsonlTraceSink: parses a JSONL trace back
-/// into typed records for postmortem analysis and tests. The parser
-/// accepts exactly the flat-object JSON the sink writes (string, number,
-/// and boolean values; no nesting) — it is a trace reader, not a general
-/// JSON library.
+/// into typed records for postmortem analysis and tests, each line
+/// through the shared line codec (support/Json).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXTRA_OBS_TRACEFILE_H
 #define EXTRA_OBS_TRACEFILE_H
 
+#include "support/Json.h"
+
 #include <cstdint>
 #include <istream>
-#include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace extra {
 namespace obs {
 
-/// One parsed trace line.
-struct TraceRecord {
+/// One parsed trace line: the record's typed keys below, and every other
+/// key in the inherited Fields (payload values, read with field,
+/// fieldU64 and fieldDouble).
+struct TraceRecord : support::JsonObject {
   enum class Kind { Span, Event };
   Kind K = Kind::Event;
   uint64_t Seq = 0;
@@ -41,23 +41,7 @@ struct TraceRecord {
   uint64_t CpuUs = 0;
   // Event field: the owning span.
   uint64_t Span = 0;
-  /// Every other key, with string values unescaped and numbers/bools in
-  /// their literal spelling.
-  std::map<std::string, std::string> Fields;
-
-  /// A payload field as text; empty when absent.
-  std::string field(const std::string &Key) const;
-  /// A payload field as an unsigned integer (decimal or 0x-hex; the
-  /// sink's addHex renders fingerprints as "0x..." strings).
-  uint64_t fieldU64(const std::string &Key, uint64_t Default = 0) const;
-  /// A payload field as a double.
-  double fieldDouble(const std::string &Key, double Default = 0) const;
 };
-
-/// Parses one flat JSON object line into key -> value text. Returns
-/// nullopt on malformed input.
-std::optional<std::map<std::string, std::string>>
-parseJsonObjectLine(std::string_view Line);
 
 /// Reads a whole JSONL trace. Blank lines are skipped; a malformed line
 /// fails the read (filled into \p Error with its line number).

@@ -6,14 +6,14 @@
 
 #include "registry/Registry.h"
 
-#include "obs/Trace.h"
-#include "obs/TraceFile.h"
+#include "support/Json.h"
 
 #include <cstdio>
 #include <cstdlib>
 
 using namespace extra;
 using namespace extra::registry;
+using support::jsonEscape;
 
 support::FileFormat registry::registryFileFormat() {
   return {kRegistryFormat, kRegistryVersion, "binding registry"};
@@ -60,21 +60,21 @@ std::string RegistryEntry::toJsonLine() const {
     return std::string(Buf);
   };
   std::string Out = "{";
-  Out += "\"key\":\"" + obs::jsonEscape(Key) + "\"";
-  Out += ",\"case\":\"" + obs::jsonEscape(AnalysisId) + "\"";
-  Out += ",\"operator\":\"" + obs::jsonEscape(OperatorId) + "\"";
-  Out += ",\"instruction\":\"" + obs::jsonEscape(InstructionId) + "\"";
+  Out += "\"key\":\"" + jsonEscape(Key) + "\"";
+  Out += ",\"case\":\"" + jsonEscape(AnalysisId) + "\"";
+  Out += ",\"operator\":\"" + jsonEscape(OperatorId) + "\"";
+  Out += ",\"instruction\":\"" + jsonEscape(InstructionId) + "\"";
   Out += ",\"mode\":\"" + std::string(analysis::modeName(M)) + "\"";
   Out += ",\"fp_op\":\"" + Hex(FpOp) + "\"";
   Out += ",\"fp_inst\":\"" + Hex(FpInst) + "\"";
-  Out += ",\"machine\":\"" + obs::jsonEscape(Machine) + "\"";
-  Out += ",\"mnemonic\":\"" + obs::jsonEscape(Mnemonic) + "\"";
-  Out += ",\"op\":\"" + obs::jsonEscape(Op) + "\"";
-  Out += ",\"constraints\":\"" + obs::jsonEscape(Constraints) + "\"";
-  Out += ",\"op_script\":\"" + obs::jsonEscape(OpScript) + "\"";
-  Out += ",\"inst_script\":\"" + obs::jsonEscape(InstScript) + "\"";
-  Out += ",\"binding\":\"" + obs::jsonEscape(Binding) + "\"";
-  Out += ",\"source\":\"" + obs::jsonEscape(Source) + "\"";
+  Out += ",\"machine\":\"" + jsonEscape(Machine) + "\"";
+  Out += ",\"mnemonic\":\"" + jsonEscape(Mnemonic) + "\"";
+  Out += ",\"op\":\"" + jsonEscape(Op) + "\"";
+  Out += ",\"constraints\":\"" + jsonEscape(Constraints) + "\"";
+  Out += ",\"op_script\":\"" + jsonEscape(OpScript) + "\"";
+  Out += ",\"inst_script\":\"" + jsonEscape(InstScript) + "\"";
+  Out += ",\"binding\":\"" + jsonEscape(Binding) + "\"";
+  Out += ",\"source\":\"" + jsonEscape(Source) + "\"";
   Out += ",\"beam\":" + std::to_string(BeamWidth);
   Out += ",\"depth\":" + std::to_string(MaxDepth);
   Out += ",\"widenings\":" + std::to_string(Widenings);
@@ -89,13 +89,10 @@ std::string RegistryEntry::toJsonLine() const {
 
 std::optional<RegistryEntry>
 RegistryEntry::fromJsonLine(std::string_view Line) {
-  auto Fields = obs::parseJsonObjectLine(Line);
-  if (!Fields)
+  auto O = support::parseJsonObjectLine(Line);
+  if (!O)
     return std::nullopt;
-  auto Get = [&](const char *Key) -> std::string {
-    auto It = Fields->find(Key);
-    return It == Fields->end() ? std::string() : It->second;
-  };
+  auto Get = [&O](const char *Key) { return O->field(Key); };
   RegistryEntry E;
   E.Key = Get("key");
   E.AnalysisId = Get("case");

@@ -7,11 +7,12 @@
 #include "registry/RegistryBuilder.h"
 
 #include "descriptions/Descriptions.h"
-#include "search/Canon.h"
+#include "isdl/Intern.h"
 #include "transform/ScriptIO.h"
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <dirent.h>
 #include <fstream>
 #include <sstream>
@@ -32,13 +33,34 @@ analysis::DiffOptions importDiffOptions() {
 
 } // namespace
 
+Expected<std::string> registry::pairingKeyHex(const std::string &OperatorId,
+                                              const std::string &InstructionId,
+                                              analysis::Mode M) {
+  auto Op = descriptions::loadChecked(OperatorId);
+  if (!Op)
+    return Op.fault();
+  auto Inst = descriptions::loadChecked(InstructionId);
+  if (!Inst)
+    return Inst.fault();
+  uint64_t Key = isdl::pairKey(isdl::canonicalFingerprint(**Op),
+                               isdl::canonicalFingerprint(**Inst));
+  // Extension mode changes what the analysis may conclude (relational
+  // constraints), so the two modes are distinct cache lines.
+  if (M == analysis::Mode::Extension)
+    Key ^= 0x9e3779b97f4a7c15ull;
+  char Buf[24];
+  std::snprintf(Buf, sizeof(Buf), "0x%016llx",
+                static_cast<unsigned long long>(Key));
+  return std::string(Buf);
+}
+
 std::optional<RegistryEntry>
 RegistryBuilder::entryFor(const analysis::AnalysisCase &Case,
                           const analysis::AnalysisResult &R,
                           const std::string &Source, double WallMs) {
   analysis::Mode M = Case.RequiresExtension ? analysis::Mode::Extension
                                             : analysis::Mode::Base;
-  auto Key = search::pairingKeyHex(Case.OperatorId, Case.InstructionId, M);
+  auto Key = pairingKeyHex(Case.OperatorId, Case.InstructionId, M);
   if (!Key) {
     Notes.push_back({Case.Id, Key.fault().Message});
     return std::nullopt;
@@ -55,8 +77,8 @@ RegistryBuilder::entryFor(const analysis::AnalysisCase &Case,
   E.OperatorId = Case.OperatorId;
   E.InstructionId = Case.InstructionId;
   E.M = M;
-  E.FpOp = search::fingerprint(**Op);
-  E.FpInst = search::fingerprint(**Inst);
+  E.FpOp = isdl::canonicalFingerprint(**Op);
+  E.FpInst = isdl::canonicalFingerprint(**Inst);
   E.Machine = machineOfInstruction(Case.InstructionId);
   E.Mnemonic = mnemonicOfInstruction(Case.InstructionId);
   E.Op = opKindOfOperator(Case.OperatorId);

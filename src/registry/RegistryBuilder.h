@@ -35,6 +35,16 @@
 namespace extra {
 namespace registry {
 
+/// The canonical identity of one (operator, instruction, mode) pairing,
+/// rendered as "0x%016llx" — the dedup key of the binding registry.
+/// Loads both descriptions from the library (Store fault on unknown
+/// ids), combines their canonical fingerprints with isdl::pairKey, and
+/// perturbs the key in Extension mode (the two modes are distinct
+/// entries: Extension changes what the analysis may conclude).
+Expected<std::string> pairingKeyHex(const std::string &OperatorId,
+                                    const std::string &InstructionId,
+                                    analysis::Mode M);
+
 /// One case the builder looked at and did not admit, with the reason —
 /// the import paths never fail wholesale over one bad pairing.
 struct BuildNote {

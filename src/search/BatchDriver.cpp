@@ -22,39 +22,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One contained attempt: discoverAndVerify under a catch-all, with a
-/// watchdog thread that trips the search's cooperative cancel flag when
-/// the case overshoots its time budget by half (plus fixed slack for
-/// replay verification). The watchdog is a backstop: the searcher polls
-/// its own deadline, but a single very long expansion (or an injected
-/// hang) can starve those checks. Fills the result's Discovery and
-/// WallMs, and the outcome and fault of its Record.
-BatchResult runAttempt(const BatchCase &C, SearchLimits L) {
+/// One contained attempt: discoverAndVerify under a catch-all. The
+/// searcher bounds itself: it polls its own deadline between expansions,
+/// every few candidates, inside closures and per differential trial, and
+/// the interpreter's step budget bounds every run of the replay. Fills the
+/// result's Discovery and WallMs, and the outcome and fault of its Record.
+BatchResult runAttempt(const BatchCase &C, const SearchLimits &L) {
   BatchResult R;
   R.Case = C;
   CheckpointRecord &Rec = R.Record;
-
-  std::atomic<bool> Cancel{false};
-  std::atomic<bool> Done{false};
-  std::atomic<bool> WatchdogFired{false};
-  L.Cancel = &Cancel;
-  // Saturating, like the searcher's own deadline: a budget near the top
-  // of the range must not wrap the watchdog into the past.
-  uint64_t Slack = L.TimeBudgetMs / 2 + 1000;
-  uint64_t DeadlineMs = L.TimeBudgetMs > UINT64_MAX - Slack
-                            ? UINT64_MAX
-                            : L.TimeBudgetMs + Slack;
-  std::thread Monitor([&Cancel, &Done, &WatchdogFired, DeadlineMs]() {
-    Clock::time_point Deadline = deadlineAfter(DeadlineMs);
-    while (!Done.load(std::memory_order_acquire)) {
-      if (Clock::now() >= Deadline) {
-        WatchdogFired.store(true, std::memory_order_release);
-        Cancel.store(true, std::memory_order_release);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  });
 
   Clock::time_point Start = Clock::now();
   bool Caught = false;
@@ -76,9 +52,6 @@ BatchResult runAttempt(const BatchCase &C, SearchLimits L) {
   R.WallMs =
       std::chrono::duration<double, std::milli>(Clock::now() - Start).count();
 
-  Done.store(true, std::memory_order_release);
-  Monitor.join();
-
   // Classify. The lattice is ordered: a caught or recorded fault beats
   // a timeout beats plain exhaustion, and success levels need no tie
   // breaking (a found derivation cannot also have faulted).
@@ -93,7 +66,7 @@ BatchResult runAttempt(const BatchCase &C, SearchLimits L) {
       Rec.Category = O.SearchFault.Category;
       Rec.FaultMessage = O.SearchFault.Message;
     }
-  } else if (O.Stats.TimedOut || WatchdogFired.load()) {
+  } else if (O.Stats.TimedOut) {
     Rec.Outcome = CaseOutcome::TimedOut;
   } else {
     Rec.Outcome = CaseOutcome::Exhausted;
@@ -179,14 +152,16 @@ std::vector<BatchResult> search::runBatch(const std::vector<BatchCase> &Cases,
   // mode it was searched in: a base-mode verdict says nothing about the
   // extension-mode search of the same pairing.
   if (Opts.Resume) {
-    std::vector<CheckpointRecord> Prior = readCheckpoints(Opts.CheckpointPath);
-    for (size_t I = 0; I < Cases.size(); ++I)
-      for (const CheckpointRecord &R : Prior)
-        if (R.Case == Cases[I].Id && R.M == Cases[I].M) {
-          Results[I].Record = R;
-          Results[I].FromCheckpoint = true;
-          Skip[I] = 1;
-        }
+    // A file this build cannot read resumes nothing; the CLI reports it
+    // before the batch starts.
+    if (auto Prior = readCheckpoints(Opts.CheckpointPath))
+      for (size_t I = 0; I < Cases.size(); ++I)
+        for (const CheckpointRecord &R : *Prior)
+          if (R.Case == Cases[I].Id && R.M == Cases[I].M) {
+            Results[I].Record = R;
+            Results[I].FromCheckpoint = true;
+            Skip[I] = 1;
+          }
   }
 
   unsigned Threads = Opts.Threads;

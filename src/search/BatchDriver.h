@@ -16,13 +16,12 @@
 /// Resilience (the robustness layer):
 ///
 ///  * **Fault containment and degraded retry.** Each case runs inside
-///    `FaultScope(case-id)` under a catch-all; a watchdog thread raises
-///    the searcher's cooperative cancel flag when the case overshoots
-///    1.5x its time budget plus slack. A TimedOut/Faulted case is
-///    retried once at half beam width and half node budget under scope
-///    `"<case-id>#retry1"`; the retry is kept only when its outcome
-///    strictly outranks the first attempt's. The batch always completes
-///    and reports every case.
+///    `FaultScope(case-id)` under a catch-all, bounded by the searcher's
+///    own deadline polls and the interpreter's step budget. A
+///    TimedOut/Faulted case is retried once at half beam width and half
+///    node budget under scope `"<case-id>#retry1"`; the retry is kept
+///    only when its outcome strictly outranks the first attempt's. The
+///    batch always completes and reports every case.
 ///  * **Checkpoint/resume.** With a checkpoint path set, every finished
 ///    case appends one CheckpointRecord line; a resumed run skips the
 ///    recorded cases and reconstructs their report lines from the file,

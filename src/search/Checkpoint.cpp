@@ -6,16 +6,15 @@
 
 #include "search/Checkpoint.h"
 
-#include "obs/Trace.h"
-#include "obs/TraceFile.h"
+#include "support/Json.h"
 #include "support/VersionedFile.h"
 
 #include <cstdlib>
-#include <fstream>
 #include <map>
 
 using namespace extra;
 using namespace extra::search;
+using support::jsonEscape;
 
 const char *search::caseOutcomeName(CaseOutcome O) {
   switch (O) {
@@ -59,12 +58,12 @@ int search::caseOutcomeRank(CaseOutcome O) {
 }
 
 std::string CheckpointRecord::toJsonLine() const {
-  std::string Out = "{\"case\":\"" + obs::jsonEscape(Case) + "\"";
+  std::string Out = "{\"case\":\"" + jsonEscape(Case) + "\"";
   Out += ",\"mode\":\"" + std::string(analysis::modeName(M)) + "\"";
   Out += ",\"outcome\":\"" + std::string(caseOutcomeName(Outcome)) + "\"";
   Out += ",\"fault_category\":\"" + std::string(faultCategoryName(Category)) +
          "\"";
-  Out += ",\"fault_message\":\"" + obs::jsonEscape(FaultMessage) + "\"";
+  Out += ",\"fault_message\":\"" + jsonEscape(FaultMessage) + "\"";
   Out += std::string(",\"found\":") + (Found ? "true" : "false");
   Out += std::string(",\"verified\":") + (Verified ? "true" : "false");
   Out += std::string(",\"retried\":") + (Retried ? "true" : "false");
@@ -79,38 +78,34 @@ std::string CheckpointRecord::toJsonLine() const {
 
 std::optional<CheckpointRecord>
 CheckpointRecord::fromJsonLine(std::string_view Line) {
-  auto Fields = obs::parseJsonObjectLine(Line);
-  if (!Fields)
+  auto O = support::parseJsonObjectLine(Line);
+  if (!O)
     return std::nullopt;
-  auto Get = [&](const char *Key) -> std::string {
-    auto It = Fields->find(Key);
-    return It == Fields->end() ? std::string() : It->second;
-  };
   CheckpointRecord R;
-  R.Case = Get("case");
+  R.Case = O->field("case");
   if (R.Case.empty())
     return std::nullopt;
-  if (auto It = Fields->find("mode"); It != Fields->end()) {
+  if (auto It = O->Fields.find("mode"); It != O->Fields.end()) {
     auto M = analysis::modeFromName(It->second);
     if (!M)
       return std::nullopt;
     R.M = *M;
   }
-  auto O = caseOutcomeFromName(Get("outcome"));
-  if (!O)
+  auto Outcome = caseOutcomeFromName(O->field("outcome"));
+  if (!Outcome)
     return std::nullopt;
-  R.Outcome = *O;
-  R.Category = faultCategoryFromName(Get("fault_category"));
-  R.FaultMessage = Get("fault_message");
-  R.Found = Get("found") == "true";
-  R.Verified = Get("verified") == "true";
-  R.Retried = Get("retried") == "true";
-  R.OpSteps = std::strtoull(Get("op_steps").c_str(), nullptr, 10);
-  R.InstSteps = std::strtoull(Get("inst_steps").c_str(), nullptr, 10);
-  R.Nodes = std::strtoull(Get("nodes").c_str(), nullptr, 10);
-  R.PartialDistance = std::strtoll(Get("partial_distance").c_str(), nullptr,
-                                   10);
-  R.WallMs = std::strtod(Get("wall_ms").c_str(), nullptr);
+  R.Outcome = *Outcome;
+  R.Category = faultCategoryFromName(O->field("fault_category"));
+  R.FaultMessage = O->field("fault_message");
+  R.Found = O->field("found") == "true";
+  R.Verified = O->field("verified") == "true";
+  R.Retried = O->field("retried") == "true";
+  R.OpSteps = std::strtoull(O->field("op_steps").c_str(), nullptr, 10);
+  R.InstSteps = std::strtoull(O->field("inst_steps").c_str(), nullptr, 10);
+  R.Nodes = std::strtoull(O->field("nodes").c_str(), nullptr, 10);
+  R.PartialDistance =
+      std::strtoll(O->field("partial_distance").c_str(), nullptr, 10);
+  R.WallMs = std::strtod(O->field("wall_ms").c_str(), nullptr);
   return R;
 }
 
@@ -139,16 +134,6 @@ std::string CheckpointRecord::reportLine() const {
   return Out;
 }
 
-std::string search::versionHeaderLine(std::string_view Format,
-                                      uint32_t Version) {
-  return support::versionHeaderLine(Format, Version);
-}
-
-std::optional<std::pair<std::string, uint32_t>>
-search::parseVersionHeader(std::string_view Line) {
-  return support::parseVersionHeader(Line);
-}
-
 /// The checkpoint file format, as the shared versioned-file layer sees it.
 static support::FileFormat checkpointFormat() {
   return {kCheckpointFormat, kCheckpointVersion, "checkpoint"};
@@ -166,14 +151,11 @@ bool search::appendCheckpoint(const std::string &Path,
   return true;
 }
 
-std::vector<CheckpointRecord> search::readCheckpoints(const std::string &Path,
-                                                      Fault *F) {
+Expected<std::vector<CheckpointRecord>>
+search::readCheckpoints(const std::string &Path) {
   auto Lines = support::readVersionedLines(Path, checkpointFormat());
-  if (!Lines) {
-    if (F)
-      *F = Lines.fault();
-    return {};
-  }
+  if (!Lines)
+    return Lines.fault();
   // Later records win: a resumed run that re-ran a case (e.g. under a
   // different policy) supersedes the earlier line for the same mode.
   std::vector<CheckpointRecord> Out;
@@ -188,14 +170,5 @@ std::vector<CheckpointRecord> search::readCheckpoints(const std::string &Path,
     else
       Out[It->second] = std::move(*R);
   }
-  return Out;
-}
-
-Expected<std::vector<CheckpointRecord>>
-search::readCheckpointsChecked(const std::string &Path) {
-  Fault F;
-  std::vector<CheckpointRecord> Out = readCheckpoints(Path, &F);
-  if (F.isFault())
-    return F;
   return Out;
 }

@@ -58,7 +58,7 @@ enum class CaseOutcome {
   Verified,   ///< Derivation found and survived the full replay.
   Discovered, ///< Derivation found; replay verification failed.
   Exhausted,  ///< Search completed without reaching common form.
-  TimedOut,   ///< Wall-clock budget (or the watchdog) stopped the case.
+  TimedOut,   ///< The wall-clock budget stopped the case.
   Faulted,    ///< A typed fault aborted the case.
 };
 
@@ -105,21 +105,12 @@ struct CheckpointRecord {
 };
 
 //===----------------------------------------------------------------------===//
-// Schema-version headers
+// The checkpoint file
 //===----------------------------------------------------------------------===//
 
 /// Format tag and highest version this build reads and writes.
 inline constexpr const char *kCheckpointFormat = "extra-checkpoint";
 inline constexpr uint32_t kCheckpointVersion = 1;
-
-/// Renders a `{"format":"<fmt>","version":N}` header line (no trailing
-/// newline).
-std::string versionHeaderLine(std::string_view Format, uint32_t Version);
-
-/// Parses a header line; nullopt when \p Line is not a version header
-/// (records and torn lines are not headers).
-std::optional<std::pair<std::string, uint32_t>>
-parseVersionHeader(std::string_view Line);
 
 /// Appends \p R to the checkpoint file at \p Path (open-append-close per
 /// record, so a killed run loses at most the line in flight). Creates
@@ -132,15 +123,10 @@ bool appendCheckpoint(const std::string &Path, const CheckpointRecord &R,
 /// empty; malformed lines (torn trailing writes) are skipped; an absent
 /// version header is tolerated (PR 4 files). When two records name the
 /// same case in the same mode, the later one wins. A header naming a
-/// foreign format or a version above kCheckpointVersion empties the
-/// result and fills \p F (when given) with a typed Store fault.
-std::vector<CheckpointRecord> readCheckpoints(const std::string &Path,
-                                              Fault *F = nullptr);
-
-/// Fault-typed variant of readCheckpoints for callers that must not
-/// silently treat a future-format file as empty (CLI --resume).
+/// foreign format or a version above kCheckpointVersion is a typed Store
+/// fault.
 Expected<std::vector<CheckpointRecord>>
-readCheckpointsChecked(const std::string &Path);
+readCheckpoints(const std::string &Path);
 
 } // namespace search
 } // namespace extra

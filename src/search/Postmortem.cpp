@@ -8,7 +8,7 @@
 
 #include "analysis/Priors.h"
 #include "descriptions/Descriptions.h"
-#include "search/Canon.h"
+#include "isdl/Intern.h"
 #include "search/Searcher.h"
 
 #include <algorithm>
@@ -40,7 +40,7 @@ LineReplay replayLine(const Description &Start, const Script &S,
   LineReplay R;
   transform::Engine E(Start.clone());
   R.Descs.push_back(E.current().clone());
-  R.Fps.push_back(fingerprint(E.current()));
+  R.Fps.push_back(canonicalFingerprint(E.current()));
   for (size_t I = 0; I < S.size(); ++I) {
     transform::ApplyResult A = E.apply(S[I]);
     if (!A.Applied) {
@@ -50,7 +50,7 @@ LineReplay replayLine(const Description &Start, const Script &S,
       return R;
     }
     R.Descs.push_back(E.current().clone());
-    R.Fps.push_back(fingerprint(E.current()));
+    R.Fps.push_back(canonicalFingerprint(E.current()));
   }
   R.Ok = true;
   return R;

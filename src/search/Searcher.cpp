@@ -12,7 +12,6 @@
 #include "isdl/Equiv.h"
 #include "isdl/Intern.h"
 #include "isdl/Traverse.h"
-#include "search/Canon.h"
 #include "support/StringUtil.h"
 #include "synth/Synth.h"
 
@@ -346,15 +345,11 @@ struct SearchContext {
   /// The metrics registry, or null.
   obs::Metrics *met() const { return Limits.Metrics; }
 
-  /// True once the wall-clock budget is spent or the external cancel
-  /// flag is raised. This is the predicate the fine-grained checkpoints
-  /// poll (candidate bursts, macro-move closures, differential trials) —
-  /// a deadline can fire *inside* an expansion, not only between them.
-  bool deadlinePassed() const {
-    if (Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed))
-      return true;
-    return Clock::now() >= Deadline;
-  }
+  /// True once the wall-clock budget is spent. This is the predicate the
+  /// fine-grained checkpoints poll (candidate bursts, macro-move closures,
+  /// differential trials) — a deadline can fire *inside* an expansion,
+  /// not only between them.
+  bool deadlinePassed() const { return Clock::now() >= Deadline; }
 
   bool exhausted() {
     if (Stats.NodesExpanded >= Limits.MaxNodes) {
@@ -1201,15 +1196,7 @@ DiscoveryResult search::discoverAndVerify(const std::string &OperatorId,
           .add("steps_inst",
                static_cast<uint64_t>(Case.InstructionScript.size()));
     obs::ScopedSpan Replay(T, "replay-verify", 0, std::move(P));
-    // The replay runs at full trial counts and can dwarf the search
-    // itself; thread the external cancel flag into its differential
-    // options so a watchdog deadline reaches inside it too.
-    analysis::DiffOptions ReplayOpts;
-    if (Limits.Cancel)
-      ReplayOpts.Stop = [C = Limits.Cancel] {
-        return C->load(std::memory_order_relaxed);
-      };
-    Result.Replay = analysis::runAnalysis(Case, M, ReplayOpts);
+    Result.Replay = analysis::runAnalysis(Case, M);
     Result.Verified = Result.Replay.Succeeded;
     if (T.enabled())
       Replay.event("replay-result",

@@ -17,11 +17,12 @@
 /// states (a step may apply to either the operator or the instruction
 /// copy). Revisited states are pruned in O(1) through a *score-aware*
 /// transposition table keyed by the rename-invariant canonical
-/// fingerprint (Canon.h): detours that differ only in fresh-name choices
-/// or step order collapse, but a state re-reached by a strictly shorter
-/// script re-opens (fingerprint-equal states have equal structural
-/// distance, so comparing total script length is comparing score) — the
-/// cheapest line to each canonical state survives, not the first one.
+/// fingerprint (isdl/Intern.h): detours that differ only in fresh-name
+/// choices or step order collapse, but a state re-reached by a strictly
+/// shorter script re-opens (fingerprint-equal states have equal
+/// structural distance, so comparing total script length is comparing
+/// score) — the cheapest line to each canonical state survives, not the
+/// first one.
 /// Search states hold copy-on-write isdl::DescHandles: a child shares its
 /// untouched side with its parent, fingerprints, feature vectors and
 /// identities are cached per description version, and the
@@ -48,7 +49,6 @@
 #include "support/Error.h"
 #include "transform/Transform.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -97,14 +97,6 @@ struct SearchLimits {
   /// Label stamped on the root "search" span (conventionally the
   /// pairing id); lets one trace file carry many searches.
   std::string TraceLabel;
-  /// Cooperative cancellation (optional, non-owning). When set, the
-  /// search polls the flag at the same fine-grained points as the
-  /// deadline — between frontier expansions, every few candidate
-  /// attempts, inside macro-move closures, and per differential trial —
-  /// and stops as if the time budget had expired. The batch driver's
-  /// watchdog uses this to bound cases whose between-expansion deadline
-  /// check is starved by one long expansion.
-  std::atomic<bool> *Cancel = nullptr;
 };
 
 /// Observability counters for one search (aggregated over widening
@@ -130,8 +122,8 @@ struct SearchStats {
   unsigned Rounds = 0;          ///< Beam rounds used (1 = no widening).
   double WallMs = 0;            ///< Total wall time.
   bool BudgetExhausted = false; ///< A hard budget stopped the search.
-  /// True when the stopping budget was the wall clock (or an external
-  /// cancellation), as opposed to the node cap. Implies BudgetExhausted.
+  /// True when the stopping budget was the wall clock, as opposed to the
+  /// node cap. Implies BudgetExhausted.
   bool TimedOut = false;
 
   /// Fraction of generated-or-pruned children answered by the table.

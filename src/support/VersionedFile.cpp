@@ -6,6 +6,8 @@
 
 #include "support/VersionedFile.h"
 
+#include "support/Json.h"
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,166 +21,10 @@ Fault storeFault(std::string Message) {
   return makeFault(FaultCategory::Store, std::move(Message));
 }
 
-void appendJsonEscaped(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
-
-/// A header line is a flat object whose only members are the "format"
-/// string and the "version" number. This scanner recognizes exactly
-/// that shape; anything else — record lines, torn tails, prose — is
-/// "not a header", which is the tolerance the readers rely on. (The
-/// general JSON line reader lives in obs, which links *against* this
-/// library, so the header parser must be self-contained.)
-struct HeaderScanner {
-  std::string_view S;
-  size_t I = 0;
-
-  bool eat(char C) {
-    if (I < S.size() && S[I] == C) {
-      ++I;
-      return true;
-    }
-    return false;
-  }
-
-  void skipWs() {
-    while (I < S.size() && (S[I] == ' ' || S[I] == '\t'))
-      ++I;
-  }
-
-  std::optional<std::string> string() {
-    skipWs();
-    if (!eat('"'))
-      return std::nullopt;
-    std::string Out;
-    while (I < S.size() && S[I] != '"') {
-      char C = S[I++];
-      if (C == '\\') {
-        if (I >= S.size())
-          return std::nullopt;
-        char E = S[I++];
-        switch (E) {
-        case '"':
-          Out += '"';
-          break;
-        case '\\':
-          Out += '\\';
-          break;
-        case 'n':
-          Out += '\n';
-          break;
-        case 't':
-          Out += '\t';
-          break;
-        case 'r':
-          Out += '\r';
-          break;
-        default:
-          return std::nullopt;
-        }
-      } else {
-        Out += C;
-      }
-    }
-    if (!eat('"'))
-      return std::nullopt;
-    return Out;
-  }
-
-  std::optional<uint32_t> number() {
-    skipWs();
-    size_t Start = I;
-    while (I < S.size() && S[I] >= '0' && S[I] <= '9')
-      ++I;
-    if (I == Start)
-      return std::nullopt;
-    return static_cast<uint32_t>(
-        std::strtoul(std::string(S.substr(Start, I - Start)).c_str(),
-                     nullptr, 10));
-  }
-};
-
-} // namespace
-
-std::string support::versionHeaderLine(std::string_view Format,
-                                       uint32_t Version) {
-  std::string Out = "{\"format\":\"";
-  appendJsonEscaped(Out, Format);
-  Out += "\",\"version\":" + std::to_string(Version) + "}";
-  return Out;
-}
-
-std::optional<std::pair<std::string, uint32_t>>
-support::parseVersionHeader(std::string_view Line) {
-  HeaderScanner P{Line};
-  P.skipWs();
-  if (!P.eat('{'))
-    return std::nullopt;
-  std::optional<std::string> Format;
-  std::optional<uint32_t> Version;
-  for (;;) {
-    auto Key = P.string();
-    if (!Key)
-      return std::nullopt;
-    P.skipWs();
-    if (!P.eat(':'))
-      return std::nullopt;
-    if (*Key == "format") {
-      Format = P.string();
-      if (!Format)
-        return std::nullopt;
-    } else if (*Key == "version") {
-      Version = P.number();
-      if (!Version)
-        return std::nullopt;
-    } else {
-      // An object carrying any other member is a record, not a header.
-      return std::nullopt;
-    }
-    P.skipWs();
-    if (P.eat(','))
-      continue;
-    break;
-  }
-  if (!P.eat('}'))
-    return std::nullopt;
-  P.skipWs();
-  if (P.I != P.S.size())
-    return std::nullopt;
-  if (!Format || !Version)
-    return std::nullopt;
-  return std::make_pair(std::move(*Format), *Version);
-}
-
-std::optional<Fault>
-support::checkHeader(const std::pair<std::string, uint32_t> &H,
-                     const FileFormat &F, const std::string &Path) {
+/// No fault for a header naming \p F at a readable version; a typed Store
+/// fault otherwise.
+std::optional<Fault> checkHeader(const std::pair<std::string, uint32_t> &H,
+                                 const FileFormat &F, const std::string &Path) {
   if (H.first != F.Tag)
     return storeFault("'" + Path + "' is a '" + H.first + "' file, not a " +
                       F.Noun);
@@ -188,6 +34,30 @@ support::checkHeader(const std::pair<std::string, uint32_t> &H,
                       "; this build reads up to version " +
                       std::to_string(F.Version));
   return std::nullopt;
+}
+
+} // namespace
+
+std::string support::versionHeaderLine(std::string_view Format,
+                                       uint32_t Version) {
+  return "{\"format\":\"" + jsonEscape(Format) +
+         "\",\"version\":" + std::to_string(Version) + "}";
+}
+
+std::optional<std::pair<std::string, uint32_t>>
+support::parseVersionHeader(std::string_view Line) {
+  // A header has exactly the two members; an object carrying any other
+  // is a record, and a line that does not parse is a torn tail.
+  auto O = parseJsonObjectLine(Line);
+  if (!O || O->Fields.size() != 2 || !O->Fields.count("format"))
+    return std::nullopt;
+  std::string Version = O->field("version");
+  if (Version.empty() ||
+      Version.find_first_not_of("0123456789") != std::string::npos)
+    return std::nullopt;
+  return std::make_pair(O->field("format"),
+                        static_cast<uint32_t>(
+                            std::strtoul(Version.c_str(), nullptr, 10)));
 }
 
 Expected<std::vector<std::string>>

@@ -21,11 +21,10 @@
 ///  * Whole-file writes go through a temp file + rename, so a crash
 ///    mid-write leaves the old file intact.
 ///
-/// The header parser here is deliberately self-contained (extra_support
-/// is the leaf library; obs, which owns the general JSON line reader,
-/// links against it). It only needs to recognize the two header fields —
-/// any line it cannot read is simply not a header, which is exactly the
-/// tolerance the record readers rely on.
+/// Header and record lines go through the one line codec, support/Json.
+/// A line that is not an object of exactly the two header fields is
+/// simply not a header, which is the tolerance the record readers rely
+/// on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,23 +56,19 @@ struct FileFormat {
 /// newline).
 std::string versionHeaderLine(std::string_view Format, uint32_t Version);
 
-/// Parses a header line; nullopt when \p Line is not a version header
-/// (records and torn lines are not headers).
+/// Parses a header line: an object with exactly the keys "format" and
+/// "version", the version all digits. Nullopt when \p Line is not a
+/// version header (records and torn lines are not headers).
 std::optional<std::pair<std::string, uint32_t>>
 parseVersionHeader(std::string_view Line);
-
-/// Checks a parsed header against \p F. Returns no fault for a matching
-/// header at a readable version; a typed Store fault ("'<path>' is a
-/// '<tag>' file, not a <noun>" / "<noun> '<path>' is version N; this
-/// build reads up to version M") otherwise.
-std::optional<Fault> checkHeader(const std::pair<std::string, uint32_t> &H,
-                                 const FileFormat &F, const std::string &Path);
 
 /// Reads every data line of the versioned file at \p Path, header lines
 /// stripped after validation. A missing file reads as empty; blank lines
 /// are dropped; an absent header is tolerated (the file is read as the
 /// current version). A header naming a foreign format or a future
-/// version is a typed Store fault.
+/// version is a typed Store fault ("'<path>' is a '<tag>' file, not a
+/// <noun>" / "<noun> '<path>' is version N; this build reads up to
+/// version M").
 Expected<std::vector<std::string>> readVersionedLines(const std::string &Path,
                                                       const FileFormat &F);
 

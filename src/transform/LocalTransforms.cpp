@@ -42,37 +42,6 @@ const BinaryExpr *asBinary(const Expr &E, BinaryOp Op) {
   return B && B->getOp() == Op ? B : nullptr;
 }
 
-/// `L op R` for literal operands; relations and logic give 0 or 1.
-int64_t foldValue(BinaryOp Op, int64_t L, int64_t R) {
-  switch (Op) {
-  case BinaryOp::Add:
-    return L + R;
-  case BinaryOp::Sub:
-    return L - R;
-  case BinaryOp::Mul:
-    return L * R;
-  case BinaryOp::Div:
-    return L / R;
-  case BinaryOp::And:
-    return L != 0 && R != 0;
-  case BinaryOp::Or:
-    return L != 0 || R != 0;
-  case BinaryOp::Eq:
-    return L == R;
-  case BinaryOp::Ne:
-    return L != R;
-  case BinaryOp::Lt:
-    return L < R;
-  case BinaryOp::Le:
-    return L <= R;
-  case BinaryOp::Gt:
-    return L > R;
-  case BinaryOp::Ge:
-    return L >= R;
-  }
-  return 0;
-}
-
 template <BinaryOp Op> bool is(BinaryOp O) { return O == Op; }
 
 /// An expression rule of this file: its name and documentation, whether
@@ -92,15 +61,28 @@ ExprRow constFold(const char *Name, const char *Doc,
   return {Name, Doc, true,
           [Applies](const Expr &E, const Description &) {
             const auto *B = dyn_cast<BinaryExpr>(&E);
-            if (!B || !Applies(B->getOp()) || !litValue(*B->getLHS()) ||
-                !litValue(*B->getRHS()))
+            if (!B || !Applies(B->getOp()))
               return false;
-            return B->getOp() != BinaryOp::Div || *litValue(*B->getRHS()) != 0;
+            auto L = litValue(*B->getLHS()), R = litValue(*B->getRHS());
+            return L && R && applyBinary(B->getOp(), *L, *R);
           },
           [](ExprPtr &Slot, const Description &) {
             const auto *B = cast<BinaryExpr>(Slot.get());
-            Slot = intLit(foldValue(B->getOp(), *litValue(*B->getLHS()),
-                                    *litValue(*B->getRHS())));
+            Slot = intLit(*applyBinary(B->getOp(), *litValue(*B->getLHS()),
+                                       *litValue(*B->getRHS())));
+          }};
+}
+
+/// The fold of `op k` into its value.
+ExprRow unaryFold(const char *Name, const char *Doc, UnaryOp Op) {
+  return {Name, Doc, true,
+          [Op](const Expr &E, const Description &) {
+            const auto *U = dyn_cast<UnaryExpr>(&E);
+            return U && U->getOp() == Op && litValue(*U->getOperand());
+          },
+          [](ExprPtr &Slot, const Description &) {
+            const auto *U = cast<UnaryExpr>(Slot.get());
+            Slot = intLit(applyUnary(U->getOp(), *litValue(*U->getOperand())));
           }};
 }
 
@@ -117,23 +99,8 @@ const std::vector<ExprRow> &exprRows() {
       constFold("fold-or", "fold k1 or k2 to 0 or 1", is<BinaryOp::Or>),
       constFold("fold-compare", "fold a comparison of two literals to 0 or 1",
                 isRelational),
-      {"fold-not", "fold not k to 0 or 1", true,
-       [](const Expr &E, const Description &) {
-         const auto *U = dyn_cast<UnaryExpr>(&E);
-         return U && U->getOp() == UnaryOp::Not && litValue(*U->getOperand());
-       },
-       [](ExprPtr &Slot, const Description &) {
-         int64_t V = *litValue(*cast<UnaryExpr>(Slot.get())->getOperand());
-         Slot = intLit(V == 0 ? 1 : 0);
-       }},
-      {"fold-neg", "fold -k to its value", true,
-       [](const Expr &E, const Description &) {
-         const auto *U = dyn_cast<UnaryExpr>(&E);
-         return U && U->getOp() == UnaryOp::Neg && litValue(*U->getOperand());
-       },
-       [](ExprPtr &Slot, const Description &) {
-         Slot = intLit(-*litValue(*cast<UnaryExpr>(Slot.get())->getOperand()));
-       }},
+      unaryFold("fold-not", "fold not k to 0 or 1", UnaryOp::Not),
+      unaryFold("fold-neg", "fold -k to its value", UnaryOp::Neg),
 
       //--- Arithmetic identities --------------------------------------------
       {"add-zero", "x + 0 -> x and 0 + x -> x", true,

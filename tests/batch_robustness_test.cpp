@@ -18,6 +18,7 @@
 
 #include "analysis/Derivations.h"
 #include "support/FaultInjection.h"
+#include "support/VersionedFile.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -136,7 +137,9 @@ TEST(CheckpointTest, ReaderSkipsTornLinesAndDedups) {
     OS << AExt.toJsonLine() << "\n";
     OS << "{\"case\":\"c\",\"outc"; // Torn write from a killed run.
   }
-  std::vector<CheckpointRecord> Records = readCheckpoints(F.Path);
+  auto Read = readCheckpoints(F.Path);
+  ASSERT_TRUE(bool(Read)) << Read.fault().Message;
+  std::vector<CheckpointRecord> Records = Read.take();
   ASSERT_EQ(Records.size(), 3u);
   EXPECT_EQ(Records[0].Case, "a");
   EXPECT_EQ(Records[0].M, analysis::Mode::Base);
@@ -148,7 +151,9 @@ TEST(CheckpointTest, ReaderSkipsTornLinesAndDedups) {
 }
 
 TEST(CheckpointTest, MissingFileReadsEmpty) {
-  EXPECT_TRUE(readCheckpoints("/nonexistent/ckpt.jsonl").empty());
+  auto Records = readCheckpoints("/nonexistent/ckpt.jsonl");
+  ASSERT_TRUE(bool(Records));
+  EXPECT_TRUE(Records->empty());
 }
 
 TEST(CheckpointTest, OutcomeNamesRoundTripAndRank) {
@@ -175,15 +180,22 @@ TEST(CheckpointTest, OutcomeNamesRoundTripAndRank) {
 //===----------------------------------------------------------------------===//
 
 TEST(VersionHeaderTest, RoundTrips) {
-  std::string Line = versionHeaderLine(kCheckpointFormat, 7);
-  auto H = parseVersionHeader(Line);
+  std::string Line = support::versionHeaderLine(kCheckpointFormat, 7);
+  auto H = support::parseVersionHeader(Line);
   ASSERT_TRUE(H);
   EXPECT_EQ(H->first, kCheckpointFormat);
   EXPECT_EQ(H->second, 7u);
   // Records and junk are not headers.
-  EXPECT_FALSE(parseVersionHeader("{\"case\":\"x\",\"outcome\":\"verified\"}"));
-  EXPECT_FALSE(parseVersionHeader("{\"format\":\"x\",\"vers"));
-  EXPECT_FALSE(parseVersionHeader(""));
+  EXPECT_FALSE(support::parseVersionHeader(
+      "{\"case\":\"x\",\"outcome\":\"verified\"}"));
+  EXPECT_FALSE(support::parseVersionHeader("{\"format\":\"x\",\"vers"));
+  EXPECT_FALSE(support::parseVersionHeader(""));
+  // Nor is a header followed by anything but blanks, or one that carries
+  // a third member.
+  EXPECT_FALSE(
+      support::parseVersionHeader("{\"format\":\"x\",\"version\":1} x"));
+  EXPECT_FALSE(support::parseVersionHeader(
+      "{\"format\":\"x\",\"version\":1,\"case\":\"y\"}"));
 }
 
 TEST(VersionHeaderTest, AppendStampsHeaderOnNewFiles) {
@@ -197,14 +209,14 @@ TEST(VersionHeaderTest, AppendStampsHeaderOnNewFiles) {
   std::ifstream In(F.Path);
   std::string First;
   ASSERT_TRUE(std::getline(In, First));
-  auto H = parseVersionHeader(First);
+  auto H = support::parseVersionHeader(First);
   ASSERT_TRUE(H);
   EXPECT_EQ(H->first, kCheckpointFormat);
   EXPECT_EQ(H->second, kCheckpointVersion);
   unsigned Headers = 1, Records = 0;
   std::string Line;
   while (std::getline(In, Line)) {
-    if (parseVersionHeader(Line))
+    if (support::parseVersionHeader(Line))
       ++Headers;
     else if (!Line.empty())
       ++Records;
@@ -212,7 +224,7 @@ TEST(VersionHeaderTest, AppendStampsHeaderOnNewFiles) {
   EXPECT_EQ(Headers, 1u);
   EXPECT_EQ(Records, 2u);
 
-  auto Back = readCheckpointsChecked(F.Path);
+  auto Back = readCheckpoints(F.Path);
   ASSERT_TRUE(bool(Back));
   EXPECT_EQ(Back->size(), 1u); // Same case, later record wins.
 }
@@ -224,7 +236,7 @@ TEST(VersionHeaderTest, HeaderlessLegacyFilesStillRead) {
     std::ofstream OS(F.Path);
     OS << "{\"case\":\"legacy\",\"outcome\":\"exhausted\",\"nodes\":7}\n";
   }
-  auto Back = readCheckpointsChecked(F.Path);
+  auto Back = readCheckpoints(F.Path);
   ASSERT_TRUE(bool(Back));
   ASSERT_EQ(Back->size(), 1u);
   EXPECT_EQ((*Back)[0].Case, "legacy");
@@ -236,25 +248,20 @@ TEST(VersionHeaderTest, FutureVersionRejectedWithStoreFault) {
   TempFile F("ckpt_future.jsonl");
   {
     std::ofstream OS(F.Path);
-    OS << versionHeaderLine(kCheckpointFormat, 99) << "\n";
+    OS << support::versionHeaderLine(kCheckpointFormat, 99) << "\n";
   }
-  auto Back = readCheckpointsChecked(F.Path);
+  auto Back = readCheckpoints(F.Path);
   ASSERT_FALSE(bool(Back));
   EXPECT_EQ(Back.fault().Category, FaultCategory::Store);
-
-  // The tolerant reader agrees (empty result, typed fault out-param).
-  Fault Flt;
-  EXPECT_TRUE(readCheckpoints(F.Path, &Flt).empty());
-  EXPECT_EQ(Flt.Category, FaultCategory::Store);
 }
 
 TEST(VersionHeaderTest, ForeignFormatRejected) {
   TempFile F("ckpt_foreign.jsonl");
   {
     std::ofstream OS(F.Path);
-    OS << versionHeaderLine("extra-registry", 1) << "\n";
+    OS << support::versionHeaderLine("extra-registry", 1) << "\n";
   }
-  auto Back = readCheckpointsChecked(F.Path);
+  auto Back = readCheckpoints(F.Path);
   ASSERT_FALSE(bool(Back));
   EXPECT_EQ(Back.fault().Category, FaultCategory::Store);
 }
@@ -335,11 +342,11 @@ TEST(BatchRobustnessTest, DegradedRetryRecoversOneShotFault) {
   EXPECT_GE(RankWith, RankWithout);
 }
 
-TEST(BatchRobustnessTest, UnrepresentableTimeBudgetDoesNotTripWatchdog) {
-  // The watchdog's deadline (budget x 1.5 + 1 s) saturates like the
-  // searcher's own: at UINT64_MAX ms neither clock fires, and the node
-  // cap decides the case. Unsaturated, both wrapped into the past and
-  // the case came back timed out (then degraded-retried) at once.
+TEST(BatchRobustnessTest, UnrepresentableTimeBudgetDoesNotTimeOut) {
+  // The searcher's deadline saturates: at UINT64_MAX ms the clock never
+  // fires, and the node cap decides the case. Unsaturated, the deadline
+  // wrapped into the past and the case came back timed out (then
+  // degraded-retried) at once.
   std::vector<BatchCase> Cases = quickCases();
   Cases.resize(1); // vax.movc3/pc2.copy needs 10 nodes.
   BatchOptions Opts;
@@ -368,7 +375,9 @@ TEST(BatchRobustnessTest, CheckpointResumeRendersByteIdenticalReport) {
   std::vector<BatchResult> Full = runBatch(Cases, Opts);
   std::string FullReport = batchReportText(Full);
 
-  std::vector<CheckpointRecord> Records = readCheckpoints(F.Path);
+  auto Read = readCheckpoints(F.Path);
+  ASSERT_TRUE(bool(Read)) << Read.fault().Message;
+  std::vector<CheckpointRecord> Records = Read.take();
   ASSERT_EQ(Records.size(), Cases.size());
 
   // "Kill": keep only the first finished case, with a torn trailing line.
@@ -427,7 +436,9 @@ TEST(BatchRobustnessTest, BaseRecordDoesNotResumeExtensionBatch) {
 
   // Both records now live side by side, and the Extension batch resumes
   // from its own.
-  EXPECT_EQ(readCheckpoints(F.Path).size(), 2u);
+  auto Both = readCheckpoints(F.Path);
+  ASSERT_TRUE(bool(Both)) << Both.fault().Message;
+  EXPECT_EQ(Both->size(), 2u);
   BatchStats Again;
   Results = runBatch({Ext}, Opts, &Again);
   EXPECT_EQ(Again.Resumed, 1u);

@@ -27,8 +27,8 @@
 #include "isdl/Parser.h"
 #include "isdl/Printer.h"
 #include "isdl/Traverse.h"
+#include "registry/RegistryBuilder.h"
 #include "search/BatchDriver.h"
-#include "search/Canon.h"
 #include "search/Searcher.h"
 #include "transform/Transform.h"
 
@@ -348,7 +348,7 @@ TEST(InternTest, FingerprintMatchesLegacyOnWholeCorpus) {
   for (const std::string &Id : corpusIds()) {
     auto D = descriptions::load(Id);
     ASSERT_TRUE(D) << Id;
-    EXPECT_EQ(search::fingerprint(*D), referenceFingerprint(*D))
+    EXPECT_EQ(canonicalFingerprint(*D), referenceFingerprint(*D))
         << "interned fingerprint diverged from the reference on " << Id;
   }
 }
@@ -365,7 +365,7 @@ TEST(InternTest, FingerprintMatchesLegacyAfterTransformations) {
       if (!E.apply(S).Applied)
         continue;
       const Description &After = E.current();
-      EXPECT_EQ(search::fingerprint(After), referenceFingerprint(After))
+      EXPECT_EQ(canonicalFingerprint(After), referenceFingerprint(After))
           << Id << " after " << S.str();
     }
   }
@@ -405,7 +405,7 @@ TEST(InternTest, FrozenLibraryFingerprints) {
     ASSERT_NE(It, Frozen.end()) << Id << " has no frozen fingerprint";
     auto D = descriptions::load(Id);
     ASSERT_TRUE(D) << Id;
-    EXPECT_EQ(search::fingerprint(*D), It->second) << Id;
+    EXPECT_EQ(canonicalFingerprint(*D), It->second) << Id;
   }
 }
 
@@ -458,7 +458,7 @@ TEST(InternTest, FrozenPairingKeys) {
     EXPECT_TRUE(Covered) << C.Id << " has no frozen pairing key";
   }
   for (const Frozen &F : Table) {
-    auto Key = search::pairingKeyHex(F.Operator, F.Instruction, F.M);
+    auto Key = registry::pairingKeyHex(F.Operator, F.Instruction, F.M);
     ASSERT_TRUE(bool(Key)) << F.Instruction << "/" << F.Operator;
     EXPECT_EQ(*Key, F.Key) << F.Instruction << "/" << F.Operator << " in "
                            << analysis::modeName(F.M) << " mode";
@@ -559,7 +559,7 @@ TEST(InternTest, IdentityIncludesDeclarationTypes) {
   ASSERT_TRUE(Byte && !Diags.hasErrors()) << Diags.str();
 
   EXPECT_NE(isdl::identity(*Flag), isdl::identity(*Byte));
-  EXPECT_EQ(search::fingerprint(*Flag), search::fingerprint(*Byte));
+  EXPECT_EQ(canonicalFingerprint(*Flag), canonicalFingerprint(*Byte));
 
   auto Pool = [](const Description &D) {
     std::vector<std::string> Out;
@@ -688,8 +688,8 @@ TEST(InternTest, CowApplyMatchesOwnedApplyOnWholeCorpus) {
       EXPECT_EQ(printDescription(Owned.current()),
                 printDescription(Cow.current()))
           << Id << " step " << S.str();
-      EXPECT_EQ(search::fingerprint(Owned.current()),
-                search::fingerprint(Cow.current()));
+      EXPECT_EQ(canonicalFingerprint(Owned.current()),
+                canonicalFingerprint(Cow.current()));
       EXPECT_EQ(referenceFingerprint(Owned.current()),
                 referenceFingerprint(Cow.current()));
       EXPECT_EQ(DescHandle::distance(Owned.currentHandle(), Shared),

@@ -19,9 +19,10 @@
 
 #include "analysis/Derivations.h"
 #include "descriptions/Descriptions.h"
-#include "search/Canon.h"
+#include "isdl/Intern.h"
 #include "search/Postmortem.h"
 #include "search/Searcher.h"
+#include "support/Json.h"
 #include "transform/Transform.h"
 
 #include <cstdlib>
@@ -51,8 +52,8 @@ TEST(ObsPayload, RendersTypedValues) {
 }
 
 TEST(ObsPayload, EscapesJsonMetacharacters) {
-  EXPECT_EQ(obs::jsonEscape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-  EXPECT_EQ(obs::jsonEscape(std::string_view("\x01", 1)), "\\u0001");
+  EXPECT_EQ(support::jsonEscape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+  EXPECT_EQ(support::jsonEscape(std::string_view("\x01", 1)), "\\u0001");
 }
 
 //===----------------------------------------------------------------------===//
@@ -212,10 +213,10 @@ std::vector<uint64_t> prefixFps(const std::string &DescId,
   auto D = descriptions::load(DescId);
   EXPECT_TRUE(D) << DescId;
   transform::Engine E(std::move(*D));
-  std::vector<uint64_t> Fps{search::fingerprint(E.current())};
+  std::vector<uint64_t> Fps{isdl::canonicalFingerprint(E.current())};
   for (const transform::Step &St : S) {
     EXPECT_TRUE(E.apply(St).Applied) << St.str();
-    Fps.push_back(search::fingerprint(E.current()));
+    Fps.push_back(isdl::canonicalFingerprint(E.current()));
   }
   return Fps;
 }

@@ -18,7 +18,6 @@
 
 #include "SimTraffic.h"
 #include "analysis/Derivations.h"
-#include "search/Canon.h"
 #include "search/Checkpoint.h"
 #include "support/VersionedFile.h"
 
@@ -178,7 +177,7 @@ TEST(RegistryFormat, ForeignFormatHeaderIsATypedStoreFault) {
   TempFile F("registry_foreign.jsonl");
   {
     std::ofstream Out(F.Path);
-    Out << search::versionHeaderLine(search::kCheckpointFormat, 1) << "\n";
+    Out << support::versionHeaderLine(search::kCheckpointFormat, 1) << "\n";
   }
   auto R = Registry::load(F.Path);
   ASSERT_FALSE(R);
@@ -189,7 +188,7 @@ TEST(RegistryFormat, FutureVersionHeaderIsATypedStoreFault) {
   TempFile F("registry_future.jsonl");
   {
     std::ofstream Out(F.Path);
-    Out << search::versionHeaderLine(kRegistryFormat, kRegistryVersion + 1)
+    Out << support::versionHeaderLine(kRegistryFormat, kRegistryVersion + 1)
         << "\n";
   }
   auto R = Registry::load(F.Path);
@@ -598,7 +597,7 @@ TEST(RegistryBuilder, DiscoveredBindingIsAdmittedSavedAndLowered) {
   EXPECT_TRUE(B.notes().empty());
   ASSERT_EQ(B.registry().size(), 1u);
   const RegistryEntry E = *B.registry().entries()[0];
-  auto Key = search::pairingKeyHex(C.OperatorId, C.InstructionId, C.M);
+  auto Key = pairingKeyHex(C.OperatorId, C.InstructionId, C.M);
   ASSERT_TRUE(Key);
   EXPECT_EQ(E.Key, *Key);
   EXPECT_EQ(E.AnalysisId, C.Id);

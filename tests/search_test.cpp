@@ -5,20 +5,20 @@
 //===----------------------------------------------------------------------===//
 
 #include "search/BatchDriver.h"
-#include "search/Canon.h"
 #include "search/Searcher.h"
 
 #include "analysis/Derivations.h"
 #include "analysis/Priors.h"
 #include "descriptions/Descriptions.h"
 #include "isdl/Equiv.h"
+#include "isdl/Intern.h"
 #include "isdl/Traverse.h"
 #include "obs/Metrics.h"
+#include "registry/RegistryBuilder.h"
 #include "support/FaultInjection.h"
 #include "transform/Transform.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -26,6 +26,9 @@
 
 using namespace extra;
 using namespace extra::search;
+using isdl::canonicalFingerprint;
+using isdl::pairKey;
+using registry::pairingKeyHex;
 
 namespace {
 
@@ -58,24 +61,24 @@ TEST(CanonTest, RenameInvariant) {
   // The fingerprint abstracts names away: alpha-renaming a variable or a
   // routine must not change it.
   auto A = descriptions::load("rigel.index");
-  uint64_t Before = fingerprint(*A);
+  uint64_t Before = canonicalFingerprint(*A);
 
   transform::Engine E(A->clone());
   ASSERT_TRUE(E.apply({"rename-variable", "",
                        {{"from", "Src.Length"}, {"to", "zz"}}})
                   .Applied);
-  EXPECT_EQ(fingerprint(E.current()), Before);
+  EXPECT_EQ(canonicalFingerprint(E.current()), Before);
 
   ASSERT_TRUE(
       E.apply({"rename-routine", "", {{"from", "read"}, {"to", "grab"}}})
           .Applied);
-  EXPECT_EQ(fingerprint(E.current()), Before);
+  EXPECT_EQ(canonicalFingerprint(E.current()), Before);
 }
 
 TEST(CanonTest, DistinguishesStructure) {
   auto A = descriptions::load("pc2.clear");
   auto B = descriptions::load("pc2.copy");
-  EXPECT_NE(fingerprint(*A), fingerprint(*B));
+  EXPECT_NE(canonicalFingerprint(*A), canonicalFingerprint(*B));
 }
 
 TEST(CanonTest, MatchedFinalFormsFingerprintEqual) {
@@ -85,15 +88,16 @@ TEST(CanonTest, MatchedFinalFormsFingerprintEqual) {
     isdl::Description Op = runScript(C.OperatorId, C.OperatorScript);
     isdl::Description Inst = runScript(C.InstructionId, C.InstructionScript);
     ASSERT_TRUE(isdl::matchDescriptions(Op, Inst).Matched) << C.Id;
-    EXPECT_EQ(fingerprint(Op), fingerprint(Inst)) << C.Id;
+    EXPECT_EQ(canonicalFingerprint(Op), canonicalFingerprint(Inst))
+        << C.Id;
   };
   for (const analysis::AnalysisCase &C : analysis::corpus())
     Check(C);
 }
 
 TEST(CanonTest, PairKeyAsymmetric) {
-  uint64_t A = fingerprint(*descriptions::load("pc2.clear"));
-  uint64_t B = fingerprint(*descriptions::load("i8086.stosb"));
+  uint64_t A = canonicalFingerprint(*descriptions::load("pc2.clear"));
+  uint64_t B = canonicalFingerprint(*descriptions::load("i8086.stosb"));
   EXPECT_NE(pairKey(A, B), pairKey(B, A));
   EXPECT_NE(pairKey(A, B), pairKey(A, A));
 }
@@ -278,16 +282,6 @@ TEST(SearcherTest, TinyDeadlineReturnsPromptly) {
   EXPECT_TRUE(R.Outcome.Stats.TimedOut);
   EXPECT_TRUE(R.Outcome.Stats.BudgetExhausted);
   EXPECT_LT(Ms, 3000.0);
-}
-
-TEST(SearcherTest, CancelFlagStopsSearch) {
-  // A pre-raised cooperative cancel flag reads as an expired deadline.
-  std::atomic<bool> Cancel{true};
-  SearchLimits Limits;
-  Limits.Cancel = &Cancel;
-  DiscoveryResult R = discoverAndVerify("clu.search", "i8086.scasb", Limits);
-  EXPECT_FALSE(R.Outcome.Found);
-  EXPECT_TRUE(R.Outcome.Stats.TimedOut);
 }
 
 TEST(SearcherTest, FailedSearchCarriesPartialLine) {

@@ -7,6 +7,7 @@
 #include "support/Diagnostics.h"
 #include "support/Error.h"
 #include "support/FaultInjection.h"
+#include "support/Json.h"
 #include "support/StringUtil.h"
 #include "support/VersionedFile.h"
 
@@ -245,6 +246,27 @@ TEST(FaultInjectionTest, RateOneAlwaysFiresRateZeroNever) {
 }
 
 // --- VersionedFile: the shared JSONL durability contract ---
+
+TEST(JsonLineTest, EscapeRoundTripsThroughTheReader) {
+  // Every byte the writers may put in a string value, control characters,
+  // quotes and backslashes included, reads back as itself.
+  std::string All;
+  for (int C = 0x01; C <= 0x7f; ++C)
+    All += static_cast<char>(C);
+  auto O = support::parseJsonObjectLine("{\"k\":\"" + support::jsonEscape(All) +
+                                        "\",\"n\":7}");
+  ASSERT_TRUE(O.has_value());
+  EXPECT_EQ(O->field("k"), All);
+  EXPECT_EQ(O->fieldU64("n"), 7u);
+}
+
+TEST(JsonLineTest, RejectsTrailingContent) {
+  EXPECT_FALSE(support::parseJsonObjectLine("{\"a\":1} x").has_value());
+  EXPECT_FALSE(support::parseJsonObjectLine("{} x").has_value());
+  auto O = support::parseJsonObjectLine("{\"a\":1}  ");
+  ASSERT_TRUE(O.has_value());
+  EXPECT_EQ(O->field("a"), "1");
+}
 
 class VersionedFileTest : public ::testing::Test {
 protected:

@@ -448,9 +448,9 @@ int cmdSearch(int argc, char **argv) {
 
   if (Opts.Resume) {
     // Surface a future-version or foreign checkpoint file as an error
-    // here; the tolerant reader inside runBatch would resume from
-    // nothing and silently redo the whole batch.
-    auto Prior = extra::search::readCheckpointsChecked(Opts.CheckpointPath);
+    // here; runBatch would resume from nothing and silently redo the
+    // whole batch.
+    auto Prior = extra::search::readCheckpoints(Opts.CheckpointPath);
     if (!Prior) {
       std::fprintf(stderr, "cannot resume from '%s': %s\n",
                    Opts.CheckpointPath.c_str(),
